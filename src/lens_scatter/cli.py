@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .curves import named_curve
 from .eaton import eaton_metric, invisibility_check, loop_winding
-from .geometry import IntegrationOptions, integrate_geodesic, load_metric
+from .geometry import (IntegrationOptions, SingularChordError, chord_impact,
+                       integrate_geodesic, load_metric)
 from .knot import (analyze_loop, choose_refinement_n, embedding_separation,
                    refine_stage_samples)
 from .lift import projectivize, unit_tangent_lift
@@ -114,10 +115,15 @@ def _cmd_compare(args) -> int:
     max_angle = 0.0
     max_arc = 0.0
     trapped = 0
+    excluded = 0
     excesses = []
     for v in grid:
-        rec_m = scatter(metric_m, v, opts)
-        rec_n = scatter(metric_n, phi_map(h, v), opts)
+        try:
+            rec_m = scatter(metric_m, v, opts)
+            rec_n = scatter(metric_n, phi_map(h, v), opts)
+        except SingularChordError:
+            excluded += 1
+            continue
         if rec_m.trapped or rec_n.trapped:
             trapped += 1
             continue
@@ -128,7 +134,8 @@ def _cmd_compare(args) -> int:
         excesses.append(rec_n.tau - rec_m.tau)
     mean = sum(excesses) / len(excesses) if excesses else None
     excess_dev = max(abs(e - mean) for e in excesses) if excesses else None
-    equal = trapped == 0 and max_angle < args.tol and max_arc < args.tol
+    equal = (trapped == 0 and bool(excesses)
+             and max_angle < args.tol and max_arc < args.tol)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "compare",
@@ -140,6 +147,7 @@ def _cmd_compare(args) -> int:
         "max_angle_dev": max_angle,
         "max_arc_dev": max_arc,
         "trapped_count": trapped,
+        "excluded": excluded,
         "mean_excess": mean,
         "excess_dev": excess_dev,
     }
@@ -152,9 +160,18 @@ def _cmd_compare(args) -> int:
 
 def _cmd_eaton(args) -> int:
     metric = eaton_metric()
+    opts = _integration_options(args)
     grid = _parse_grid(args.grid)
-    rep = invisibility_check(grid, args.tol, metric=metric,
-                             opts=_integration_options(args))
+    usable = []
+    for v in grid:
+        try:
+            chord_impact(metric, v, opts)
+        except SingularChordError:
+            continue
+        usable.append(v)
+    if not usable:
+        raise ValueError("every grid entry passes through the exclusion zone")
+    rep = invisibility_check(usable, args.tol, metric=metric, opts=opts)
     circuits_ok = all(abs(w) == 1 for w in rep.windings)
     passed = rep.passed if args.check == "invisibility" else circuits_ok
     report = {
@@ -164,6 +181,7 @@ def _cmd_eaton(args) -> int:
         "grid": args.grid,
         "tol": args.tol,
         "entries": len(rep.records),
+        "excluded": len(grid) - len(usable),
         "max_direction_dev": rep.max_direction_dev,
         "max_exit_dev": rep.max_exit_dev,
         "windings": sorted(set(rep.windings)),
@@ -172,7 +190,7 @@ def _cmd_eaton(args) -> int:
     }
     _write_json(report, args.out)
     if args.emit_svg:
-        paths = [integrate_geodesic(metric, v, _integration_options(args))
+        paths = [integrate_geodesic(metric, v, opts)
                  for v in _parallel_fan(args.svg_rays)]
         render_rays(paths, args.emit_svg, radius=metric.radius)
     return 0 if passed else 1

@@ -14,7 +14,7 @@ once around the center.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -64,23 +64,20 @@ def _exact_dn_dr(n: float) -> float:
     return -(n ** 1.5) * (n + 1.0) ** 2 / (3.0 * n + 1.0)
 
 
-@dataclass
-class EatonProfile:
-    """Tabulated lens index with monotone log-log interpolation.
+class EatonProfile(_TabulatedRadial):
+    """Tabulated lens index, interpolated log-log; the metric's profile object.
 
     ``exclusion_radius`` bounds how close *entry chords* may pass to the
     origin; interior ray perigees dip far below that (roughly the cube of
     the chord offset), so the table itself extends down to ``floor_radius``.
     """
 
-    table_size: int = 4096
-    exclusion_radius: float = 1e-3
-    floor_radius: float = 1e-10
-    radii: np.ndarray = field(init=False)
-    values: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.radii = np.geomspace(self.floor_radius, 1.0, self.table_size)
+    def __init__(self, table_size: int = 4096, exclusion_radius: float = 1e-3,
+                 floor_radius: float = 1e-10):
+        self.table_size = table_size
+        self.exclusion_radius = exclusion_radius
+        self.floor_radius = floor_radius
+        self.radii = np.geomspace(floor_radius, 1.0, table_size)
         vals = np.array([eaton_index(r) for r in self.radii])
         vals[-1] = 1.0
         if np.any(np.diff(vals) >= 0):
@@ -88,13 +85,14 @@ class EatonProfile:
         if np.any(vals * self.radii > 1.0 + 1e-12):
             raise RuntimeError("index table violates n*r <= 1")
         self.values = vals
-        self._interp = _TabulatedRadial(self.radii, vals, log_space=True)
-
-    def eval(self, r: float) -> tuple[float, float]:
-        return self._interp.eval(r)
+        # Closed-form slopes d(log n)/d(log r) make the table a cubic Hermite
+        # spline, accurate to ~1e-13 where PCHIP's estimates leave ~1e-9; the
+        # exits of near-grazing rays amplify index errors by 1 / (1 - impact).
+        slopes = self.radii * _exact_dn_dr(vals) / vals
+        super().__init__(self.radii, vals, log_space=True, slopes=slopes)
 
     def index(self, r: float) -> float:
-        return self._interp.eval(r)[0]
+        return self.eval(r)[0]
 
 
 @lru_cache(maxsize=4)
@@ -117,11 +115,9 @@ def eaton_metric(*, radius: float = 1.0, exact: bool = False,
         return ConformalMetric.from_radial(
             eaton_index, lambda r: _exact_dn_dr(eaton_index(r)),
             kind="eaton", singular_at_origin=True, r_min=0.0, name="eaton-exact")
-    prof = _cached_profile(table_size, 1e-3, 1e-10)
-    metric = ConformalMetric("eaton", radius=1.0, singular_at_origin=True,
-                             profile=prof._interp, name="eaton")
-    metric.profile = prof
-    return metric
+    return ConformalMetric("eaton", radius=1.0, singular_at_origin=True,
+                           profile=_cached_profile(table_size, 1e-3, 1e-10),
+                           name="eaton")
 
 
 def _polar_sweep(pts: np.ndarray, max_step: float) -> float:

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
+from scipy.integrate import quad, solve_ivp
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.optimize import brentq
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,12 +56,29 @@ class IntegrationOptions:
     error accumulates over long paths.  ``max_length`` is the metric length
     after which a geodesic is declared trapped (default 100 times the
     domain diameter).  ``exclusion_radius`` rejects entry chords passing
-    closer than this to the origin of a singular metric.
+    closer than this to the origin of a singular metric.  Values that are
+    not finite, or not positive (``exclusion_radius``: negative), raise
+    ``ValueError``.
     """
 
     step_tol: float = 1e-7
     max_length: float | None = None
     exclusion_radius: float = 1e-3
+
+    def __post_init__(self):
+        if not (math.isfinite(self.step_tol) and self.step_tol > 0.0):
+            raise ValueError(f"step_tol must be finite and positive, got {self.step_tol}")
+        if self.max_length is not None and not (math.isfinite(self.max_length)
+                                                and self.max_length > 0.0):
+            raise ValueError(
+                f"max_length must be finite and positive, got {self.max_length}")
+        if not (math.isfinite(self.exclusion_radius) and self.exclusion_radius >= 0.0):
+            raise ValueError(f"exclusion_radius must be finite and non-negative, "
+                             f"got {self.exclusion_radius}")
+
+    def length_cap(self, radius: float) -> float:
+        """Metric length beyond which a geodesic counts as trapped."""
+        return self.max_length if self.max_length is not None else 200.0 * radius
 
 
 @dataclass
@@ -92,11 +110,14 @@ class _TabulatedRadial:
 
     Interpolates either ``r -> n`` directly or ``log r -> log n`` when
     ``log_space`` is set (appropriate for profiles with a power-law pole at
-    the origin).  Derivatives come from the same interpolant so that
-    quantities conserved by the interpolated metric are conserved exactly.
+    the origin).  ``slopes``, when given, are the known derivatives at the
+    knots in the interpolated coordinates and make the interpolant a cubic
+    Hermite spline; otherwise PCHIP estimates them.  Derivatives come from
+    the same interpolant so that quantities conserved by the interpolated
+    metric are conserved exactly.
     """
 
-    def __init__(self, radii, values, *, log_space=False):
+    def __init__(self, radii, values, *, log_space=False, slopes=None):
         radii = np.asarray(radii, dtype=float)
         values = np.asarray(values, dtype=float)
         if radii.ndim != 1 or radii.shape != values.shape or radii.size < 2:
@@ -106,14 +127,19 @@ class _TabulatedRadial:
         if np.any(values <= 0):
             raise ValueError("conformal factor must be positive")
         self.log_space = bool(log_space)
+        self.breakpoints = radii
         self.r_min = float(radii[0])
         self.r_max = float(radii[-1])
         if self.log_space:
             if self.r_min <= 0:
                 raise ValueError("log-space profile needs positive radii")
-            self._interp = PchipInterpolator(np.log(radii), np.log(values))
+            x, y = np.log(radii), np.log(values)
         else:
-            self._interp = PchipInterpolator(radii, values)
+            x, y = radii, values
+        if slopes is None:
+            self._interp = PchipInterpolator(x, y)
+        else:
+            self._interp = CubicHermiteSpline(x, y, slopes)
         # Flatten breakpoints/coefficients into plain lists: scalar cubic
         # evaluation this way is ~10x faster than PPoly.__call__ and the
         # integrator calls it once per RHS evaluation.
@@ -175,6 +201,8 @@ class _TabulatedRadial:
 class _CallableRadial:
     """Radial profile given by analytic callables ``n(r)`` and ``dn/dr``."""
 
+    breakpoints = np.empty(0)
+
     def __init__(self, n_of_r, dn_dr, *, r_min=0.0):
         self.n_of_r = n_of_r
         self.dn_dr = dn_dr
@@ -214,8 +242,11 @@ class ConformalMetric:
                  profile=None, field=None, name=None):
         if kind not in ("vacuum", "eaton", "radial-profile", "general"):
             raise ValueError(f"unknown metric kind {kind!r}")
+        radius = float(radius)
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise ValueError(f"metric radius must be positive and finite, got {radius}")
         self.kind = kind
-        self.radius = float(radius)
+        self.radius = radius
         self.singular_at_origin = bool(singular_at_origin)
         self.name = name or kind
         self._profile = profile
@@ -261,6 +292,12 @@ class ConformalMetric:
     @property
     def is_radial(self) -> bool:
         return self._profile is not None
+
+    @property
+    def profile(self):
+        """Radial profile object (``eval``, ``eval_many``, ``r_min``,
+        ``breakpoints``); ``None`` for general metrics."""
+        return self._profile
 
     @property
     def n_floor(self) -> float:
@@ -413,6 +450,119 @@ def _entry_xytheta(entry, radius: float) -> tuple[float, float, float]:
     return px, py, math.atan2(dy, dx), phi
 
 
+def chord_impact(metric: ConformalMetric, entry, opts: IntegrationOptions) -> float:
+    """Distance ``R |cos(angle)|`` from the origin to the straight entry chord.
+
+    Validates the entry first: raises ``ValueError`` unless the angle lies
+    strictly inside ``(0, pi)``, and :class:`SingularChordError` when the
+    chord of a singular metric passes within ``opts.exclusion_radius`` of
+    the origin.
+    """
+    chi = float(entry.angle)
+    if not (0.0 < chi < math.pi):
+        raise ValueError("entry vector must point strictly inward")
+    impact = metric.radius * abs(math.cos(chi))
+    if metric.singular_at_origin and impact < opts.exclusion_radius:
+        raise SingularChordError(
+            f"entry chord passes within {impact:.2e} of the singular origin"
+        )
+    return impact
+
+
+_SCAN_POINTS = 400
+_SCAN_FLOOR = 1e-12   # deepest turning radius searched, relative to R
+_LINEAR_ZONE = 1e-8   # (r - r*) / r* below which n^2 r^2 - p^2 is linearized
+
+
+def _turning_radius(profile, radius: float, p: float) -> float | None:
+    """Outermost root of ``n(r) r = p`` below ``radius``, or ``None``.
+
+    The sign of ``n r - p`` is scanned inward over a log grid merged with
+    the profile's breakpoints, and the outermost sign change is closed by
+    ``brentq``.
+    """
+    floor = max(profile.r_min, _SCAN_FLOOR * radius)
+    knots = profile.breakpoints
+    rs = np.union1d(np.geomspace(floor, radius, _SCAN_POINTS),
+                    knots[(knots > floor) & (knots < radius)])
+    f = profile.eval_many(rs)[0] * rs - p
+    inside = np.flatnonzero(f <= 0.0)
+    if inside.size == 0 or inside[-1] == rs.size - 1:
+        return None
+    i = inside[-1]
+    if f[i] == 0.0:
+        return float(rs[i])
+    lo, hi = float(rs[i]), float(rs[i + 1])
+    return brentq(lambda r: profile.eval(r)[0] * r - p, lo, hi, xtol=1e-16 * lo)
+
+
+def clairaut_orbit(metric: ConformalMetric, impact: float,
+                   opts: IntegrationOptions) -> tuple[float, float] | None:
+    """Polar sweep and metric length of a radial-metric geodesic by quadrature.
+
+    ``impact`` is the entry chord's distance from the origin, so Clairaut's
+    integral is ``p = n(R) * impact``.  From the turning radius ``r*`` (the
+    outermost root of ``n r = p``) the geodesic is symmetric, and
+
+        sweep = 2 int p dr / (r sqrt(n^2 r^2 - p^2)),
+        tau   = 2 int n^2 r dr / sqrt(n^2 r^2 - p^2),
+
+    both over ``[r*, R]``.  The substitution ``r = r* exp(u^2)`` removes the
+    inverse square root at ``r*`` and the scale range of near-pole turning
+    points; next to ``r*`` the radicand is replaced by its linearization
+    ``2 p (n r)'(r*) (r - r*)``, which cannot round to zero.  Returns
+    ``None`` when the quadrature does not apply, so the caller falls back to
+    :func:`integrate_geodesic`: a non-radial metric, no turning point above
+    the profile's domain, a turning point that is not simple (orbiting or
+    trapped rays), or a quadrature that did not converge.
+    """
+    profile = metric.profile
+    if profile is None:
+        return None
+    R = metric.radius
+    p = profile.eval(R)[0] * impact
+    r_star = _turning_radius(profile, R, p)
+    if r_star is None:
+        return None
+    n_star, dn_star = profile.eval(r_star)
+    slope = n_star + r_star * dn_star
+    if not slope > 0.0:
+        return None
+    linear = 2.0 * p * slope * r_star
+    ev = profile.eval
+
+    def weight(u):
+        # n r and u / sqrt(n^2 r^2 - p^2) at r = r* exp(u^2); dr = 2 u r du.
+        e = math.expm1(u * u)
+        r = r_star + r_star * e
+        nr = ev(r)[0] * r
+        if e < _LINEAR_ZONE:
+            g = linear * e
+        else:
+            g = (nr - p) * (nr + p)
+        return nr, (u / math.sqrt(g) if g > 0.0 else math.nan)
+
+    def sweep(u):
+        return p * weight(u)[1]
+
+    def length(u):
+        nr, w = weight(u)
+        return nr * nr * w
+
+    # Quadrature error does not build up along the path as the ODE's global
+    # error does, so two decades below step_tol suffice (the ODE uses three).
+    tol = 1e-2 * opts.step_tol
+    top = math.sqrt(math.log(R / r_star))
+    out = []
+    for integrand in (sweep, length):
+        # With full_output, quad appends a message when it did not converge.
+        res = quad(integrand, 0.0, top, epsabs=tol, epsrel=tol, full_output=1)
+        if len(res) > 3 or not math.isfinite(res[0]):
+            return None
+        out.append(4.0 * res[0])
+    return out[0], out[1]
+
+
 def _refine_samples(dense, ts, max_step=0.45, rounds=10):
     """Subdivide sample times until direction and polar angles step slowly."""
     ts = np.asarray(ts, dtype=float)
@@ -440,16 +590,8 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
     """
     opts = opts or IntegrationOptions()
     R = metric.radius
-    chi = float(entry.angle)
-    if not (0.0 < chi < math.pi):
-        raise ValueError("entry vector must point strictly inward")
-    if metric.singular_at_origin:
-        impact = R * abs(math.cos(chi))
-        if impact < opts.exclusion_radius:
-            raise SingularChordError(
-                f"entry chord passes within {impact:.2e} of the singular origin"
-            )
-    max_len = opts.max_length if opts.max_length is not None else 100.0 * 2.0 * R
+    chord_impact(metric, entry, opts)
+    max_len = opts.length_cap(R)
     x0, y0, theta0, _ = _entry_xytheta(entry, R)
     rhs = metric._make_rhs()
 

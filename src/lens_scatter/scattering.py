@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConformalMetric, IntegrationOptions, integrate_geodesic
+from .geometry import (ConformalMetric, IntegrationOptions, chord_impact,
+                       clairaut_orbit, integrate_geodesic)
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,9 +116,27 @@ class ScatteringRecord:
 
 def scatter(metric: ConformalMetric, entry: BoundaryVector,
             opts: IntegrationOptions | None = None) -> ScatteringRecord:
-    """Trace one inward vector and report its outgoing vector and length."""
+    """Outgoing vector and metric length of one inward vector.
+
+    Radial metrics (vacuum, the lens, radial profiles) get their exit data
+    from Clairaut quadrature (:func:`~lens_scatter.geometry.clairaut_orbit`):
+    the exit angle equals the entry angle and the exit arc is the entry arc
+    advanced by the signed polar sweep.  Every other case, including rays
+    without a simple turning point, is traced by
+    :func:`~lens_scatter.geometry.integrate_geodesic`.  Both paths raise
+    :class:`~lens_scatter.geometry.SingularChordError` for chords through the
+    exclusion zone and report a trapped record past ``opts.max_length``.
+    """
     if classify(entry) != INWARD:
         raise ValueError("scatter needs a strictly inward entry vector")
+    opts = opts or IntegrationOptions()
+    orbit = clairaut_orbit(metric, chord_impact(metric, entry, opts), opts)
+    if orbit is not None:
+        sweep, tau = orbit
+        if tau > opts.length_cap(metric.radius):
+            return ScatteringRecord(entry, None, math.inf)
+        turn = math.copysign(sweep, math.cos(entry.angle)) / TWO_PI
+        return ScatteringRecord(entry, BoundaryVector(entry.arc + turn, entry.angle), tau)
     path = integrate_geodesic(metric, entry, opts)
     if path.trapped:
         return ScatteringRecord(entry, None, math.inf)
@@ -126,7 +145,11 @@ def scatter(metric: ConformalMetric, entry: BoundaryVector,
 
 @dataclass
 class LensDataset:
-    """Scattering records of one metric over a described sampling."""
+    """Scattering records of one metric over a described sampling.
+
+    :meth:`collect` runs :func:`scatter` per entry, so radial metrics are
+    served by Clairaut quadrature and other metrics by ODE tracing.
+    """
 
     metric_id: str
     records: list[ScatteringRecord]

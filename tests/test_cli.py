@@ -59,6 +59,46 @@ class TestScatterCommand:
                        "--angle", "1.0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("step_tol", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("metric", ["vacuum", "eaton"])
+    def test_bad_step_tol_is_input_error(self, capsys, metric, step_tol):
+        code = main(["--step-tol", step_tol, "scatter", "--metric", metric,
+                     "--arc", "0", "--angle", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "step_tol must be finite and positive" in captured.err
+
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_non_positive_radius_is_input_error(self, tmp_path, capsys, radius):
+        spec = {"kind": "radial-profile", "radius": radius,
+                "profile": [[0.0, 1.2], [1.0, 1.0]]}
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(spec))
+        code = main(["scatter", "--metric", str(path), "--arc", "0", "--angle", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "metric radius must be positive" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_singular_entry_still_aborts(self, capsys):
+        code = main(["scatter", "--metric", "eaton", "--arc", "0",
+                     "--angle", str(math.pi / 2)])
+        assert code == 2
+        assert "singular origin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", ["vacuum", "eaton", "profile"])
+    def test_nothing_on_stderr(self, tmp_path, capsys, metric):
+        if metric == "profile":
+            path = tmp_path / "metric.json"
+            path.write_text(json.dumps({"kind": "radial-profile", "radius": 1.0,
+                                        "profile": [[0.0, 1.3], [0.5, 1.2], [1.0, 1.0]]}))
+            metric = str(path)
+        for angle in ("0.0011", "1.5697", "3.1"):
+            assert main(["scatter", "--metric", metric, "--arc", "0.3",
+                         "--angle", angle]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestCompareCommand:
     def test_vacuum_eaton_expect_equal(self, capsys):
@@ -69,7 +109,22 @@ class TestCompareCommand:
         assert rep["equal"] is True
         assert rep["mean_excess"] == pytest.approx(2 * math.pi, abs=1e-3)
         assert set(rep) >= {"equal", "max_angle_dev", "max_arc_dev",
-                            "trapped_count", "mean_excess", "excess_dev"}
+                            "trapped_count", "excluded", "mean_excess",
+                            "excess_dev"}
+        assert rep["excluded"] == 0
+
+    def test_grid_through_the_pole_skips_entries(self, capsys):
+        # An odd angle count puts one angle at pi/2, whose chord meets the
+        # lens's pole: those three entries are reported, not fatal.
+        code = main(["compare", "--m1", "vacuum", "--m2", "eaton",
+                     "--grid", "3x3", "--expect-equal"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        rep = json.loads(captured.out)
+        assert rep["excluded"] == 3
+        assert rep["equal"] is True
+        assert rep["mean_excess"] == pytest.approx(2 * math.pi, abs=1e-6)
 
     def test_expect_equal_failure_sets_exit_one(self, tmp_path, capsys):
         spec = {"kind": "radial-profile", "radius": 1.0,
@@ -101,6 +156,18 @@ class TestEatonCommand:
         code, out = run(["eaton", "--check", "circuit", "--grid", "4x2"], capsys)
         assert code == 0
         assert json.loads(out)["circuits_ok"] is True
+
+    def test_grid_through_the_pole_skips_entries(self, capsys):
+        code, out = run(["eaton", "--grid", "3x3"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["excluded"] == 3
+        assert rep["entries"] == 6
+        assert rep["passed"] is True
+
+    def test_all_entries_excluded_is_input_error(self, capsys):
+        assert main(["eaton", "--grid", "2x1"]) == 2
+        assert "exclusion zone" in capsys.readouterr().err
 
 
 class TestApproxPL:

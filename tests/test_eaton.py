@@ -66,6 +66,12 @@ class TestProfileTable:
             n_interp, _ = eaton.radial_eval(float(r))
             assert n_interp == pytest.approx(eaton_index(float(r)), rel=1e-8)
 
+    def test_metric_holds_the_profile_from_construction(self, eaton):
+        with pytest.raises(AttributeError):
+            eaton.profile = None
+        assert eaton.profile is eaton_metric().profile
+        assert eaton.profile.r_min == eaton.profile.radii[0]
+
     def test_exact_metric_agrees_with_table(self, eaton):
         exact = eaton_metric(exact=True)
         for r in (0.02, 0.3, 0.77):

@@ -125,6 +125,28 @@ class TestIntegration:
         assert abs(coarse.directions[-1] - fine.directions[-1]) < 1e-8
 
 
+class TestIntegrationOptions:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"step_tol": math.nan}, "step_tol"),
+        ({"step_tol": 0.0}, "step_tol"),
+        ({"step_tol": -1.0}, "step_tol"),
+        ({"step_tol": math.inf}, "step_tol"),
+        ({"max_length": 0.0}, "max_length"),
+        ({"max_length": math.inf}, "max_length"),
+        ({"max_length": math.nan}, "max_length"),
+        ({"exclusion_radius": -1e-3}, "exclusion_radius"),
+        ({"exclusion_radius": math.nan}, "exclusion_radius"),
+    ])
+    def test_invalid_values_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            IntegrationOptions(**kwargs)
+
+    def test_valid_edges_accepted(self):
+        IntegrationOptions(max_length=None, exclusion_radius=0.0)
+        assert IntegrationOptions(max_length=3.0).length_cap(1.0) == 3.0
+        assert IntegrationOptions().length_cap(2.0) == 400.0
+
+
 class TestClairaut:
     def test_vacuum_diameter_is_zero(self, vacuum):
         path = integrate_geodesic(vacuum, BoundaryVector(0.0, math.pi / 2))
@@ -233,6 +255,17 @@ class TestMetricSpecs:
         m = load_metric(p)
         assert m.kind == "radial-profile"
         assert m.n_at(0.0, 0.0) == pytest.approx(1.3)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match="metric radius must be positive"):
+            ConformalMetric.vacuum(radius=radius)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_profile_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match="metric radius must be positive"):
+            metric_from_spec({"kind": "radial-profile", "radius": radius,
+                              "profile": [[0.0, 1.2], [1.0, 1.0]]})
 
     def test_load_metric_builtin_names(self):
         assert load_metric("vacuum").kind == "vacuum"
