@@ -8,9 +8,9 @@ from .geometry import (ConformalMetric, GeodesicPath, GeodesicState,
                        clairaut, geodesic_rhs, integrate_geodesic, load_metric,
                        metric_from_spec, riemannian_length)
 from .scattering import (BoundaryIsometry, BoundaryVector, CompareReport,
-                         ExcessReport, LensDataset, ScatteringRecord,
-                         boundary_grid, classify, compare_scattering,
-                         length_excess, phi_map, scatter)
+                         ExcessReport, ScatteringRecord, boundary_grid,
+                         classify, compare_scattering, length_excess, phi_map,
+                         scatter)
 from .eaton import (EatonProfile, eaton_index, eaton_metric, invisibility_check,
                     loop_winding)
 from .curves import (ParametricCurve, TrigCurve, circle, lemniscate,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -20,13 +19,12 @@ import numpy as np
 from . import __version__
 from .curves import named_curve
 from .eaton import eaton_metric, invisibility_check, loop_winding
-from .geometry import (IntegrationOptions, SingularChordError, chord_impact,
-                       integrate_geodesic, load_metric)
+from .geometry import IntegrationOptions, integrate_geodesic, load_metric
 from .knot import (analyze_loop, choose_refinement_n, embedding_separation,
                    refine_stage_samples)
 from .lift import projectivize, unit_tangent_lift
 from .scattering import (BoundaryIsometry, BoundaryVector, boundary_grid,
-                         phi_map, scatter)
+                         compare_scattering, scatter)
 from .svg import render_annulus, render_rays
 
 SCHEMA_VERSION = 1
@@ -109,33 +107,10 @@ def _cmd_scatter(args) -> int:
 def _cmd_compare(args) -> int:
     metric_m = load_metric(args.m1)
     metric_n = load_metric(args.m2)
-    h = BoundaryIsometry(args.h_shift, args.h_reflect)
-    grid = _parse_grid(args.grid)
-    opts = _integration_options(args)
-    max_angle = 0.0
-    max_arc = 0.0
-    trapped = 0
-    excluded = 0
-    excesses = []
-    for v in grid:
-        try:
-            rec_m = scatter(metric_m, v, opts)
-            rec_n = scatter(metric_n, phi_map(h, v), opts)
-        except SingularChordError:
-            excluded += 1
-            continue
-        if rec_m.trapped or rec_n.trapped:
-            trapped += 1
-            continue
-        lhs = phi_map(h, rec_m.exit)
-        max_angle = max(max_angle, abs(lhs.angle - rec_n.exit.angle))
-        d = abs(lhs.arc - rec_n.exit.arc) % 1.0
-        max_arc = max(max_arc, min(d, 1.0 - d))
-        excesses.append(rec_n.tau - rec_m.tau)
-    mean = sum(excesses) / len(excesses) if excesses else None
-    excess_dev = max(abs(e - mean) for e in excesses) if excesses else None
-    equal = (trapped == 0 and bool(excesses)
-             and max_angle < args.tol and max_arc < args.tol)
+    rep = compare_scattering(metric_m, metric_n,
+                             BoundaryIsometry(args.h_shift, args.h_reflect),
+                             _parse_grid(args.grid), args.tol,
+                             _integration_options(args))
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "compare",
@@ -143,16 +118,16 @@ def _cmd_compare(args) -> int:
         "m2": metric_n.name,
         "grid": args.grid,
         "tol": args.tol,
-        "equal": equal,
-        "max_angle_dev": max_angle,
-        "max_arc_dev": max_arc,
-        "trapped_count": trapped,
-        "excluded": excluded,
-        "mean_excess": mean,
-        "excess_dev": excess_dev,
+        "equal": rep.equal,
+        "max_angle_dev": rep.max_angle_dev,
+        "max_arc_dev": rep.max_arc_dev,
+        "trapped_count": rep.trapped_count,
+        "excluded": rep.excluded,
+        "mean_excess": rep.mean_excess,
+        "excess_dev": rep.excess_dev,
     }
     _write_json(report, args.out)
-    if args.expect_equal and not equal:
+    if args.expect_equal and not rep.equal:
         print("compare: metrics are NOT scattering-equal", file=sys.stderr)
         return 1
     return 0
@@ -161,17 +136,7 @@ def _cmd_compare(args) -> int:
 def _cmd_eaton(args) -> int:
     metric = eaton_metric()
     opts = _integration_options(args)
-    grid = _parse_grid(args.grid)
-    usable = []
-    for v in grid:
-        try:
-            chord_impact(metric, v, opts)
-        except SingularChordError:
-            continue
-        usable.append(v)
-    if not usable:
-        raise ValueError("every grid entry passes through the exclusion zone")
-    rep = invisibility_check(usable, args.tol, metric=metric, opts=opts)
+    rep = invisibility_check(_parse_grid(args.grid), args.tol, metric=metric, opts=opts)
     circuits_ok = all(abs(w) == 1 for w in rep.windings)
     passed = rep.passed if args.check == "invisibility" else circuits_ok
     report = {
@@ -181,7 +146,7 @@ def _cmd_eaton(args) -> int:
         "grid": args.grid,
         "tol": args.tol,
         "entries": len(rep.records),
-        "excluded": len(grid) - len(usable),
+        "excluded": rep.excluded,
         "max_direction_dev": rep.max_direction_dev,
         "max_exit_dev": rep.max_exit_dev,
         "windings": sorted(set(rep.windings)),
@@ -334,10 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("LENS_SCATTER_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print("LENS_SCATTER_THREADS must be a positive integer", file=sys.stderr)
-        return 2
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

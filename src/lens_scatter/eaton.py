@@ -67,15 +67,13 @@ def _exact_dn_dr(n: float) -> float:
 class EatonProfile(_TabulatedRadial):
     """Tabulated lens index, interpolated log-log; the metric's profile object.
 
-    ``exclusion_radius`` bounds how close *entry chords* may pass to the
-    origin; interior ray perigees dip far below that (roughly the cube of
-    the chord offset), so the table itself extends down to ``floor_radius``.
+    Entry chords keep ``IntegrationOptions.exclusion_radius`` from the
+    origin, but interior ray perigees dip far below that (roughly the cube
+    of the chord offset), so the table extends down to ``floor_radius``.
     """
 
-    def __init__(self, table_size: int = 4096, exclusion_radius: float = 1e-3,
-                 floor_radius: float = 1e-10):
+    def __init__(self, table_size: int = 4096, floor_radius: float = 1e-10):
         self.table_size = table_size
-        self.exclusion_radius = exclusion_radius
         self.floor_radius = floor_radius
         self.radii = np.geomspace(floor_radius, 1.0, table_size)
         vals = np.array([eaton_index(r) for r in self.radii])
@@ -96,9 +94,8 @@ class EatonProfile(_TabulatedRadial):
 
 
 @lru_cache(maxsize=4)
-def _cached_profile(table_size: int, exclusion_radius: float, floor_radius: float) -> EatonProfile:
-    return EatonProfile(table_size=table_size, exclusion_radius=exclusion_radius,
-                        floor_radius=floor_radius)
+def _cached_profile(table_size: int, floor_radius: float) -> EatonProfile:
+    return EatonProfile(table_size=table_size, floor_radius=floor_radius)
 
 
 def eaton_metric(*, radius: float = 1.0, exact: bool = False,
@@ -116,7 +113,7 @@ def eaton_metric(*, radius: float = 1.0, exact: bool = False,
             eaton_index, lambda r: _exact_dn_dr(eaton_index(r)),
             kind="eaton", singular_at_origin=True, r_min=0.0, name="eaton-exact")
     return ConformalMetric("eaton", radius=1.0, singular_at_origin=True,
-                           profile=_cached_profile(table_size, 1e-3, 1e-10),
+                           profile=_cached_profile(table_size, 1e-10),
                            name="eaton")
 
 
@@ -168,6 +165,7 @@ class InvisibilityReport:
     max_direction_dev: float
     max_exit_dev: float
     tol: float
+    excluded: int
 
     @property
     def passed(self) -> bool:
@@ -186,14 +184,20 @@ def invisibility_check(entries, tol: float = 1e-4, *,
 
     For every entry the exit direction must be parallel to the entry
     direction and the exit point must coincide with the straight-line
-    (vacuum) exit, both within ``tol``.  Chords through the exclusion zone
-    raise :class:`SingularChordError` like the integrator does.
+    (vacuum) exit, both within ``tol``.  Entries whose chord passes through
+    the exclusion zone are skipped and counted in ``excluded``; a
+    ``ValueError`` is raised when no entry is left.
     """
     metric = metric if metric is not None else eaton_metric()
     R = metric.radius
     records = []
+    excluded = 0
     for entry in entries:
-        path = integrate_geodesic(metric, entry, opts)
+        try:
+            path = integrate_geodesic(metric, entry, opts)
+        except SingularChordError:
+            excluded += 1
+            continue
         if path.trapped:
             raise RuntimeError(f"entry {entry} was trapped; cannot assess it")
         # Vacuum exit of the same entry: straight chord geometry.
@@ -207,9 +211,12 @@ def invisibility_check(entries, tol: float = 1e-4, *,
         exit_dev = float(np.hypot(*(path.points[-1] - vac_exit)))
         records.append(InvisibilityRecord(entry.arc % 1.0, chi, direction_dev,
                                           exit_dev, loop_winding(path)))
+    if not records:
+        raise ValueError("every grid entry passes through the exclusion zone")
     return InvisibilityReport(
         records=records,
         max_direction_dev=max(r.direction_dev for r in records),
         max_exit_dev=max(r.exit_dev for r in records),
         tol=tol,
+        excluded=excluded,
     )

@@ -44,6 +44,44 @@ class SingularChordError(ValueError):
     """Entry chord passes through the exclusion zone around a pole."""
 
 
+# solve_ivp raises any rtol below 100 eps to that floor with a warning.
+_RTOL_SCALE = 1e-3
+_RTOL_FLOOR = 100.0 * np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class BoundaryVector:
+    """Unit vector at a boundary point: (perimeter fraction, tangent angle).
+
+    ``angle`` is the unsigned angle in ``[0, pi]`` from the oriented
+    boundary tangent; see :mod:`lens_scatter.scattering` for the convention.
+    """
+
+    arc: float
+    angle: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "arc", self.arc % 1.0)
+        if not (0.0 <= self.angle <= math.pi):
+            raise ValueError("tangent angle must lie in [0, pi]")
+
+    def reversed(self) -> "BoundaryVector":
+        return BoundaryVector(self.arc, math.pi - self.angle)
+
+    def point(self, radius: float = 1.0) -> tuple[float, float]:
+        phi = TWO_PI * self.arc
+        return (radius * math.cos(phi), radius * math.sin(phi))
+
+
+def boundary_vector_at(x: float, y: float, theta: float, *, radius: float = 1.0) -> BoundaryVector:
+    """Boundary vector for a direction angle ``theta`` at boundary point ``(x, y)``."""
+    phi = math.atan2(y, x)
+    tx, ty = -math.sin(phi), math.cos(phi)
+    dot = math.cos(theta) * tx + math.sin(theta) * ty
+    chi = math.acos(max(-1.0, min(1.0, dot)))
+    return BoundaryVector((phi / TWO_PI) % 1.0, chi)
+
+
 @dataclass(frozen=True)
 class IntegrationOptions:
     """Tolerances for geodesic integration.
@@ -58,7 +96,8 @@ class IntegrationOptions:
     domain diameter).  ``exclusion_radius`` rejects entry chords passing
     closer than this to the origin of a singular metric.  Values that are
     not finite, or not positive (``exclusion_radius``: negative), raise
-    ``ValueError``.
+    ``ValueError``, and so does a ``step_tol`` whose solver tolerance
+    would fall below the solver's floor (about ``2.2e-11``).
     """
 
     step_tol: float = 1e-7
@@ -68,6 +107,9 @@ class IntegrationOptions:
     def __post_init__(self):
         if not (math.isfinite(self.step_tol) and self.step_tol > 0.0):
             raise ValueError(f"step_tol must be finite and positive, got {self.step_tol}")
+        if _RTOL_SCALE * self.step_tol < _RTOL_FLOOR:
+            raise ValueError(f"step_tol must be at least {_RTOL_FLOOR / _RTOL_SCALE:.2e} "
+                             f"(solver tolerance floor), got {self.step_tol}")
         if self.max_length is not None and not (math.isfinite(self.max_length)
                                                 and self.max_length > 0.0):
             raise ValueError(
@@ -609,7 +651,7 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
 
     span = 1.05 * max_len / metric.n_floor + 4.0 * R
     sol = solve_ivp(rhs, (0.0, span), (x0, y0, theta0, 0.0), method="DOP853",
-                    rtol=1e-3 * opts.step_tol, atol=1e-4 * opts.step_tol,
+                    rtol=_RTOL_SCALE * opts.step_tol, atol=1e-4 * opts.step_tol,
                     events=(boundary_exit, length_cap), dense_output=True)
     if not sol.success:
         raise RuntimeError(f"geodesic integration failed: {sol.message}")
@@ -628,8 +670,6 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
     xe, ye, the, taue = sol.y[0, -1], sol.y[1, -1], sol.y[2, -1], sol.y[3, -1]
     scale = R / math.hypot(xe, ye)
     points[-1] = (xe * scale, ye * scale)
-    from .scattering import boundary_vector_at  # local import avoids a cycle
-
     exit_vec = boundary_vector_at(points[-1, 0], points[-1, 1], the, radius=R)
     return GeodesicPath(ts, points, ys[2], lengths, entry, exit_vec, False)
 

@@ -47,7 +47,20 @@ class NonIntegralClassError(RuntimeError):
 # framed loops
 
 
-class TangentLoop:
+class _FramedLoop:
+    """Base of the framed-loop views; ``period_shift`` is the frame's
+    increment over one period."""
+
+    period_shift: float
+
+    def line_winding(self) -> int:
+        w = self.period_shift / math.pi
+        if abs(w - round(w)) > 1e-6:
+            raise NonIntegralClassError(f"line rotation {w:.6f} not integral")
+        return int(round(w))
+
+
+class TangentLoop(_FramedLoop):
     """Framed loop whose frame is the unit tangent of its own base curve."""
 
     def __init__(self, curve: ParametricCurve, samples: int = 512):
@@ -69,14 +82,8 @@ class TangentLoop:
     def frame_angle(self, l: float) -> float:
         return self.lifted.theta_at(l)
 
-    def line_winding(self) -> int:
-        w = self.period_shift / math.pi
-        if abs(w - round(w)) > 1e-6:
-            raise NonIntegralClassError(f"line rotation {w:.6f} not integral")
-        return int(round(w))
 
-
-class CallableFramedLoop:
+class CallableFramedLoop(_FramedLoop):
     """Framed loop from explicit callables (base, velocity, frame lift).
 
     ``chi_fn`` must be a continuous real lift over ``[0, 1]``; its increment
@@ -105,14 +112,8 @@ class CallableFramedLoop:
         lw = l % 1.0
         return float(self._chi(lw))
 
-    def line_winding(self) -> int:
-        w = self.period_shift / math.pi
-        if abs(w - round(w)) > 1e-6:
-            raise NonIntegralClassError(f"line rotation {w:.6f} not integral")
-        return int(round(w))
 
-
-class PLLoop:
+class PLLoop(_FramedLoop):
     """Framed loop view of a piecewise-linear knot (exact crossing search)."""
 
     def __init__(self, path: PLVertexPath):
@@ -135,15 +136,9 @@ class PLLoop:
     def frame_angle(self, l: float) -> float:
         return self.path.point_at(l).lift
 
-    def line_winding(self) -> int:
-        w = self.period_shift / math.pi
-        if abs(w - round(w)) > 1e-6:
-            raise NonIntegralClassError(f"line rotation {w:.6f} not integral")
-        return int(round(w))
-
 
 def as_framed_loop(obj, samples: int | None = None):
-    if isinstance(obj, (TangentLoop, CallableFramedLoop, PLLoop)):
+    if isinstance(obj, _FramedLoop):
         return obj
     if isinstance(obj, PLVertexPath):
         return PLLoop(obj)

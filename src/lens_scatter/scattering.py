@@ -18,36 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import (ConformalMetric, IntegrationOptions, chord_impact,
-                       clairaut_orbit, integrate_geodesic)
+from .geometry import (BoundaryVector, ConformalMetric, IntegrationOptions,
+                       SingularChordError, chord_impact, clairaut_orbit,
+                       integrate_geodesic)
 
 TWO_PI = 2.0 * math.pi
 
 INWARD = "inward"
 TANGENTIAL = "tangential"
 OUTWARD = "outward"
-
-
-@dataclass(frozen=True)
-class BoundaryVector:
-    """Unit vector at a boundary point: (perimeter fraction, tangent angle)."""
-
-    arc: float
-    angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "arc", self.arc % 1.0)
-        if not (0.0 <= self.angle <= math.pi):
-            raise ValueError("tangent angle must lie in [0, pi]")
-
-    def reversed(self) -> "BoundaryVector":
-        return BoundaryVector(self.arc, math.pi - self.angle)
-
-    def point(self, radius: float = 1.0) -> tuple[float, float]:
-        phi = TWO_PI * self.arc
-        return (radius * math.cos(phi), radius * math.sin(phi))
 
 
 def classify(v: BoundaryVector) -> str:
@@ -62,15 +41,6 @@ def classify(v: BoundaryVector) -> str:
     if a == 0.0 or a == math.pi:
         return TANGENTIAL
     return INWARD if 0.0 < a < math.pi else OUTWARD
-
-
-def boundary_vector_at(x: float, y: float, theta: float, *, radius: float = 1.0) -> BoundaryVector:
-    """Boundary vector for a direction angle ``theta`` at boundary point ``(x, y)``."""
-    phi = math.atan2(y, x)
-    tx, ty = -math.sin(phi), math.cos(phi)
-    dot = math.cos(theta) * tx + math.sin(theta) * ty
-    chi = math.acos(max(-1.0, min(1.0, dot)))
-    return BoundaryVector((phi / TWO_PI) % 1.0, chi)
 
 
 @dataclass(frozen=True)
@@ -143,32 +113,6 @@ def scatter(metric: ConformalMetric, entry: BoundaryVector,
     return ScatteringRecord(entry, path.exit, path.length)
 
 
-@dataclass
-class LensDataset:
-    """Scattering records of one metric over a described sampling.
-
-    :meth:`collect` runs :func:`scatter` per entry, so radial metrics are
-    served by Clairaut quadrature and other metrics by ODE tracing.
-    """
-
-    metric_id: str
-    records: list[ScatteringRecord]
-    sampling: str
-
-    def __post_init__(self):
-        self.records = sorted(self.records, key=lambda r: (r.entry.arc, r.entry.angle))
-        keys = [(r.entry.arc, r.entry.angle) for r in self.records]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate entries in lens dataset")
-
-    @classmethod
-    def collect(cls, metric: ConformalMetric, grid, *, metric_id=None,
-                opts: IntegrationOptions | None = None) -> "LensDataset":
-        recs = [scatter(metric, v, opts) for v in grid]
-        return cls(metric_id or metric.name, recs,
-                   f"{len(recs)} boundary entries")
-
-
 def boundary_grid(n_arcs: int = 16, n_angles: int = 8, *,
                   angle_margin: float = 0.05) -> list[BoundaryVector]:
     """Default entry sampling: arcs times midpoint angles.
@@ -191,9 +135,49 @@ def _arc_distance(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
+def _lens_pairs(metric_m: ConformalMetric, metric_n: ConformalMetric,
+                h: BoundaryIsometry | None, grid,
+                opts: IntegrationOptions | None):
+    """Paired lens data of two metrics: the one pass behind compare and excess.
+
+    Scatters every grid entry ``v`` (default :func:`boundary_grid`) under
+    M and ``phi(v)`` under N once.  Returns ``(pairs, trapped, excluded)``:
+    ``pairs`` holds ``(phi(exit_M(v)), exit_N(phi(v)), tau_N - tau_M)`` for
+    the entries where both geodesics exit, ``trapped`` counts entries with a
+    trapped geodesic on either side, and ``excluded`` the entries whose
+    chord passes through the exclusion zone of a singular metric.
+    """
+    h = h or BoundaryIsometry()
+    pairs = []
+    trapped = 0
+    excluded = 0
+    for v in grid if grid is not None else boundary_grid():
+        try:
+            rec_m = scatter(metric_m, v, opts)
+            rec_n = scatter(metric_n, phi_map(h, v), opts)
+        except SingularChordError:
+            excluded += 1
+            continue
+        if rec_m.trapped or rec_n.trapped:
+            trapped += 1
+            continue
+        pairs.append((phi_map(h, rec_m.exit), rec_n.exit, rec_n.tau - rec_m.tau))
+    return pairs, trapped, excluded
+
+
+def _mean_and_spread(values: list[float]) -> tuple[float, float]:
+    mean = sum(values) / len(values)
+    return mean, max(abs(e - mean) for e in values)
+
+
 @dataclass
 class CompareReport:
-    """Conjugation-identity deviations between two metrics over a grid."""
+    """Conjugation-identity deviations between two metrics over a grid.
+
+    ``entries`` counts the whole grid, ``excluded`` the entries skipped as
+    pole chords.  ``mean_excess`` and ``excess_dev`` summarize the length
+    excesses of the compared entries (``None`` when there are none).
+    """
 
     equal: bool
     max_angle_dev: float
@@ -201,6 +185,9 @@ class CompareReport:
     trapped_count: int
     entries: int
     tol: float
+    excluded: int
+    mean_excess: float | None
+    excess_dev: float | None
 
 
 def compare_scattering(metric_m: ConformalMetric, metric_n: ConformalMetric,
@@ -211,27 +198,22 @@ def compare_scattering(metric_m: ConformalMetric, metric_n: ConformalMetric,
 
     For every grid entry ``v`` the report compares ``phi(exit_M(v))``
     against ``exit_N(phi(v))``.  Trapped geodesics on either side are
-    counted, excluded from the deviation maxima, and veto equality.
-    ``max_arc_dev`` is measured in arc fraction, ``max_angle_dev`` in
-    radians.
+    counted, excluded from the deviation maxima, and veto equality.  Pole
+    chords are skipped and counted in ``excluded``; equality needs at least
+    one compared entry.  ``max_arc_dev`` is measured in arc fraction,
+    ``max_angle_dev`` in radians.
     """
-    h = h or BoundaryIsometry()
-    grid = grid if grid is not None else boundary_grid()
+    pairs, trapped, excluded = _lens_pairs(metric_m, metric_n, h, grid, opts)
     max_angle = 0.0
     max_arc = 0.0
-    trapped = 0
-    for v in grid:
-        rec_m = scatter(metric_m, v, opts)
-        rec_n = scatter(metric_n, phi_map(h, v), opts)
-        if rec_m.trapped or rec_n.trapped:
-            trapped += 1
-            continue
-        lhs = phi_map(h, rec_m.exit)
-        rhs = rec_n.exit
+    for lhs, rhs, _ in pairs:
         max_angle = max(max_angle, abs(lhs.angle - rhs.angle))
         max_arc = max(max_arc, _arc_distance(lhs.arc, rhs.arc))
-    equal = trapped == 0 and max_angle < tol and max_arc < tol
-    return CompareReport(equal, max_angle, max_arc, trapped, len(grid), tol)
+    mean, spread = _mean_and_spread([e for _, _, e in pairs]) if pairs else (None, None)
+    equal = trapped == 0 and bool(pairs) and max_angle < tol and max_arc < tol
+    entries = len(pairs) + trapped + excluded
+    return CompareReport(equal, max_angle, max_arc, trapped, entries, tol,
+                         excluded, mean, spread)
 
 
 @dataclass
@@ -242,6 +224,7 @@ class ExcessReport:
     max_abs_dev: float
     excesses: list[float]
     trapped_count: int
+    excluded: int
 
 
 def length_excess(metric_m: ConformalMetric, metric_n: ConformalMetric,
@@ -251,20 +234,11 @@ def length_excess(metric_m: ConformalMetric, metric_n: ConformalMetric,
 
     Meaningful when the two metrics compare equal (the excess is then a
     single constant); callers should run :func:`compare_scattering` first.
+    Pole chords are skipped and counted in ``excluded``.
     """
-    h = h or BoundaryIsometry()
-    grid = grid if grid is not None else boundary_grid()
-    excesses = []
-    trapped = 0
-    for v in grid:
-        rec_m = scatter(metric_m, v, opts)
-        rec_n = scatter(metric_n, phi_map(h, v), opts)
-        if rec_m.trapped or rec_n.trapped:
-            trapped += 1
-            continue
-        excesses.append(rec_n.tau - rec_m.tau)
-    if not excesses:
-        raise RuntimeError("no usable entries: every geodesic was trapped")
-    mean = sum(excesses) / len(excesses)
-    max_dev = max(abs(e - mean) for e in excesses)
-    return ExcessReport(mean, max_dev, excesses, trapped)
+    pairs, trapped, excluded = _lens_pairs(metric_m, metric_n, h, grid, opts)
+    if not pairs:
+        raise RuntimeError("no usable entries: every geodesic was trapped or excluded")
+    excesses = [e for _, _, e in pairs]
+    mean, spread = _mean_and_spread(excesses)
+    return ExcessReport(mean, spread, excesses, trapped, excluded)

@@ -59,7 +59,7 @@ class TestScatterCommand:
                        "--angle", "1.0"], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("step_tol", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("step_tol", ["nan", "0", "-1", "1e-12"])
     @pytest.mark.parametrize("metric", ["vacuum", "eaton"])
     def test_bad_step_tol_is_input_error(self, capsys, metric, step_tol):
         code = main(["--step-tol", step_tol, "scatter", "--metric", metric,
@@ -67,7 +67,9 @@ class TestScatterCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "step_tol must be finite and positive" in captured.err
+        message = ("step_tol must be at least 2.22e-11 (solver tolerance floor)"
+                   if step_tol == "1e-12" else "step_tol must be finite and positive")
+        assert message in captured.err
 
     @pytest.mark.parametrize("radius", [0, -1])
     def test_non_positive_radius_is_input_error(self, tmp_path, capsys, radius):
@@ -211,11 +213,6 @@ class TestDeterminism:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-
-def test_threads_env_guard(monkeypatch, capsys):
-    monkeypatch.setenv("LENS_SCATTER_THREADS", "zero")
-    assert main(["invariant", "--curve", "circle"]) == 2
 
 
 def test_version_flag(capsys):

@@ -133,6 +133,17 @@ class TestInvisibility:
         assert rep.passed
         assert all(abs(w) == 1 for w in rep.windings)
 
+    def test_pole_chords_are_excluded(self, eaton):
+        rep = invisibility_check(boundary_grid(3, 3), 1e-4, metric=eaton)
+        assert rep.excluded == 3
+        assert len(rep.records) == 6
+        assert rep.passed
+
+    def test_every_entry_excluded_raises(self, eaton):
+        with pytest.raises(ValueError,
+                           match="every grid entry passes through the exclusion zone"):
+            invisibility_check(boundary_grid(2, 1), metric=eaton)
+
     def test_vacuum_control_case(self, vacuum):
         rep = invisibility_check(boundary_grid(4, 4), 1e-4, metric=vacuum)
         assert rep.max_direction_dev < 1e-9

@@ -12,8 +12,7 @@ from lens_scatter.geometry import (ConformalMetric, IntegrationOptions,
                                    SingularChordError, integrate_geodesic)
 from lens_scatter.scattering import (INWARD, OUTWARD, TANGENTIAL,
                                      BoundaryIsometry, BoundaryVector,
-                                     LensDataset, _arc_distance,
-                                     boundary_grid, classify,
+                                     _arc_distance, boundary_grid, classify,
                                      compare_scattering, length_excess,
                                      phi_map, scatter)
 
@@ -139,6 +138,38 @@ class TestCompare:
         assert rep.trapped_count == 4
         assert not rep.equal
 
+    def test_pole_chords_are_excluded(self, vacuum, eaton):
+        # An odd angle count puts one angle at pi/2, whose chord meets the
+        # lens's pole: those three entries are counted, not fatal.
+        rep = compare_scattering(vacuum, eaton, grid=boundary_grid(3, 3))
+        assert rep.excluded == 3
+        assert rep.entries == 9
+        assert rep.trapped_count == 0
+        assert rep.equal
+        assert rep.mean_excess == pytest.approx(2.0 * math.pi, abs=1e-6)
+        assert rep.excess_dev < 1e-6
+
+    def test_nothing_compared_is_not_equal(self, vacuum, eaton):
+        rep = compare_scattering(vacuum, eaton, grid=boundary_grid(2, 1))
+        assert rep.excluded == 2
+        assert not rep.equal
+        assert rep.mean_excess is None and rep.excess_dev is None
+
+    def test_each_entry_scattered_once_per_metric(self, vacuum, eaton, monkeypatch):
+        calls = []
+
+        def counting_scatter(metric, entry, opts=None):
+            calls.append((metric.name, entry))
+            return scatter(metric, entry, opts)
+
+        monkeypatch.setattr(scattering, "scatter", counting_scatter)
+        h = BoundaryIsometry(0.3, True)
+        grid = boundary_grid(4, 2)
+        rep = compare_scattering(vacuum, eaton, h, grid=grid)
+        assert rep.equal
+        assert calls == [call for v in grid
+                         for call in (("vacuum", v), ("eaton", phi_map(h, v)))]
+
 
 class TestLengthExcess:
     def test_vacuum_vs_vacuum_zero(self, vacuum):
@@ -158,18 +189,16 @@ class TestLengthExcess:
         e1, e2 = rep.excesses
         assert abs(e1 - e2) < 1e-3 * abs(rep.mean_excess)
 
+    def test_pole_chords_are_excluded(self, vacuum, eaton):
+        grid = boundary_grid(3, 3)
+        rep = length_excess(vacuum, eaton, grid=grid)
+        assert rep.excluded == 3
+        assert len(rep.excesses) == 6
+        assert rep.mean_excess == compare_scattering(vacuum, eaton, grid=grid).mean_excess
 
-class TestLensDataset:
-    def test_collect_sorted(self, vacuum):
-        ds = LensDataset.collect(vacuum, boundary_grid(4, 2))
-        keys = [(r.entry.arc, r.entry.angle) for r in ds.records]
-        assert keys == sorted(keys)
-        assert ds.metric_id == "vacuum"
-
-    def test_duplicate_entries_rejected(self, vacuum):
-        rec = scatter(vacuum, BoundaryVector(0.0, 1.0))
-        with pytest.raises(ValueError):
-            LensDataset("m", [rec, rec], "dup")
+    def test_every_entry_excluded_raises(self, vacuum, eaton):
+        with pytest.raises(RuntimeError, match="no usable entries"):
+            length_excess(vacuum, eaton, grid=boundary_grid(2, 1))
 
 
 class TestBoundaryGrid:
