@@ -210,19 +210,40 @@ class LoopAnalysis:
     certificate: Certificate
 
 
-def _segment_params(p1, p2, p3, p4, eps: float = 1e-9):
-    """Intersection parameters of two segments, or None."""
+def _segment_hits(p1, p2, p3, p4, eps: float):
+    """Row-wise test of segments ``p1p2`` against ``p3p4``: the hit mask and
+    the parameters ``t``, ``u``, both within ``[-eps, 1 + eps]`` for a hit;
+    near-parallel rows never hit."""
     d1 = p2 - p1
     d2 = p4 - p3
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(denom) < 1e-15 * (np.hypot(*d1) * np.hypot(*d2) + 1e-300):
-        return None
     w = p3 - p1
-    t = (w[0] * d2[1] - w[1] * d2[0]) / denom
-    u = (w[0] * d1[1] - w[1] * d1[0]) / denom
-    if -eps <= t <= 1.0 + eps and -eps <= u <= 1.0 + eps:
-        return t, u
-    return None
+    denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    scale = np.hypot(d1[:, 0], d1[:, 1]) * np.hypot(d2[:, 0], d2[:, 1]) + 1e-300
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (w[:, 0] * d2[:, 1] - w[:, 1] * d2[:, 0]) / denom
+        u = (w[:, 0] * d1[:, 1] - w[:, 1] * d1[:, 0]) / denom
+    hit = ((np.abs(denom) >= 1e-15 * scale)
+           & (-eps <= t) & (t <= 1.0 + eps) & (-eps <= u) & (u <= 1.0 + eps))
+    return hit, t, u
+
+
+def _polyline_hits(pts: np.ndarray, eps: float):
+    """Meeting pairs of non-adjacent segments of the closed polyline ``pts``.
+
+    Segments that meet have midpoints at most one longest segment apart, so
+    a KD-tree on the midpoints yields every candidate.  Returns index arrays
+    ``i < j`` and parameters ``t``, ``u`` in the KD-tree's pair order.
+    """
+    m = len(pts)
+    nxt = np.roll(pts, -1, axis=0)
+    seg_len = np.hypot(*(nxt - pts).T)
+    tree = cKDTree(0.5 * (pts + nxt))
+    i, j = tree.query_pairs(float(np.max(seg_len)) * 1.000001, output_type="ndarray").T
+    gap = (j - i) % m
+    keep = np.minimum(gap, m - gap) > 1
+    i, j = i[keep], j[keep]
+    hit, t, u = _segment_hits(pts[i], nxt[i], pts[j], nxt[j], eps)
+    return i[hit], j[hit], t[hit], u[hit]
 
 
 def _polish_crossing(loop, l: float, lp: float, tol: float, angular_tol: float):
@@ -263,7 +284,7 @@ def _dedup(raw, merge_tol: float):
                     or (_circ_dist(c.l, hi) < merge_tol and _circ_dist(c.l_prime, lo) < merge_tol)):
                 break
         else:
-            out.append(Crossing(lo, hi, (pt[0], pt[1])))
+            out.append(Crossing(float(lo), float(hi), (float(pt[0]), float(pt[1]))))
     out.sort(key=lambda c: (c.l, c.l_prime))
     return out
 
@@ -272,9 +293,11 @@ def find_crossings(loop, tol: float = 1e-9, *, samples: int | None = None,
                    angular_tol: float = 1e-6) -> list[Crossing]:
     """All double points of the base curve, signs and types unfilled.
 
-    Candidate pairs come from segment intersections of a dense polyline
-    (pruned with a KD-tree) and are Newton-polished on the smooth curve; a
-    triple point shows up as its three parameter pairs.  Raises
+    A smooth loop is sampled into a dense polyline, a PL knot uses its
+    edges; both take segment pairs from a KD-tree on segment midpoints and
+    test them in one vectorized pass.  Smooth hits are Newton-polished on
+    the curve; PL hits are exact, strictly interior to both edges, and not
+    polished.  A triple point shows up as its three parameter pairs.  Raises
     :class:`SelfTangencyError` when two branches meet with parallel
     directions.
     """
@@ -282,55 +305,30 @@ def find_crossings(loop, tol: float = 1e-9, *, samples: int | None = None,
     if isinstance(loop, PLLoop):
         return _pl_crossings(loop, angular_tol)
     m = samples or loop.samples
-    ts = np.arange(m) / m
-    pts = loop.base_points(ts)
-    nxt = np.roll(pts, -1, axis=0)
-    mids = 0.5 * (pts + nxt)
-    seg_len = np.hypot(*(nxt - pts).T)
-    tree = cKDTree(mids)
-    pairs = tree.query_pairs(float(np.max(seg_len)) * 1.000001, output_type="ndarray")
+    i, j, t, u = _polyline_hits(loop.base_points(np.arange(m) / m), 1e-9)
     raw = []
-    for i, j in pairs:
-        gap = min((j - i) % m, (i - j) % m)
-        if gap <= 1:
-            continue
-        hit = _segment_params(pts[i], nxt[i], pts[j], nxt[j])
-        if hit is None:
-            continue
-        t, u = hit
+    for l, lp in zip((i + t) / m, (j + u) / m):
         if loop.smooth:
-            l, lp = _polish_crossing(loop, (i + t) / m, (j + u) / m, tol, angular_tol)
+            l, lp = _polish_crossing(loop, l, lp, tol, angular_tol)
         else:
-            l, lp = ((i + t) / m) % 1.0, ((j + u) / m) % 1.0
+            l, lp = l % 1.0, lp % 1.0
         raw.append((l, lp, loop.base_point(l)))
     return _dedup(raw, merge_tol=max(2.0 / m, 1e-5))
 
 
 def _pl_crossings(loop: PLLoop, angular_tol: float) -> list[Crossing]:
-    path = loop.path
-    n = path.n
-    base = [v.base for v in path.vertices]
-    raw = []
-    for j in range(n):
-        a1, b1 = base[j], base[(j + 1) % n]
-        for k in range(j + 1, n):
-            if k == j or (k - j) % n == 1 or (j - k) % n == 1:
-                continue
-            a2, b2 = base[k], base[(k + 1) % n]
-            # Negative eps keeps hits strictly interior: a vertex sitting on
-            # an edge is a singular configuration, not a crossing.
-            hit = _segment_params(np.asarray(a1), np.asarray(b1),
-                                  np.asarray(a2), np.asarray(b2), eps=-1e-9)
-            if hit is None:
-                continue
-            t, u = hit
-            l, lp = (j + t) / n, (k + u) / n
-            d1 = np.asarray(b1) - np.asarray(a1)
-            d2 = np.asarray(b2) - np.asarray(a2)
-            s = abs(d1[0] * d2[1] - d1[1] * d2[0]) / (np.hypot(*d1) * np.hypot(*d2))
-            if s < angular_tol:
-                raise SelfTangencyError("PL edges cross tangentially")
-            raw.append((l, lp, loop.base_point(l)))
+    base = np.array([v.base for v in loop.path.vertices])
+    n = len(base)
+    # Negative eps keeps hits strictly interior: a vertex sitting on an edge
+    # is a singular configuration, not a crossing.
+    i, j, t, u = _polyline_hits(base, -1e-9)
+    order = np.lexsort((j, i))  # edge-pair order, which _dedup's first-wins relies on
+    i, j, t, u = i[order], j[order], t[order], u[order]
+    d = np.roll(base, -1, axis=0) - base
+    h = np.hypot(d[:, 0], d[:, 1])
+    if np.any(np.abs(d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]) / (h[i] * h[j]) < angular_tol):
+        raise SelfTangencyError("PL edges cross tangentially")
+    raw = [(l, lp, loop.base_point(l)) for l, lp in zip((i + t) / n, (j + u) / n)]
     return _dedup(raw, merge_tol=1e-7)
 
 
@@ -552,14 +550,16 @@ def choose_refinement_n(G, eps: float, *, s_samples: int = 5, start_n: int = 8,
     """Double n until adjacent gaps are below eps/4 and below half the
     observed embedding separation of the sampled family."""
     ss = np.linspace(0.0, 1.0, s_samples)
+    dense: dict[int, list] = {}  # the separation samples of ss[q], built on first use
     n = start_n
     while n <= max_n:
         ok = True
-        for s in ss:
+        for q, s in enumerate(ss):
             verts = [G(s, k / n) for k in range(n)]
             gaps = [dist_components(verts[k], verts[(k + 1) % n]).d0 for k in range(n)]
-            sep = embedding_separation([G(s, i / 256) for i in range(256)],
-                                       window=2.0 / n)
+            if q not in dense:
+                dense[q] = [G(s, i / 256) for i in range(256)]
+            sep = embedding_separation(dense[q], window=2.0 / n)
             if max(gaps) >= min(0.25 * eps, 0.5 * sep):
                 ok = False
                 break
@@ -575,20 +575,18 @@ def embedding_separation(samples, window: float) -> float:
     sampling resolution."""
     pts = list(samples)
     m = len(pts)
-    base = np.array([[p.x, p.y] for p in pts])
-    ang = np.array([p.line_angle for p in pts])
-    dx = base[:, None, 0] - base[None, :, 0]
-    dy = base[:, None, 1] - base[None, :, 1]
-    d_h = np.hypot(dx, dy)
-    da = np.abs(ang[:, None] - ang[None, :]) % math.pi
-    d_v = np.minimum(da, math.pi - da)
-    d0 = np.maximum(d_h, d_v)
     idx = np.arange(m)
     pdist = np.abs(idx[:, None] - idx[None, :]) / m
-    pdist = np.minimum(pdist, 1.0 - pdist)
-    mask = pdist > window
+    mask = np.minimum(pdist, 1.0 - pdist) > window
     if not np.any(mask):
         raise ValueError("window excludes every sample pair")
+    base = np.array([[p.x, p.y] for p in pts])
+    ang = np.array([p.line_angle for p in pts])
+    # d0 = max(d_h, d_v), built in place: the m x m temporaries set the peak
+    # memory of a refinement search.
+    d0 = np.hypot(base[:, None, 0] - base[None, :, 0], base[:, None, 1] - base[None, :, 1])
+    da = np.abs(ang[:, None] - ang[None, :]) % math.pi
+    np.maximum(d0, np.minimum(da, math.pi - da), out=d0)
     return float(np.min(d0[mask]))
 
 

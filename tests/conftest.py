@@ -70,6 +70,29 @@ def brute_force_crossing_count(points: np.ndarray) -> int:
     return len(groups)
 
 
+def pl_crossing_oracle(points) -> list[tuple[float, float]]:
+    """Strictly interior crossings ``(l, l')`` of the closed polygon through
+    ``points``, sorted, from every pair of non-adjacent edges.
+
+    Independent of the production detector's KD-tree pruning: all
+    ``n (n - 3) / 2`` edge pairs are tested.
+    """
+    p = np.asarray(points, dtype=float)
+    n = len(p)
+    d = np.roll(p, -1, axis=0) - p
+    i, j = np.triu_indices(n, 2)
+    keep = ~((i == 0) & (j == n - 1))
+    i, j = i[keep], j[keep]
+    denom = d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]
+    w = p[j] - p[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (w[:, 0] * d[j, 1] - w[:, 1] * d[j, 0]) / denom
+        u = (w[:, 0] * d[i, 1] - w[:, 1] * d[i, 0]) / denom
+    lo, hi = 1e-9, 1.0 - 1e-9
+    hit = (lo <= t) & (t <= hi) & (lo <= u) & (u <= hi)
+    return sorted(zip(((i + t) / n)[hit].tolist(), ((j + u) / n)[hit].tolist()))
+
+
 def christoffel_turn_rate(metric, x: float, y: float, theta: float,
                           h: float = 1e-6) -> float:
     """Angular rate per unit metric arclength from finite-difference

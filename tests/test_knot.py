@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import interp1d
 
-from lens_scatter.curves import ParametricCurve, circle, lemniscate, rose
+from lens_scatter.curves import (ParametricCurve, TrigCurve, circle, lemniscate,
+                                 rose)
 from lens_scatter.knot import (CallableFramedLoop, Certificate, Crossing,
                                InvariantTable, PLLoop, SelfTangencyError,
                                TangentLoop, analyze_loop, certify_nontrivial,
@@ -15,9 +18,10 @@ from lens_scatter.knot import (CallableFramedLoop, Certificate, Crossing,
                                pl_snapshot, pl_validate,
                                refine_stage_samples, singularity_classify,
                                w_invariant)
-from lens_scatter.lift import PLVertexPath, ProjPoint, minimal_linear_curve
+from lens_scatter.lift import (PLVertexPath, ProjPoint, minimal_linear_curve,
+                               projectivize, unit_tangent_lift)
 
-from conftest import brute_force_crossing_count
+from conftest import brute_force_crossing_count, pl_crossing_oracle
 
 
 def reversed_curve(curve):
@@ -64,6 +68,89 @@ class TestFindCrossings:
 
         with pytest.raises(SelfTangencyError):
             find_crossings(ParametricCurve(p, v, name="tangent-eight"))
+
+
+# Crossing lists of seed-42 corpus curves 0, 1 and 3 as ``(l, l', x, y)`` in
+# float.hex, from the per-pair search that the vectorized one replaced:
+# smooth-path crossings, then those of the 128-vertex PL snapshot.
+PINNED_CROSSINGS = {
+    0: ([("0x1.c9890415c0561p-8", "0x1.2cc69b41ae5bap-1",
+          "0x1.76c5bdb8da0e2p-6", "-0x1.fb23a57f6214ep-8"),
+         ("0x1.47f8f04e65e68p-4", "0x1.28a6f5320a9bbp-2",
+          "-0x1.c71dd58801ddcp-2", "0x1.ab4d95c4b1e46p-5")],
+        [("0x1.ca074457d23a4p-8", "0x1.2cbdc14bb62a6p-1",
+          "0x1.74dd15792f768p-6", "-0x1.ff06fad81c2b4p-8"),
+         ("0x1.484c622f6a499p-4", "0x1.28994e8bf5e9bp-2",
+          "-0x1.c7377a68d2303p-2", "0x1.ac2e566955144p-5")]),
+    1: ([("0x1.0d15dfbb2abdcp-4", "0x1.54eae2469c26ep-1",
+          "0x1.4516c9b186acdp-4", "0x1.dc7dce2db773cp-4"),
+         ("0x1.73044138a1a36p-4", "0x1.247b26ed83365p-2",
+          "0x1.17b1ab632867ap-5", "0x1.80f40dc4afa70p-3")],
+        [("0x1.0d5f878996899p-4", "0x1.54ea6e60f7a23p-1",
+          "0x1.43f443a1d02ccp-4", "0x1.db43f36ee1c70p-4"),
+         ("0x1.73dff774922c9p-4", "0x1.244fa73f2defbp-2",
+          "0x1.136b8b0f96ccep-5", "0x1.80b9313015150p-3")]),
+    3: ([("0x1.b45c403d375d8p-2", "0x1.1eb13ef4a3705p-1",
+          "0x1.be906e0ebdfb7p-2", "-0x1.bb87a109413a8p-4"),
+         ("0x1.ce6fd864913b9p-2", "0x1.52ee4eac78f45p-1",
+          "0x1.4960f12da1108p-2", "-0x1.fc73699e2cd16p-5"),
+         ("0x1.fd438734a1882p-2", "0x1.58c8a87c4c10bp-1",
+          "0x1.08360c37afbf5p-2", "-0x1.2ed64fbb1cccep-4")],
+        [("0x1.b49f39dec4e92p-2", "0x1.1e8e4822c740dp-1",
+          "0x1.bd69cd7dc59ebp-2", "-0x1.baf61075452e8p-4"),
+         ("0x1.ce8cb00ec6010p-2", "0x1.52e8e30fd07f4p-1",
+          "0x1.4956c9b0189ffp-2", "-0x1.fe31ec6f4f70fp-5"),
+         ("0x1.fd31cad74c001p-2", "0x1.58b92f367f985p-1",
+          "0x1.08d834d328bf6p-2", "-0x1.2edeb29aae27ep-4")]),
+}
+
+
+def closed_walk(seed: int, n: int, step: float) -> np.ndarray:
+    """n vertices of a closed random walk with steps of varied length."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(size=(n, 2)) * step * rng.uniform(0.1, 1.0, size=(n, 1))
+    pts = np.cumsum(steps - steps.mean(axis=0), axis=0)
+    return pts - pts.mean(axis=0)
+
+
+class TestCrossingSearch:
+    @pytest.mark.parametrize("index", sorted(PINNED_CROSSINGS))
+    def test_bit_identical_to_pinned(self, corpus, index):
+        curve = corpus[index]
+        pts = projectivize(unit_tangent_lift(curve, 512)).proj_points()
+        found = (find_crossings(curve), find_crossings(PLVertexPath(pts[::4])))
+        for crossings, pinned in zip(found, PINNED_CROSSINGS[index]):
+            assert [(c.l, c.l_prime, *c.point) for c in crossings] == [
+                tuple(float.fromhex(h) for h in row) for row in pinned]
+            assert all(type(v) is float for c in crossings for v in (c.l, c.l_prime, *c.point))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 96),
+           step=st.floats(0.02, 0.3))
+    @settings(max_examples=60, deadline=None)
+    def test_pl_matches_all_pairs_oracle(self, seed, n, step):
+        pts = closed_walk(seed, n, step)
+        path = PLVertexPath([ProjPoint(x, y, 0.0) for x, y in pts])
+        got = [(c.l, c.l_prime) for c in find_crossings(PLLoop(path))]
+        want = pl_crossing_oracle(pts)
+        assert len(got) == len(want)
+        assert all(abs(g[0] - w[0]) < 1e-12 and abs(g[1] - w[1]) < 1e-12
+                   for g, w in zip(got, want))
+
+    @staticmethod
+    def crossed_edges(offset):
+        # Edges 0 and 3 cross at the origin at an angle of about offset/0.15.
+        corners = [(-0.3, -offset), (0.3, offset), (0.4, -0.3),
+                   (0.3, -offset), (-0.3, offset), (-0.4, 0.3)]
+        return PLVertexPath([ProjPoint(x, y, 0.0) for x, y in corners])
+
+    def test_pl_transverse_crossing(self):
+        (c,) = find_crossings(self.crossed_edges(1e-3))
+        assert (c.l, c.l_prime) == pytest.approx((0.5 / 6, 3.5 / 6), abs=1e-12)
+        assert c.point == pytest.approx((0.0, 0.0), abs=1e-12)
+
+    def test_pl_tangential_crossing_raises(self):
+        with pytest.raises(SelfTangencyError, match="PL edges cross tangentially"):
+            find_crossings(self.crossed_edges(1e-8))
 
 
 class TestCrossingSign:
@@ -190,6 +277,23 @@ class TestCorpusProperties:
             if find_crossings(curve):
                 cert = certify_nontrivial(curve)
                 assert cert.kind in ("non_contractible", "nonzero_invariant")
+
+    @given(index=st.integers(0, 19), angle=st.floats(0.0, 2 * math.pi),
+           shift=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_w_table_unchanged_by_rotation_and_origin_shift(self, corpus, index,
+                                                             angle, shift):
+        curve = corpus[index]
+        c, s = math.cos(angle), math.sin(angle)
+        x, y = curve.coeffs[:2], curve.coeffs[2:]
+        rotated = TrigCurve(np.vstack([c * x - s * y, s * x + c * y]))
+        shifted = ParametricCurve(lambda t: curve._point(t + shift),
+                                  lambda t: curve._velocity(t + shift))
+        base = analyze_loop(curve)
+        for moved in (rotated, shifted):
+            moved = analyze_loop(moved)
+            assert moved.line_winding == base.line_winding
+            assert moved.table == base.table
 
     def test_invariance_smoke(self, corpus):
         rng = np.random.default_rng(99)
