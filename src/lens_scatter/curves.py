@@ -177,13 +177,22 @@ def from_samples(points, *, closed=True, name="sampled-curve") -> ParametricCurv
 
 
 def load_curve_csv(path, *, closed=True) -> ParametricCurve:
-    """Read ``t,x,y`` rows (t uniform over [0,1)) and spline them."""
+    """Read ``t,x,y`` rows (t uniform over [0,1)) and spline them.
+
+    A row without exactly three finite numbers raises ``ValueError``.
+    """
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        for line, row in enumerate(csv.reader(fh), 1):
             if not row or row[0].strip().startswith("#") or row[0].strip() == "t":
                 continue
-            rows.append((float(row[0]), float(row[1]), float(row[2])))
+            try:
+                t, x, y = (float(v) for v in row)
+            except ValueError:  # wrong field count or a non-number
+                t = x = y = math.nan
+            if not all(math.isfinite(v) for v in (t, x, y)):
+                raise ValueError(f"{path}:{line}: expected finite t,x,y, got {','.join(row)!r}")
+            rows.append((t, x, y))
     rows.sort()
     pts = np.array([(x, y) for _, x, y in rows])
     return from_samples(pts, closed=closed, name=Path(path).stem)

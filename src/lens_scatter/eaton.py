@@ -4,7 +4,10 @@ The index ``n(r)`` on the unit disk is the root of the implicit equation
 
     sqrt(n) = 1/(n r) + sqrt(1/(n r)^2 - 1)
 
-on the branch with ``n * r <= 1`` that is continuous from ``n(1) = 1``.  It
+on the branch with ``n * r <= 1`` that is continuous from ``n(1) = 1``.  In
+``s = sqrt(n)`` it reduces to the cubic ``s^3 + s = 2/r``, whose one real
+root gives ``n`` in closed form (:class:`EatonProfile`); the bracketed root
+solve :func:`eaton_index` is kept as the independent reference.  ``n``
 decreases strictly in ``r`` and diverges at the origin, where the metric
 ``n^2 g0`` has a pole.  Rays entering the disk leave it with the same
 direction and on the same straight line as in vacuum, after winding exactly
@@ -15,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .geometry import (ConformalMetric, GeodesicPath, IntegrationOptions,
-                       SingularChordError, _TabulatedRadial, integrate_geodesic)
+                       SingularChordError, SingularityError, integrate_geodesic)
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,7 +43,8 @@ def eaton_index(r: float, *, residual_tol: float = 1e-12) -> float:
 
     The bracket is ``n in [1, 1/r]``: the upper end is forced by the square
     root being real (``n r <= 1``), the lower end by ``n(1) = 1`` and
-    monotonicity.
+    monotonicity.  This is the reference for the closed form of
+    :class:`EatonProfile`, which the metric evaluates.
     """
     if not (r > 0.0):
         raise ValueError("radius must be positive")
@@ -64,57 +67,62 @@ def _exact_dn_dr(n: float) -> float:
     return -(n ** 1.5) * (n + 1.0) ** 2 / (3.0 * n + 1.0)
 
 
-class EatonProfile(_TabulatedRadial):
-    """Tabulated lens index, interpolated log-log; the metric's profile object.
+class EatonProfile:
+    """Closed-form lens index; the metric's profile object.
 
-    Entry chords keep ``IntegrationOptions.exclusion_radius`` from the
-    origin, but interior ray perigees dip far below that (roughly the cube
-    of the chord offset), so the table extends down to ``floor_radius``.
+    ``n = s^2`` with Cardano's root ``s = u - 1/(3u)`` of ``s^3 + s = 2/r``,
+    ``u = cbrt(1/r + sqrt(1/r^2 + 1/27))``, and ``dn/dr = 1/r'(n)`` as in
+    :func:`_exact_dn_dr`.  Outside the disk (``r >= 1``) the profile
+    continues as vacuum, ``(1, 0)``.  Entry chords keep ``EXCLUSION_RADIUS``
+    from the origin, but interior ray perigees dip far below that (roughly
+    the cube of the chord offset), so evaluation is refused only below
+    ``r_min``.
     """
 
-    def __init__(self, table_size: int = 4096, floor_radius: float = 1e-10):
-        self.table_size = table_size
-        self.floor_radius = floor_radius
-        self.radii = np.geomspace(floor_radius, 1.0, table_size)
-        vals = np.array([eaton_index(r) for r in self.radii])
-        vals[-1] = 1.0
-        if np.any(np.diff(vals) >= 0):
-            raise RuntimeError("index table is not strictly decreasing")
-        if np.any(vals * self.radii > 1.0 + 1e-12):
-            raise RuntimeError("index table violates n*r <= 1")
-        self.values = vals
-        # Closed-form slopes d(log n)/d(log r) make the table a cubic Hermite
-        # spline, accurate to ~1e-13 where PCHIP's estimates leave ~1e-9; the
-        # exits of near-grazing rays amplify index errors by 1 / (1 - impact).
-        slopes = self.radii * _exact_dn_dr(vals) / vals
-        super().__init__(self.radii, vals, log_space=True, slopes=slopes)
+    r_min = 1e-10
+    breakpoints = np.empty(0)
 
-    def index(self, r: float) -> float:
-        return self.eval(r)[0]
+    def eval(self, r: float) -> tuple[float, float]:
+        """Return ``(n, dn/dr)`` at radius ``r`` (scalar)."""
+        if r >= 1.0:
+            return (1.0, 0.0)
+        if r < self.r_min:
+            raise SingularityError(
+                f"radius {r:.3e} below the lens index floor ({self.r_min:.3e})")
+        a = 1.0 / r
+        # The cube root as a power: math.cbrt needs Python 3.11.
+        u = (a + math.sqrt(a * a + 1.0 / 27.0)) ** (1.0 / 3.0)
+        s = u - 1.0 / (3.0 * u)
+        n = s * s
+        return n, -s * n * (n + 1.0) ** 2 / (3.0 * n + 1.0)
+
+    def eval_many(self, r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r < self.r_min):
+            raise SingularityError("radius below the lens index floor")
+        inside = r < 1.0
+        a = 1.0 / np.where(inside, r, 1.0)
+        u = np.cbrt(a + np.sqrt(a * a + 1.0 / 27.0))
+        s = u - 1.0 / (3.0 * u)
+        n = s * s
+        dn = -s * n * (n + 1.0) ** 2 / (3.0 * n + 1.0)
+        return np.where(inside, n, 1.0), np.where(inside, dn, 0.0)
 
 
-@lru_cache(maxsize=4)
-def _cached_profile(table_size: int, floor_radius: float) -> EatonProfile:
-    return EatonProfile(table_size=table_size, floor_radius=floor_radius)
+_PROFILE = EatonProfile()
 
 
-def eaton_metric(*, radius: float = 1.0, exact: bool = False,
-                 table_size: int = 4096) -> ConformalMetric:
-    """Lens metric on the disk.
+def eaton_metric(*, radius: float = 1.0) -> ConformalMetric:
+    """Lens metric on the unit disk, evaluated by the closed-form index.
 
-    The default evaluates the tabulated profile (built once, then cached).
-    ``exact=True`` switches to per-evaluation root solves with the closed
-    implicit derivative; much slower, intended for validating the table.
+    Its exit directions match those of the flat disk, its lengths do not;
+    the pole at the origin keeps it from being simple, so lens rigidity of
+    simple metrics (Pestov-Uhlmann 2005) does not apply to it.
     """
     if radius != 1.0:
         raise ValueError("the lens profile is normalized to a unit disk")
-    if exact:
-        return ConformalMetric.from_radial(
-            eaton_index, lambda r: _exact_dn_dr(eaton_index(r)),
-            kind="eaton", singular_at_origin=True, r_min=0.0, name="eaton-exact")
     return ConformalMetric("eaton", radius=1.0, singular_at_origin=True,
-                           profile=_cached_profile(table_size, 1e-10),
-                           name="eaton")
+                           profile=_PROFILE, name="eaton")
 
 
 def _polar_sweep(pts: np.ndarray, max_step: float) -> float:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 TWO_PI = 2.0 * math.pi
@@ -43,6 +43,10 @@ class SingularityError(ValueError):
 class SingularChordError(ValueError):
     """Entry chord passes through the exclusion zone around a pole."""
 
+
+# Entry chords and polylines of a singular metric must keep this distance
+# from its pole; interior ray perigees dip far below it.
+EXCLUSION_RADIUS = 1e-3
 
 # solve_ivp raises any rtol below 100 eps to that floor with a warning.
 _RTOL_SCALE = 1e-3
@@ -93,16 +97,13 @@ class IntegrationOptions:
     internal solver tolerances sit three decades below it because global
     error accumulates over long paths.  ``max_length`` is the metric length
     after which a geodesic is declared trapped (default 100 times the
-    domain diameter).  ``exclusion_radius`` rejects entry chords passing
-    closer than this to the origin of a singular metric.  Values that are
-    not finite, or not positive (``exclusion_radius``: negative), raise
+    domain diameter).  Values that are not finite or not positive raise
     ``ValueError``, and so does a ``step_tol`` whose solver tolerance
     would fall below the solver's floor (about ``2.2e-11``).
     """
 
     step_tol: float = 1e-7
     max_length: float | None = None
-    exclusion_radius: float = 1e-3
 
     def __post_init__(self):
         if not (math.isfinite(self.step_tol) and self.step_tol > 0.0):
@@ -114,9 +115,6 @@ class IntegrationOptions:
                                                 and self.max_length > 0.0):
             raise ValueError(
                 f"max_length must be finite and positive, got {self.max_length}")
-        if not (math.isfinite(self.exclusion_radius) and self.exclusion_radius >= 0.0):
-            raise ValueError(f"exclusion_radius must be finite and non-negative, "
-                             f"got {self.exclusion_radius}")
 
     def length_cap(self, radius: float) -> float:
         """Metric length beyond which a geodesic counts as trapped."""
@@ -148,18 +146,13 @@ class StateDerivative:
 
 
 class _TabulatedRadial:
-    """Monotone-cubic radial profile with a fast scalar evaluation path.
+    """Monotone-cubic (PCHIP) radial profile with a fast scalar evaluation path.
 
-    Interpolates either ``r -> n`` directly or ``log r -> log n`` when
-    ``log_space`` is set (appropriate for profiles with a power-law pole at
-    the origin).  ``slopes``, when given, are the known derivatives at the
-    knots in the interpolated coordinates and make the interpolant a cubic
-    Hermite spline; otherwise PCHIP estimates them.  Derivatives come from
-    the same interpolant so that quantities conserved by the interpolated
-    metric are conserved exactly.
+    Derivatives come from the same interpolant so that quantities conserved
+    by the interpolated metric are conserved exactly.
     """
 
-    def __init__(self, radii, values, *, log_space=False, slopes=None):
+    def __init__(self, radii, values):
         radii = np.asarray(radii, dtype=float)
         values = np.asarray(values, dtype=float)
         if radii.ndim != 1 or radii.shape != values.shape or radii.size < 2:
@@ -168,20 +161,10 @@ class _TabulatedRadial:
             raise ValueError("profile radii must be strictly increasing")
         if np.any(values <= 0):
             raise ValueError("conformal factor must be positive")
-        self.log_space = bool(log_space)
         self.breakpoints = radii
         self.r_min = float(radii[0])
         self.r_max = float(radii[-1])
-        if self.log_space:
-            if self.r_min <= 0:
-                raise ValueError("log-space profile needs positive radii")
-            x, y = np.log(radii), np.log(values)
-        else:
-            x, y = radii, values
-        if slopes is None:
-            self._interp = PchipInterpolator(x, y)
-        else:
-            self._interp = CubicHermiteSpline(x, y, slopes)
+        self._interp = PchipInterpolator(radii, values)
         # Flatten breakpoints/coefficients into plain lists: scalar cubic
         # evaluation this way is ~10x faster than PPoly.__call__ and the
         # integrator calls it once per RHS evaluation.
@@ -202,21 +185,14 @@ class _TabulatedRadial:
             raise SingularityError(
                 f"radius {r:.3e} below tabulated range ({self.r_min:.3e})"
             )
-        if self.log_space:
-            u = math.log(r)
-        else:
-            u = r
-        i = bisect_right(self._bx, u) - 1
+        i = bisect_right(self._bx, r) - 1
         if i < 0:
             i = 0
         elif i >= len(self._c0):
             i = len(self._c0) - 1
-        du = u - self._bx[i]
+        du = r - self._bx[i]
         val = ((self._c0[i] * du + self._c1[i]) * du + self._c2[i]) * du + self._c3[i]
         der = (3.0 * self._c0[i] * du + 2.0 * self._c1[i]) * du + self._c2[i]
-        if self.log_space:
-            n = math.exp(val)
-            return n, n * der / r
         return val, der
 
     def eval_many(self, r):
@@ -226,15 +202,8 @@ class _TabulatedRadial:
         inside = r < self.r_max
         if np.any(r[inside] < self.r_min):
             raise SingularityError("radius below tabulated range")
-        u = np.log(r[inside]) if self.log_space else r[inside]
-        val = self._interp(u)
-        der = self._interp(u, 1)
-        if self.log_space:
-            n[inside] = np.exp(val)
-            dn[inside] = n[inside] * der / r[inside]
-        else:
-            n[inside] = val
-            dn[inside] = der
+        n[inside] = self._interp(r[inside])
+        dn[inside] = self._interp(r[inside], 1)
         n[~inside] = self._edge_value[0]
         dn[~inside] = 0.0
         return n, dn
@@ -259,15 +228,8 @@ class _CallableRadial:
         r = np.asarray(r, dtype=float)
         if np.any(r < self.r_min):
             raise SingularityError("radius below profile domain")
-        try:
-            return (np.asarray(self.n_of_r(r), dtype=float) * np.ones_like(r),
-                    np.asarray(self.dn_dr(r), dtype=float) * np.ones_like(r))
-        except (TypeError, ValueError):
-            # Scalar-only callables (e.g. root solvers): evaluate pointwise.
-            flat = r.ravel()
-            n = np.array([self.n_of_r(float(v)) for v in flat]).reshape(r.shape)
-            dn = np.array([self.dn_dr(float(v)) for v in flat]).reshape(r.shape)
-            return n, dn
+        return (np.asarray(self.n_of_r(r), dtype=float) * np.ones_like(r),
+                np.asarray(self.dn_dr(r), dtype=float) * np.ones_like(r))
 
 
 class ConformalMetric:
@@ -297,7 +259,6 @@ class ConformalMetric:
             self._profile = _CallableRadial(lambda r: 1.0, lambda r: 0.0)
         if self._profile is None and self._field is None:
             raise ValueError("metric needs a radial profile or a general field")
-        self._n_floor = self._estimate_floor()
 
     # -- constructors -----------------------------------------------------
 
@@ -308,6 +269,7 @@ class ConformalMetric:
     @classmethod
     def from_radial(cls, n_of_r, dn_dr, *, radius=1.0, kind="radial-profile",
                     singular_at_origin=False, r_min=0.0, name=None):
+        """Radial metric from ``n(r)`` and ``dn/dr``; both must accept numpy arrays."""
         prof = _CallableRadial(n_of_r, dn_dr, r_min=r_min)
         return cls(kind, radius=radius, singular_at_origin=singular_at_origin,
                    profile=prof, name=name)
@@ -340,23 +302,6 @@ class ConformalMetric:
         """Radial profile object (``eval``, ``eval_many``, ``r_min``,
         ``breakpoints``); ``None`` for general metrics."""
         return self._profile
-
-    @property
-    def n_floor(self) -> float:
-        """Lower bound estimate for n over the domain (used for span caps)."""
-        return self._n_floor
-
-    def _estimate_floor(self) -> float:
-        if self.is_radial:
-            lo = getattr(self._profile, "r_min", 0.0)
-            rs = np.linspace(max(lo, 1e-6), self.radius, 256)
-            n, _ = self._profile.eval_many(rs)
-            return max(float(np.min(n)), 1e-6)
-        n_xy = self._field[0]
-        ts = np.linspace(0.0, TWO_PI, 64, endpoint=False)
-        vals = [n_xy(r * math.cos(t), r * math.sin(t))
-                for r in np.linspace(0.01, self.radius, 16) for t in ts]
-        return max(float(min(vals)), 1e-6)
 
     def n_at(self, x: float, y: float) -> float:
         if self.is_radial:
@@ -492,19 +437,19 @@ def _entry_xytheta(entry, radius: float) -> tuple[float, float, float]:
     return px, py, math.atan2(dy, dx), phi
 
 
-def chord_impact(metric: ConformalMetric, entry, opts: IntegrationOptions) -> float:
+def chord_impact(metric: ConformalMetric, entry) -> float:
     """Distance ``R |cos(angle)|`` from the origin to the straight entry chord.
 
     Validates the entry first: raises ``ValueError`` unless the angle lies
     strictly inside ``(0, pi)``, and :class:`SingularChordError` when the
-    chord of a singular metric passes within ``opts.exclusion_radius`` of
-    the origin.
+    chord of a singular metric passes within ``EXCLUSION_RADIUS`` of the
+    origin.
     """
     chi = float(entry.angle)
     if not (0.0 < chi < math.pi):
         raise ValueError("entry vector must point strictly inward")
     impact = metric.radius * abs(math.cos(chi))
-    if metric.singular_at_origin and impact < opts.exclusion_radius:
+    if metric.singular_at_origin and impact < EXCLUSION_RADIUS:
         raise SingularChordError(
             f"entry chord passes within {impact:.2e} of the singular origin"
         )
@@ -632,7 +577,7 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
     """
     opts = opts or IntegrationOptions()
     R = metric.radius
-    chord_impact(metric, entry, opts)
+    chord_impact(metric, entry)
     max_len = opts.length_cap(R)
     x0, y0, theta0, _ = _entry_xytheta(entry, R)
     rhs = metric._make_rhs()
@@ -649,8 +594,9 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
     length_cap.terminal = True
     length_cap.direction = 1.0
 
-    span = 1.05 * max_len / metric.n_floor + 4.0 * R
-    sol = solve_ivp(rhs, (0.0, span), (x0, y0, theta0, 0.0), method="DOP853",
+    # Metric length grows at rate n > 0, so the length cap always ends an
+    # unbounded span.
+    sol = solve_ivp(rhs, (0.0, math.inf), (x0, y0, theta0, 0.0), method="DOP853",
                     rtol=_RTOL_SCALE * opts.step_tol, atol=1e-4 * opts.step_tol,
                     events=(boundary_exit, length_cap), dense_output=True)
     if not sol.success:
@@ -695,21 +641,31 @@ def riemannian_length(metric: ConformalMetric, points) -> float:
     nodes = a[:, None, :] + u[None, :, None] * d[:, None, :]
     if metric.singular_at_origin:
         r = np.hypot(nodes[..., 0], nodes[..., 1])
-        if np.min(r) < 1e-3:
+        if np.min(r) < EXCLUSION_RADIUS:
             raise SingularityError("polyline passes through the singular origin")
     n_vals = metric.n_many(nodes.reshape(-1, 2)).reshape(nodes.shape[:2])
     return float(np.sum(seg_len * 0.5 * (n_vals @ _GL_WEIGHTS)))
 
 
-def metric_from_spec(spec: dict) -> ConformalMetric:
+def _spec_number(value, what: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{what} must be a finite number, got {json.dumps(value)}")
+    return float(value)
+
+
+def metric_from_spec(spec) -> ConformalMetric:
     """Build a metric from its JSON description.
 
     Schema: ``{"kind": "vacuum"|"eaton"|"radial-profile", "radius": number,
     "profile": [[r, n], ...]}`` where ``profile`` is required for
-    ``radial-profile`` and interpolated by a monotone cubic.
+    ``radial-profile`` and interpolated by a monotone cubic.  Any other
+    shape raises ``ValueError``.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"metric spec must be a JSON object, got {json.dumps(spec)}")
     kind = spec.get("kind")
-    radius = float(spec.get("radius", 1.0))
+    radius = _spec_number(spec.get("radius", 1.0), "metric radius")
     if kind == "vacuum":
         return ConformalMetric.vacuum(radius=radius)
     if kind == "eaton":
@@ -720,6 +676,11 @@ def metric_from_spec(spec: dict) -> ConformalMetric:
         knots = spec.get("profile")
         if not knots:
             raise ValueError("radial-profile metric needs profile knots")
+        if not (isinstance(knots, list)
+                and all(isinstance(k, list) and len(k) == 2 for k in knots)):
+            raise ValueError(f"profile knots must be [r, n] pairs, got {json.dumps(knots)}")
+        knots = [(_spec_number(r, "profile radius"), _spec_number(n, "profile index"))
+                 for r, n in knots]
         return ConformalMetric.from_profile_knots(knots, radius=radius)
     raise ValueError(f"unknown metric kind {kind!r}")
 

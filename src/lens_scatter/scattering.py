@@ -100,7 +100,7 @@ def scatter(metric: ConformalMetric, entry: BoundaryVector,
     if classify(entry) != INWARD:
         raise ValueError("scatter needs a strictly inward entry vector")
     opts = opts or IntegrationOptions()
-    orbit = clairaut_orbit(metric, chord_impact(metric, entry, opts), opts)
+    orbit = clairaut_orbit(metric, chord_impact(metric, entry), opts)
     if orbit is not None:
         sweep, tau = orbit
         if tau > opts.length_cap(metric.radius):

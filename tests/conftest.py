@@ -40,29 +40,29 @@ def brute_force_crossing_count(points: np.ndarray) -> int:
     """O(m^2) pairwise polyline segment intersections, grouped by location.
 
     Independent of the production detector (no KD-tree pruning, no Newton
-    polish).  Counts isolated double points only; a k-fold point would
-    count once.
+    polish): every pair of non-adjacent segments is tested, 256 rows of
+    the pair matrix at a time to bound memory.  Counts isolated double
+    points only; a k-fold point would count once.
     """
+    block = 256
     pts = np.asarray(points, dtype=float)
     m = len(pts)
-    nxt = np.roll(pts, -1, axis=0)
+    d = np.roll(pts, -1, axis=0) - pts
+    j = np.arange(m)
     hits = []
-    for i in range(m):
-        p1, p2 = pts[i], nxt[i]
-        d1 = p2 - p1
-        for j in range(i + 2, m):
-            if i == 0 and j == m - 1:
-                continue
-            p3, p4 = pts[j], nxt[j]
-            d2 = p4 - p3
-            denom = d1[0] * d2[1] - d1[1] * d2[0]
-            if abs(denom) < 1e-15:
-                continue
-            w = p3 - p1
-            t = (w[0] * d2[1] - w[1] * d2[0]) / denom
-            u = (w[0] * d1[1] - w[1] * d1[0]) / denom
-            if 0.0 <= t < 1.0 and 0.0 <= u < 1.0:
-                hits.append(p1 + t * d1)
+    for start in range(0, m, block):
+        i = np.arange(start, min(start + block, m))[:, None]
+        d1, d2 = d[i], d[None, :]
+        w = pts[None, :] - pts[i]
+        denom = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (w[..., 0] * d2[..., 1] - w[..., 1] * d2[..., 0]) / denom
+            u = (w[..., 0] * d1[..., 1] - w[..., 1] * d1[..., 0]) / denom
+        hit = ((j >= i + 2) & ~((i == 0) & (j == m - 1)) & (np.abs(denom) >= 1e-15)
+               & (0.0 <= t) & (t < 1.0) & (0.0 <= u) & (u < 1.0))
+        rows, cols = np.nonzero(hit)  # row-major: (i, j) in lexicographic order
+        first = i[rows, 0]
+        hits.extend(pts[first] + t[rows, cols, None] * d[first])
     groups: list[np.ndarray] = []
     for h in hits:
         if not any(np.hypot(*(h - g)) < 1e-3 for g in groups):

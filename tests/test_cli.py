@@ -234,3 +234,27 @@ def test_curve_csv_input(tmp_path, capsys):
     rep = json.loads((tmp_path / "t.json").read_text())
     assert rep["windings"] == {"turning": 1, "line": 2}
     assert rep["certificate"]["kind"] == "non_contractible"
+
+
+@pytest.mark.parametrize("command,suffix,text", [
+    ("scatter", ".json", "[1, 2]"),
+    ("scatter", ".json", '"vacuum"'),
+    ("scatter", ".json", '{"kind": "radial-profile", "profile": [1, 2]}'),
+    ("scatter", ".json", '{"kind": "radial-profile", "profile": [[0.0, 1.2], [1.0, null]]}'),
+    ("scatter", ".json", '{"kind": "vacuum", "radius": null}'),
+    ("invariant", ".csv", "t,x,y\n0.0,1\n"),
+], ids=["list", "string", "flat-knots", "null-knot", "null-radius", "short-csv-row"])
+def test_malformed_input_file_is_input_error(tmp_path, capsys, command, suffix, text):
+    path = tmp_path / f"input{suffix}"
+    path.write_text(text)
+    if command == "scatter":
+        args = ["scatter", "--metric", str(path), "--arc", "0", "--angle", "1"]
+    else:
+        args = ["invariant", "--curve", str(path)]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("lens-scatter: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

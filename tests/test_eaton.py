@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lens_scatter.eaton import (NonIntegralWindingError, eaton_index,
-                                eaton_metric, index_residual,
+from lens_scatter.eaton import (NonIntegralWindingError, _exact_dn_dr,
+                                eaton_index, eaton_metric, index_residual,
                                 invisibility_check, loop_winding)
-from lens_scatter.geometry import GeodesicPath, integrate_geodesic
+from lens_scatter.geometry import (GeodesicPath, SingularityError,
+                                   integrate_geodesic)
 from lens_scatter.scattering import BoundaryVector, boundary_grid
 
 
@@ -54,31 +55,51 @@ class TestIndex:
 
 
 class TestProfileTable:
+    """The closed-form profile the metric evaluates, tabulated over its domain."""
+
+    RADII = np.geomspace(1e-10, 1.0, 4096)
+
     def test_strictly_decreasing_and_real_root_bound(self, eaton):
         prof = eaton.profile
-        assert np.all(np.diff(prof.values) < 0.0)
-        assert np.all(prof.values * prof.radii <= 1.0 + 1e-12)
-        assert prof.values[-1] == 1.0
+        n, _ = prof.eval_many(self.RADII)
+        assert np.all(np.diff(n) < 0.0)
+        assert np.all(n * self.RADII <= 1.0)
+        assert prof.eval(1.0) == (1.0, 0.0)
+        assert prof.eval(1.5) == (1.0, 0.0)
+        with pytest.raises(SingularityError):
+            prof.eval(0.99e-10)
+        with pytest.raises(SingularityError):
+            prof.eval_many(np.array([0.5, 0.99e-10]))
 
-    def test_interpolation_matches_root_solve(self, eaton):
-        rng = np.random.default_rng(7)
-        for r in rng.uniform(1e-4, 1.0, 50):
-            n_interp, _ = eaton.radial_eval(float(r))
-            assert n_interp == pytest.approx(eaton_index(float(r)), rel=1e-8)
+    def test_closed_form_matches_root_solve(self, eaton):
+        for r in self.RADII[::16]:
+            n, _ = eaton.radial_eval(float(r))
+            assert n == pytest.approx(eaton_index(float(r)), rel=1e-13, abs=0.0)
+        # Just inside the rim the index equation's residual is too
+        # ill-conditioned for the root solve; invert the cubic instead:
+        # r(n) = 2 / (sqrt(n) (n + 1)).
+        for r in (1.0 - 1e-7, 1.0 - 1e-12, 1.0 - 2.0 ** -53):
+            n, _ = eaton.radial_eval(r)
+            assert 2.0 / (math.sqrt(n) * (n + 1.0)) == pytest.approx(r, rel=1e-15)
+
+    def test_derivative_matches_implicit_derivative(self, eaton):
+        for r in self.RADII[:-1:16]:
+            _, dn = eaton.radial_eval(float(r))
+            assert dn == pytest.approx(_exact_dn_dr(eaton_index(float(r))), rel=1e-13)
+
+    def test_scalar_and_vector_evaluation_agree(self, eaton):
+        radii = np.concatenate([self.RADII, [1.0 - 1e-12, 1.0, 1.5]])
+        n, dn = eaton.profile.eval_many(radii)
+        for r, n_v, dn_v in zip(radii, n, dn):
+            n_s, dn_s = eaton.profile.eval(float(r))
+            assert n_s == pytest.approx(n_v, rel=4e-15, abs=0.0)
+            assert dn_s == pytest.approx(dn_v, rel=4e-15, abs=0.0)
 
     def test_metric_holds_the_profile_from_construction(self, eaton):
         with pytest.raises(AttributeError):
             eaton.profile = None
         assert eaton.profile is eaton_metric().profile
-        assert eaton.profile.r_min == eaton.profile.radii[0]
-
-    def test_exact_metric_agrees_with_table(self, eaton):
-        exact = eaton_metric(exact=True)
-        for r in (0.02, 0.3, 0.77):
-            n_t, dn_t = eaton.radial_eval(r)
-            n_e, dn_e = exact.radial_eval(r)
-            assert n_t == pytest.approx(n_e, rel=1e-8)
-            assert dn_t == pytest.approx(dn_e, rel=1e-5)
+        assert eaton.profile.r_min == 1e-10
 
 
 class TestLoopWinding:

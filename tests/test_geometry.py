@@ -134,8 +134,6 @@ class TestIntegrationOptions:
         ({"max_length": 0.0}, "max_length"),
         ({"max_length": math.inf}, "max_length"),
         ({"max_length": math.nan}, "max_length"),
-        ({"exclusion_radius": -1e-3}, "exclusion_radius"),
-        ({"exclusion_radius": math.nan}, "exclusion_radius"),
         ({"step_tol": 2e-11}, "solver tolerance floor"),
     ])
     def test_invalid_values_rejected(self, kwargs, message):
@@ -143,7 +141,7 @@ class TestIntegrationOptions:
             IntegrationOptions(**kwargs)
 
     def test_valid_edges_accepted(self):
-        IntegrationOptions(max_length=None, exclusion_radius=0.0)
+        IntegrationOptions(max_length=None)
         IntegrationOptions(step_tol=2.3e-11)
         assert IntegrationOptions(max_length=3.0).length_cap(1.0) == 3.0
         assert IntegrationOptions().length_cap(2.0) == 400.0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lens_scatter import scattering
-from lens_scatter.eaton import eaton_metric
+from lens_scatter.eaton import _exact_dn_dr, eaton_index, eaton_metric
 from lens_scatter.geometry import (ConformalMetric, IntegrationOptions,
                                    SingularChordError, integrate_geodesic)
 from lens_scatter.scattering import (INWARD, OUTWARD, TANGENTIAL,
@@ -279,10 +279,12 @@ class TestClairautFastPath:
         assert moved.tau == rec.tau
 
     def test_eaton_length_settled_by_exact_profile(self, eaton):
-        # The root-solved profile is the reference for the tabulated one:
-        # quadrature on the table reproduces its lengths far below step_tol,
-        # and the ODE trace on the table agrees with it to step_tol.
-        exact = eaton_metric(exact=True)
+        # The root-solved profile is the reference for the closed form:
+        # quadrature on the closed form reproduces its lengths far below
+        # step_tol, and the ODE trace agrees with it to step_tol.
+        exact = ConformalMetric.from_radial(
+            np.vectorize(eaton_index), np.vectorize(lambda r: _exact_dn_dr(eaton_index(r))),
+            kind="eaton", singular_at_origin=True, name="eaton-root-solved")
         opts = IntegrationOptions()
         for impact in (0.3, 0.9, 0.99, GRAZING):
             entry = BoundaryVector(0.0, math.acos(impact))
@@ -322,3 +324,43 @@ class TestClairautFastPath:
         rec = scatter(eaton, BoundaryVector(0.0, 1.0), IntegrationOptions(max_length=5.0))
         assert rec.trapped
         assert rec.tau == math.inf
+
+
+def _seeded_bumps(seed: int, count: int = 2) -> ConformalMetric:
+    """Non-radial index ``1 + sum_k a_k exp(-|p - c_k|^2 / (2 s_k^2))``."""
+    rng = np.random.default_rng(seed)
+    bumps = [tuple(float(v) for v in b) for b in zip(
+        rng.uniform(-0.4, 0.4, count), rng.uniform(-0.4, 0.4, count),
+        rng.uniform(-0.3, 0.3, count), rng.uniform(0.15, 0.35, count))]
+
+    def weights(x, y):
+        return [(cx, cy, a * math.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * s * s)), s)
+                for cx, cy, a, s in bumps]
+
+    def n(x, y):
+        return 1.0 + sum(w for _, _, w, _ in weights(x, y))
+
+    def grad(x, y):
+        terms = [(w / (s * s), cx, cy) for cx, cy, w, s in weights(x, y)]
+        return (-sum(g * (x - cx) for g, cx, _ in terms),
+                -sum(g * (y - cy) for g, _, cy in terms))
+
+    return ConformalMetric.general(n, grad, name="bumps")
+
+
+class TestReversalSymmetry:
+    @pytest.mark.parametrize("metric,traces", [(eaton_metric(), 0), (_seeded_bumps(5), 2)],
+                             ids=["eaton-quadrature", "bumps-ode"])
+    @given(entry=entries)
+    @settings(max_examples=30, deadline=None)
+    def test_reversed_exit_returns_reversed_entry(self, metric, traces, entry):
+        opts = IntegrationOptions()
+        tracer = _CountingTracer()
+        with mock.patch.object(scattering, "integrate_geodesic", tracer):
+            fwd = scatter(metric, entry, opts)
+            back = scatter(metric, fwd.exit.reversed(), opts)
+        assert tracer.calls == traces
+        target = entry.reversed()
+        assert _arc_distance(back.exit.arc, target.arc) < 2.0 * opts.step_tol
+        assert abs(back.exit.angle - target.angle) < 2.0 * opts.step_tol
+        assert abs(back.tau - fwd.tau) < 4.0 * opts.step_tol
