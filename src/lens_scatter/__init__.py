@@ -10,7 +10,7 @@ from .geometry import (ConformalMetric, GeodesicPath, GeodesicState,
 from .scattering import (BoundaryIsometry, BoundaryVector, CompareReport,
                          ExcessReport, ScatteringRecord, boundary_grid,
                          classify, compare_scattering, length_excess, phi_map,
-                         scatter)
+                         scatter, scatter_grid)
 from .eaton import (EatonProfile, eaton_index, eaton_metric, invisibility_check,
                     loop_winding)
 from .curves import (ParametricCurve, TrigCurve, circle, lemniscate,

@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .curves import named_curve
 from .eaton import eaton_metric, invisibility_check, loop_winding
-from .geometry import IntegrationOptions, integrate_geodesic, load_metric
+from .geometry import (IntegrationOptions, SingularChordError, integrate_geodesic,
+                       load_metric)
 from .knot import (analyze_loop, choose_refinement_n, embedding_separation,
                    refine_stage_samples)
 from .lift import projectivize, unit_tangent_lift
@@ -31,7 +32,7 @@ SCHEMA_VERSION = 1
 
 
 def _write_json(obj, path) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -219,8 +220,19 @@ def _cmd_render(args) -> int:
         render_annulus(projectivize(unit_tangent_lift(curve, args.samples)), args.out)
         return 0
     metric = load_metric(args.metric)
+    opts = _integration_options(args)
     grid = _parse_grid(args.grid)
-    paths = [integrate_geodesic(metric, v, _integration_options(args)) for v in grid]
+    paths = []
+    for v in grid:
+        try:
+            paths.append(integrate_geodesic(metric, v, opts))
+        except SingularChordError:
+            continue
+    if not paths:
+        raise ValueError("every grid entry passes through the exclusion zone")
+    if len(paths) < len(grid):
+        print(f"render: skipped {len(grid) - len(paths)} entries whose chord passes "
+              "through the exclusion zone", file=sys.stderr)
     render_rays(paths, args.out, radius=metric.radius)
     return 0
 
@@ -298,9 +310,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_numbers(args) -> None:
+    """Reject numeric options no command can use."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"--tol must be finite and positive, got {tol}")
+    for name in ("stride", "stages", "svg_rays"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except (OSError, ValueError, KeyError, RuntimeError, json.JSONDecodeError) as exc:
         print(f"lens-scatter: {exc}", file=sys.stderr)

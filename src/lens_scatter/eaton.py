@@ -23,13 +23,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .geometry import (ConformalMetric, GeodesicPath, IntegrationOptions,
-                       SingularChordError, SingularityError, integrate_geodesic)
+                       NonIntegralWindingError, SingularityError, polar_sweep)
+from .scattering import scatter_grid
 
 TWO_PI = 2.0 * math.pi
-
-
-class NonIntegralWindingError(RuntimeError):
-    """Polar-angle sweep of a traced path is not close to a whole turn count."""
 
 
 def index_residual(n: float, r: float) -> float:
@@ -125,16 +122,11 @@ def eaton_metric(*, radius: float = 1.0) -> ConformalMetric:
                            profile=_PROFILE, name="eaton")
 
 
-def _polar_sweep(pts: np.ndarray, max_step: float) -> float:
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    if np.min(r) <= 0.0:
-        raise ValueError("path passes through the origin")
-    polar = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
-    steps = np.abs(np.diff(polar))
-    if steps.size and float(np.max(steps)) > max_step:
-        raise NonIntegralWindingError(
-            "samples too sparse around the origin for a reliable angle lift")
-    return float(polar[-1] - polar[0])
+def _whole_turns(turns: float, residual_tol: float = 0.1) -> int:
+    winding = round(turns)
+    if abs(turns - winding) >= residual_tol:
+        raise NonIntegralWindingError(f"winding {turns:.3f} is not integral")
+    return int(winding)
 
 
 def loop_winding(path: GeodesicPath, *, residual_tol: float = 0.1) -> int:
@@ -145,17 +137,15 @@ def loop_winding(path: GeodesicPath, *, residual_tol: float = 0.1) -> int:
     straight path scores 0 and a full interior circuit scores +-1.  Raises
     :class:`NonIntegralWindingError` when the lift is unreliable (samples
     subtending more than a quarter turn) or the closed sweep strays from an
-    integer by ``residual_tol`` turns.
+    integer by ``residual_tol`` turns.  :func:`invisibility_check` gets its
+    windings from scattering records instead; this polyline reading is the
+    test oracle for them and gives ``trace`` its winding.
     """
     pts = np.asarray(path.points, dtype=float)
-    sweep = _polar_sweep(pts, 0.5 * math.pi)
+    sweep = polar_sweep(pts)
     u = np.linspace(0.0, 1.0, 257)[:, None]
     chord = pts[-1] * (1.0 - u) + pts[0] * u
-    turns = (sweep + _polar_sweep(chord, math.pi - 1e-9)) / TWO_PI
-    winding = round(turns)
-    if abs(turns - winding) >= residual_tol:
-        raise NonIntegralWindingError(f"winding {turns:.3f} is not integral")
-    return int(winding)
+    return _whole_turns((sweep + polar_sweep(chord, math.pi - 1e-9)) / TWO_PI, residual_tol)
 
 
 @dataclass
@@ -188,37 +178,50 @@ class InvisibilityReport:
 def invisibility_check(entries, tol: float = 1e-4, *,
                        metric: ConformalMetric | None = None,
                        opts: IntegrationOptions | None = None) -> InvisibilityReport:
-    """Trace each entry through the lens and compare against vacuum.
+    """Compare the lens's scattering of each entry against vacuum.
 
     For every entry the exit direction must be parallel to the entry
     direction and the exit point must coincide with the straight-line
-    (vacuum) exit, both within ``tol``.  Entries whose chord passes through
-    the exclusion zone are skipped and counted in ``excluded``; a
-    ``ValueError`` is raised when no entry is left.
+    (vacuum) exit, both within ``tol``.  Everything comes from the exit
+    ``(arc, angle)`` and the polar sweep of the entry's
+    :func:`~lens_scatter.scattering.scatter_grid` record, so radial metrics
+    are settled by quadrature, once per distinct entry angle.  With
+    ``phi0``, ``phi1`` the entry and exit polar angles, ``chi``, ``chi1``
+    the entry and exit angles:
+
+    - the direction turns by ``phi1 - chi1 - (phi0 + chi)`` (mod ``2 pi``);
+    - the exit lies at chord distance ``2 R |sin((phi1 - phi0 - 2 chi) / 2)|``
+      from the vacuum exit;
+    - the winding of the path closed by the chord back to the entry is
+      ``(sweep + chord_back) / 2 pi``, where the chord sweeps
+      ``chord_back = -remainder(phi1 - phi0, 2 pi)``.  It must be within
+      0.1 of an integer, or :class:`NonIntegralWindingError` is raised.
+
+    Entries whose chord passes through the exclusion zone are skipped and
+    counted in ``excluded``; a ``ValueError`` is raised when no entry is
+    left, and a ``RuntimeError`` when a geodesic is trapped.
     """
     metric = metric if metric is not None else eaton_metric()
     R = metric.radius
     records = []
     excluded = 0
-    for entry in entries:
-        try:
-            path = integrate_geodesic(metric, entry, opts)
-        except SingularChordError:
+    for rec in scatter_grid(metric, entries, opts):
+        if rec is None:
             excluded += 1
             continue
-        if path.trapped:
-            raise RuntimeError(f"entry {entry} was trapped; cannot assess it")
-        # Vacuum exit of the same entry: straight chord geometry.
-        chi = entry.angle
-        phi0 = TWO_PI * (entry.arc % 1.0)
-        exit_phi = phi0 + 2.0 * chi
-        vac_exit = np.array([R * math.cos(exit_phi), R * math.sin(exit_phi)])
-        theta0 = path.directions[0]
-        theta1 = path.directions[-1]
-        direction_dev = abs(math.remainder(theta1 - theta0, TWO_PI))
-        exit_dev = float(np.hypot(*(path.points[-1] - vac_exit)))
-        records.append(InvisibilityRecord(entry.arc % 1.0, chi, direction_dev,
-                                          exit_dev, loop_winding(path)))
+        if rec.trapped:
+            raise RuntimeError(f"entry {rec.entry} was trapped; cannot assess it")
+        if rec.sweep is None:
+            raise NonIntegralWindingError(
+                f"entry {rec.entry} passes too close to the origin for a winding")
+        chi = rec.entry.angle
+        phi0 = TWO_PI * rec.entry.arc
+        phi1 = TWO_PI * rec.exit.arc
+        direction_dev = abs(math.remainder(phi1 - rec.exit.angle - (phi0 + chi), TWO_PI))
+        exit_dev = 2.0 * R * abs(math.sin(0.5 * (phi1 - (phi0 + 2.0 * chi))))
+        chord_back = -math.remainder(phi1 - phi0, TWO_PI)
+        winding = _whole_turns((rec.sweep + chord_back) / TWO_PI)
+        records.append(InvisibilityRecord(rec.entry.arc, chi, direction_dev, exit_dev, winding))
     if not records:
         raise ValueError("every grid entry passes through the exclusion zone")
     return InvisibilityReport(

@@ -44,6 +44,10 @@ class SingularChordError(ValueError):
     """Entry chord passes through the exclusion zone around a pole."""
 
 
+class NonIntegralWindingError(RuntimeError):
+    """Polar-angle sweep of a traced path is not close to a whole turn count."""
+
+
 # Entry chords and polylines of a singular metric must keep this distance
 # from its pole; interior ray perigees dip far below it.
 EXCLUSION_RADIUS = 1e-3
@@ -308,16 +312,6 @@ class ConformalMetric:
             return self._profile.eval(math.hypot(x, y))[0]
         return float(self._field[0](x, y))
 
-    def grad_n_at(self, x: float, y: float) -> tuple[float, float]:
-        if self.is_radial:
-            r = math.hypot(x, y)
-            if r < 1e-300:
-                return (0.0, 0.0)
-            _, dn = self._profile.eval(r)
-            return (dn * x / r, dn * y / r)
-        gx, gy = self._field[1](x, y)
-        return (float(gx), float(gy))
-
     def n_many(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if self.is_radial:
@@ -424,6 +418,26 @@ class GeodesicPath:
     def clairaut_range(self, metric: ConformalMetric) -> tuple[float, float]:
         vals = [clairaut(metric, st) for st in self.states()]
         return (min(vals), max(vals))
+
+
+def polar_sweep(points, max_step: float = 0.5 * math.pi) -> float:
+    """Signed polar-angle sweep from the first to the last of ``points``.
+
+    The polar angle is lifted continuously along the samples.  Raises
+    ``ValueError`` for a sample at the origin and
+    :class:`NonIntegralWindingError` when consecutive samples subtend more
+    than ``max_step``, where the lift cannot be trusted.
+    """
+    pts = np.asarray(points, dtype=float)
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    if np.min(r) <= 0.0:
+        raise ValueError("path passes through the origin")
+    polar = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
+    steps = np.abs(np.diff(polar))
+    if steps.size and float(np.max(steps)) > max_step:
+        raise NonIntegralWindingError(
+            "samples too sparse around the origin for a reliable angle lift")
+    return float(polar[-1] - polar[0])
 
 
 def _entry_xytheta(entry, radius: float) -> tuple[float, float, float]:

@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (BoundaryVector, ConformalMetric, IntegrationOptions,
-                       SingularChordError, chord_impact, clairaut_orbit,
-                       integrate_geodesic)
+                       NonIntegralWindingError, SingularChordError,
+                       chord_impact, clairaut_orbit, integrate_geodesic,
+                       polar_sweep)
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,11 +74,19 @@ def phi_map(h: BoundaryIsometry, v: BoundaryVector) -> BoundaryVector:
 
 @dataclass
 class ScatteringRecord:
-    """Entry vector, exit vector (``None`` when trapped), and metric length."""
+    """Entry vector, exit vector (``None`` when trapped), and metric length.
+
+    ``sweep`` is the signed polar-angle sweep of the geodesic from entry to
+    exit, in radians.  It is ``None`` when trapped, and when a traced path
+    passes so close to the origin that its polar angle cannot be lifted.
+    Exit arcs know the sweep only mod ``2 pi``; the whole turns it adds are
+    what separates the lens from the flat disk.
+    """
 
     entry: BoundaryVector
     exit: BoundaryVector | None
     tau: float
+    sweep: float | None = None
 
     @property
     def trapped(self) -> bool:
@@ -93,7 +102,8 @@ def scatter(metric: ConformalMetric, entry: BoundaryVector,
     the exit angle equals the entry angle and the exit arc is the entry arc
     advanced by the signed polar sweep.  Every other case, including rays
     without a simple turning point, is traced by
-    :func:`~lens_scatter.geometry.integrate_geodesic`.  Both paths raise
+    :func:`~lens_scatter.geometry.integrate_geodesic`, and its sweep read
+    off the traced polyline.  Both paths raise
     :class:`~lens_scatter.geometry.SingularChordError` for chords through the
     exclusion zone and report a trapped record past ``opts.max_length``.
     """
@@ -105,12 +115,53 @@ def scatter(metric: ConformalMetric, entry: BoundaryVector,
         sweep, tau = orbit
         if tau > opts.length_cap(metric.radius):
             return ScatteringRecord(entry, None, math.inf)
-        turn = math.copysign(sweep, math.cos(entry.angle)) / TWO_PI
-        return ScatteringRecord(entry, BoundaryVector(entry.arc + turn, entry.angle), tau)
+        sweep = math.copysign(sweep, math.cos(entry.angle))
+        return ScatteringRecord(entry, BoundaryVector(entry.arc + sweep / TWO_PI, entry.angle),
+                                tau, sweep)
     path = integrate_geodesic(metric, entry, opts)
     if path.trapped:
         return ScatteringRecord(entry, None, math.inf)
-    return ScatteringRecord(entry, path.exit, path.length)
+    try:
+        sweep = polar_sweep(path.points)
+    except (ValueError, NonIntegralWindingError):
+        sweep = None
+    return ScatteringRecord(entry, path.exit, path.length, sweep)
+
+
+def scatter_grid(metric: ConformalMetric, entries,
+                 opts: IntegrationOptions | None = None) -> list[ScatteringRecord | None]:
+    """Scattering records of ``entries``, in order; ``None`` for pole chords.
+
+    A radial metric's exit data depend on the entry angle only, so each
+    distinct angle is scattered once, at its first entry, and the record is
+    rotated to the other entries of that angle: the exit arc is the entry
+    arc advanced by ``sweep / 2 pi``, as :func:`scatter` computes it.
+    Entries of other metrics are scattered one by one.
+    """
+    first: dict[float, ScatteringRecord | None] = {}
+    records = []
+    for v in entries:
+        if metric.is_radial and v.angle in first:
+            records.append(_rotated(first[v.angle], v))
+            continue
+        try:
+            rec = scatter(metric, v, opts)
+        except SingularChordError:
+            rec = None
+        if metric.is_radial:
+            first[v.angle] = rec
+        records.append(rec)
+    return records
+
+
+def _rotated(rec: ScatteringRecord | None, v) -> ScatteringRecord | None:
+    """A radial metric's record moved to the entry ``v`` of the same angle."""
+    if rec is None:
+        return None
+    if rec.trapped:
+        return ScatteringRecord(v, None, math.inf)
+    turn = rec.exit.arc - rec.entry.arc if rec.sweep is None else rec.sweep / TWO_PI
+    return ScatteringRecord(v, BoundaryVector(v.arc + turn, rec.exit.angle), rec.tau, rec.sweep)
 
 
 def boundary_grid(n_arcs: int = 16, n_angles: int = 8, *,
@@ -140,22 +191,22 @@ def _lens_pairs(metric_m: ConformalMetric, metric_n: ConformalMetric,
                 opts: IntegrationOptions | None):
     """Paired lens data of two metrics: the one pass behind compare and excess.
 
-    Scatters every grid entry ``v`` (default :func:`boundary_grid`) under
-    M and ``phi(v)`` under N once.  Returns ``(pairs, trapped, excluded)``:
+    Scatters the grid entries ``v`` (default :func:`boundary_grid`) under M
+    and ``phi(v)`` under N with :func:`scatter_grid`.  Returns
+    ``(pairs, trapped, excluded)``:
     ``pairs`` holds ``(phi(exit_M(v)), exit_N(phi(v)), tau_N - tau_M)`` for
     the entries where both geodesics exit, ``trapped`` counts entries with a
     trapped geodesic on either side, and ``excluded`` the entries whose
     chord passes through the exclusion zone of a singular metric.
     """
     h = h or BoundaryIsometry()
+    grid = list(grid) if grid is not None else boundary_grid()
     pairs = []
     trapped = 0
     excluded = 0
-    for v in grid if grid is not None else boundary_grid():
-        try:
-            rec_m = scatter(metric_m, v, opts)
-            rec_n = scatter(metric_n, phi_map(h, v), opts)
-        except SingularChordError:
+    for rec_m, rec_n in zip(scatter_grid(metric_m, grid, opts),
+                            scatter_grid(metric_n, [phi_map(h, v) for v in grid], opts)):
+        if rec_m is None or rec_n is None:
             excluded += 1
             continue
         if rec_m.trapped or rec_n.trapped:

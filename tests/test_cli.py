@@ -200,6 +200,56 @@ class TestRender:
         assert "<polyline" in out.read_text()
 
 
+    def test_pole_chords_are_skipped(self, tmp_path, capsys):
+        # The middle of three angles is the normal, whose chord meets the
+        # lens's pole: its four entries are left out of the fan.
+        out = tmp_path / "rays.svg"
+        code = main(["render", "--metric", "eaton", "--grid", "4x3", "--out", str(out)])
+        assert code == 0
+        assert out.read_text().count("<polyline") == 8
+        assert "skipped 4 entries" in capsys.readouterr().err
+
+    def test_all_entries_excluded_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "rays.svg"
+        code = main(["render", "--metric", "eaton", "--grid", "2x1", "--out", str(out)])
+        assert code == 2
+        assert "exclusion zone" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["compare", "--m1", "vacuum", "--m2", "vacuum", "--grid", "2x2", "--tol", "nan"],
+     "--tol must be finite and positive, got nan"),
+    (["compare", "--m1", "vacuum", "--m2", "vacuum", "--grid", "2x2", "--tol", "inf"],
+     "--tol must be finite and positive, got inf"),
+    (["compare", "--m1", "vacuum", "--m2", "vacuum", "--grid", "2x2", "--tol", "0"],
+     "--tol must be finite and positive, got 0.0"),
+    (["eaton", "--grid", "2x2", "--tol", "nan"], "--tol must be finite and positive, got nan"),
+    (["eaton", "--grid", "2x2", "--tol", "-0.5"],
+     "--tol must be finite and positive, got -0.5"),
+    (["trace", "--metric", "vacuum", "--arc", "0", "--angle", "1", "--stride", "-1"],
+     "--stride must be at least 1, got -1"),
+    (["trace", "--metric", "vacuum", "--arc", "0", "--angle", "1", "--stride", "0"],
+     "--stride must be at least 1, got 0"),
+    (["approx-pl", "--curve", "circle", "--stages", "0", "--report", "{tmp}/sep.csv"],
+     "--stages must be at least 1, got 0"),
+    (["eaton", "--grid", "2x2", "--svg-rays", "0", "--emit-svg", "{tmp}/fan.svg"],
+     "--svg-rays must be at least 1, got 0"),
+    (["eaton", "--grid", "2x2", "--svg-rays", "-3", "--emit-svg", "{tmp}/fan.svg"],
+     "--svg-rays must be at least 1, got -3"),
+], ids=["compare-tol-nan", "compare-tol-inf", "compare-tol-zero", "eaton-tol-nan",
+        "eaton-tol-negative", "stride-negative", "stride-zero", "stages-zero",
+        "svg-rays-zero", "svg-rays-negative"])
+def test_bad_numeric_option_is_input_error(tmp_path, capsys, args, message):
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"lens-scatter: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestDeterminism:
     def test_invariant_reports_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from lens_scatter import scattering
 from lens_scatter.eaton import (NonIntegralWindingError, _exact_dn_dr,
                                 eaton_index, eaton_metric, index_residual,
                                 invisibility_check, loop_winding)
-from lens_scatter.geometry import (GeodesicPath, SingularityError,
-                                   integrate_geodesic)
-from lens_scatter.scattering import BoundaryVector, boundary_grid
+from lens_scatter.geometry import (ConformalMetric, GeodesicPath, IntegrationOptions,
+                                   SingularChordError, SingularityError,
+                                   chord_impact, integrate_geodesic)
+from lens_scatter.scattering import BoundaryVector, boundary_grid, scatter
+
+from test_scattering import _seeded_bumps
 
 
 def bisect_implicit_index(r: float, lo: float = 1.0, hi: float | None = None) -> float:
@@ -170,3 +174,68 @@ class TestInvisibility:
         assert rep.max_direction_dev < 1e-9
         assert rep.max_exit_dev < 1e-9
         assert all(w == 0 for w in rep.windings)
+
+
+def polyline_invisibility(metric: ConformalMetric, entry, opts: IntegrationOptions):
+    """Oracle: winding, direction and exit deviation read off a traced polyline."""
+    path = integrate_geodesic(metric, entry, opts)
+    R = metric.radius
+    exit_phi = 2.0 * math.pi * entry.arc + 2.0 * entry.angle
+    vacuum_exit = np.array([R * math.cos(exit_phi), R * math.sin(exit_phi)])
+    direction_dev = abs(math.remainder(path.directions[-1] - path.directions[0],
+                                       2.0 * math.pi))
+    exit_dev = float(np.hypot(*(path.points[-1] - vacuum_exit)))
+    return loop_winding(path), direction_dev, exit_dev
+
+
+class TestInvisibilityAgainstPolylines:
+    """Record-based windings and deviations against the polyline reading."""
+
+    @pytest.mark.parametrize("metric,grid", [
+        (eaton_metric(), boundary_grid(8, 8)),
+        (ConformalMetric.vacuum(), boundary_grid(4, 4)),
+        (eaton_metric(), boundary_grid(5, 3)),
+        (_seeded_bumps(11), boundary_grid(4, 2)),
+    ], ids=["eaton-8x8", "vacuum-4x4", "eaton-odd-5x3", "bumps-ode-4x2"])
+    def test_matches_traced_paths(self, metric, grid):
+        opts = IntegrationOptions()
+        rep = invisibility_check(grid, 1e-4, metric=metric, opts=opts)
+        kept = []
+        for v in grid:
+            try:
+                chord_impact(metric, v)
+            except SingularChordError:
+                continue
+            kept.append(v)
+        assert rep.excluded == len(grid) - len(kept)
+        assert len(rep.records) == len(kept)
+        for v, rec in zip(kept, rep.records):
+            winding, direction_dev, exit_dev = polyline_invisibility(metric, v, opts)
+            assert (rec.arc, rec.angle) == (v.arc, v.angle)
+            assert rec.winding == winding
+            assert abs(rec.direction_dev - direction_dev) < opts.step_tol
+            assert abs(rec.exit_dev - exit_dev) < opts.step_tol
+        if metric.kind == "vacuum":
+            assert rep.windings == [0] * len(grid)
+        if metric.kind == "eaton":
+            assert all(abs(w) == 1 for w in rep.windings)
+
+    def test_lens_scatters_each_angle_once_by_quadrature(self, eaton, monkeypatch):
+        calls = []
+        traces = []
+
+        def counting_scatter(metric, entry, opts=None):
+            calls.append(entry)
+            return scatter(metric, entry, opts)
+
+        def counting_trace(*args, **kwargs):
+            traces.append(args)
+            return integrate_geodesic(*args, **kwargs)
+
+        monkeypatch.setattr(scattering, "scatter", counting_scatter)
+        monkeypatch.setattr(scattering, "integrate_geodesic", counting_trace)
+        grid = boundary_grid(8, 8)
+        rep = invisibility_check(grid, 1e-4, metric=eaton)
+        assert rep.passed
+        assert calls == grid[:8]
+        assert traces == []

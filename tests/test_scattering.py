@@ -20,6 +20,18 @@ BENDING_PROFILE = ConformalMetric.from_radial(
     lambda r: 1.0 + 0.3 * (1.0 - r * r), lambda r: -0.6 * r, name="bump")
 GRAZING = math.cos(0.05)  # largest impact boundary_grid produces
 
+# Six knots with steps of at most 0.06 keep |r n'| below n, so n r increases
+# and every ray has a simple turning point: scatter must use quadrature.
+monotone_profiles = st.builds(
+    lambda steps, outward_down: ConformalMetric.from_profile_knots(
+        [(0.2 * k, 1.0 + (1.0 if outward_down else -1.0) * sum(steps[k:]))
+         for k in range(6)], name="knots"),
+    st.lists(st.floats(0.0, 0.06), min_size=5, max_size=5), st.booleans())
+
+entries = st.builds(
+    lambda arc, impact, side: BoundaryVector(arc, math.acos(side * impact)),
+    st.floats(0.0, 0.999), st.floats(1.1e-3, GRAZING), st.sampled_from([-1.0, 1.0]))
+
 
 class TestClassify:
     def test_normal_is_inward(self):
@@ -155,7 +167,10 @@ class TestCompare:
         assert not rep.equal
         assert rep.mean_excess is None and rep.excess_dev is None
 
-    def test_each_entry_scattered_once_per_metric(self, vacuum, eaton, monkeypatch):
+    def test_each_angle_scattered_once_per_metric(self, vacuum, eaton, monkeypatch):
+        # Radial exit data depend on the entry angle only: each metric
+        # scatters its first entry of every distinct angle, in grid order,
+        # and rotates that record to the other entries of the angle.
         calls = []
 
         def counting_scatter(metric, entry, opts=None):
@@ -164,11 +179,49 @@ class TestCompare:
 
         monkeypatch.setattr(scattering, "scatter", counting_scatter)
         h = BoundaryIsometry(0.3, True)
-        grid = boundary_grid(4, 2)
+        grid = boundary_grid(4, 2)[::-1]
         rep = compare_scattering(vacuum, eaton, h, grid=grid)
         assert rep.equal
-        assert calls == [call for v in grid
-                         for call in (("vacuum", v), ("eaton", phi_map(h, v)))]
+        first_seen = [grid[0], grid[1]]
+        assert grid[0].angle != grid[1].angle
+        assert calls == ([("vacuum", v) for v in first_seen]
+                         + [("eaton", phi_map(h, v)) for v in first_seen])
+
+    def test_general_metric_scattered_per_entry(self, monkeypatch):
+        calls = []
+
+        def counting_scatter(metric, entry, opts=None):
+            calls.append(entry)
+            return scatter(metric, entry, opts)
+
+        monkeypatch.setattr(scattering, "scatter", counting_scatter)
+        grid = boundary_grid(3, 2)
+        records = scattering.scatter_grid(_seeded_bumps(3), grid)
+        assert calls == grid
+        assert [rec.entry for rec in records] == grid
+
+    @given(metric=monotone_profiles, shift=st.floats(-1.0, 1.0), reflect=st.booleans(),
+           n_arcs=st.integers(2, 5), n_angles=st.sampled_from([2, 4]),
+           margin=st.floats(0.05, 0.5))
+    @settings(max_examples=25, deadline=None)
+    def test_reuse_matches_per_entry_scatter(self, metric, shift, reflect, n_arcs,
+                                             n_angles, margin):
+        # Even angle counts keep chords off the center, so every entry is
+        # settled by quadrature and the reuse is exact.
+        h = BoundaryIsometry(shift, reflect)
+        grid = boundary_grid(n_arcs, n_angles, angle_margin=margin)
+        pairs, trapped, excluded = scattering._lens_pairs(metric, metric, h, grid, None)
+        assert trapped == 0 and excluded == 0
+        assert len(pairs) == len(grid)
+        for v, (lhs, rhs, excess) in zip(grid, pairs):
+            rec_m = scatter(metric, v)
+            rec_n = scatter(metric, phi_map(h, v))
+            want = phi_map(h, rec_m.exit)
+            assert _arc_distance(lhs.arc, want.arc) <= 1e-15
+            assert lhs.angle == want.angle
+            assert _arc_distance(rhs.arc, rec_n.exit.arc) <= 1e-15
+            assert rhs.angle == rec_n.exit.angle
+            assert excess == rec_n.tau - rec_m.tau
 
 
 class TestLengthExcess:
@@ -225,19 +278,6 @@ class _CountingTracer:
     def __call__(self, *args, **kwargs):
         self.calls += 1
         return integrate_geodesic(*args, **kwargs)
-
-
-# Six knots with steps of at most 0.06 keep |r n'| below n, so n r increases
-# and every ray has a simple turning point: scatter must use quadrature.
-monotone_profiles = st.builds(
-    lambda steps, outward_down: ConformalMetric.from_profile_knots(
-        [(0.2 * k, 1.0 + (1.0 if outward_down else -1.0) * sum(steps[k:]))
-         for k in range(6)], name="knots"),
-    st.lists(st.floats(0.0, 0.06), min_size=5, max_size=5), st.booleans())
-
-entries = st.builds(
-    lambda arc, impact, side: BoundaryVector(arc, math.acos(side * impact)),
-    st.floats(0.0, 0.999), st.floats(1.1e-3, GRAZING), st.sampled_from([-1.0, 1.0]))
 
 
 class TestClairautFastPath:
