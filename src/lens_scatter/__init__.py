@@ -17,8 +17,8 @@ from .curves import (ParametricCurve, TrigCurve, circle, lemniscate,
                      load_curve_csv, named_curve, rose, segment)
 from .lift import (FLAT_INJECTIVITY_RADIUS, LiftedCurve, MinimalLinearCurve,
                    PLVertexPath, ProjCurve, ProjPoint, dist_components,
-                   minimal_linear_curve, projectivize, triangle_angle_sum,
-                   unit_tangent_lift, vertical_length)
+                   projectivize, triangle_angle_sum, unit_tangent_lift,
+                   vertical_length)
 from .knot import (Certificate, Crossing, InvariantTable, PLLoop, TangentLoop,
                    analyze_loop, certify_nontrivial, choose_refinement_n,
                    crossing_sign, crossing_type, embedding_separation,

@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .curves import named_curve
 from .eaton import eaton_metric, invisibility_check, loop_winding
-from .geometry import (IntegrationOptions, SingularChordError, integrate_geodesic,
-                       load_metric)
+from .geometry import (IntegrationOptions, SingularChordError, chord_impact,
+                       integrate_geodesic, load_metric)
 from .knot import (analyze_loop, choose_refinement_n, embedding_separation,
                    refine_stage_samples)
 from .lift import projectivize, unit_tangent_lift
@@ -44,21 +44,40 @@ def _parse_grid(text: str) -> list[BoundaryVector]:
         n_arcs, n_angles = (int(v) for v in text.lower().split("x"))
     else:
         total = int(text)
+        if total < 2:
+            raise ValueError(f"--grid count must be at least 2, got {total}")
         n_arcs = max(2, int(round(math.sqrt(total))))
         n_angles = max(1, total // n_arcs)
     return boundary_grid(n_arcs, n_angles)
 
 
-def _parallel_fan(count: int, exclusion: float = 2e-3) -> list[BoundaryVector]:
-    """Entries of a family of parallel rays, skipping the central chord."""
+def _parallel_fan(count: int) -> list[BoundaryVector]:
+    """Entries of a family of ``count`` parallel rays across the disk."""
     fan = []
     for j in range(count):
         phi = math.pi * (0.5 + (j + 0.5) / count)
-        if abs(math.sin(phi)) < exclusion:
-            continue
-        chi = math.acos(-math.sin(phi))
-        fan.append(BoundaryVector(phi / (2 * math.pi), chi))
+        fan.append(BoundaryVector(phi / (2 * math.pi), math.acos(-math.sin(phi))))
     return fan
+
+
+def _clear_of_pole(metric, entries, command: str, what: str) -> list[BoundaryVector]:
+    """The entries whose chord clears the exclusion zone of a singular
+    metric; the others are numbered on standard error."""
+    kept, skipped = [], []
+    for k, v in enumerate(entries, 1):
+        try:
+            chord_impact(metric, v)
+        except SingularChordError:
+            skipped.append(f"#{k}")
+            continue
+        kept.append(v)
+    if not kept:
+        raise ValueError(f"every {what} passes through the exclusion zone")
+    if skipped:
+        noun = "entry" if len(skipped) == 1 else "entries"
+        print(f"{command}: skipped {len(skipped)} {noun} of {len(entries)} whose chord "
+              f"passes through the exclusion zone: {', '.join(skipped)}", file=sys.stderr)
+    return kept
 
 
 def _integration_options(args) -> IntegrationOptions:
@@ -137,6 +156,8 @@ def _cmd_compare(args) -> int:
 def _cmd_eaton(args) -> int:
     metric = eaton_metric()
     opts = _integration_options(args)
+    fan = (_clear_of_pole(metric, _parallel_fan(args.svg_rays), "eaton", "fan ray")
+           if args.emit_svg else [])
     rep = invisibility_check(_parse_grid(args.grid), args.tol, metric=metric, opts=opts)
     circuits_ok = all(abs(w) == 1 for w in rep.windings)
     passed = rep.passed if args.check == "invisibility" else circuits_ok
@@ -156,8 +177,7 @@ def _cmd_eaton(args) -> int:
     }
     _write_json(report, args.out)
     if args.emit_svg:
-        paths = [integrate_geodesic(metric, v, opts)
-                 for v in _parallel_fan(args.svg_rays)]
+        paths = [integrate_geodesic(metric, v, opts) for v in fan]
         render_rays(paths, args.emit_svg, radius=metric.radius)
     return 0 if passed else 1
 
@@ -215,24 +235,16 @@ def _cmd_approx_pl(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if (args.metric is None) == (args.curve is None):
+        raise ValueError("render needs exactly one of --metric and --curve")
     if args.curve:
         curve = named_curve(args.curve)
         render_annulus(projectivize(unit_tangent_lift(curve, args.samples)), args.out)
         return 0
     metric = load_metric(args.metric)
     opts = _integration_options(args)
-    grid = _parse_grid(args.grid)
-    paths = []
-    for v in grid:
-        try:
-            paths.append(integrate_geodesic(metric, v, opts))
-        except SingularChordError:
-            continue
-    if not paths:
-        raise ValueError("every grid entry passes through the exclusion zone")
-    if len(paths) < len(grid):
-        print(f"render: skipped {len(grid) - len(paths)} entries whose chord passes "
-              "through the exclusion zone", file=sys.stderr)
+    grid = _clear_of_pole(metric, _parse_grid(args.grid), "render", "grid entry")
+    paths = [integrate_geodesic(metric, v, opts) for v in grid]
     render_rays(paths, args.out, radius=metric.radius)
     return 0
 
@@ -312,9 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_numbers(args) -> None:
     """Reject numeric options no command can use."""
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"--tol must be finite and positive, got {tol}")
+    for name in ("tol", "eps"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"--{name} must be finite and positive, got {value}")
     for name in ("stride", "stages", "svg_rays"):
         value = getattr(args, name, None)
         if value is not None and value < 1:

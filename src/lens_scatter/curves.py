@@ -40,10 +40,6 @@ class ParametricCurve:
         t = np.asarray(t, dtype=float)
         return np.stack(self._velocity(t), axis=-1)
 
-    def min_speed(self, samples: int = 2048) -> float:
-        v = self.velocity(np.linspace(0.0, 1.0, samples, endpoint=False))
-        return float(np.min(np.hypot(v[:, 0], v[:, 1])))
-
     def __repr__(self):
         return f"<ParametricCurve {self.name!r} closed={self.closed}>"
 
@@ -151,33 +147,28 @@ class TrigCurve(ParametricCurve):
                          name=self.name + "~")
 
 
-def from_samples(points, *, closed=True, name="sampled-curve") -> ParametricCurve:
-    """Smooth a sampled curve with a (periodic) cubic spline."""
+def from_samples(points, *, name="sampled-curve") -> ParametricCurve:
+    """Smooth the samples of a closed curve with a periodic cubic spline."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 4:
         raise ValueError("need an (m, 2) array with m >= 4")
-    if closed:
-        ts = np.linspace(0.0, 1.0, len(pts) + 1)
-        data = np.vstack([pts, pts[:1]])
-        spl = CubicSpline(ts, data, bc_type="periodic")
-    else:
-        ts = np.linspace(0.0, 1.0, len(pts))
-        spl = CubicSpline(ts, pts)
+    ts = np.linspace(0.0, 1.0, len(pts) + 1)
+    spl = CubicSpline(ts, np.vstack([pts, pts[:1]]), bc_type="periodic")
     dspl = spl.derivative()
 
     def p(t):
-        xy = spl(np.mod(t, 1.0) if closed else t)
+        xy = spl(np.mod(t, 1.0))
         return xy[..., 0], xy[..., 1]
 
     def v(t):
-        xy = dspl(np.mod(t, 1.0) if closed else t)
+        xy = dspl(np.mod(t, 1.0))
         return xy[..., 0], xy[..., 1]
 
-    return ParametricCurve(p, v, closed=closed, name=name)
+    return ParametricCurve(p, v, name=name)
 
 
-def load_curve_csv(path, *, closed=True) -> ParametricCurve:
-    """Read ``t,x,y`` rows (t uniform over [0,1)) and spline them.
+def load_curve_csv(path) -> ParametricCurve:
+    """Read ``t,x,y`` rows (t uniform over [0,1)) of a closed curve and spline them.
 
     A row without exactly three finite numbers raises ``ValueError``.
     """
@@ -195,7 +186,7 @@ def load_curve_csv(path, *, closed=True) -> ParametricCurve:
             rows.append((t, x, y))
     rows.sort()
     pts = np.array([(x, y) for _, x, y in rows])
-    return from_samples(pts, closed=closed, name=Path(path).stem)
+    return from_samples(pts, name=Path(path).stem)
 
 
 def named_curve(name: str) -> ParametricCurve:

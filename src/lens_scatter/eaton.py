@@ -35,7 +35,7 @@ def index_residual(n: float, r: float) -> float:
     return u + math.sqrt(max(u * u - 1.0, 0.0)) - math.sqrt(n)
 
 
-def eaton_index(r: float, *, residual_tol: float = 1e-12) -> float:
+def eaton_index(r: float) -> float:
     """Index at radius ``r`` in ``(0, 1]`` by bracketed root finding.
 
     The bracket is ``n in [1, 1/r]``: the upper end is forced by the square
@@ -53,7 +53,7 @@ def eaton_index(r: float, *, residual_tol: float = 1e-12) -> float:
                maxiter=200)
     # The equation's terms grow like sqrt(n), so the attainable absolute
     # residual scales with it.
-    if abs(index_residual(n, r)) > residual_tol * (1.0 + math.sqrt(n)):
+    if abs(index_residual(n, r)) > 1e-12 * (1.0 + math.sqrt(n)):
         raise RuntimeError(f"index root did not converge at r={r}")
     return float(n)
 
@@ -122,14 +122,14 @@ def eaton_metric(*, radius: float = 1.0) -> ConformalMetric:
                            profile=_PROFILE, name="eaton")
 
 
-def _whole_turns(turns: float, residual_tol: float = 0.1) -> int:
+def _whole_turns(turns: float) -> int:
     winding = round(turns)
-    if abs(turns - winding) >= residual_tol:
+    if abs(turns - winding) >= 0.1:
         raise NonIntegralWindingError(f"winding {turns:.3f} is not integral")
     return int(winding)
 
 
-def loop_winding(path: GeodesicPath, *, residual_tol: float = 0.1) -> int:
+def loop_winding(path: GeodesicPath) -> int:
     """Whole turns of a traced path around the origin.
 
     The continuous polar-angle lift of the path is closed by the straight
@@ -137,7 +137,7 @@ def loop_winding(path: GeodesicPath, *, residual_tol: float = 0.1) -> int:
     straight path scores 0 and a full interior circuit scores +-1.  Raises
     :class:`NonIntegralWindingError` when the lift is unreliable (samples
     subtending more than a quarter turn) or the closed sweep strays from an
-    integer by ``residual_tol`` turns.  :func:`invisibility_check` gets its
+    integer by 0.1 turns.  :func:`invisibility_check` gets its
     windings from scattering records instead; this polyline reading is the
     test oracle for them and gives ``trace`` its winding.
     """
@@ -145,7 +145,7 @@ def loop_winding(path: GeodesicPath, *, residual_tol: float = 0.1) -> int:
     sweep = polar_sweep(pts)
     u = np.linspace(0.0, 1.0, 257)[:, None]
     chord = pts[-1] * (1.0 - u) + pts[0] * u
-    return _whole_turns((sweep + polar_sweep(chord, math.pi - 1e-9)) / TWO_PI, residual_tol)
+    return _whole_turns((sweep + polar_sweep(chord, math.pi - 1e-9)) / TWO_PI)
 
 
 @dataclass

@@ -69,6 +69,8 @@ class BoundaryVector:
     angle: float
 
     def __post_init__(self):
+        if not math.isfinite(self.arc):
+            raise ValueError(f"boundary arc must be finite, got {self.arc}")
         object.__setattr__(self, "arc", self.arc % 1.0)
         if not (0.0 <= self.angle <= math.pi):
             raise ValueError("tangent angle must lie in [0, pi]")

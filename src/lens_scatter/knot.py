@@ -30,6 +30,9 @@ from .lift import (FLAT_INJECTIVITY_RADIUS, MinimalLinearCurve, PLVertexPath,
 
 TWO_PI = 2.0 * math.pi
 
+_CROSSING_TOL = 1e-9  # base-point residual of a polished crossing or an incidence
+_ANGULAR_TOL = 1e-6   # smallest |sin| between two branches before they count as tangent
+
 
 class SelfTangencyError(ValueError):
     """Two branches meet with parallel directions: not a regular crossing."""
@@ -68,7 +71,6 @@ class TangentLoop(_FramedLoop):
         self.samples = samples
         self.lifted = unit_tangent_lift(curve, samples)
         self.period_shift = self.lifted.total_turn
-        self.smooth = True
 
     def base_points(self, ts) -> np.ndarray:
         return self.curve.point(np.mod(ts, 1.0))
@@ -90,13 +92,11 @@ class CallableFramedLoop(_FramedLoop):
     over the period is the fiber class of the loop times pi.
     """
 
-    def __init__(self, point_fn, velocity_fn, chi_fn, *, samples: int = 512,
-                 smooth: bool = True):
+    def __init__(self, point_fn, velocity_fn, chi_fn, *, samples: int = 512):
         self._point = point_fn
         self._velocity = velocity_fn
         self._chi = chi_fn
         self.samples = samples
-        self.smooth = smooth
         self.period_shift = float(chi_fn(1.0) - chi_fn(0.0))
 
     def base_points(self, ts) -> np.ndarray:
@@ -118,12 +118,7 @@ class PLLoop(_FramedLoop):
 
     def __init__(self, path: PLVertexPath):
         self.path = path
-        self.samples = 8 * path.n
         self.period_shift = path.total_rotation
-        self.smooth = False
-
-    def base_points(self, ts) -> np.ndarray:
-        return np.array([self.path.point_at(float(t)).base for t in np.asarray(ts).ravel()])
 
     def base_point(self, l: float) -> np.ndarray:
         return self.path.point_at(l).base
@@ -142,11 +137,7 @@ def as_framed_loop(obj, samples: int | None = None):
         return obj
     if isinstance(obj, PLVertexPath):
         return PLLoop(obj)
-    if isinstance(obj, ParametricCurve):
-        return TangentLoop(obj, samples or 512)
-    from .curves import from_samples
-
-    return TangentLoop(from_samples(np.asarray(obj, dtype=float)), samples or 512)
+    return TangentLoop(obj, samples or 512)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +172,6 @@ class InvariantTable:
 
     def get(self, g: int) -> int:
         return self.entries.get(g, 0)
-
-    def __getitem__(self, g: int) -> int:
-        return self.entries[g]
 
     def __eq__(self, other):
         if isinstance(other, InvariantTable):
@@ -246,7 +234,7 @@ def _polyline_hits(pts: np.ndarray, eps: float):
     return i[hit], j[hit], t[hit], u[hit]
 
 
-def _polish_crossing(loop, l: float, lp: float, tol: float, angular_tol: float):
+def _polish_crossing(loop, l: float, lp: float):
     """Newton-refine base_point(l) == base_point(l'), then check transversality."""
     for _ in range(30):
         f = loop.base_point(l) - loop.base_point(lp)
@@ -260,12 +248,12 @@ def _polish_crossing(loop, l: float, lp: float, tol: float, angular_tol: float):
         l -= (-f[0] * v2[1] + f[1] * v2[0]) / det
         lp -= (v1[0] * f[1] - v1[1] * f[0]) / det
     f = loop.base_point(l) - loop.base_point(lp)
-    if math.hypot(f[0], f[1]) > tol:
+    if math.hypot(f[0], f[1]) > _CROSSING_TOL:
         raise DegenerateCrossingError("crossing refinement did not converge")
     v1 = loop.base_velocity(l)
     v2 = loop.base_velocity(lp)
     s = abs(v1[0] * v2[1] - v1[1] * v2[0]) / (math.hypot(*v1) * math.hypot(*v2))
-    if s < angular_tol:
+    if s < _ANGULAR_TOL:
         raise SelfTangencyError("branches meet tangentially")
     return l % 1.0, lp % 1.0
 
@@ -289,34 +277,34 @@ def _dedup(raw, merge_tol: float):
     return out
 
 
-def find_crossings(loop, tol: float = 1e-9, *, samples: int | None = None,
-                   angular_tol: float = 1e-6) -> list[Crossing]:
+def find_crossings(loop, *, samples: int | None = None) -> list[Crossing]:
     """All double points of the base curve, signs and types unfilled.
 
-    A smooth loop is sampled into a dense polyline, a PL knot uses its
-    edges; both take segment pairs from a KD-tree on segment midpoints and
+    A smooth loop (a curve, a :class:`TangentLoop` or a
+    :class:`CallableFramedLoop`) is sampled at ``samples`` parameters (the
+    loop's own count by default) into a closed polyline; a PL knot
+    (:class:`PLLoop` or :class:`~lens_scatter.lift.PLVertexPath`) uses its
+    edges.  Both take segment pairs from a KD-tree on segment midpoints and
     test them in one vectorized pass.  Smooth hits are Newton-polished on
-    the curve; PL hits are exact, strictly interior to both edges, and not
-    polished.  A triple point shows up as its three parameter pairs.  Raises
-    :class:`SelfTangencyError` when two branches meet with parallel
-    directions.
+    the curve until the two base points agree within 1e-9; PL hits are
+    exact, strictly interior to both edges, and not polished.  A triple
+    point shows up as its three parameter pairs.  Raises
+    :class:`SelfTangencyError` when two branches meet at an angle whose
+    ``|sin|`` is below 1e-6.
     """
     loop = as_framed_loop(loop, samples)
     if isinstance(loop, PLLoop):
-        return _pl_crossings(loop, angular_tol)
+        return _pl_crossings(loop)
     m = samples or loop.samples
     i, j, t, u = _polyline_hits(loop.base_points(np.arange(m) / m), 1e-9)
     raw = []
     for l, lp in zip((i + t) / m, (j + u) / m):
-        if loop.smooth:
-            l, lp = _polish_crossing(loop, l, lp, tol, angular_tol)
-        else:
-            l, lp = l % 1.0, lp % 1.0
+        l, lp = _polish_crossing(loop, l, lp)
         raw.append((l, lp, loop.base_point(l)))
     return _dedup(raw, merge_tol=max(2.0 / m, 1e-5))
 
 
-def _pl_crossings(loop: PLLoop, angular_tol: float) -> list[Crossing]:
+def _pl_crossings(loop: PLLoop) -> list[Crossing]:
     base = np.array([v.base for v in loop.path.vertices])
     n = len(base)
     # Negative eps keeps hits strictly interior: a vertex sitting on an edge
@@ -326,13 +314,13 @@ def _pl_crossings(loop: PLLoop, angular_tol: float) -> list[Crossing]:
     i, j, t, u = i[order], j[order], t[order], u[order]
     d = np.roll(base, -1, axis=0) - base
     h = np.hypot(d[:, 0], d[:, 1])
-    if np.any(np.abs(d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]) / (h[i] * h[j]) < angular_tol):
+    if np.any(np.abs(d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]) / (h[i] * h[j]) < _ANGULAR_TOL):
         raise SelfTangencyError("PL edges cross tangentially")
     raw = [(l, lp, loop.base_point(l)) for l, lp in zip((i + t) / n, (j + u) / n)]
     return _dedup(raw, merge_tol=1e-7)
 
 
-def crossing_sign(crossing: Crossing, loop, *, angular_tol: float = 1e-6) -> int:
+def crossing_sign(crossing: Crossing, loop, *, angular_tol: float = _ANGULAR_TOL) -> int:
     """+1 when the frame pair and the velocity pair agree in orientation."""
     loop = as_framed_loop(loop)
     dchi = loop.frame_angle(crossing.l_prime) - loop.frame_angle(crossing.l)
@@ -347,30 +335,24 @@ def crossing_sign(crossing: Crossing, loop, *, angular_tol: float = 1e-6) -> int
     return 1 if s1 * s2 > 0.0 else -1
 
 
-def crossing_type(crossing: Crossing, loop, *, which_arc: int = 1,
-                  residual_tol: float = 0.05) -> int:
+def crossing_type(crossing: Crossing, loop) -> int:
     """Fiber class of the smoothed loop at a crossing, as a whole number.
 
     Closing the lift arc from ``l`` to ``l'`` with the reversed shorter
     fiber arc gives a loop whose total line rotation is an even multiple of
-    pi; the type is that multiple's absolute value.  ``which_arc=2`` closes
-    the complementary arc instead; for loops whose frame closes up (zero
-    period shift, the domain of the signed-count table) both arcs land in
-    the same class.
+    pi; the type is that multiple's absolute value.  For loops whose frame
+    closes up (zero period shift, the domain of the signed-count table) the
+    complementary arc ``[l', l + 1]`` lands in the same class.  Raises
+    :class:`NonIntegralClassError` when the rotation is more than 0.05
+    half-turns from a whole number.
     """
     loop = as_framed_loop(loop)
     chi_l = loop.frame_angle(crossing.l)
     chi_lp = loop.frame_angle(crossing.l_prime)
-    fiber = math.remainder(chi_lp - chi_l, TWO_PI)
-    if which_arc == 1:
-        total = (chi_lp - chi_l) - fiber
-    elif which_arc == 2:
-        total = fiber + (chi_l + loop.period_shift - chi_lp)
-    else:
-        raise ValueError("which_arc must be 1 or 2")
+    total = (chi_lp - chi_l) - math.remainder(chi_lp - chi_l, TWO_PI)
     half_turns = total / math.pi
     k = round(half_turns)
-    if abs(half_turns - k) > residual_tol:
+    if abs(half_turns - k) > 0.05:
         raise NonIntegralClassError(
             f"smoothed rotation {half_turns:.4f} half-turns is not integral")
     return abs(int(k))
@@ -383,11 +365,11 @@ def first_return_crossing(crossings) -> Crossing:
     return min(crossings, key=lambda c: max(c.l, c.l_prime))
 
 
-def analyze_loop(loop, *, samples: int | None = None, tol: float = 1e-9) -> LoopAnalysis:
+def analyze_loop(loop, *, samples: int | None = None) -> LoopAnalysis:
     """Full pipeline: winding, crossings with signs/types, table, certificate."""
     loop = as_framed_loop(loop, samples)
     lw = loop.line_winding()
-    crossings = find_crossings(loop, tol, samples=samples)
+    crossings = find_crossings(loop, samples=samples)
     for c in crossings:
         c.sign = crossing_sign(c, loop)
         c.ctype = crossing_type(c, loop)
@@ -404,20 +386,20 @@ def analyze_loop(loop, *, samples: int | None = None, tol: float = 1e-9) -> Loop
     return LoopAnalysis(lw, contractible, crossings, table, cert)
 
 
-def w_invariant(curve, *, samples: int | None = None) -> InvariantTable:
+def w_invariant(curve) -> InvariantTable:
     """Signed crossing counts per nonzero type of the projectivized tangent lift.
 
     Defined for curves whose lift is contractible (line winding zero); a
     non-contractible lift yields an empty table (the nontriviality
     certificate then short-circuits through the winding instead).
     """
-    analysis = analyze_loop(curve, samples=samples)
+    analysis = analyze_loop(curve)
     return analysis.table if analysis.table is not None else InvariantTable({})
 
 
-def certify_nontrivial(curve, *, samples: int | None = None) -> Certificate:
+def certify_nontrivial(curve) -> Certificate:
     """Nontriviality certificate for the projectivized tangent lift."""
-    return analyze_loop(curve, samples=samples).certificate
+    return analyze_loop(curve).certificate
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +420,7 @@ class PLMembership:
     detail: str
 
 
-def pl_validate(vertices, n: int, eps: float, *,
-                inj: float = FLAT_INJECTIVITY_RADIUS) -> PLMembership:
+def pl_validate(vertices, n: int, eps: float) -> PLMembership:
     """Membership test for the class of contractible PL knots with n vertices,
     adjacent gaps below eps, and minimal-linear edges.
 
@@ -449,17 +430,17 @@ def pl_validate(vertices, n: int, eps: float, *,
     """
     if n < 4:
         raise ValueError("need n >= 4 vertices")
-    if not (0.0 < eps < min(inj, 0.5 * math.pi)):
+    if not (0.0 < eps < min(FLAT_INJECTIVITY_RADIUS, 0.5 * math.pi)):
         raise ValueError("eps must lie in (0, min(inj, pi/2))")
     vertices = list(vertices)
     if len(vertices) != n:
         raise ValueError(f"expected {n} vertices, got {len(vertices)}")
     for k in range(n):
-        dc = dist_components(vertices[k], vertices[(k + 1) % n], inj=inj)
+        dc = dist_components(vertices[k], vertices[(k + 1) % n])
         if dc.d0 >= eps:
             return PLMembership(False, 2,
                                 f"gap d0={dc.d0:.4f} at vertex {k} reaches eps={eps}")
-    path = PLVertexPath(vertices, inj=inj)
+    path = PLVertexPath(vertices)
     if not path.contractible:
         return PLMembership(False, 1,
                             f"total rotation {path.total_rotation:.4f} rad is nonzero")
@@ -476,8 +457,7 @@ def _point_segment_distance(p, a, b) -> float:
     return float(np.hypot(*(p - (a + t * d))))
 
 
-def singularity_classify(pl_knot: PLVertexPath, vertex: int, edge: int, *,
-                         tol: float = 1e-9, angular_tol: float = 1e-6) -> SingularityReport:
+def singularity_classify(pl_knot: PLVertexPath, vertex: int, edge: int) -> SingularityReport:
     """Classify a vertex-on-edge incidence of a PL knot's base projection.
 
     ``cusp`` when an edge incident to the vertex is tangent to the met
@@ -491,7 +471,7 @@ def singularity_classify(pl_knot: PLVertexPath, vertex: int, edge: int, *,
     p = pl_knot.vertices[i].base
     a = pl_knot.vertices[j].base
     b = pl_knot.vertices[(j + 1) % n].base
-    if _point_segment_distance(p, a, b) > max(tol, 1e-12):
+    if _point_segment_distance(p, a, b) > _CROSSING_TOL:
         raise ValueError("vertex does not lie on the edge")
     d = b - a
     d = d / np.hypot(*d)
@@ -502,7 +482,7 @@ def singularity_classify(pl_knot: PLVertexPath, vertex: int, edge: int, *,
         norm = np.hypot(*e)
         if norm < 1e-15:
             continue
-        if abs(d[0] * e[1] - d[1] * e[0]) / norm < angular_tol:
+        if abs(d[0] * e[1] - d[1] * e[0]) / norm < _ANGULAR_TOL:
             return SingularityReport("cusp", i, j)
     s_prev = d[0] * (prev - a)[1] - d[1] * (prev - a)[0]
     s_next = d[0] * (nxt - a)[1] - d[1] * (nxt - a)[0]
@@ -545,13 +525,12 @@ def pl_snapshot(G, n: int, s: float) -> PLVertexPath:
     return PLVertexPath([G(s, k / n) for k in range(n)])
 
 
-def choose_refinement_n(G, eps: float, *, s_samples: int = 5, start_n: int = 8,
-                        max_n: int = 4096) -> int:
-    """Double n until adjacent gaps are below eps/4 and below half the
-    observed embedding separation of the sampled family."""
-    ss = np.linspace(0.0, 1.0, s_samples)
+def choose_refinement_n(G, eps: float, *, max_n: int = 4096) -> int:
+    """Double n from 8 until adjacent gaps are below eps/4 and below half the
+    observed embedding separation of the family at five isotopy times."""
+    ss = np.linspace(0.0, 1.0, 5)
     dense: dict[int, list] = {}  # the separation samples of ss[q], built on first use
-    n = start_n
+    n = 8
     while n <= max_n:
         ok = True
         for q, s in enumerate(ss):
@@ -594,25 +573,25 @@ def embedding_separation(samples, window: float) -> float:
 # random curve corpus
 
 
-def random_corpus(count: int = 20, *, seed: int = 42, degree: int = 4,
-                  samples: int = 512, max_crossings: int = 14,
-                  min_crossings: int = 0) -> list[TrigCurve]:
+def random_corpus(count: int = 20, *, seed: int = 42) -> list[TrigCurve]:
     """Reproducible immersed closed curves without self-tangencies.
 
-    Trigonometric polynomials with decaying random coefficients, rescaled
-    into the disk, rejecting near-tangencies, crossing pairs closer than
-    5e-3 in parameter, and sluggish speed (all of which would make crossing
-    data ill-conditioned).
+    Degree-4 trigonometric polynomials with random coefficients decaying
+    like ``m^-1.5``, rescaled into the disk.  A candidate is rejected when
+    its speed dips below 0.15 of the mean, when crossing search on 512
+    samples fails or finds a near-tangency (``|sin| < 0.05``), when it has
+    more than 14 crossings, or when two crossing parameters lie closer
+    than 5e-3: all of these would make crossing data ill-conditioned.
     """
     rng = np.random.default_rng(seed)
-    weights = 1.0 / np.arange(1, degree + 1) ** 1.5
+    weights = 1.0 / np.arange(1, 5) ** 1.5
     out: list[TrigCurve] = []
     attempts = 0
     while len(out) < count:
         attempts += 1
         if attempts > 200 * count:
             raise RuntimeError("corpus rejection rate unexpectedly high")
-        coeffs = rng.normal(size=(4, degree)) * weights
+        coeffs = rng.normal(size=(4, 4)) * weights
         curve = TrigCurve(coeffs, name=f"corpus-{len(out)}")
         pts = curve.point(np.linspace(0.0, 1.0, 512, endpoint=False))
         rmax = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
@@ -624,7 +603,7 @@ def random_corpus(count: int = 20, *, seed: int = 42, degree: int = 4,
         if np.min(speed) < 0.15 * np.mean(speed):
             continue
         try:
-            loop = TangentLoop(curve, samples)
+            loop = TangentLoop(curve)
             crossings = find_crossings(loop)
             for c in crossings:
                 c.sign = crossing_sign(c, loop, angular_tol=0.05)
@@ -632,7 +611,7 @@ def random_corpus(count: int = 20, *, seed: int = 42, degree: int = 4,
         except (SelfTangencyError, DegenerateCrossingError, NonIntegralClassError,
                 ValueError):
             continue
-        if not (min_crossings <= len(crossings) <= max_crossings):
+        if len(crossings) > 14:
             continue
         params = sorted([c.l for c in crossings] + [c.l_prime for c in crossings])
         if any(_circ_dist(a, b) < 5e-3

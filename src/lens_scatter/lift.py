@@ -67,13 +67,12 @@ def line_angle_distance(a: float, b: float) -> float:
     return min(d, math.pi - d)
 
 
-def dist_components(p: ProjPoint, q: ProjPoint, *,
-                    inj: float = FLAT_INJECTIVITY_RADIUS) -> DistComponents:
+def dist_components(p: ProjPoint, q: ProjPoint) -> DistComponents:
     """Horizontal, vertical, and max distance between bundle points."""
     d_h = math.hypot(q.x - p.x, q.y - p.y)
-    if d_h >= inj:
-        raise TransportUndefinedError(
-            f"base distance {d_h:.3f} reaches the injectivity radius {inj}")
+    if d_h >= FLAT_INJECTIVITY_RADIUS:
+        raise TransportUndefinedError(f"base distance {d_h:.3f} reaches the "
+                                      f"injectivity radius {FLAT_INJECTIVITY_RADIUS}")
     d_v = line_angle_distance(p.line_angle, q.line_angle)
     return DistComponents(d_h, d_v, max(d_h, d_v))
 
@@ -91,16 +90,13 @@ class MinimalLinearCurve:
     line, possibly with a different lift representative).
     """
 
-    def __init__(self, p: ProjPoint, q: ProjPoint, *,
-                 inj: float = FLAT_INJECTIVITY_RADIUS):
-        dc = dist_components(p, q, inj=inj)
-        if abs(dc.d_v - 0.5 * math.pi) < 1e-12:
+    def __init__(self, p: ProjPoint, q: ProjPoint):
+        if abs(dist_components(p, q).d_v - 0.5 * math.pi) < 1e-12:
             raise AmbiguousFiberArcError(
                 "perpendicular lines: both rotation arcs have length pi/2")
         self.p = p
         self.q = q
         self.delta = fiber_step(p, q)
-        self.components = dc
 
     def point_at(self, t: float) -> ProjPoint:
         return ProjPoint(self.p.x + t * (self.q.x - self.p.x),
@@ -121,11 +117,6 @@ class MinimalLinearCurve:
     @property
     def end(self) -> ProjPoint:
         return self.point_at(1.0)
-
-
-def minimal_linear_curve(p: ProjPoint, q: ProjPoint, *,
-                         inj: float = FLAT_INJECTIVITY_RADIUS) -> MinimalLinearCurve:
-    return MinimalLinearCurve(p, q, inj=inj)
 
 
 class LiftedCurve:
@@ -164,28 +155,19 @@ class LiftedCurve:
         # The nearest sample pins the 2 pi branch of the analytic angle.
         return self.theta[i] + math.remainder(raw - self.theta[i], TWO_PI)
 
-    def point_at(self, l: float) -> np.ndarray:
-        lw = l % 1.0
-        if self.source is None:
-            xp = np.concatenate([self.t, [1.0]])
-            wrap = np.vstack([self.points, self.points[:1]])
-            return np.array([np.interp(lw, xp, wrap[:, 0]),
-                             np.interp(lw, xp, wrap[:, 1])])
-        return self.source.point(lw)
-
 
 def unit_tangent_lift(curve, samples: int = 512) -> LiftedCurve:
-    """Lift a curve to the unit tangent bundle along its normalized velocity.
+    """Lift a :class:`~lens_scatter.curves.ParametricCurve` to the unit
+    tangent bundle along its normalized velocity, from ``samples`` uniform
+    parameters.
 
-    ``curve`` is a :class:`~lens_scatter.curves.ParametricCurve` or an
-    ``(m, 2)`` array of closed-curve samples.  Fails if the speed vanishes
-    (not an immersion) or if the sampling is too sparse for a continuous
-    angle lift (consecutive directions must differ by well under pi/2).
+    Fails if the speed vanishes (not an immersion), if ``samples`` is below
+    4 (too few to tell a turning lift from a flat one), or if the sampling
+    is too sparse for a continuous angle lift (consecutive directions must
+    differ by well under pi/2).
     """
-    if isinstance(curve, np.ndarray) or (not hasattr(curve, "velocity")):
-        from .curves import from_samples
-
-        curve = from_samples(np.asarray(curve, dtype=float))
+    if samples < 4:
+        raise ValueError(f"a direction lift needs at least 4 samples, got {samples}")
     ts = np.linspace(0.0, 1.0, samples, endpoint=False)
     pts = curve.point(ts)
     vel = curve.velocity(ts)
@@ -228,9 +210,6 @@ class ProjCurve:
             raise RuntimeError(f"line rotation {w:.6f} half-turns is not integral")
         return int(round(w))
 
-    def line_lift_at(self, l: float) -> float:
-        return self.lifted.theta_at(l)
-
     def proj_points(self) -> list[ProjPoint]:
         return [ProjPoint(p[0], p[1], c)
                 for p, c in zip(self.points, self.line_lift)]
@@ -270,11 +249,11 @@ class PLVertexPath:
     """Closed piecewise-linear knot: bundle vertices joined by minimal
     linear edges (adjacent vertices must admit them)."""
 
-    def __init__(self, vertices, *, inj: float = FLAT_INJECTIVITY_RADIUS):
+    def __init__(self, vertices):
         self.vertices = list(vertices)
         if len(self.vertices) < 3:
             raise ValueError("need at least 3 vertices")
-        self.edges = [MinimalLinearCurve(a, b, inj=inj)
+        self.edges = [MinimalLinearCurve(a, b)
                       for a, b in zip(self.vertices,
                                       self.vertices[1:] + self.vertices[:1])]
         self.deltas = [e.delta for e in self.edges]
@@ -304,9 +283,6 @@ class PLVertexPath:
         base = self.edges[k].point_at(frac)
         # Re-anchor the lift so it is continuous around the whole loop.
         return ProjPoint(base.x, base.y, self.lift_at_vertex(k) + frac * self.deltas[k])
-
-    def sample(self, m: int) -> list[ProjPoint]:
-        return [self.point_at(i / m) for i in range(m)]
 
 
 def _flat_embedding(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> np.ndarray:

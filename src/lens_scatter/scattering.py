@@ -56,6 +56,10 @@ class BoundaryIsometry:
     shift: float = 0.0
     reflect: bool = False
 
+    def __post_init__(self):
+        if not math.isfinite(self.shift):
+            raise ValueError(f"boundary shift must be finite, got {self.shift}")
+
     def apply_arc(self, arc: float) -> float:
         return (self.shift - arc if self.reflect else self.shift + arc) % 1.0
 

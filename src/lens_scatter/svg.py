@@ -16,9 +16,9 @@ def _fmt(v: float) -> str:
     return f"{v:.6f}".rstrip("0").rstrip(".")
 
 
-def _polyline(points, color: str, width: float = 0.006) -> str:
+def _polyline(points, color: str) -> str:
     coords = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in points)
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
+    return (f'<polyline fill="none" stroke="{color}" stroke-width="0.006" '
             f'points="{coords}"/>')
 
 
@@ -40,14 +40,15 @@ def render_rays(paths, out_path, *, radius: float = 1.0) -> None:
         fh.write(_document(elements, 1.12 * radius))
 
 
-def render_annulus(proj_curve, out_path, *, inner: float = 0.55, outer: float = 1.0) -> None:
+def render_annulus(proj_curve, out_path) -> None:
     """Project a bundle curve into an annulus for illustration.
 
     The fiber coordinate runs around the annulus (a line angle of pi maps
     to a full turn) while the base radius interpolates between the inner
-    and outer rims; fiber winding is therefore read off as winding of the
-    drawn curve around the hole.
+    rim (radius 0.55) and the outer rim (radius 1); fiber winding is
+    therefore read off as winding of the drawn curve around the hole.
     """
+    inner, outer = 0.55, 1.0
     elements = [f'<circle cx="0" cy="0" r="{_fmt(r)}" fill="none" '
                 f'stroke="#444444" stroke-width="0.008"/>' for r in (inner, outer)]
     pts = np.asarray(proj_curve.points, dtype=float)

@@ -1,0 +1,62 @@
+"""The package as the benchmark sees it.
+
+``perfbench/jobs.py`` calls these functions and ``perfbench/tracer.py``
+wraps them by name; both resolve them on ``lens_scatter`` at run time, so a
+renamed or deleted name, or a dropped keyword, would only show up as a
+failed benchmark pass.  Keep this list in step with those two files.
+"""
+
+import inspect
+
+import lens_scatter as ls
+import lens_scatter.cli  # noqa: F401  (jobs.py reaches every module through it)
+
+# (dotted name on lens_scatter, positional args, keyword names) of each call
+# the two files make; None marks a name that is only looked up.
+RESOLVED = [
+    ("cli.main", 1, ()),
+    ("eaton.eaton_metric", 0, ()),
+    ("eaton.invisibility_check", None, ()),
+    ("eaton.loop_winding", None, ()),
+    ("scattering.boundary_grid", 2, ("angle_margin",)),
+    ("scattering.scatter", None, ()),
+    ("scattering.compare_scattering", 2, ("grid",)),
+    ("scattering.length_excess", 2, ("grid",)),
+    ("geometry.ConformalMetric.vacuum", 0, ()),
+    ("geometry.ConformalMetric.general", 2, ("name",)),
+    ("geometry.integrate_geodesic", 2, ()),
+    ("geometry.riemannian_length", 2, ()),
+    ("svg.render_rays", 2, ()),
+    ("svg.render_annulus", None, ()),
+    ("curves.TrigCurve", 1, ()),
+    ("curves.named_curve", 1, ()),
+    ("curves.ParametricCurve.point", 2, ()),
+    ("knot.random_corpus", 1, ("seed",)),
+    ("knot.analyze_loop", 1, ()),
+    ("knot.find_crossings", 1, ()),
+    ("knot.pl_snapshot", 3, ()),
+    ("knot.pl_validate", 3, ()),
+    ("knot.choose_refinement_n", None, ()),
+    ("knot.embedding_separation", None, ()),
+    ("knot.PLLoop", None, ()),
+    ("knot.PLVertexPath", None, ()),
+    ("lift.projectivize", 1, ()),
+    ("lift.unit_tangent_lift", 2, ()),
+    ("lift.dist_components", None, ()),
+    ("lift.ProjCurve.proj_points", 1, ()),
+]
+
+
+def test_benchmark_names_resolve():
+    broken = []
+    for dotted, positional, keywords in RESOLVED:
+        obj = ls
+        try:
+            for part in dotted.split("."):
+                obj = getattr(obj, part)
+            if positional is not None:
+                inspect.signature(obj).bind(*range(positional),
+                                            **{k: None for k in keywords})
+        except (AttributeError, TypeError) as exc:
+            broken.append(f"{dotted}: {exc}")
+    assert broken == []

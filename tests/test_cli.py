@@ -171,6 +171,24 @@ class TestEatonCommand:
         assert main(["eaton", "--grid", "2x1"]) == 2
         assert "exclusion zone" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rays,drawn", [(1, 0), (2, 2), (3, 2)])
+    def test_svg_fan_skips_the_central_chord(self, tmp_path, capsys, rays, drawn):
+        # An odd fan's middle ray runs through the pole: it is named and
+        # skipped, and a fan with nothing left to draw is bad input.
+        out, svg = tmp_path / "rep.json", tmp_path / "fan.svg"
+        code = main(["eaton", "--grid", "4x2", "--svg-rays", str(rays),
+                     "--emit-svg", str(svg), "--out", str(out)])
+        err = capsys.readouterr().err
+        if drawn == 0:
+            assert code == 2
+            assert err == "lens-scatter: every fan ray passes through the exclusion zone\n"
+            assert list(tmp_path.iterdir()) == []
+            return
+        assert code == 0
+        assert svg.read_text().count("<polyline") == drawn
+        assert err == ("" if rays == 2 else "eaton: skipped 1 entry of 3 whose chord "
+                       "passes through the exclusion zone: #2\n")
+
 
 class TestApproxPL:
     def test_report_csv(self, tmp_path, capsys):
@@ -237,9 +255,35 @@ class TestRender:
      "--svg-rays must be at least 1, got 0"),
     (["eaton", "--grid", "2x2", "--svg-rays", "-3", "--emit-svg", "{tmp}/fan.svg"],
      "--svg-rays must be at least 1, got -3"),
+    (["compare", "--m1", "vacuum", "--m2", "eaton", "--grid", "4x2", "--h-shift", "nan",
+      "--expect-equal", "--out", "{tmp}/cmp.json"], "boundary shift must be finite, got nan"),
+    (["scatter", "--metric", "vacuum", "--arc", "inf", "--angle", "1",
+      "--out", "{tmp}/s.json"], "boundary arc must be finite, got inf"),
+    (["trace", "--metric", "vacuum", "--arc", "nan", "--angle", "1", "--out", "{tmp}/t.json"],
+     "boundary arc must be finite, got nan"),
+    (["approx-pl", "--curve", "circle", "--eps", "nan", "--report", "{tmp}/sep.csv"],
+     "--eps must be finite and positive, got nan"),
+    (["approx-pl", "--curve", "circle", "--eps", "0", "--report", "{tmp}/sep.csv"],
+     "--eps must be finite and positive, got 0.0"),
+    (["invariant", "--curve", "circle", "--samples", "1", "--out", "{tmp}/i.json"],
+     "a direction lift needs at least 4 samples, got 1"),
+    (["invariant", "--curve", "lemniscate", "--samples", "2", "--out", "{tmp}/i.json"],
+     "a direction lift needs at least 4 samples, got 2"),
+    (["invariant", "--curve", "circle", "--samples", "0", "--out", "{tmp}/i.json"],
+     "a direction lift needs at least 4 samples, got 0"),
+    (["compare", "--m1", "vacuum", "--m2", "eaton", "--grid", "0", "--out", "{tmp}/c.json"],
+     "--grid count must be at least 2, got 0"),
+    (["compare", "--m1", "vacuum", "--m2", "eaton", "--grid", "-5", "--out", "{tmp}/c.json"],
+     "--grid count must be at least 2, got -5"),
+    (["render", "--out", "{tmp}/r.svg"], "render needs exactly one of --metric and --curve"),
+    (["render", "--metric", "vacuum", "--curve", "circle", "--out", "{tmp}/r.svg"],
+     "render needs exactly one of --metric and --curve"),
 ], ids=["compare-tol-nan", "compare-tol-inf", "compare-tol-zero", "eaton-tol-nan",
         "eaton-tol-negative", "stride-negative", "stride-zero", "stages-zero",
-        "svg-rays-zero", "svg-rays-negative"])
+        "svg-rays-zero", "svg-rays-negative", "h-shift-nan", "scatter-arc-inf",
+        "trace-arc-nan", "eps-nan", "eps-zero", "samples-one", "samples-two",
+        "samples-zero", "grid-zero", "grid-negative", "render-no-source",
+        "render-two-sources"])
 def test_bad_numeric_option_is_input_error(tmp_path, capsys, args, message):
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     code = main(args)

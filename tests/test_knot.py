@@ -18,7 +18,7 @@ from lens_scatter.knot import (CallableFramedLoop, Certificate, Crossing,
                                pl_snapshot, pl_validate,
                                refine_stage_samples, singularity_classify,
                                w_invariant)
-from lens_scatter.lift import (PLVertexPath, ProjPoint, minimal_linear_curve,
+from lens_scatter.lift import (MinimalLinearCurve, PLVertexPath, ProjPoint,
                                projectivize, unit_tangent_lift)
 
 from conftest import brute_force_crossing_count, pl_crossing_oracle
@@ -218,7 +218,12 @@ class TestCrossingType:
             if loop.line_winding() != 0:
                 continue
             for c in find_crossings(loop):
-                assert crossing_type(c, loop) == crossing_type(c, loop, which_arc=2)
+                # The complementary smoothing closes the arc [l', l + 1].
+                chi, chi_p = loop.frame_angle(c.l), loop.frame_angle(c.l_prime)
+                half_turns = (math.remainder(chi_p - chi, 2 * math.pi) + chi
+                              + loop.period_shift - chi_p) / math.pi
+                assert abs(half_turns - round(half_turns)) <= 0.05
+                assert crossing_type(c, loop) == abs(round(half_turns))
                 checked += 1
         assert checked >= 1
 
@@ -294,6 +299,29 @@ class TestCorpusProperties:
             moved = analyze_loop(moved)
             assert moved.line_winding == base.line_winding
             assert moved.table == base.table
+
+    @given(index=st.integers(0, 19), a=st.floats(-0.5, 0.5), k=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_invariants_unchanged_by_reparametrization(self, corpus, index, a, k):
+        # t -> t + a sin(2 pi k t) / (2 pi k) fixes 0 and 1 and has speed
+        # factor 1 + a cos(2 pi k t) >= 1/2, so it is an orientation-preserving
+        # diffeomorphism of the circle with non-uniform speed.
+        curve = corpus[index]
+        w = 2 * math.pi * k
+
+        def sigma(t):
+            t = np.asarray(t, dtype=float)
+            return t + a * np.sin(w * t) / w
+
+        def velocity(t):
+            rate = 1.0 + a * np.cos(w * np.asarray(t, dtype=float))
+            return tuple(rate * c for c in curve._velocity(sigma(t)))
+
+        moved = analyze_loop(ParametricCurve(lambda t: curve._point(sigma(t)), velocity))
+        base = analyze_loop(curve)
+        assert moved.line_winding == base.line_winding
+        assert moved.table == base.table
+        assert moved.certificate == base.certificate
 
     def test_invariance_smoke(self, corpus):
         rng = np.random.default_rng(99)
@@ -525,7 +553,7 @@ class TestRefinement:
         h = pl_refine_local(self.embedded_isotopy, n, 0.5, 0.2, 0, 0.25)
         p = self.embedded_isotopy(0.2, 0.0)
         q = self.embedded_isotopy(0.2, 0.5 / n)
-        mid = minimal_linear_curve(p, q).point_at(0.5)
+        mid = MinimalLinearCurve(p, q).point_at(0.5)
         assert (h.x, h.y, h.lift) == pytest.approx((mid.x, mid.y, mid.lift))
 
     def test_separation_positive_across_stages(self):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lens_scatter.curves import ImmersionError, ParametricCurve, circle, lemniscate, segment
-from lens_scatter.lift import (AmbiguousFiberArcError, LiftedCurve, PLVertexPath,
-                               ProjPoint, TransportUndefinedError,
-                               dist_components, minimal_linear_curve,
+from lens_scatter.lift import (AmbiguousFiberArcError, LiftedCurve,
+                               MinimalLinearCurve, PLVertexPath, ProjPoint,
+                               TransportUndefinedError, dist_components,
                                projectivize, triangle_angle_sum,
                                unit_tangent_lift, vertical_length)
 
@@ -38,6 +38,13 @@ class TestUnitTangentLift:
     def test_sparse_sampling_rejected(self):
         with pytest.raises(ValueError):
             unit_tangent_lift(circle(), samples=3)
+
+    @pytest.mark.parametrize("samples", [-1, 0, 1, 2, 3])
+    def test_fewer_than_four_samples_rejected(self, samples):
+        # Below four samples the quarter-turn step check cannot tell a
+        # turning lift from a flat one: a circle sampled once looks straight.
+        with pytest.raises(ValueError, match="at least 4 samples"):
+            unit_tangent_lift(circle(), samples)
 
     def test_theta_at_matches_samples(self):
         lifted = unit_tangent_lift(circle())
@@ -108,20 +115,20 @@ class TestDistComponents:
 
 class TestMinimalLinearCurve:
     def test_straight_segment_constant_angle(self):
-        ml = minimal_linear_curve(ProjPoint(0, 0, 0.0), ProjPoint(1, 0, 0.0))
+        ml = MinimalLinearCurve(ProjPoint(0, 0, 0.0), ProjPoint(1, 0, 0.0))
         mid = ml.point_at(0.5)
         assert (mid.x, mid.y) == (0.5, 0.0)
         assert mid.lift == 0.0
         assert ml.vertical_length == 0.0
 
     def test_pure_fiber_rotation(self):
-        ml = minimal_linear_curve(ProjPoint(0, 0, 0.0), ProjPoint(0, 0, math.pi / 3))
+        ml = MinimalLinearCurve(ProjPoint(0, 0, 0.0), ProjPoint(0, 0, math.pi / 3))
         assert ml.vertical_length == pytest.approx(math.pi / 3)
         assert ml.point_at(1.0).line_angle == pytest.approx(math.pi / 3)
 
     def test_wraparound_takes_shorter_arc(self):
-        ml = minimal_linear_curve(ProjPoint(0, 0, 0.9 * math.pi),
-                                  ProjPoint(1, 0, 0.1 * math.pi))
+        ml = MinimalLinearCurve(ProjPoint(0, 0, 0.9 * math.pi),
+                                ProjPoint(1, 0, 0.1 * math.pi))
         assert ml.vertical_length == pytest.approx(0.2 * math.pi, abs=1e-12)
         assert ml.delta == pytest.approx(0.2 * math.pi, abs=1e-12)
         assert ml.point_at(1.0).line_angle == pytest.approx(0.1 * math.pi, abs=1e-12)
@@ -129,7 +136,7 @@ class TestMinimalLinearCurve:
     def test_endpoints_reproduced_exactly(self):
         p = ProjPoint(0.3, -0.4, 1.234)
         q = ProjPoint(-0.2, 0.5, 2.345)
-        ml = minimal_linear_curve(p, q)
+        ml = MinimalLinearCurve(p, q)
         assert (ml.start.x, ml.start.y, ml.start.lift) == (p.x, p.y, p.lift)
         assert (ml.end.x, ml.end.y) == (q.x, q.y)
         assert ml.end.line_angle == pytest.approx(q.line_angle, abs=1e-12)
@@ -142,12 +149,12 @@ class TestMinimalLinearCurve:
             dc = dist_components(p, q)
             if abs(dc.d_v - math.pi / 2) < 1e-9:
                 continue
-            assert minimal_linear_curve(p, q).vertical_length == pytest.approx(
+            assert MinimalLinearCurve(p, q).vertical_length == pytest.approx(
                 dc.d_v, abs=1e-12)
 
     def test_perpendicular_lines_rejected(self):
         with pytest.raises(AmbiguousFiberArcError):
-            minimal_linear_curve(ProjPoint(0, 0, 0.0), ProjPoint(1, 0, math.pi / 2))
+            MinimalLinearCurve(ProjPoint(0, 0, 0.0), ProjPoint(1, 0, math.pi / 2))
 
 
 class TestVerticalLength:
@@ -159,8 +166,8 @@ class TestVerticalLength:
         a = ProjPoint(0, 0, 0.0)
         b = ProjPoint(0.5, 0, 0.3)
         c = ProjPoint(0.5, 0.5, 1.1)
-        ml1 = minimal_linear_curve(a, b)
-        ml2 = minimal_linear_curve(b, c)
+        ml1 = MinimalLinearCurve(a, b)
+        ml2 = MinimalLinearCurve(b, c)
         chain = ml1.points_at(np.linspace(0, 1, 9)) + ml2.points_at(np.linspace(0, 1, 9))
         assert vertical_length(chain) == pytest.approx(
             ml1.vertical_length + ml2.vertical_length, abs=1e-12)

@@ -55,6 +55,12 @@ class TestClassify:
         with pytest.raises(ValueError):
             BoundaryVector(0.0, -0.1)
 
+    @pytest.mark.parametrize("arc", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arc_rejected(self, arc):
+        # arc % 1.0 keeps a NaN, and max() drops it from the deviation maxima.
+        with pytest.raises(ValueError, match="boundary arc must be finite"):
+            BoundaryVector(arc, 1.0)
+
 
 class TestScatter:
     def test_vacuum_diameter(self, vacuum):
@@ -103,6 +109,12 @@ class TestPhiMap:
         out = phi_map(BoundaryIsometry(reflect=True), BoundaryVector(0.0, math.pi / 4))
         assert out.arc == pytest.approx(0.0)
         assert out.angle == pytest.approx(3.0 * math.pi / 4)
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf])
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_non_finite_shift_rejected(self, shift, reflect):
+        with pytest.raises(ValueError, match="boundary shift must be finite"):
+            BoundaryIsometry(shift, reflect)
 
     # Angles within one ulp of the tangential boundary can collapse onto it
     # under pi - angle; class preservation is only meaningful outside that.
