@@ -3,10 +3,9 @@ projectivized tangent lifts of plane curves."""
 
 __version__ = "0.1.0"
 
-from .geometry import (ConformalMetric, GeodesicPath, GeodesicState,
-                       IntegrationOptions, SingularChordError, SingularityError,
-                       clairaut, geodesic_rhs, integrate_geodesic, load_metric,
-                       metric_from_spec, riemannian_length)
+from .geometry import (ConformalMetric, GeodesicPath, IntegrationOptions,
+                       SingularChordError, SingularityError, integrate_geodesic,
+                       load_metric, metric_from_spec, riemannian_length)
 from .scattering import (BoundaryIsometry, BoundaryVector, CompareReport,
                          ExcessReport, ScatteringRecord, boundary_grid,
                          classify, compare_scattering, length_excess, phi_map,

@@ -21,8 +21,8 @@ from .curves import named_curve
 from .eaton import eaton_metric, invisibility_check, loop_winding
 from .geometry import (IntegrationOptions, SingularChordError, chord_impact,
                        integrate_geodesic, load_metric)
-from .knot import (analyze_loop, choose_refinement_n, embedding_separation,
-                   refine_stage_samples)
+from .knot import (TangentLoop, analyze_loop, choose_refinement_n,
+                   embedding_separation, refine_stage_samples)
 from .lift import projectivize, unit_tangent_lift
 from .scattering import (BoundaryIsometry, BoundaryVector, boundary_grid,
                          compare_scattering, scatter)
@@ -40,14 +40,20 @@ def _write_json(obj, path) -> None:
 
 
 def _parse_grid(text: str) -> list[BoundaryVector]:
-    if "x" in text:
-        n_arcs, n_angles = (int(v) for v in text.lower().split("x"))
-    else:
-        total = int(text)
+    try:
+        counts = [int(v) for v in text.split("x")]
+    except ValueError:
+        counts = []
+    if len(counts) == 2:
+        n_arcs, n_angles = counts
+    elif len(counts) == 1:
+        total = counts[0]
         if total < 2:
             raise ValueError(f"--grid count must be at least 2, got {total}")
         n_arcs = max(2, int(round(math.sqrt(total))))
         n_angles = max(1, total // n_arcs)
+    else:
+        raise ValueError(f"--grid must be a count N or AxB, got {text!r}")
     return boundary_grid(n_arcs, n_angles)
 
 
@@ -183,16 +189,14 @@ def _cmd_eaton(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
-    curve = named_curve(args.curve)
-    analysis = analyze_loop(curve, samples=args.samples)
-    lifted = unit_tangent_lift(curve, args.samples)
-    table = analysis.table.entries if analysis.table is not None else {}
+    loop = TangentLoop(named_curve(args.curve), args.samples)
+    analysis = analyze_loop(loop)
     cert = analysis.certificate
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "invariant",
         "curve": args.curve,
-        "windings": {"turning": lifted.turning_number,
+        "windings": {"turning": loop.lifted.turning_number,
                      "line": analysis.line_winding},
         "crossings": [
             {"l": round(c.l, 9), "l_prime": round(c.l_prime, 9),
@@ -206,7 +210,7 @@ def _cmd_invariant(args) -> int:
     }
     _write_json(report, args.out)
     if args.emit_svg:
-        render_annulus(projectivize(lifted), args.emit_svg)
+        render_annulus(projectivize(loop.lifted), args.emit_svg)
     return 0
 
 

@@ -127,30 +127,6 @@ class IntegrationOptions:
         return self.max_length if self.max_length is not None else 200.0 * radius
 
 
-@dataclass
-class GeodesicState:
-    """Point, Euclidean direction angle, and metric length traversed."""
-
-    x: float
-    y: float
-    theta: float
-    tau: float = 0.0
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    """Rates of change per unit Euclidean arclength."""
-
-    dx: float
-    dy: float
-    dtheta: float
-    dtau: float
-
-
 class _TabulatedRadial:
     """Monotone-cubic (PCHIP) radial profile with a fast scalar evaluation path.
 
@@ -309,11 +285,6 @@ class ConformalMetric:
         ``breakpoints``); ``None`` for general metrics."""
         return self._profile
 
-    def n_at(self, x: float, y: float) -> float:
-        if self.is_radial:
-            return self._profile.eval(math.hypot(x, y))[0]
-        return float(self._field[0](x, y))
-
     def n_many(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if self.is_radial:
@@ -321,13 +292,9 @@ class ConformalMetric:
             return self._profile.eval_many(r)[0]
         return np.array([self._field[0](p[0], p[1]) for p in pts.reshape(-1, 2)]).reshape(pts.shape[:-1])
 
-    def radial_eval(self, r: float) -> tuple[float, float]:
-        """``(n, dn/dr)`` for radial metrics."""
-        if not self.is_radial:
-            raise ValueError("metric is not radial")
-        return self._profile.eval(r)
-
     def _make_rhs(self):
+        """The integrator's right-hand side ``f(s, (x, y, theta, tau))``,
+        per unit Euclidean arclength (see the module docstring)."""
         if self.is_radial:
             ev = self._profile.eval
 
@@ -359,67 +326,43 @@ class ConformalMetric:
         return rhs
 
 
-def geodesic_rhs(metric: ConformalMetric, state: GeodesicState) -> StateDerivative:
-    """Geodesic equation right-hand side, per unit Euclidean arclength.
-
-    See the module docstring for the parametrization convention.  Raises
-    :class:`SingularityError` at the pole of a singular metric.
-    """
-    r = math.hypot(state.x, state.y)
-    if r > metric.radius * (1.0 + 1e-9):
-        raise ValueError("state outside the domain")
-    if metric.singular_at_origin and r < 1e-12:
-        raise SingularityError("cannot evaluate the geodesic field at the pole")
-    dx, dy, dth, dtau = metric._make_rhs()(0.0, (state.x, state.y, state.theta, state.tau))
-    return StateDerivative(dx, dy, dth, dtau)
-
-
-def clairaut(metric: ConformalMetric, state: GeodesicState) -> float:
-    """Conserved quantity ``n(r) * r * sin(psi)`` of radial metrics.
-
-    ``psi`` is the angle from the outward radial ray to the direction of
-    motion; the sign follows the plane orientation.  Used as an integration
-    watchdog: it must be constant along any geodesic of a radial metric.
-    """
-    if not metric.is_radial:
-        raise ValueError("Clairaut invariant requires a radial metric")
-    r = math.hypot(state.x, state.y)
-    n, _ = metric.radial_eval(r)
-    return n * (state.x * math.sin(state.theta) - state.y * math.cos(state.theta))
-
-
 @dataclass
 class GeodesicPath:
     """Arclength-sampled geodesic with entry/exit data.
 
-    ``euclid_s`` are the Euclidean arclength sample parameters; ``lengths``
-    the metric length at each sample (strictly increasing); ``directions``
-    a continuous lift of the direction angle.  ``exit`` is ``None`` for
-    trapped geodesics.  Samples are dense enough that consecutive direction
-    angles and polar angles differ by well under pi/2, so angle unwrapping
-    downstream is safe.
+    ``lengths`` are the metric length at each sample (non-decreasing);
+    ``directions`` a continuous lift of the direction angle.  ``exit`` is
+    ``None`` for trapped geodesics.  Samples are dense enough that
+    consecutive direction angles and polar angles differ by well under
+    pi/2, so angle unwrapping downstream is safe.
     """
 
-    euclid_s: np.ndarray
     points: np.ndarray
     directions: np.ndarray
     lengths: np.ndarray
     entry: object
     exit: object | None
-    trapped: bool
+
+    @property
+    def trapped(self) -> bool:
+        return self.exit is None
 
     @property
     def length(self) -> float:
         return float(self.lengths[-1]) if not self.trapped else math.inf
 
-    def states(self):
-        for i in range(len(self.euclid_s)):
-            yield GeodesicState(self.points[i, 0], self.points[i, 1],
-                                self.directions[i], self.lengths[i])
-
     def clairaut_range(self, metric: ConformalMetric) -> tuple[float, float]:
-        vals = [clairaut(metric, st) for st in self.states()]
-        return (min(vals), max(vals))
+        """Least and greatest Clairaut integral ``n(r) r sin(psi)`` over the
+        samples, ``psi`` the angle from the outward radial ray to the motion.
+
+        It is constant along any geodesic of a radial metric, so the spread
+        watches the integration; a non-radial metric raises ``ValueError``.
+        """
+        if not metric.is_radial:
+            raise ValueError("Clairaut invariant requires a radial metric")
+        x, y, th = self.points[:, 0], self.points[:, 1], self.directions
+        vals = metric.profile.eval_many(np.hypot(x, y))[0] * (x * np.sin(th) - y * np.cos(th))
+        return float(vals.min()), float(vals.max())
 
 
 def polar_sweep(points, max_step: float = 0.5 * math.pi) -> float:
@@ -450,7 +393,7 @@ def _entry_xytheta(entry, radius: float) -> tuple[float, float, float]:
     nx, ny = -math.cos(phi), -math.sin(phi)
     dx = math.cos(chi) * tx + math.sin(chi) * nx
     dy = math.cos(chi) * ty + math.sin(chi) * ny
-    return px, py, math.atan2(dy, dx), phi
+    return px, py, math.atan2(dy, dx)
 
 
 def chord_impact(metric: ConformalMetric, entry) -> float:
@@ -567,7 +510,7 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
 
 
 def _refine_samples(dense, ts, max_step=0.45, rounds=10):
-    """Subdivide sample times until direction and polar angles step slowly."""
+    """Dense states at sample times subdivided until direction and polar angles step slowly."""
     ts = np.asarray(ts, dtype=float)
     for _ in range(rounds):
         ys = dense(ts)
@@ -575,10 +518,10 @@ def _refine_samples(dense, ts, max_step=0.45, rounds=10):
         polar = np.unwrap(np.arctan2(ys[1], ys[0]))
         bad = (np.abs(np.diff(theta)) > max_step) | (np.abs(np.diff(polar)) > max_step)
         if not np.any(bad):
-            return ts, ys
+            return ys
         mids = 0.5 * (ts[:-1][bad] + ts[1:][bad])
         ts = np.sort(np.concatenate([ts, mids]))
-    return ts, dense(ts)
+    return dense(ts)
 
 
 def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions | None = None) -> GeodesicPath:
@@ -595,7 +538,7 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
     R = metric.radius
     chord_impact(metric, entry)
     max_len = opts.length_cap(R)
-    x0, y0, theta0, _ = _entry_xytheta(entry, R)
+    x0, y0, theta0 = _entry_xytheta(entry, R)
     rhs = metric._make_rhs()
 
     def boundary_exit(s, y):
@@ -619,21 +562,21 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
         raise RuntimeError(f"geodesic integration failed: {sol.message}")
 
     exited = sol.status == 1 and len(sol.t_events[0]) > 0
-    ts, ys = _refine_samples(sol.sol, sol.t)
+    ys = _refine_samples(sol.sol, sol.t)
     points = np.column_stack([ys[0], ys[1]])
     lengths = ys[3]
     # Guard against tiny non-monotonicity from dense-output refinement.
     lengths = np.maximum.accumulate(lengths)
 
     if not exited:
-        return GeodesicPath(ts, points, ys[2], lengths, entry, None, True)
+        return GeodesicPath(points, ys[2], lengths, entry, None)
 
     # Snap the terminal sample onto the boundary circle for clean arc data.
     xe, ye, the, taue = sol.y[0, -1], sol.y[1, -1], sol.y[2, -1], sol.y[3, -1]
     scale = R / math.hypot(xe, ye)
     points[-1] = (xe * scale, ye * scale)
     exit_vec = boundary_vector_at(points[-1, 0], points[-1, 1], the, radius=R)
-    return GeodesicPath(ts, points, ys[2], lengths, entry, exit_vec, False)
+    return GeodesicPath(points, ys[2], lengths, entry, exit_vec)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)

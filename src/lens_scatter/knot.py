@@ -82,7 +82,13 @@ class TangentLoop(_FramedLoop):
         return self.curve.velocity(l % 1.0)
 
     def frame_angle(self, l: float) -> float:
-        return self.lifted.theta_at(l)
+        """Direction angle of the velocity at ``l``; the nearest sample of
+        the lift pins its 2 pi branch."""
+        lw = l % 1.0
+        theta = self.lifted.theta
+        i = min(int(round(lw * len(theta))), len(theta) - 1)
+        v = self.curve.velocity(lw)
+        return theta[i] + math.remainder(math.atan2(v[1], v[0]) - theta[i], TWO_PI)
 
 
 class CallableFramedLoop(_FramedLoop):

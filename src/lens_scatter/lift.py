@@ -124,13 +124,12 @@ class LiftedCurve:
     direction-angle lift.  ``total_turn`` is the lift increment over one full
     period (2 pi times the turning number for closed curves)."""
 
-    def __init__(self, t, points, theta, *, closed, total_turn, source=None):
+    def __init__(self, t, points, theta, *, closed, total_turn):
         self.t = np.asarray(t, dtype=float)
         self.points = np.asarray(points, dtype=float)
         self.theta = np.asarray(theta, dtype=float)
         self.closed = bool(closed)
         self.total_turn = float(total_turn)
-        self.source = source
 
     @property
     def turning_number(self) -> int:
@@ -140,20 +139,6 @@ class LiftedCurve:
         if abs(w - round(w)) > 1e-6:
             raise RuntimeError(f"total rotation {w:.6f} turns is not integral")
         return int(round(w))
-
-    def theta_at(self, l: float) -> float:
-        """Continuous lift at an arbitrary parameter, anchored at the nearest sample."""
-        lw = l % 1.0
-        m = len(self.t)
-        if self.source is None:
-            xp = np.concatenate([self.t, [1.0]])
-            fp = np.concatenate([self.theta, [self.theta[0] + self.total_turn]])
-            return float(np.interp(lw, xp, fp))
-        i = min(int(round(lw * m)), m - 1)
-        v = self.source.velocity(lw)
-        raw = math.atan2(v[1], v[0])
-        # The nearest sample pins the 2 pi branch of the analytic angle.
-        return self.theta[i] + math.remainder(raw - self.theta[i], TWO_PI)
 
 
 def unit_tangent_lift(curve, samples: int = 512) -> LiftedCurve:
@@ -187,8 +172,7 @@ def unit_tangent_lift(curve, samples: int = 512) -> LiftedCurve:
         total = theta[-1] - theta[0]
     if steps.size and np.max(steps) > 0.5 * math.pi:
         raise ValueError("sampling too sparse for a continuous direction lift")
-    return LiftedCurve(ts, pts, theta, closed=curve.closed, total_turn=total,
-                       source=curve)
+    return LiftedCurve(ts, pts, theta, closed=curve.closed, total_turn=total)
 
 
 class ProjCurve:

@@ -99,11 +99,11 @@ def christoffel_turn_rate(metric, x: float, y: float, theta: float,
     Christoffel symbols of g = n^2 * (dx^2 + dy^2)."""
 
     def phi(px, py):
-        return math.log(metric.n_at(px, py))
+        return math.log(metric.n_many([(px, py)])[0])
 
     px = (phi(x + h, y) - phi(x - h, y)) / (2 * h)
     py = (phi(x, y + h) - phi(x, y - h)) / (2 * h)
-    n = metric.n_at(x, y)
+    n = float(metric.n_many([(x, y)])[0])
     # Unit metric speed: Euclidean speed 1/n.
     xd = math.cos(theta) / n
     yd = math.sin(theta) / n

@@ -60,3 +60,16 @@ def test_benchmark_names_resolve():
         except (AttributeError, TypeError) as exc:
             broken.append(f"{dotted}: {exc}")
     assert broken == []
+
+
+def test_traced_path_attributes():
+    # tracer.py reads metric.kind, path.points and path.trapped off every
+    # trace; jobs.py reads points, directions and length of exiting rays.
+    metric = ls.geometry.ConformalMetric.vacuum()
+    assert metric.kind == "vacuum"
+    entry = ls.scattering.BoundaryVector(0.0, 1.0)
+    for opts in (None, ls.geometry.IntegrationOptions(max_length=0.5)):
+        path = ls.geometry.integrate_geodesic(metric, entry, opts)
+        assert len(path.points) == len(path.directions) > 1
+        assert path.trapped == (path.exit is None) == (opts is not None)
+        assert (path.length == float("inf")) == path.trapped

@@ -275,6 +275,16 @@ class TestRender:
      "--grid count must be at least 2, got 0"),
     (["compare", "--m1", "vacuum", "--m2", "eaton", "--grid", "-5", "--out", "{tmp}/c.json"],
      "--grid count must be at least 2, got -5"),
+    (["compare", "--m1", "vacuum", "--m2", "eaton", "--grid", "2x2x2", "--out", "{tmp}/c.json"],
+     "--grid must be a count N or AxB, got '2x2x2'"),
+    (["compare", "--m1", "vacuum", "--m2", "eaton", "--grid", "3x", "--out", "{tmp}/c.json"],
+     "--grid must be a count N or AxB, got '3x'"),
+    (["compare", "--m1", "vacuum", "--m2", "eaton", "--grid", "x4", "--out", "{tmp}/c.json"],
+     "--grid must be a count N or AxB, got 'x4'"),
+    (["compare", "--m1", "vacuum", "--m2", "eaton", "--grid", "abc", "--out", "{tmp}/c.json"],
+     "--grid must be a count N or AxB, got 'abc'"),
+    (["compare", "--m1", "vacuum", "--m2", "eaton", "--grid", "1.5", "--out", "{tmp}/c.json"],
+     "--grid must be a count N or AxB, got '1.5'"),
     (["render", "--out", "{tmp}/r.svg"], "render needs exactly one of --metric and --curve"),
     (["render", "--metric", "vacuum", "--curve", "circle", "--out", "{tmp}/r.svg"],
      "render needs exactly one of --metric and --curve"),
@@ -282,8 +292,9 @@ class TestRender:
         "eaton-tol-negative", "stride-negative", "stride-zero", "stages-zero",
         "svg-rays-zero", "svg-rays-negative", "h-shift-nan", "scatter-arc-inf",
         "trace-arc-nan", "eps-nan", "eps-zero", "samples-one", "samples-two",
-        "samples-zero", "grid-zero", "grid-negative", "render-no-source",
-        "render-two-sources"])
+        "samples-zero", "grid-zero", "grid-negative", "grid-three-counts",
+        "grid-no-angle-count", "grid-no-arc-count", "grid-not-a-number",
+        "grid-fraction", "render-no-source", "render-two-sources"])
 def test_bad_numeric_option_is_input_error(tmp_path, capsys, args, message):
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     code = main(args)

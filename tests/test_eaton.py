@@ -77,18 +77,18 @@ class TestProfileTable:
 
     def test_closed_form_matches_root_solve(self, eaton):
         for r in self.RADII[::16]:
-            n, _ = eaton.radial_eval(float(r))
+            n, _ = eaton.profile.eval(float(r))
             assert n == pytest.approx(eaton_index(float(r)), rel=1e-13, abs=0.0)
         # Just inside the rim the index equation's residual is too
         # ill-conditioned for the root solve; invert the cubic instead:
         # r(n) = 2 / (sqrt(n) (n + 1)).
         for r in (1.0 - 1e-7, 1.0 - 1e-12, 1.0 - 2.0 ** -53):
-            n, _ = eaton.radial_eval(r)
+            n, _ = eaton.profile.eval(r)
             assert 2.0 / (math.sqrt(n) * (n + 1.0)) == pytest.approx(r, rel=1e-15)
 
     def test_derivative_matches_implicit_derivative(self, eaton):
         for r in self.RADII[:-1:16]:
-            _, dn = eaton.radial_eval(float(r))
+            _, dn = eaton.profile.eval(float(r))
             assert dn == pytest.approx(_exact_dn_dr(eaton_index(float(r))), rel=1e-13)
 
     def test_scalar_and_vector_evaluation_agree(self, eaton):
@@ -122,8 +122,8 @@ class TestLoopWinding:
 
     def test_reversed_sample_order_negates(self, eaton):
         path = integrate_geodesic(eaton, BoundaryVector(0.0, 1.0))
-        rev = GeodesicPath(path.euclid_s, path.points[::-1], path.directions[::-1],
-                           path.lengths, path.entry, path.exit, False)
+        rev = GeodesicPath(path.points[::-1], path.directions[::-1], path.lengths,
+                           path.entry, path.exit)
         assert loop_winding(rev) == -loop_winding(path)
 
     def test_unreliable_lift_raises(self):
@@ -131,15 +131,13 @@ class TestLoopWinding:
         # cannot be trusted, so the winding is not verifiable.
         u = np.array([0.0, 2.8])
         pts = 0.5 * np.column_stack([np.cos(u), np.sin(u)])
-        path = GeodesicPath(np.linspace(0, 1, 2), pts, np.zeros(2),
-                            np.linspace(0, 1, 2), None, None, False)
+        path = GeodesicPath(pts, np.zeros(2), np.linspace(0, 1, 2), None, None)
         with pytest.raises(NonIntegralWindingError):
             loop_winding(path)
 
     def test_path_through_origin_rejected(self):
         pts = np.array([[0.5, 0.0], [0.0, 0.0], [-0.5, 0.0]])
-        path = GeodesicPath(np.linspace(0, 1, 3), pts, np.zeros(3),
-                            np.linspace(0, 1, 3), None, None, False)
+        path = GeodesicPath(pts, np.zeros(3), np.linspace(0, 1, 3), None, None)
         with pytest.raises(ValueError):
             loop_winding(path)
 

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from lens_scatter.eaton import eaton_index
-from lens_scatter.geometry import (ConformalMetric, GeodesicState,
-                                   IntegrationOptions, SingularChordError,
-                                   SingularityError, clairaut, geodesic_rhs,
+from lens_scatter.geometry import (ConformalMetric, IntegrationOptions,
+                                   SingularChordError, SingularityError,
                                    integrate_geodesic, load_metric,
                                    metric_from_spec, riemannian_length)
 from lens_scatter.scattering import BoundaryVector
@@ -18,28 +17,31 @@ BENDING_PROFILE = ConformalMetric.from_radial(
     lambda r: 1.0 + 0.3 * (1.0 - r * r), lambda r: -0.6 * r, name="bump")
 
 
+def rhs(metric, x, y, theta):
+    """``(dx, dy, dtheta, dtau)`` per unit Euclidean arclength, as integrated."""
+    return metric._make_rhs()(0.0, (x, y, theta, 0.0))
+
+
 class TestGeodesicRHS:
     def test_vacuum_goes_straight(self, vacuum):
-        d = geodesic_rhs(vacuum, GeodesicState(0.3, -0.2, 1.1))
-        assert d.dtheta == 0.0
-        assert (d.dx, d.dy) == (math.cos(1.1), math.sin(1.1))
-        assert d.dtau == 1.0
+        dx, dy, dtheta, dtau = rhs(vacuum, 0.3, -0.2, 1.1)
+        assert dtheta == 0.0
+        assert (dx, dy) == (math.cos(1.1), math.sin(1.1))
+        assert dtau == 1.0
 
     def test_radial_ray_aimed_at_origin_does_not_turn(self):
         # Gradient parallel to the direction of motion: no turning.
-        state = GeodesicState(0.5, 0.0, math.pi)
-        d = geodesic_rhs(BENDING_PROFILE, state)
-        assert abs(d.dtheta) < 1e-15
+        _, _, dtheta, _ = rhs(BENDING_PROFILE, 0.5, 0.0, math.pi)
+        assert abs(dtheta) < 1e-15
 
     def test_eaton_tangential_rate_matches_index_derivative(self, eaton):
         # Tangential direction at r = 0.5; rate per metric arclength must be
         # -(dn/dr)/n^2 with the derivative taken from the index oracle.
-        state = GeodesicState(0.5, 0.0, math.pi / 2)
-        d = geodesic_rhs(eaton, state)
+        _, _, dtheta, dtau = rhs(eaton, 0.5, 0.0, math.pi / 2)
         h = 1e-6
         dn = (eaton_index(0.5 + h) - eaton_index(0.5 - h)) / (2 * h)
         n = eaton_index(0.5)
-        per_metric_length = d.dtheta / d.dtau
+        per_metric_length = dtheta / dtau
         assert per_metric_length == pytest.approx(-dn / n**2, rel=1e-5)
 
     @pytest.mark.parametrize("metric_name,x,y,theta", [
@@ -50,13 +52,13 @@ class TestGeodesicRHS:
     ])
     def test_rate_matches_brute_force_christoffel(self, eaton, metric_name, x, y, theta):
         metric = eaton if metric_name == "eaton" else BENDING_PROFILE
-        d = geodesic_rhs(metric, GeodesicState(x, y, theta))
+        _, _, dtheta, dtau = rhs(metric, x, y, theta)
         oracle = christoffel_turn_rate(metric, x, y, theta)
-        assert d.dtheta / d.dtau == pytest.approx(oracle, rel=1e-4, abs=1e-8)
+        assert dtheta / dtau == pytest.approx(oracle, rel=1e-4, abs=1e-8)
 
     def test_singular_origin_rejected(self, eaton):
         with pytest.raises(SingularityError):
-            geodesic_rhs(eaton, GeodesicState(0.0, 0.0, 0.0))
+            rhs(eaton, 0.0, 0.0, 0.0)
 
 
 class TestIntegration:
@@ -166,8 +168,9 @@ class TestClairaut:
     def test_requires_radial_metric(self):
         general = ConformalMetric.general(lambda x, y: 1.0 + 0.1 * x,
                                           lambda x, y: (0.1, 0.0))
+        path = integrate_geodesic(general, BoundaryVector(0.0, 1.0))
         with pytest.raises(ValueError):
-            clairaut(general, GeodesicState(0.1, 0.1, 0.0))
+            path.clairaut_range(general)
 
 
 class TestRiemannianLength:
@@ -227,7 +230,7 @@ class TestMetricSpecs:
     def test_vacuum_roundtrip(self):
         m = metric_from_spec({"kind": "vacuum", "radius": 1.0})
         assert m.kind == "vacuum"
-        assert m.n_at(0.3, 0.4) == 1.0
+        assert m.n_many([(0.3, 0.4)])[0] == 1.0
 
     def test_profile_knots_monotone_interpolation(self):
         rs = np.linspace(0.0, 1.0, 21)
@@ -235,7 +238,7 @@ class TestMetricSpecs:
         m = metric_from_spec({"kind": "radial-profile", "radius": 1.0,
                               "profile": knots})
         for r in (0.05, 0.33, 0.77, 0.98):
-            n, _ = m.radial_eval(r)
+            n, _ = m.profile.eval(r)
             assert n == pytest.approx(1.0 + 0.3 * (1.0 - r * r), abs=2e-5)
 
     def test_profile_requires_coverage(self):
@@ -254,7 +257,7 @@ class TestMetricSpecs:
         p.write_text(json.dumps(spec))
         m = load_metric(p)
         assert m.kind == "radial-profile"
-        assert m.n_at(0.0, 0.0) == pytest.approx(1.3)
+        assert m.n_many([(0.0, 0.0)])[0] == pytest.approx(1.3)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_radius_must_be_positive(self, radius):

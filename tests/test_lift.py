@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lens_scatter.curves import ImmersionError, ParametricCurve, circle, lemniscate, segment
+from lens_scatter.knot import TangentLoop
 from lens_scatter.lift import (AmbiguousFiberArcError, LiftedCurve,
                                MinimalLinearCurve, PLVertexPath, ProjPoint,
                                TransportUndefinedError, dist_components,
@@ -46,12 +47,13 @@ class TestUnitTangentLift:
         with pytest.raises(ValueError, match="at least 4 samples"):
             unit_tangent_lift(circle(), samples)
 
-    def test_theta_at_matches_samples(self):
-        lifted = unit_tangent_lift(circle())
+    def test_frame_angle_matches_samples(self):
+        loop = TangentLoop(circle())
+        lifted = loop.lifted
         for l in (0.0, 0.2499, 0.5, 0.87, 0.999):
             i = int(round(l * len(lifted.t))) % len(lifted.t)
             near = lifted.theta[i]
-            assert abs(lifted.theta_at(l) - near) < 0.05 + 2 * math.pi / 512
+            assert abs(loop.frame_angle(l) - near) < 0.05 + 2 * math.pi / 512
 
 
 class TestProjectivize:
