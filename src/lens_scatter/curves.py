@@ -4,7 +4,9 @@ Curves are parametrized over ``t in [0, 1)`` and evaluated through vectorized
 ``point``/``velocity`` callables.  The builtin names understood by
 :func:`named_curve` are ``circle``, ``lemniscate`` (a figure eight with its
 double point at the origin), ``rose-k`` (k petals with k simple crossings
-near the center, e.g. ``rose-3``) and ``segment``.
+near the center, e.g. ``rose-3``) and ``segment``.  The closed builtins are
+:class:`TrigCurve` coefficient tables, so their velocities are derived from
+the coefficients like those of any trigonometric polynomial.
 """
 
 from __future__ import annotations
@@ -44,36 +46,18 @@ class ParametricCurve:
         return f"<ParametricCurve {self.name!r} closed={self.closed}>"
 
 
-def circle(radius: float = 0.9, center=(0.0, 0.0)) -> ParametricCurve:
-    cx, cy = center
-
-    def p(t):
-        u = TWO_PI * t
-        return cx + radius * np.cos(u), cy + radius * np.sin(u)
-
-    def v(t):
-        u = TWO_PI * t
-        return -TWO_PI * radius * np.sin(u), TWO_PI * radius * np.cos(u)
-
-    return ParametricCurve(p, v, name=f"circle(r={radius})")
+def circle() -> TrigCurve:
+    """Circle ``0.9 (cos u, sin u)``."""
+    return TrigCurve([[0.9], [0.0], [0.0], [0.9]], name="circle")
 
 
-def lemniscate(scale: float = 0.9) -> ParametricCurve:
-    """Figure eight ``(a cos u, (a/2) sin 2u)`` crossing itself at the origin."""
-
-    def p(t):
-        u = TWO_PI * t
-        return scale * np.cos(u), 0.5 * scale * np.sin(2.0 * u)
-
-    def v(t):
-        u = TWO_PI * t
-        return -TWO_PI * scale * np.sin(u), TWO_PI * scale * np.cos(2.0 * u)
-
-    return ParametricCurve(p, v, name="lemniscate")
+def lemniscate() -> TrigCurve:
+    """Figure eight ``(0.9 cos u, 0.45 sin 2u)`` crossing itself at the origin."""
+    return TrigCurve([[0.9, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.45]], name="lemniscate")
 
 
-def rose(k: int = 3, scale: float = 0.28) -> ParametricCurve:
-    """k-petal curve ``z = e^{-iu} + 2 e^{i(k-1)u}`` with k simple crossings.
+def rose(k: int = 3) -> TrigCurve:
+    """k-petal curve ``z = 0.28 (e^{-iu} + 2 e^{i(k-1)u})`` with k simple crossings.
 
     For odd k this is the standard (2, k) torus-knot shadow (k = 3 gives the
     trefoil shape).  The polar rose ``r = cos(k phi)`` is unsuitable here:
@@ -81,19 +65,10 @@ def rose(k: int = 3, scale: float = 0.28) -> ParametricCurve:
     """
     if k < 2:
         raise ValueError("rose needs k >= 2")
-    m = k - 1
-
-    def p(t):
-        u = TWO_PI * t
-        return (scale * (np.cos(u) + 2.0 * np.cos(m * u)),
-                scale * (-np.sin(u) + 2.0 * np.sin(m * u)))
-
-    def v(t):
-        u = TWO_PI * t
-        return (TWO_PI * scale * (-np.sin(u) - 2.0 * m * np.sin(m * u)),
-                TWO_PI * scale * (-np.cos(u) + 2.0 * m * np.cos(m * u)))
-
-    return ParametricCurve(p, v, name=f"rose-{k}")
+    coeffs = np.zeros((4, k - 1))
+    coeffs[[0, 3], 0] = 0.28, -0.28  # e^{-iu}
+    coeffs[[0, 3], k - 2] += 0.56    # 2 e^{i(k-1)u}
+    return TrigCurve(coeffs, name=f"rose-{k}")
 
 
 def segment(p0=(-0.8, 0.0), p1=(0.8, 0.0)) -> ParametricCurve:

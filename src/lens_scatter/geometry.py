@@ -78,10 +78,6 @@ class BoundaryVector:
     def reversed(self) -> "BoundaryVector":
         return BoundaryVector(self.arc, math.pi - self.angle)
 
-    def point(self, radius: float = 1.0) -> tuple[float, float]:
-        phi = TWO_PI * self.arc
-        return (radius * math.cos(phi), radius * math.sin(phi))
-
 
 def boundary_vector_at(x: float, y: float, theta: float, *, radius: float = 1.0) -> BoundaryVector:
     """Boundary vector for a direction angle ``theta`` at boundary point ``(x, y)``."""

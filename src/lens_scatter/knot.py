@@ -25,8 +25,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .curves import ParametricCurve, TrigCurve
-from .lift import (FLAT_INJECTIVITY_RADIUS, MinimalLinearCurve, PLVertexPath,
-                   ProjPoint, dist_components, unit_tangent_lift)
+from .lift import (FLAT_INJECTIVITY_RADIUS, MinimalLinearCurve, NonIntegralClassError,
+                   PLVertexPath, ProjPoint, _circ_dist, _whole_number, dist_components,
+                   unit_tangent_lift)
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,10 +43,6 @@ class DegenerateCrossingError(ValueError):
     """Crossing refinement failed or the frame pair is degenerate."""
 
 
-class NonIntegralClassError(RuntimeError):
-    """Smoothed-loop rotation is not close to a whole number of half-turns."""
-
-
 # ---------------------------------------------------------------------------
 # framed loops
 
@@ -57,10 +54,7 @@ class _FramedLoop:
     period_shift: float
 
     def line_winding(self) -> int:
-        w = self.period_shift / math.pi
-        if abs(w - round(w)) > 1e-6:
-            raise NonIntegralClassError(f"line rotation {w:.6f} not integral")
-        return int(round(w))
+        return _whole_number(self.period_shift / math.pi, 1e-6, "line rotation in half-turns")
 
 
 class TangentLoop(_FramedLoop):
@@ -138,12 +132,12 @@ class PLLoop(_FramedLoop):
         return self.path.point_at(l).lift
 
 
-def as_framed_loop(obj, samples: int | None = None):
+def as_framed_loop(obj):
     if isinstance(obj, _FramedLoop):
         return obj
     if isinstance(obj, PLVertexPath):
         return PLLoop(obj)
-    return TangentLoop(obj, samples or 512)
+    return TangentLoop(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +258,15 @@ def _polish_crossing(loop, l: float, lp: float):
     return l % 1.0, lp % 1.0
 
 
-def _circ_dist(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
-
-
 def _dedup(raw, merge_tol: float):
+    def near(a, b):
+        return _circ_dist(a, b, 1.0) < merge_tol
+
     out: list[Crossing] = []
     for l, lp, pt in raw:
         lo, hi = (l, lp) if l <= lp else (lp, l)
         for c in out:
-            if ((_circ_dist(c.l, lo) < merge_tol and _circ_dist(c.l_prime, hi) < merge_tol)
-                    or (_circ_dist(c.l, hi) < merge_tol and _circ_dist(c.l_prime, lo) < merge_tol)):
+            if (near(c.l, lo) and near(c.l_prime, hi)) or (near(c.l, hi) and near(c.l_prime, lo)):
                 break
         else:
             out.append(Crossing(float(lo), float(hi), (float(pt[0]), float(pt[1]))))
@@ -283,12 +274,12 @@ def _dedup(raw, merge_tol: float):
     return out
 
 
-def find_crossings(loop, *, samples: int | None = None) -> list[Crossing]:
+def find_crossings(loop) -> list[Crossing]:
     """All double points of the base curve, signs and types unfilled.
 
     A smooth loop (a curve, a :class:`TangentLoop` or a
-    :class:`CallableFramedLoop`) is sampled at ``samples`` parameters (the
-    loop's own count by default) into a closed polyline; a PL knot
+    :class:`CallableFramedLoop`) is sampled at the loop's own ``samples``
+    parameters into a closed polyline; a PL knot
     (:class:`PLLoop` or :class:`~lens_scatter.lift.PLVertexPath`) uses its
     edges.  Both take segment pairs from a KD-tree on segment midpoints and
     test them in one vectorized pass.  Smooth hits are Newton-polished on
@@ -298,10 +289,10 @@ def find_crossings(loop, *, samples: int | None = None) -> list[Crossing]:
     :class:`SelfTangencyError` when two branches meet at an angle whose
     ``|sin|`` is below 1e-6.
     """
-    loop = as_framed_loop(loop, samples)
+    loop = as_framed_loop(loop)
     if isinstance(loop, PLLoop):
         return _pl_crossings(loop)
-    m = samples or loop.samples
+    m = loop.samples
     i, j, t, u = _polyline_hits(loop.base_points(np.arange(m) / m), 1e-9)
     raw = []
     for l, lp in zip((i + t) / m, (j + u) / m):
@@ -326,7 +317,7 @@ def _pl_crossings(loop: PLLoop) -> list[Crossing]:
     return _dedup(raw, merge_tol=1e-7)
 
 
-def crossing_sign(crossing: Crossing, loop, *, angular_tol: float = _ANGULAR_TOL) -> int:
+def crossing_sign(crossing: Crossing, loop) -> int:
     """+1 when the frame pair and the velocity pair agree in orientation."""
     loop = as_framed_loop(loop)
     dchi = loop.frame_angle(crossing.l_prime) - loop.frame_angle(crossing.l)
@@ -334,9 +325,9 @@ def crossing_sign(crossing: Crossing, loop, *, angular_tol: float = _ANGULAR_TOL
     v1 = loop.base_velocity(crossing.l)
     v2 = loop.base_velocity(crossing.l_prime)
     s2 = (v1[0] * v2[1] - v1[1] * v2[0]) / (math.hypot(*v1) * math.hypot(*v2))
-    if abs(s1) < angular_tol:
+    if abs(s1) < _ANGULAR_TOL:
         raise DegenerateCrossingError("frame vectors parallel at the crossing")
-    if abs(s2) < angular_tol:
+    if abs(s2) < _ANGULAR_TOL:
         raise SelfTangencyError("velocity vectors parallel at the crossing")
     return 1 if s1 * s2 > 0.0 else -1
 
@@ -356,12 +347,7 @@ def crossing_type(crossing: Crossing, loop) -> int:
     chi_l = loop.frame_angle(crossing.l)
     chi_lp = loop.frame_angle(crossing.l_prime)
     total = (chi_lp - chi_l) - math.remainder(chi_lp - chi_l, TWO_PI)
-    half_turns = total / math.pi
-    k = round(half_turns)
-    if abs(half_turns - k) > 0.05:
-        raise NonIntegralClassError(
-            f"smoothed rotation {half_turns:.4f} half-turns is not integral")
-    return abs(int(k))
+    return abs(_whole_number(total / math.pi, 0.05, "smoothed rotation in half-turns"))
 
 
 def first_return_crossing(crossings) -> Crossing:
@@ -371,11 +357,11 @@ def first_return_crossing(crossings) -> Crossing:
     return min(crossings, key=lambda c: max(c.l, c.l_prime))
 
 
-def analyze_loop(loop, *, samples: int | None = None) -> LoopAnalysis:
+def analyze_loop(loop) -> LoopAnalysis:
     """Full pipeline: winding, crossings with signs/types, table, certificate."""
-    loop = as_framed_loop(loop, samples)
+    loop = as_framed_loop(loop)
     lw = loop.line_winding()
-    crossings = find_crossings(loop, samples=samples)
+    crossings = find_crossings(loop)
     for c in crossings:
         c.sign = crossing_sign(c, loop)
         c.ctype = crossing_type(c, loop)
@@ -533,25 +519,28 @@ def pl_snapshot(G, n: int, s: float) -> PLVertexPath:
 
 def choose_refinement_n(G, eps: float, *, max_n: int = 4096) -> int:
     """Double n from 8 until adjacent gaps are below eps/4 and below half the
-    observed embedding separation of the family at five isotopy times."""
+    embedding separation of the family at five isotopy times.
+
+    Each time's separation is measured once, on 256 samples over the pairs
+    more than a quarter period apart (the window ``2/n`` of the first n), so
+    it stays a self-approach of the family however fine n gets.
+    """
     ss = np.linspace(0.0, 1.0, 5)
-    dense: dict[int, list] = {}  # the separation samples of ss[q], built on first use
+    seps = [embedding_separation([G(s, i / 256) for i in range(256)], window=2.0 / 8)
+            for s in ss]
     n = 8
     while n <= max_n:
         ok = True
-        for q, s in enumerate(ss):
+        for s, sep in zip(ss, seps):
             verts = [G(s, k / n) for k in range(n)]
             gaps = [dist_components(verts[k], verts[(k + 1) % n]).d0 for k in range(n)]
-            if q not in dense:
-                dense[q] = [G(s, i / 256) for i in range(256)]
-            sep = embedding_separation(dense[q], window=2.0 / n)
             if max(gaps) >= min(0.25 * eps, 0.5 * sep):
                 ok = False
                 break
         if ok:
             return n
         n *= 2
-    raise RuntimeError(f"no admissible n below {max_n}; family too tight for eps={eps}")
+    raise RuntimeError(f"no admissible n up to {max_n}; family too tight for eps={eps}")
 
 
 def embedding_separation(samples, window: float) -> float:
@@ -584,8 +573,8 @@ def random_corpus(count: int = 20, *, seed: int = 42) -> list[TrigCurve]:
 
     Degree-4 trigonometric polynomials with random coefficients decaying
     like ``m^-1.5``, rescaled into the disk.  A candidate is rejected when
-    its speed dips below 0.15 of the mean, when crossing search on 512
-    samples fails or finds a near-tangency (``|sin| < 0.05``), when it has
+    its speed dips below 0.15 of the mean, when :func:`analyze_loop` on 512
+    samples fails or two branches cross at ``|sin| < 0.05``, when it has
     more than 14 crossings, or when two crossing parameters lie closer
     than 5e-3: all of these would make crossing data ill-conditioned.
     """
@@ -610,17 +599,17 @@ def random_corpus(count: int = 20, *, seed: int = 42) -> list[TrigCurve]:
             continue
         try:
             loop = TangentLoop(curve)
-            crossings = find_crossings(loop)
-            for c in crossings:
-                c.sign = crossing_sign(c, loop, angular_tol=0.05)
-                c.ctype = crossing_type(c, loop)
-        except (SelfTangencyError, DegenerateCrossingError, NonIntegralClassError,
-                ValueError):
+            crossings = analyze_loop(loop).crossings
+        except (NonIntegralClassError, ValueError):
+            continue
+        # For a tangent frame this is also the |sin| between the velocities.
+        if any(abs(math.sin(loop.frame_angle(c.l_prime) - loop.frame_angle(c.l))) < 0.05
+               for c in crossings):
             continue
         if len(crossings) > 14:
             continue
         params = sorted([c.l for c in crossings] + [c.l_prime for c in crossings])
-        if any(_circ_dist(a, b) < 5e-3
+        if any(_circ_dist(a, b, 1.0) < 5e-3
                for a, b in zip(params, params[1:] + params[:1])
                if a != b):
             continue

@@ -37,6 +37,25 @@ class AmbiguousFiberArcError(ValueError):
     """The two lines are perpendicular: no unique shorter rotation."""
 
 
+class NonIntegralClassError(RuntimeError):
+    """A closed rotation is not close to a whole number of turns."""
+
+
+def _whole_number(count: float, tol: float, what: str) -> int:
+    """``count`` rounded to the nearest integer; raises
+    :class:`NonIntegralClassError` when it lies more than ``tol`` away."""
+    k = round(count)
+    if abs(count - k) > tol:
+        raise NonIntegralClassError(f"{what} {count:.6f} is not integral")
+    return int(k)
+
+
+def _circ_dist(a: float, b: float, period: float) -> float:
+    """Distance between ``a`` and ``b`` on a circle of circumference ``period``."""
+    d = abs(a - b) % period
+    return min(d, period - d)
+
+
 @dataclass(frozen=True)
 class ProjPoint:
     """Point of the projectivized bundle: base point and line-angle lift."""
@@ -61,19 +80,13 @@ class DistComponents:
     d0: float
 
 
-def line_angle_distance(a: float, b: float) -> float:
-    """Distance between two line angles, pi-periodic, in [0, pi/2]."""
-    d = abs(a - b) % math.pi
-    return min(d, math.pi - d)
-
-
 def dist_components(p: ProjPoint, q: ProjPoint) -> DistComponents:
     """Horizontal, vertical, and max distance between bundle points."""
     d_h = math.hypot(q.x - p.x, q.y - p.y)
     if d_h >= FLAT_INJECTIVITY_RADIUS:
         raise TransportUndefinedError(f"base distance {d_h:.3f} reaches the "
                                       f"injectivity radius {FLAT_INJECTIVITY_RADIUS}")
-    d_v = line_angle_distance(p.line_angle, q.line_angle)
+    d_v = _circ_dist(p.line_angle, q.line_angle, math.pi)
     return DistComponents(d_h, d_v, max(d_h, d_v))
 
 
@@ -135,10 +148,7 @@ class LiftedCurve:
     def turning_number(self) -> int:
         if not self.closed:
             raise ValueError("turning number needs a closed curve")
-        w = self.total_turn / TWO_PI
-        if abs(w - round(w)) > 1e-6:
-            raise RuntimeError(f"total rotation {w:.6f} turns is not integral")
-        return int(round(w))
+        return _whole_number(self.total_turn / TWO_PI, 1e-6, "total rotation in turns")
 
 
 def unit_tangent_lift(curve, samples: int = 512) -> LiftedCurve:
@@ -189,10 +199,8 @@ class ProjCurve:
     def line_winding(self) -> int:
         if not self.closed:
             raise ValueError("line winding needs a closed curve")
-        w = self.lifted.total_turn / math.pi
-        if abs(w - round(w)) > 1e-6:
-            raise RuntimeError(f"line rotation {w:.6f} half-turns is not integral")
-        return int(round(w))
+        return _whole_number(self.lifted.total_turn / math.pi, 1e-6,
+                             "line rotation in half-turns")
 
     def proj_points(self) -> list[ProjPoint]:
         return [ProjPoint(p[0], p[1], c)

@@ -1,9 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from lens_scatter.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(args, capsys):
@@ -33,6 +36,12 @@ class TestInvariantCommand:
     def test_unknown_curve_is_input_error(self, capsys):
         code, _ = run(["invariant", "--curve", "doughnut"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("curve", ["circle", "lemniscate", "rose-3", "rose-5"])
+    def test_builtin_report_is_pinned(self, curve, capsys):
+        code, out = run(["invariant", "--curve", curve], capsys)
+        assert code == 0
+        assert out == (DATA / f"invariant-{curve}.json").read_text()
 
 
 class TestScatterCommand:

@@ -209,6 +209,28 @@ class TestCrossingType:
         synthetic = Crossing(0.05, 0.95, (0.0, 0.0))
         assert crossing_type(synthetic, loop) == 2
 
+    def test_half_integral_rotation_raises(self):
+        # The smoothed rotation is a whole number of turns in exact
+        # arithmetic; a frame gap of 1.3e16 rad, where the float spacing is
+        # 2, rounds it to exactly 0.5 half-turns off the integers.
+        loop = CallableFramedLoop(
+            lambda t: (0.1 * math.cos(2 * math.pi * t), 0.1 * math.sin(2 * math.pi * t)),
+            lambda t: (-math.sin(2 * math.pi * t), math.cos(2 * math.pi * t)),
+            lambda t: 2.6e16 * t,
+            samples=128)
+        synthetic = Crossing(0.0, 0.5, (0.0, 0.0))
+        with pytest.raises(RuntimeError, match="not integral"):
+            crossing_type(synthetic, loop)
+
+    def test_non_integral_frame_shift_raises(self):
+        loop = CallableFramedLoop(
+            lambda t: (0.1 * math.cos(2 * math.pi * t), 0.1 * math.sin(2 * math.pi * t)),
+            lambda t: (-math.sin(2 * math.pi * t), math.cos(2 * math.pi * t)),
+            lambda t: 0.3 * math.pi * t,
+            samples=128)
+        with pytest.raises(RuntimeError, match="not integral"):
+            loop.line_winding()
+
     def test_both_smoothing_arcs_agree(self, corpus):
         # Equal classes for both smoothings needs the lift to close up in
         # the tangent bundle, i.e. a contractible projectivized lift.
@@ -562,6 +584,17 @@ class TestRefinement:
             for s in (0.0, 0.5, 1.0):
                 samples = refine_stage_samples(self.embedded_isotopy, n, l, s, m=200)
                 assert embedding_separation(samples, window=2.0 / n) > 0.0
+
+    def test_fine_sampling_keeps_the_family_separation(self):
+        # At 2048 samples n = 512 makes the gaps small enough; the separation
+        # must still be a self-approach of the lemniscate, not the d0 of
+        # adjacent samples that a window of 2/n would leave.
+        pts = projectivize(unit_tangent_lift(lemniscate(), 2048)).proj_points()
+
+        def iso(s, t):
+            return pts[int(round((t % 1.0) * len(pts))) % len(pts)]
+
+        assert choose_refinement_n(iso, 0.2, max_n=512) == 512
 
 
 class TestEmbeddingSeparation:

@@ -73,6 +73,15 @@ class TestProjectivize:
                              closed=True, total_turn=math.pi)
         assert projectivize(lifted).line_winding == 1
 
+    def test_non_integral_rotation_raises(self):
+        ts = np.linspace(0.0, 1.0, 64, endpoint=False)
+        lifted = LiftedCurve(ts, np.zeros((64, 2)), 1.3 * math.pi * ts,
+                             closed=True, total_turn=1.3 * math.pi)
+        with pytest.raises(RuntimeError, match="not integral"):
+            lifted.turning_number
+        with pytest.raises(RuntimeError, match="not integral"):
+            projectivize(lifted).line_winding
+
     @pytest.mark.parametrize("k,expected_turn", [(2, 1), (3, 2), (5, 4)])
     def test_double_cover_rule_on_roses(self, k, expected_turn):
         from lens_scatter.curves import rose
