@@ -13,7 +13,7 @@ from .scattering import (BoundaryIsometry, BoundaryVector, CompareReport,
 from .eaton import (EatonProfile, eaton_index, eaton_metric, invisibility_check,
                     loop_winding)
 from .curves import (ParametricCurve, TrigCurve, circle, lemniscate,
-                     load_curve_csv, named_curve, rose, segment)
+                     load_curve_csv, named_curve, rose)
 from .lift import (FLAT_INJECTIVITY_RADIUS, LiftedCurve, MinimalLinearCurve,
                    PLVertexPath, ProjCurve, ProjPoint, dist_components,
                    projectivize, triangle_angle_sum, unit_tangent_lift,

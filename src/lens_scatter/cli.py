@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .curves import named_curve
 from .eaton import eaton_metric, invisibility_check, loop_winding
-from .geometry import (IntegrationOptions, SingularChordError, chord_impact,
-                       integrate_geodesic, load_metric)
+from .geometry import (IntegrationOptions, NonIntegralWindingError, SingularChordError,
+                       chord_impact, integrate_geodesic, load_metric)
 from .knot import (TangentLoop, analyze_loop, choose_refinement_n,
                    embedding_separation, refine_stage_samples)
 from .lift import projectivize, unit_tangent_lift
@@ -94,6 +94,11 @@ def _cmd_trace(args) -> int:
     metric = load_metric(args.metric)
     entry = BoundaryVector(args.arc, args.angle)
     path = integrate_geodesic(metric, entry, _integration_options(args))
+    try:
+        winding = None if path.trapped else loop_winding(path)
+    except (ValueError, NonIntegralWindingError):
+        # A path through the origin has no polar-angle lift.
+        winding = None
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "trace",
@@ -103,7 +108,7 @@ def _cmd_trace(args) -> int:
         "tau": None if path.trapped else path.length,
         "exit": None if path.trapped else {"arc": path.exit.arc,
                                            "angle": path.exit.angle},
-        "winding": None if path.trapped else loop_winding(path),
+        "winding": winding,
         "samples": [[round(x, 9), round(y, 9)] for x, y in path.points[:: args.stride]],
     }
     _write_json(report, args.out)

@@ -4,9 +4,9 @@ Curves are parametrized over ``t in [0, 1)`` and evaluated through vectorized
 ``point``/``velocity`` callables.  The builtin names understood by
 :func:`named_curve` are ``circle``, ``lemniscate`` (a figure eight with its
 double point at the origin), ``rose-k`` (k petals with k simple crossings
-near the center, e.g. ``rose-3``) and ``segment``.  The closed builtins are
-:class:`TrigCurve` coefficient tables, so their velocities are derived from
-the coefficients like those of any trigonometric polynomial.
+near the center, e.g. ``rose-3``).  Every curve is closed.  The builtins
+are :class:`TrigCurve` coefficient tables, so their velocities are derived
+from the coefficients like those of any trigonometric polynomial.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ class ImmersionError(ValueError):
 
 
 class ParametricCurve:
-    """Plane curve with analytic velocity, closed unless stated otherwise."""
+    """Closed plane curve with analytic velocity."""
 
-    def __init__(self, point_fn, velocity_fn, *, closed=True, name="curve"):
+    def __init__(self, point_fn, velocity_fn, *, name="curve"):
         self._point = point_fn
         self._velocity = velocity_fn
-        self.closed = bool(closed)
         self.name = name
 
     def point(self, t):
@@ -43,7 +42,7 @@ class ParametricCurve:
         return np.stack(self._velocity(t), axis=-1)
 
     def __repr__(self):
-        return f"<ParametricCurve {self.name!r} closed={self.closed}>"
+        return f"<ParametricCurve {self.name!r}>"
 
 
 def circle() -> TrigCurve:
@@ -69,21 +68,6 @@ def rose(k: int = 3) -> TrigCurve:
     coeffs[[0, 3], 0] = 0.28, -0.28  # e^{-iu}
     coeffs[[0, 3], k - 2] += 0.56    # 2 e^{i(k-1)u}
     return TrigCurve(coeffs, name=f"rose-{k}")
-
-
-def segment(p0=(-0.8, 0.0), p1=(0.8, 0.0)) -> ParametricCurve:
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    d = p1 - p0
-
-    def p(t):
-        return p0[0] + t * d[0], p0[1] + t * d[1]
-
-    def v(t):
-        one = np.ones_like(t)
-        return d[0] * one, d[1] * one
-
-    return ParametricCurve(p, v, closed=False, name="segment")
 
 
 class TrigCurve(ParametricCurve):
@@ -115,7 +99,7 @@ class TrigCurve(ParametricCurve):
             y = -(s * w) @ self.coeffs[2] + (c * w) @ self.coeffs[3]
             return x, y
 
-        super().__init__(p, v, closed=True, name=name)
+        super().__init__(p, v, name=name)
 
     def perturbed(self, delta) -> "TrigCurve":
         return TrigCurve(self.coeffs + np.asarray(delta, dtype=float),
@@ -170,10 +154,9 @@ def named_curve(name: str) -> ParametricCurve:
         return circle()
     if name == "lemniscate":
         return lemniscate()
-    if name == "segment":
-        return segment()
-    if name.startswith("rose-"):
-        return rose(int(name.split("-", 1)[1]))
+    k = name.removeprefix("rose-")
+    if k != name and k.isdecimal():
+        return rose(int(k))
     path = Path(name)
     if path.suffix == ".csv" and path.exists():
         return load_curve_csv(path)

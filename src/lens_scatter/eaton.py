@@ -109,17 +109,14 @@ class EatonProfile:
 _PROFILE = EatonProfile()
 
 
-def eaton_metric(*, radius: float = 1.0) -> ConformalMetric:
+def eaton_metric() -> ConformalMetric:
     """Lens metric on the unit disk, evaluated by the closed-form index.
 
     Its exit directions match those of the flat disk, its lengths do not;
     the pole at the origin keeps it from being simple, so lens rigidity of
     simple metrics (Pestov-Uhlmann 2005) does not apply to it.
     """
-    if radius != 1.0:
-        raise ValueError("the lens profile is normalized to a unit disk")
-    return ConformalMetric("eaton", radius=1.0, singular_at_origin=True,
-                           profile=_PROFILE, name="eaton")
+    return ConformalMetric("eaton", profile=_PROFILE, name="eaton")
 
 
 def _whole_turns(turns: float) -> int:

@@ -210,32 +210,34 @@ class _CallableRadial:
                 np.asarray(self.dn_dr(r), dtype=float) * np.ones_like(r))
 
 
+@dataclass(frozen=True)
 class ConformalMetric:
     """Positive conformal factor on the closed disk.
 
     ``kind`` is one of ``vacuum``, ``eaton``, ``radial-profile`` or
-    ``general``.  Radial metrics carry a profile object with scalar/vector
-    evaluation; general metrics carry ``n(x, y)`` and its gradient.
-    Instances are immutable after construction and all evaluation methods
-    are pure, so a metric may be shared freely across threads.
+    ``general``.  Radial metrics carry a ``profile`` object (``eval``,
+    ``eval_many``, ``r_min``, ``breakpoints``); general metrics carry
+    ``field``, the pair ``n(x, y)`` and its gradient.  Instances are frozen
+    and all evaluation methods are pure, so a metric may be shared freely
+    across threads.
     """
 
-    def __init__(self, kind, *, radius=1.0, singular_at_origin=False,
-                 profile=None, field=None, name=None):
-        if kind not in ("vacuum", "eaton", "radial-profile", "general"):
-            raise ValueError(f"unknown metric kind {kind!r}")
-        radius = float(radius)
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise ValueError(f"metric radius must be positive and finite, got {radius}")
-        self.kind = kind
-        self.radius = radius
-        self.singular_at_origin = bool(singular_at_origin)
-        self.name = name or kind
-        self._profile = profile
-        self._field = field
-        if kind == "vacuum":
-            self._profile = _CallableRadial(lambda r: 1.0, lambda r: 0.0)
-        if self._profile is None and self._field is None:
+    kind: str
+    radius: float = 1.0
+    profile: object = None
+    field: tuple | None = None
+    name: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("vacuum", "eaton", "radial-profile", "general"):
+            raise ValueError(f"unknown metric kind {self.kind!r}")
+        object.__setattr__(self, "radius", float(self.radius))
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"metric radius must be positive and finite, got {self.radius}")
+        object.__setattr__(self, "name", self.name or self.kind)
+        if self.kind == "vacuum":
+            object.__setattr__(self, "profile", _CallableRadial(lambda r: 1.0, lambda r: 0.0))
+        if self.profile is None and self.field is None:
             raise ValueError("metric needs a radial profile or a general field")
 
     # -- constructors -----------------------------------------------------
@@ -246,11 +248,11 @@ class ConformalMetric:
 
     @classmethod
     def from_radial(cls, n_of_r, dn_dr, *, radius=1.0, kind="radial-profile",
-                    singular_at_origin=False, r_min=0.0, name=None):
-        """Radial metric from ``n(r)`` and ``dn/dr``; both must accept numpy arrays."""
+                    r_min=0.0, name=None):
+        """Radial metric from ``n(r)`` and ``dn/dr``, both accepting numpy
+        arrays; a positive ``r_min`` puts a pole at the origin."""
         prof = _CallableRadial(n_of_r, dn_dr, r_min=r_min)
-        return cls(kind, radius=radius, singular_at_origin=singular_at_origin,
-                   profile=prof, name=name)
+        return cls(kind, radius=radius, profile=prof, name=name)
 
     @classmethod
     def from_profile_knots(cls, knots, *, radius=1.0, name=None):
@@ -273,26 +275,25 @@ class ConformalMetric:
 
     @property
     def is_radial(self) -> bool:
-        return self._profile is not None
+        return self.profile is not None
 
     @property
-    def profile(self):
-        """Radial profile object (``eval``, ``eval_many``, ``r_min``,
-        ``breakpoints``); ``None`` for general metrics."""
-        return self._profile
+    def singular_at_origin(self) -> bool:
+        """True when the profile refuses radii below a positive ``r_min``."""
+        return self.is_radial and self.profile.r_min > 0.0
 
     def n_many(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if self.is_radial:
             r = np.hypot(pts[..., 0], pts[..., 1])
-            return self._profile.eval_many(r)[0]
-        return np.array([self._field[0](p[0], p[1]) for p in pts.reshape(-1, 2)]).reshape(pts.shape[:-1])
+            return self.profile.eval_many(r)[0]
+        return np.array([self.field[0](p[0], p[1]) for p in pts.reshape(-1, 2)]).reshape(pts.shape[:-1])
 
     def _make_rhs(self):
         """The integrator's right-hand side ``f(s, (x, y, theta, tau))``,
         per unit Euclidean arclength (see the module docstring)."""
         if self.is_radial:
-            ev = self._profile.eval
+            ev = self.profile.eval
 
             def rhs(s, y):
                 x, yy, th = y[0], y[1], y[2]
@@ -309,7 +310,7 @@ class ConformalMetric:
 
             return rhs
 
-        n_xy, grad = self._field
+        n_xy, grad = self.field
 
         def rhs(s, y):
             x, yy, th = y[0], y[1], y[2]
@@ -624,9 +625,11 @@ def metric_from_spec(spec) -> ConformalMetric:
     if kind == "vacuum":
         return ConformalMetric.vacuum(radius=radius)
     if kind == "eaton":
+        if radius != 1.0:
+            raise ValueError("the lens profile is normalized to a unit disk")
         from .eaton import eaton_metric
 
-        return eaton_metric(radius=radius)
+        return eaton_metric()
     if kind == "radial-profile":
         knots = spec.get("profile")
         if not knots:

@@ -523,18 +523,23 @@ def choose_refinement_n(G, eps: float, *, max_n: int = 4096) -> int:
 
     Each time's separation is measured once, on 256 samples over the pairs
     more than a quarter period apart (the window ``2/n`` of the first n), so
-    it stays a self-approach of the family however fine n gets.
+    it stays a self-approach of the family however fine n gets.  Times with
+    the same samples, as in a family that ignores its isotopy time, share
+    one separation, and times with the same vertices share one largest gap.
     """
     ss = np.linspace(0.0, 1.0, 5)
-    seps = [embedding_separation([G(s, i / 256) for i in range(256)], window=2.0 / 8)
-            for s in ss]
+    samples = [tuple(G(s, i / 256) for i in range(256)) for s in ss]
+    seps = {key: embedding_separation(key, window=2.0 / 8) for key in dict.fromkeys(samples)}
+    largest_gap: dict[tuple, float] = {}
     n = 8
     while n <= max_n:
         ok = True
-        for s, sep in zip(ss, seps):
-            verts = [G(s, k / n) for k in range(n)]
-            gaps = [dist_components(verts[k], verts[(k + 1) % n]).d0 for k in range(n)]
-            if max(gaps) >= min(0.25 * eps, 0.5 * sep):
+        for s, key in zip(ss, samples):
+            verts = tuple(G(s, k / n) for k in range(n))
+            if verts not in largest_gap:
+                largest_gap[verts] = max(dist_components(verts[k], verts[(k + 1) % n]).d0
+                                         for k in range(n))
+            if largest_gap[verts] >= min(0.25 * eps, 0.5 * seps[key]):
                 ok = False
                 break
         if ok:

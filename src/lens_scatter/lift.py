@@ -133,21 +133,18 @@ class MinimalLinearCurve:
 
 
 class LiftedCurve:
-    """Curve in the unit tangent bundle: base samples plus a continuous
+    """Closed curve in the unit tangent bundle: base samples plus a continuous
     direction-angle lift.  ``total_turn`` is the lift increment over one full
-    period (2 pi times the turning number for closed curves)."""
+    period (2 pi times the turning number)."""
 
-    def __init__(self, t, points, theta, *, closed, total_turn):
+    def __init__(self, t, points, theta, *, total_turn):
         self.t = np.asarray(t, dtype=float)
         self.points = np.asarray(points, dtype=float)
         self.theta = np.asarray(theta, dtype=float)
-        self.closed = bool(closed)
         self.total_turn = float(total_turn)
 
     @property
     def turning_number(self) -> int:
-        if not self.closed:
-            raise ValueError("turning number needs a closed curve")
         return _whole_number(self.total_turn / TWO_PI, 1e-6, "total rotation in turns")
 
 
@@ -170,19 +167,10 @@ def unit_tangent_lift(curve, samples: int = 512) -> LiftedCurve:
     if np.min(speed) < 1e-12:
         raise ImmersionError("curve speed vanishes: unit direction undefined")
     raw = np.arctan2(vel[:, 1], vel[:, 0])
-    if curve.closed:
-        raw_ext = np.concatenate([raw, raw[:1]])
-        theta_ext = np.unwrap(raw_ext)
-        steps = np.abs(np.diff(theta_ext))
-        theta = theta_ext[:-1]
-        total = theta_ext[-1] - theta_ext[0]
-    else:
-        theta = np.unwrap(raw)
-        steps = np.abs(np.diff(theta))
-        total = theta[-1] - theta[0]
-    if steps.size and np.max(steps) > 0.5 * math.pi:
+    theta_ext = np.unwrap(np.concatenate([raw, raw[:1]]))
+    if np.max(np.abs(np.diff(theta_ext))) > 0.5 * math.pi:
         raise ValueError("sampling too sparse for a continuous direction lift")
-    return LiftedCurve(ts, pts, theta, closed=curve.closed, total_turn=total)
+    return LiftedCurve(ts, pts, theta_ext[:-1], total_turn=theta_ext[-1] - theta_ext[0])
 
 
 class ProjCurve:
@@ -193,12 +181,9 @@ class ProjCurve:
         self.t = lifted.t
         self.points = lifted.points
         self.line_lift = lifted.theta
-        self.closed = lifted.closed
 
     @property
     def line_winding(self) -> int:
-        if not self.closed:
-            raise ValueError("line winding needs a closed curve")
         return _whole_number(self.lifted.total_turn / math.pi, 1e-6,
                              "line rotation in half-turns")
 
@@ -221,18 +206,15 @@ def vertical_length(obj) -> float:
     """Total fiber rotation of a curve in the line bundle.
 
     Accepts a minimal linear curve (giving exactly its ``d_v``), a
-    :class:`ProjCurve` (including the wrap-around increment when closed) or
+    :class:`ProjCurve` (including the wrap-around increment) or
     a list of :class:`ProjPoint` whose lifts are read as one continuous
     path.  Concatenation adds.
     """
     if isinstance(obj, MinimalLinearCurve):
         return obj.vertical_length
     if isinstance(obj, ProjCurve):
-        total = float(np.sum(np.abs(np.diff(obj.line_lift))))
-        if obj.closed:
-            closing = (obj.line_lift[0] + obj.lifted.total_turn) - obj.line_lift[-1]
-            total += abs(closing)
-        return total
+        closing = (obj.line_lift[0] + obj.lifted.total_turn) - obj.line_lift[-1]
+        return float(np.sum(np.abs(np.diff(obj.line_lift)))) + abs(closing)
     pts = list(obj)
     return float(sum(abs(b.lift - a.lift) for a, b in zip(pts, pts[1:])))
 

@@ -111,8 +111,6 @@ def scatter(metric: ConformalMetric, entry: BoundaryVector,
     :class:`~lens_scatter.geometry.SingularChordError` for chords through the
     exclusion zone and report a trapped record past ``opts.max_length``.
     """
-    if classify(entry) != INWARD:
-        raise ValueError("scatter needs a strictly inward entry vector")
     opts = opts or IntegrationOptions()
     orbit = clairaut_orbit(metric, chord_impact(metric, entry), opts)
     if orbit is not None:

@@ -58,8 +58,6 @@ def render_annulus(proj_curve, out_path) -> None:
     rho = inner + (outer - inner) * (0.15 + 0.7 * base_r / rmax)
     ang = 2.0 * lifts
     xy = np.column_stack([rho * np.cos(ang), rho * np.sin(ang)])
-    if proj_curve.closed:
-        xy = np.vstack([xy, xy[:1]])
-    elements.append(_polyline(xy, _PALETTE[0]))
+    elements.append(_polyline(np.vstack([xy, xy[:1]]), _PALETTE[0]))
     with open(out_path, "w") as fh:
         fh.write(_document(elements, 1.12 * outer))

@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from lens_scatter.cli import main
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(args, capsys):
@@ -297,13 +299,21 @@ class TestRender:
     (["render", "--out", "{tmp}/r.svg"], "render needs exactly one of --metric and --curve"),
     (["render", "--metric", "vacuum", "--curve", "circle", "--out", "{tmp}/r.svg"],
      "render needs exactly one of --metric and --curve"),
+    (["scatter", "--metric", "vacuum", "--arc", "0", "--angle", "0", "--out", "{tmp}/s.json"],
+     "entry vector must point strictly inward"),
+    (["render", "--curve", "segment", "--out", "{tmp}/r.svg"], "unknown curve 'segment'"),
+    (["invariant", "--curve", "rose-x", "--out", "{tmp}/i.json"], "unknown curve 'rose-x'"),
+    (["invariant", "--curve", "rose-", "--out", "{tmp}/i.json"], "unknown curve 'rose-'"),
+    (["invariant", "--curve", "rose-2.5", "--out", "{tmp}/i.json"], "unknown curve 'rose-2.5'"),
+    (["invariant", "--curve", "rose-1", "--out", "{tmp}/i.json"], "rose needs k >= 2"),
 ], ids=["compare-tol-nan", "compare-tol-inf", "compare-tol-zero", "eaton-tol-nan",
         "eaton-tol-negative", "stride-negative", "stride-zero", "stages-zero",
         "svg-rays-zero", "svg-rays-negative", "h-shift-nan", "scatter-arc-inf",
         "trace-arc-nan", "eps-nan", "eps-zero", "samples-one", "samples-two",
         "samples-zero", "grid-zero", "grid-negative", "grid-three-counts",
         "grid-no-angle-count", "grid-no-arc-count", "grid-not-a-number",
-        "grid-fraction", "render-no-source", "render-two-sources"])
+        "grid-fraction", "render-no-source", "render-two-sources", "scatter-tangent",
+        "curve-segment", "rose-word", "rose-empty", "rose-fraction", "rose-one"])
 def test_bad_numeric_option_is_input_error(tmp_path, capsys, args, message):
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     code = main(args)
@@ -312,6 +322,24 @@ def test_bad_numeric_option_is_input_error(tmp_path, capsys, args, message):
     assert captured.out == ""
     assert captured.err == f"lens-scatter: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+class TestTraceCommand:
+    @pytest.mark.parametrize("metric", ["vacuum", "profile"])
+    def test_diameter_has_no_winding(self, tmp_path, capsys, metric):
+        # The diameter of a metric without a pole runs through the origin,
+        # where the polar angle has no lift; the entry itself is valid.
+        if metric == "profile":
+            path = tmp_path / "metric.json"
+            path.write_text(json.dumps({"kind": "radial-profile", "radius": 1.0,
+                                        "profile": [[0.0, 1.3], [0.5, 1.2], [1.0, 1.0]]}))
+            metric = str(path)
+        code, out = run(["trace", "--metric", metric, "--arc", "0",
+                         "--angle", repr(math.pi / 2)], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["winding"] is None
+        assert rep["exit"]["arc"] == pytest.approx(0.5, abs=1e-9)
 
 
 class TestDeterminism:
@@ -356,8 +384,10 @@ def test_curve_csv_input(tmp_path, capsys):
     ("scatter", ".json", '{"kind": "radial-profile", "profile": [1, 2]}'),
     ("scatter", ".json", '{"kind": "radial-profile", "profile": [[0.0, 1.2], [1.0, null]]}'),
     ("scatter", ".json", '{"kind": "vacuum", "radius": null}'),
+    ("scatter", ".json", '{"kind": "eaton", "radius": 2}'),
     ("invariant", ".csv", "t,x,y\n0.0,1\n"),
-], ids=["list", "string", "flat-knots", "null-knot", "null-radius", "short-csv-row"])
+], ids=["list", "string", "flat-knots", "null-knot", "null-radius", "eaton-radius",
+        "short-csv-row"])
 def test_malformed_input_file_is_input_error(tmp_path, capsys, command, suffix, text):
     path = tmp_path / f"input{suffix}"
     path.write_text(text)
@@ -372,3 +402,14 @@ def test_malformed_input_file_is_input_error(tmp_path, capsys, command, suffix, 
     assert captured.err.startswith("lens-scatter: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        prog, *args = shlex.split(line)
+        assert prog == "lens-scatter"
+        assert main(args) == 0, line

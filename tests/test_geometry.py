@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -273,3 +274,13 @@ class TestMetricSpecs:
     def test_load_metric_builtin_names(self):
         assert load_metric("vacuum").kind == "vacuum"
         assert load_metric("eaton").singular_at_origin
+
+    def test_metric_is_frozen_and_its_pole_comes_from_the_profile(self):
+        knots = ConformalMetric.from_profile_knots([(0.0, 1.2), (1.0, 1.0)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            knots.radius = 2.0
+        assert not knots.singular_at_origin
+        assert not load_metric("vacuum").singular_at_origin
+        assert not BENDING_PROFILE.singular_at_origin
+        assert ConformalMetric.from_radial(lambda r: 1.0 / r, lambda r: -1.0 / r ** 2,
+                                           r_min=1e-6).singular_at_origin

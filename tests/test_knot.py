@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import interp1d
 
+from lens_scatter import knot
 from lens_scatter.curves import (ParametricCurve, TrigCurve, circle, lemniscate,
                                  rose)
 from lens_scatter.knot import (CallableFramedLoop, Certificate, Crossing,
@@ -584,6 +585,21 @@ class TestRefinement:
             for s in (0.0, 0.5, 1.0):
                 samples = refine_stage_samples(self.embedded_isotopy, n, l, s, m=200)
                 assert embedding_separation(samples, window=2.0 / n) > 0.0
+
+    @pytest.mark.parametrize("moving,measured", [(True, 5), (False, 1)])
+    def test_each_distinct_sample_set_measured_once(self, monkeypatch, moving, measured):
+        calls = []
+
+        def counting(samples, window):
+            calls.append(window)
+            return embedding_separation(samples, window)
+
+        def still(s, t):
+            return self.embedded_isotopy(0.5, t)
+
+        monkeypatch.setattr(knot, "embedding_separation", counting)
+        choose_refinement_n(self.embedded_isotopy if moving else still, 0.3)
+        assert len(calls) == measured
 
     def test_fine_sampling_keeps_the_family_separation(self):
         # At 2048 samples n = 512 makes the gaps small enough; the separation

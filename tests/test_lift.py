@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lens_scatter.curves import ImmersionError, ParametricCurve, circle, lemniscate, segment
+from lens_scatter.curves import ImmersionError, ParametricCurve, circle, lemniscate
 from lens_scatter.knot import TangentLoop
 from lens_scatter.lift import (AmbiguousFiberArcError, LiftedCurve,
                                MinimalLinearCurve, PLVertexPath, ProjPoint,
@@ -24,10 +24,6 @@ class TestUnitTangentLift:
         lifted = unit_tangent_lift(lemniscate())
         assert lifted.total_turn == pytest.approx(0.0, abs=1e-9)
         assert lifted.turning_number == 0
-
-    def test_segment_constant_direction(self):
-        lifted = unit_tangent_lift(segment((-0.5, 0.1), (0.5, 0.1)))
-        assert np.ptp(lifted.theta) == 0.0
 
     def test_zero_speed_rejected(self):
         bad = ParametricCurve(
@@ -70,13 +66,13 @@ class TestProjectivize:
         # line bundle and winds once along the fiber.
         ts = np.linspace(0.0, 1.0, 64, endpoint=False)
         lifted = LiftedCurve(ts, np.zeros((64, 2)), math.pi * ts,
-                             closed=True, total_turn=math.pi)
+                             total_turn=math.pi)
         assert projectivize(lifted).line_winding == 1
 
     def test_non_integral_rotation_raises(self):
         ts = np.linspace(0.0, 1.0, 64, endpoint=False)
         lifted = LiftedCurve(ts, np.zeros((64, 2)), 1.3 * math.pi * ts,
-                             closed=True, total_turn=1.3 * math.pi)
+                             total_turn=1.3 * math.pi)
         with pytest.raises(RuntimeError, match="not integral"):
             lifted.turning_number
         with pytest.raises(RuntimeError, match="not integral"):

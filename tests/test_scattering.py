@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from lens_scatter import scattering
 from lens_scatter.eaton import _exact_dn_dr, eaton_index, eaton_metric
 from lens_scatter.geometry import (ConformalMetric, IntegrationOptions,
-                                   SingularChordError, integrate_geodesic)
+                                   SingularChordError, clairaut_orbit,
+                                   integrate_geodesic)
 from lens_scatter.scattering import (INWARD, OUTWARD, TANGENTIAL,
                                      BoundaryIsometry, BoundaryVector,
                                      _arc_distance, boundary_grid, classify,
@@ -336,7 +337,7 @@ class TestClairautFastPath:
         # step_tol, and the ODE trace agrees with it to step_tol.
         exact = ConformalMetric.from_radial(
             np.vectorize(eaton_index), np.vectorize(lambda r: _exact_dn_dr(eaton_index(r))),
-            kind="eaton", singular_at_origin=True, name="eaton-root-solved")
+            kind="eaton", r_min=1e-10, name="eaton-root-solved")
         opts = IntegrationOptions()
         for impact in (0.3, 0.9, 0.99, GRAZING):
             entry = BoundaryVector(0.0, math.acos(impact))
@@ -416,3 +417,67 @@ class TestReversalSymmetry:
         assert _arc_distance(back.exit.arc, target.arc) < 2.0 * opts.step_tol
         assert abs(back.exit.angle - target.angle) < 2.0 * opts.step_tol
         assert abs(back.tau - fwd.tau) < 4.0 * opts.step_tol
+
+
+def _gauss(f, a: float, b: float, points: int) -> float:
+    """Gauss-Legendre quadrature of ``f`` over ``[a, b]``."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    half = 0.5 * (b - a)
+    return half * sum(wi * f(half * xi + 0.5 * (a + b)) for xi, wi in zip(x, w))
+
+
+class TestBenndorfRelation:
+    """Radial lens data rebuilt from scattering data: along the Clairaut
+    constant ``p`` the length and the polar sweep obey ``dtau = p dTheta``."""
+
+    @staticmethod
+    def sweep(metric, q: float) -> float:
+        n_edge = metric.profile.eval(metric.radius)[0]
+        return clairaut_orbit(metric, q / n_edge, IntegrationOptions())[0]
+
+    @given(metric=monotone_profiles)
+    @settings(max_examples=3, deadline=None)
+    def test_herglotz_lengths_from_sweeps(self, metric):
+        # With n r increasing, grazing rays have Theta = tau = 0, so
+        # tau(p) = p Theta(p) + int_p^P Theta, P = n(R) R.  Theta has kinks
+        # where the turning radius crosses a knot, and a square-root edge at
+        # P, which q = P - (P - a) s^2 smooths.
+        prof, R = metric.profile, metric.radius
+        P = prof.eval(R)[0] * R
+        kinks = sorted(prof.eval(float(r))[0] * r for r in prof.breakpoints if 0.0 < r < R)
+        opts = IntegrationOptions()
+        for p in (0.05 * P, 0.3 * P, 0.7 * P, 0.98 * P):
+            cuts = [p] + [q for q in kinks if p < q < P]
+            area = sum(_gauss(lambda q: self.sweep(metric, q), a, b, 40)
+                       for a, b in zip(cuts, cuts[1:]))
+            a = cuts[-1]
+            area += _gauss(lambda s: self.sweep(metric, P - (P - a) * s * s) * 2.0 * (P - a) * s,
+                           0.0, 1.0, 40)
+            tau = clairaut_orbit(metric, p / prof.eval(R)[0], opts)[1]
+            assert abs(p * self.sweep(metric, p) + area - tau) < opts.step_tol
+
+    def test_lens_lengths_from_sweeps(self, eaton):
+        # (n r)'(1) = 0 on the lens, so grazing rays still circle the disk
+        # once, and quadrature declines within ~2.4e-5 of grazing: anchor the
+        # relation at q0 instead.  Exit arcs know the sweep only mod 2 pi;
+        # that sweep, Theta - 2 pi, leaves the constant 2 pi of criterion 4
+        # in the anchor terms.
+        opts = IntegrationOptions()
+        q0 = 1.0 - 1e-3
+        sweep0, tau0 = clairaut_orbit(eaton, q0, opts)
+        assert abs(tau0 - q0 * (sweep0 - 2.0 * math.pi) - 2.0 * math.pi) < 1e-3
+        for p in (0.05, 0.35, 0.65, 0.95):
+            sweep, tau = clairaut_orbit(eaton, p, opts)
+            area = _gauss(lambda q: self.sweep(eaton, q), p, q0, 64)
+            assert abs(tau0 - q0 * sweep0 + p * sweep + area - tau) < opts.step_tol
+
+
+class TestClairautDrift:
+    @given(metric=st.one_of(st.sampled_from([eaton_metric(), BENDING_PROFILE]),
+                            monotone_profiles),
+           entry=entries)
+    @settings(max_examples=15, deadline=None)
+    def test_spread_below_step_tol(self, metric, entry):
+        opts = IntegrationOptions()
+        lo, hi = integrate_geodesic(metric, entry, opts).clairaut_range(metric)
+        assert hi - lo < opts.step_tol
