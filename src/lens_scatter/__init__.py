@@ -7,9 +7,9 @@ from .geometry import (ConformalMetric, GeodesicPath, IntegrationOptions,
                        SingularChordError, SingularityError, integrate_geodesic,
                        load_metric, metric_from_spec, riemannian_length)
 from .scattering import (BoundaryIsometry, BoundaryVector, CompareReport,
-                         ExcessReport, ScatteringRecord, boundary_grid,
-                         classify, compare_scattering, length_excess, phi_map,
-                         scatter, scatter_grid)
+                         ScatteringRecord, boundary_grid, classify,
+                         compare_scattering, length_excess, phi_map, scatter,
+                         scatter_grid)
 from .eaton import (EatonProfile, eaton_index, eaton_metric, invisibility_check,
                     loop_winding)
 from .curves import (ParametricCurve, TrigCurve, circle, lemniscate,

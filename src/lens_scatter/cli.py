@@ -155,7 +155,7 @@ def _cmd_compare(args) -> int:
         "trapped_count": rep.trapped_count,
         "excluded": rep.excluded,
         "mean_excess": rep.mean_excess,
-        "excess_dev": rep.excess_dev,
+        "excess_dev": rep.max_abs_dev,
     }
     _write_json(report, args.out)
     if args.expect_equal and not rep.equal:

@@ -210,6 +210,10 @@ class _CallableRadial:
                 np.asarray(self.dn_dr(r), dtype=float) * np.ones_like(r))
 
 
+# One shared profile, so that equal vacuum metrics compare equal.
+_VACUUM_PROFILE = _CallableRadial(lambda r: 1.0, lambda r: 0.0)
+
+
 @dataclass(frozen=True)
 class ConformalMetric:
     """Positive conformal factor on the closed disk.
@@ -235,8 +239,6 @@ class ConformalMetric:
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"metric radius must be positive and finite, got {self.radius}")
         object.__setattr__(self, "name", self.name or self.kind)
-        if self.kind == "vacuum":
-            object.__setattr__(self, "profile", _CallableRadial(lambda r: 1.0, lambda r: 0.0))
         if self.profile is None and self.field is None:
             raise ValueError("metric needs a radial profile or a general field")
 
@@ -244,7 +246,7 @@ class ConformalMetric:
 
     @classmethod
     def vacuum(cls, radius=1.0) -> "ConformalMetric":
-        return cls("vacuum", radius=radius, name="vacuum")
+        return cls("vacuum", radius=radius, profile=_VACUUM_PROFILE, name="vacuum")
 
     @classmethod
     def from_radial(cls, n_of_r, dn_dr, *, radius=1.0, kind="radial-profile",
@@ -539,6 +541,11 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
     rhs = metric._make_rhs()
 
     def boundary_exit(s, y):
+        # The entry point rounds onto or just outside the circle; count it
+        # as inside, or a near-grazing chord spanned by the first step
+        # would exit at its own entry or never.
+        if s == 0.0:
+            return -R * R
         return y[0] * y[0] + y[1] * y[1] - R * R
 
     boundary_exit.terminal = True

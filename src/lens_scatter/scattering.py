@@ -188,48 +188,15 @@ def _arc_distance(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
-def _lens_pairs(metric_m: ConformalMetric, metric_n: ConformalMetric,
-                h: BoundaryIsometry | None, grid,
-                opts: IntegrationOptions | None):
-    """Paired lens data of two metrics: the one pass behind compare and excess.
-
-    Scatters the grid entries ``v`` (default :func:`boundary_grid`) under M
-    and ``phi(v)`` under N with :func:`scatter_grid`.  Returns
-    ``(pairs, trapped, excluded)``:
-    ``pairs`` holds ``(phi(exit_M(v)), exit_N(phi(v)), tau_N - tau_M)`` for
-    the entries where both geodesics exit, ``trapped`` counts entries with a
-    trapped geodesic on either side, and ``excluded`` the entries whose
-    chord passes through the exclusion zone of a singular metric.
-    """
-    h = h or BoundaryIsometry()
-    grid = list(grid) if grid is not None else boundary_grid()
-    pairs = []
-    trapped = 0
-    excluded = 0
-    for rec_m, rec_n in zip(scatter_grid(metric_m, grid, opts),
-                            scatter_grid(metric_n, [phi_map(h, v) for v in grid], opts)):
-        if rec_m is None or rec_n is None:
-            excluded += 1
-            continue
-        if rec_m.trapped or rec_n.trapped:
-            trapped += 1
-            continue
-        pairs.append((phi_map(h, rec_m.exit), rec_n.exit, rec_n.tau - rec_m.tau))
-    return pairs, trapped, excluded
-
-
-def _mean_and_spread(values: list[float]) -> tuple[float, float]:
-    mean = sum(values) / len(values)
-    return mean, max(abs(e - mean) for e in values)
-
-
 @dataclass
 class CompareReport:
-    """Conjugation-identity deviations between two metrics over a grid.
+    """Lens data of two metrics compared over a grid.
 
     ``entries`` counts the whole grid, ``excluded`` the entries skipped as
-    pole chords.  ``mean_excess`` and ``excess_dev`` summarize the length
-    excesses of the compared entries (``None`` when there are none).
+    pole chords.  ``excesses`` holds ``tau_N(phi(v)) - tau_M(v)`` for the
+    compared entries, in grid order; ``mean_excess`` and ``max_abs_dev``
+    are their mean and largest deviation from it (``None`` when nothing was
+    compared).
     """
 
     equal: bool
@@ -240,7 +207,8 @@ class CompareReport:
     tol: float
     excluded: int
     mean_excess: float | None
-    excess_dev: float | None
+    max_abs_dev: float | None
+    excesses: list[float]
 
 
 def compare_scattering(metric_m: ConformalMetric, metric_n: ConformalMetric,
@@ -249,49 +217,51 @@ def compare_scattering(metric_m: ConformalMetric, metric_n: ConformalMetric,
                        opts: IntegrationOptions | None = None) -> CompareReport:
     """Check that mapping exits with ``h`` commutes with exit tracing.
 
-    For every grid entry ``v`` the report compares ``phi(exit_M(v))``
-    against ``exit_N(phi(v))``.  Trapped geodesics on either side are
-    counted, excluded from the deviation maxima, and veto equality.  Pole
-    chords are skipped and counted in ``excluded``; equality needs at least
-    one compared entry.  ``max_arc_dev`` is measured in arc fraction,
-    ``max_angle_dev`` in radians.
+    Scatters the grid entries ``v`` (default :func:`boundary_grid`) under M
+    and ``phi(v)`` under N with :func:`scatter_grid`, and compares
+    ``phi(exit_M(v))`` against ``exit_N(phi(v))``.  Trapped geodesics on
+    either side are counted, excluded from the deviation maxima and the
+    excesses, and veto equality.  Pole chords are skipped and counted in
+    ``excluded``; equality needs at least one compared entry.
+    ``max_arc_dev`` is measured in arc fraction, ``max_angle_dev`` in
+    radians.
     """
-    pairs, trapped, excluded = _lens_pairs(metric_m, metric_n, h, grid, opts)
+    h = h or BoundaryIsometry()
+    grid = list(grid) if grid is not None else boundary_grid()
     max_angle = 0.0
     max_arc = 0.0
-    for lhs, rhs, _ in pairs:
-        max_angle = max(max_angle, abs(lhs.angle - rhs.angle))
-        max_arc = max(max_arc, _arc_distance(lhs.arc, rhs.arc))
-    mean, spread = _mean_and_spread([e for _, _, e in pairs]) if pairs else (None, None)
-    equal = trapped == 0 and bool(pairs) and max_angle < tol and max_arc < tol
-    entries = len(pairs) + trapped + excluded
-    return CompareReport(equal, max_angle, max_arc, trapped, entries, tol,
-                         excluded, mean, spread)
-
-
-@dataclass
-class ExcessReport:
-    """Per-entry length excesses of one metric over another."""
-
-    mean_excess: float
-    max_abs_dev: float
-    excesses: list[float]
-    trapped_count: int
-    excluded: int
+    excesses = []
+    trapped = 0
+    excluded = 0
+    for rec_m, rec_n in zip(scatter_grid(metric_m, grid, opts),
+                            scatter_grid(metric_n, [phi_map(h, v) for v in grid], opts)):
+        if rec_m is None or rec_n is None:
+            excluded += 1
+        elif rec_m.trapped or rec_n.trapped:
+            trapped += 1
+        else:
+            lhs = phi_map(h, rec_m.exit)
+            max_angle = max(max_angle, abs(lhs.angle - rec_n.exit.angle))
+            max_arc = max(max_arc, _arc_distance(lhs.arc, rec_n.exit.arc))
+            excesses.append(rec_n.tau - rec_m.tau)
+    mean = spread = None
+    if excesses:
+        mean = sum(excesses) / len(excesses)
+        spread = max(abs(e - mean) for e in excesses)
+    equal = trapped == 0 and bool(excesses) and max_angle < tol and max_arc < tol
+    return CompareReport(equal, max_angle, max_arc, trapped, len(grid), tol,
+                         excluded, mean, spread, excesses)
 
 
 def length_excess(metric_m: ConformalMetric, metric_n: ConformalMetric,
                   h: BoundaryIsometry | None = None, grid=None,
-                  opts: IntegrationOptions | None = None) -> ExcessReport:
-    """Mean and spread of ``tau_N(phi(v)) - tau_M(v)`` over the grid.
+                  opts: IntegrationOptions | None = None) -> CompareReport:
+    """The :func:`compare_scattering` report, read for its length excesses.
 
     Meaningful when the two metrics compare equal (the excess is then a
-    single constant); callers should run :func:`compare_scattering` first.
-    Pole chords are skipped and counted in ``excluded``.
+    single constant).  Raises ``RuntimeError`` when no entry was compared.
     """
-    pairs, trapped, excluded = _lens_pairs(metric_m, metric_n, h, grid, opts)
-    if not pairs:
+    rep = compare_scattering(metric_m, metric_n, h, grid, opts=opts)
+    if not rep.excesses:
         raise RuntimeError("no usable entries: every geodesic was trapped or excluded")
-    excesses = [e for _, _, e in pairs]
-    mean, spread = _mean_and_spread(excesses)
-    return ExcessReport(mean, spread, excesses, trapped, excluded)
+    return rep

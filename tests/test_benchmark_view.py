@@ -73,3 +73,15 @@ def test_traced_path_attributes():
         assert len(path.points) == len(path.directions) > 1
         assert path.trapped == (path.exit is None) == (opts is not None)
         assert (path.length == float("inf")) == path.trapped
+
+
+def test_lens_report_attributes():
+    # jobs.py reads equal, trapped_count and entries off compare_scattering,
+    # and trapped_count, mean_excess and max_abs_dev off length_excess.
+    vacuum = ls.geometry.ConformalMetric.vacuum()
+    grid = ls.scattering.boundary_grid(2, 2)
+    cmp = ls.scattering.compare_scattering(vacuum, vacuum, grid=grid)
+    assert cmp.equal is True and cmp.trapped_count == 0 and cmp.entries == 4
+    exc = ls.scattering.length_excess(vacuum, vacuum, grid=grid)
+    assert exc.trapped_count == 0
+    assert abs(exc.mean_excess) < 1e-9 and 0.0 <= exc.max_abs_dev < 1e-9

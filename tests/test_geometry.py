@@ -13,6 +13,7 @@ from lens_scatter.geometry import (ConformalMetric, IntegrationOptions,
 from lens_scatter.scattering import BoundaryVector
 
 from conftest import christoffel_turn_rate
+from test_scattering import GENTLE_BUMPS
 
 BENDING_PROFILE = ConformalMetric.from_radial(
     lambda r: 1.0 + 0.3 * (1.0 - r * r), lambda r: -0.6 * r, name="bump")
@@ -116,6 +117,24 @@ class TestIntegration:
         assert path.trapped
         assert path.exit is None
         assert path.length == math.inf
+
+    @pytest.mark.parametrize("chi", [1e-3, 5e-3, 1e-2])
+    @pytest.mark.parametrize("side", ["near-0", "near-pi"])
+    def test_grazing_vacuum_chords_exit_at_their_far_end(self, vacuum, chi, side):
+        # One solver step spans these chords; their entry points round onto
+        # or just outside the circle, and must neither exit at once nor run
+        # to the length cap.
+        opts = IntegrationOptions()
+        angle = chi if side == "near-0" else math.pi - chi
+        for k in range(96):
+            path = integrate_geodesic(vacuum, BoundaryVector(k / 96, angle), opts)
+            assert abs(path.length - 2.0 * math.sin(chi)) < opts.step_tol
+
+    def test_grazing_general_chords_exit(self):
+        chi = 1e-3
+        for k in range(96):
+            path = integrate_geodesic(GENTLE_BUMPS, BoundaryVector(k / 96, chi))
+            assert not path.trapped and path.length > math.sin(chi)
 
     def test_step_refinement_convergence(self):
         entry = BoundaryVector(0.0, 0.9)
@@ -274,6 +293,11 @@ class TestMetricSpecs:
     def test_load_metric_builtin_names(self):
         assert load_metric("vacuum").kind == "vacuum"
         assert load_metric("eaton").singular_at_origin
+
+    def test_vacuum_metrics_compare_by_radius(self):
+        assert ConformalMetric.vacuum() == ConformalMetric.vacuum()
+        assert hash(ConformalMetric.vacuum()) == hash(ConformalMetric.vacuum())
+        assert ConformalMetric.vacuum(2.0) != ConformalMetric.vacuum()
 
     def test_metric_is_frozen_and_its_pole_comes_from_the_profile(self):
         knots = ConformalMetric.from_profile_knots([(0.0, 1.2), (1.0, 1.0)])
