@@ -94,6 +94,9 @@ def _cmd_trace(args) -> int:
     metric = load_metric(args.metric)
     entry = BoundaryVector(args.arc, args.angle)
     path = integrate_geodesic(metric, entry, _integration_options(args))
+    # Every stride-th sample, and the last one (the exit) wherever it falls.
+    last = len(path.points) - 1
+    keep = [*range(0, last, args.stride), last]
     try:
         winding = None if path.trapped else loop_winding(path)
     except (ValueError, NonIntegralWindingError):
@@ -109,7 +112,7 @@ def _cmd_trace(args) -> int:
         "exit": None if path.trapped else {"arc": path.exit.arc,
                                            "angle": path.exit.angle},
         "winding": winding,
-        "samples": [[round(x, 9), round(y, 9)] for x, y in path.points[:: args.stride]],
+        "samples": [[round(x, 9), round(y, 9)] for x, y in path.points[keep]],
     }
     _write_json(report, args.out)
     if args.emit_svg:
@@ -253,7 +256,16 @@ def _cmd_render(args) -> int:
     metric = load_metric(args.metric)
     opts = _integration_options(args)
     grid = _clear_of_pole(metric, _parse_grid(args.grid), "render", "grid entry")
-    paths = [integrate_geodesic(metric, v, opts) for v in grid]
+    if metric.is_radial:
+        # Paths at one entry angle are rotations of each other: trace each
+        # angle once, at its first entry.
+        first = {}
+        for v in grid:
+            if v.angle not in first:
+                first[v.angle] = integrate_geodesic(metric, v, opts)
+        paths = [first[v.angle].rotated(v) for v in grid]
+    else:
+        paths = [integrate_geodesic(metric, v, opts) for v in grid]
     render_rays(paths, args.out, radius=metric.radius)
     return 0
 

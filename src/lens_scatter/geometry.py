@@ -18,20 +18,30 @@ Dividing the angular rate by ``n`` gives the rate per unit *metric*
 arclength, which for a radial index and a tangential direction reduces to
 ``-(dn/dr)/n^2``.  Parametrizing by ``s`` rather than ``tau`` keeps the
 system well scaled where ``n`` blows up.
+
+The system is integrated by :mod:`lens_scatter.dop853`, the DOP853 method
+with scipy's step control.  Samples are the solver's step ends, subdivided
+on its 7th-order interpolant where direction or polar angle turns fast,
+and the exit is the root of ``x^2 + y^2 - R^2`` on the last step's
+interpolant.  On a tabulated profile steps end just past each knot circle
+they cross (:func:`_knot_cut`).  Radial metrics get exit data without tracing, from Clairaut
+quadrature (:func:`clairaut_orbit`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
+
+from . import dop853
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,7 +62,10 @@ class NonIntegralWindingError(RuntimeError):
 # from its pole; interior ray perigees dip far below it.
 EXCLUSION_RADIUS = 1e-3
 
-# solve_ivp raises any rtol below 100 eps to that floor with a warning.
+# The solver's rtol is 1e-3 step_tol.  Near machine epsilon the rounding
+# of each state update is as large as the error being controlled, so the
+# step size shrinks without buying accuracy; 100 eps keeps two decades of
+# headroom above it.
 _RTOL_SCALE = 1e-3
 _RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
@@ -325,6 +338,26 @@ class ConformalMetric:
         return rhs
 
 
+@dataclass(frozen=True)
+class TraceStats:
+    """How one :func:`integrate_geodesic` call ended and what it cost.
+
+    ``termination`` is ``"exited"`` or ``"length_cap"``.  ``rhs_calls``
+    counts right-hand side evaluations, ``steps`` and ``rejected`` the
+    accepted and rejected solver steps; a step cut short at a knot circle
+    of a tabulated profile counts as rejected.  ``refine_rounds`` counts the
+    rounds that subdivided the samples; ``refine_exhausted`` is set when
+    all of them ran, so the last round's samples went unchecked.
+    """
+
+    termination: str
+    rhs_calls: int
+    steps: int
+    rejected: int
+    refine_rounds: int
+    refine_exhausted: bool
+
+
 @dataclass
 class GeodesicPath:
     """Arclength-sampled geodesic with entry/exit data.
@@ -333,7 +366,8 @@ class GeodesicPath:
     ``directions`` a continuous lift of the direction angle.  ``exit`` is
     ``None`` for trapped geodesics.  Samples are dense enough that
     consecutive direction angles and polar angles differ by well under
-    pi/2, so angle unwrapping downstream is safe.
+    pi/2, so angle unwrapping downstream is safe.  ``stats`` is filled by
+    :func:`integrate_geodesic`.
     """
 
     points: np.ndarray
@@ -341,6 +375,7 @@ class GeodesicPath:
     lengths: np.ndarray
     entry: object
     exit: object | None
+    stats: TraceStats | None = None
 
     @property
     def trapped(self) -> bool:
@@ -349,6 +384,24 @@ class GeodesicPath:
     @property
     def length(self) -> float:
         return float(self.lengths[-1]) if not self.trapped else math.inf
+
+    def rotated(self, entry) -> "GeodesicPath":
+        """This path turned about the origin to start at ``entry``.
+
+        A radial metric's geodesics at one entry angle are rotations of
+        each other, so for ``entry.angle == self.entry.angle`` this is the
+        path of ``entry``: points and directions turn by ``2 pi`` times the
+        arc difference, and the exit arc advances by that difference.  The
+        result was not traced, so its ``stats`` are ``None``.
+        """
+        turn = entry.arc - self.entry.arc
+        a = TWO_PI * turn
+        c, s = math.cos(a), math.sin(a)
+        x, y = self.points[:, 0], self.points[:, 1]
+        points = np.column_stack([x * c - y * s, x * s + y * c])
+        exit_vec = (None if self.trapped
+                    else BoundaryVector(self.exit.arc + turn, self.exit.angle))
+        return GeodesicPath(points, self.directions + a, self.lengths, entry, exit_vec)
 
     def clairaut_range(self, metric: ConformalMetric) -> tuple[float, float]:
         """Least and greatest Clairaut integral ``n(r) r sin(psi)`` over the
@@ -508,19 +561,88 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
     return out[0], out[1]
 
 
-def _refine_samples(dense, ts, max_step=0.45, rounds=10):
-    """Dense states at sample times subdivided until direction and polar angles step slowly."""
-    ts = np.asarray(ts, dtype=float)
-    for _ in range(rounds):
-        ys = dense(ts)
-        theta = ys[2]
+_REFINE_ROUNDS = 10
+
+# How far past a knot circle a cut step may run.  Across a kink a step's
+# error grows with the square of the length straddled, so 1e-8 R leaves it
+# far below the solver's atol.
+_KNOT_OVERSHOOT = 1e-8
+
+
+def _knot_cut(metric: ConformalMetric):
+    """The solver's step cutter for a tabulated profile, else ``None``.
+
+    A tabulated profile is one cubic per knot interval, so ``n''`` jumps on
+    every interior knot circle.  A step across one fits its stages to a
+    right-hand side that is not smooth, and when the ray only grazes the
+    circle between two stages the error estimate misses the jump: such a
+    step put an exit 1e-5 off at ``step_tol`` 1e-7.  The cutter ends steps
+    just past the first circle they cross.  Along the step ``q = x^2 + y^2``
+    is taken as the cubic Hermite of its end values and slopes, which is
+    exact for a straight step and finds the circles a step dips across and
+    back out of.
+    """
+    if not metric.is_radial:
+        return None
+    R = metric.radius
+    knots = sorted(float(b) ** 2 for b in metric.profile.breakpoints if 0.0 < b < R)
+    if not knots:
+        return None
+    over = _KNOT_OVERSHOOT * R
+
+    def cut(h, y, y_new, f, f_new):
+        q0 = y[0] * y[0] + y[1] * y[1]
+        m0 = 2.0 * h * (y[0] * f[0] + y[1] * f[1])
+        m1 = 2.0 * h * (y_new[0] * f_new[0] + y_new[1] * f_new[1])
+        d = y_new[0] * y_new[0] + y_new[1] * y_new[1] - q0
+        c2 = 3.0 * d - 2.0 * m0 - m1
+        c3 = m0 + m1 - 2.0 * d
+
+        def q(u):
+            return q0 + u * (m0 + u * (c2 + u * c3))
+
+        # q is monotone between the turns of the cubic, q' = 0.
+        a, b = 3.0 * c3, 2.0 * c2
+        if a == 0.0:
+            turns = [-m0 / b] if b != 0.0 else []
+        else:
+            disc = b * b - 4.0 * a * m0
+            turns = [] if disc < 0.0 else [(-b - math.sqrt(disc)) / (2.0 * a),
+                                           (-b + math.sqrt(disc)) / (2.0 * a)]
+        ends = [0.0] + sorted(u for u in turns if 0.0 < u < 1.0) + [1.0]
+        for ua, ub in zip(ends, ends[1:]):
+            qa, qb = q(ua), q(ub)
+            lo, hi = min(qa, qb), max(qa, qb)
+            crossed = knots[bisect_right(knots, lo):bisect_left(knots, hi)]
+            for k in (crossed if qb > qa else reversed(crossed)):
+                s = h * brentq(lambda u: q(u) - k, ua, ub, xtol=1e-15)
+                if s > over:
+                    return s + over if s < h - 2.0 * over else None
+        return None
+
+    return cut
+
+
+def _refine_samples(sol, max_step=0.45):
+    """States at the solver's sample times, subdivided until direction and
+    polar angles step slowly.
+
+    Returns the ``(4, m)`` states and the number of subdivision rounds;
+    only the new midpoints are interpolated.
+    """
+    ts = np.array(sol.ts)
+    ys = np.array(sol.ys).T
+    for k in range(_REFINE_ROUNDS):
         polar = np.unwrap(np.arctan2(ys[1], ys[0]))
-        bad = (np.abs(np.diff(theta)) > max_step) | (np.abs(np.diff(polar)) > max_step)
+        bad = (np.abs(np.diff(ys[2])) > max_step) | (np.abs(np.diff(polar)) > max_step)
         if not np.any(bad):
-            return ys
+            return ys, k
         mids = 0.5 * (ts[:-1][bad] + ts[1:][bad])
-        ts = np.sort(np.concatenate([ts, mids]))
-    return dense(ts)
+        ts = np.concatenate([ts, mids])
+        ys = np.concatenate([ys, sol(mids)], axis=1)
+        order = np.argsort(ts)
+        ts, ys = ts[order], ys[:, order]
+    return ys, _REFINE_ROUNDS
 
 
 def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions | None = None) -> GeodesicPath:
@@ -532,13 +654,14 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
     localized by bracketed root finding on the signed radial excess of the
     dense solution, well below ``opts.step_tol``.  Returns a trapped path
     (``exit is None``) once the metric length exceeds ``opts.max_length``.
+    The solver is :mod:`lens_scatter.dop853`; the path's ``stats`` record
+    its counters.
     """
     opts = opts or IntegrationOptions()
     R = metric.radius
     chord_impact(metric, entry)
     max_len = opts.length_cap(R)
     x0, y0, theta0 = _entry_xytheta(entry, R)
-    rhs = metric._make_rhs()
 
     def boundary_exit(s, y):
         # The entry point rounds onto or just outside the circle; count it
@@ -548,39 +671,31 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
             return -R * R
         return y[0] * y[0] + y[1] * y[1] - R * R
 
-    boundary_exit.terminal = True
-    boundary_exit.direction = 1.0
-
     def length_cap(s, y):
         return y[3] - max_len
 
-    length_cap.terminal = True
-    length_cap.direction = 1.0
-
-    # Metric length grows at rate n > 0, so the length cap always ends an
-    # unbounded span.
-    sol = solve_ivp(rhs, (0.0, math.inf), (x0, y0, theta0, 0.0), method="DOP853",
-                    rtol=_RTOL_SCALE * opts.step_tol, atol=1e-4 * opts.step_tol,
-                    events=(boundary_exit, length_cap), dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"geodesic integration failed: {sol.message}")
-
-    exited = sol.status == 1 and len(sol.t_events[0]) > 0
-    ys = _refine_samples(sol.sol, sol.t)
+    # Metric length grows at rate n > 0, so the length cap always ends the
+    # run.
+    sol = dop853.solve(metric._make_rhs(), (x0, y0, theta0, 0.0),
+                       rtol=_RTOL_SCALE * opts.step_tol, atol=1e-4 * opts.step_tol,
+                       events=(boundary_exit, length_cap), cut=_knot_cut(metric))
+    exited = sol.event == 0
+    ys, rounds = _refine_samples(sol)
     points = np.column_stack([ys[0], ys[1]])
-    lengths = ys[3]
     # Guard against tiny non-monotonicity from dense-output refinement.
-    lengths = np.maximum.accumulate(lengths)
+    lengths = np.maximum.accumulate(ys[3])
+    stats = TraceStats("exited" if exited else "length_cap", sol.nfev, sol.steps,
+                       sol.rejected, rounds, rounds == _REFINE_ROUNDS)
 
     if not exited:
-        return GeodesicPath(points, ys[2], lengths, entry, None)
+        return GeodesicPath(points, ys[2], lengths, entry, None, stats)
 
     # Snap the terminal sample onto the boundary circle for clean arc data.
-    xe, ye, the, taue = sol.y[0, -1], sol.y[1, -1], sol.y[2, -1], sol.y[3, -1]
+    xe, ye, the, _ = sol.ys[-1]
     scale = R / math.hypot(xe, ye)
     points[-1] = (xe * scale, ye * scale)
     exit_vec = boundary_vector_at(points[-1, 0], points[-1, 1], the, radius=R)
-    return GeodesicPath(points, ys[2], lengths, entry, exit_vec)
+    return GeodesicPath(points, ys[2], lengths, entry, exit_vec, stats)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)

@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from lens_scatter.eaton import eaton_metric
-from lens_scatter.geometry import ConformalMetric
+from lens_scatter.geometry import (_RTOL_SCALE, ConformalMetric, GeodesicPath,
+                                   IntegrationOptions, _entry_xytheta,
+                                   boundary_vector_at, chord_impact)
 from lens_scatter.knot import random_corpus
 from lens_scatter.scattering import boundary_grid
 
@@ -110,3 +113,73 @@ def christoffel_turn_rate(metric, x: float, y: float, theta: float,
     xdd = -(px * xd * xd + 2 * py * xd * yd - px * yd * yd)
     ydd = -(-py * xd * xd + 2 * px * xd * yd + py * yd * yd)
     return (xd * ydd - yd * xdd) / (xd * xd + yd * yd)
+
+
+def _solve_ivp_refine(dense, ts, max_step=0.45, rounds=10):
+    """Dense states at sample times subdivided until direction and polar angles step slowly."""
+    ts = np.asarray(ts, dtype=float)
+    for _ in range(rounds):
+        ys = dense(ts)
+        theta = ys[2]
+        polar = np.unwrap(np.arctan2(ys[1], ys[0]))
+        bad = (np.abs(np.diff(theta)) > max_step) | (np.abs(np.diff(polar)) > max_step)
+        if not np.any(bad):
+            return ys
+        mids = 0.5 * (ts[:-1][bad] + ts[1:][bad])
+        ts = np.sort(np.concatenate([ts, mids]))
+    return dense(ts)
+
+
+def solve_ivp_trace(metric: ConformalMetric, entry,
+                    opts: IntegrationOptions | None = None) -> GeodesicPath:
+    """``integrate_geodesic`` as it was written on scipy's ``solve_ivp``
+    (DOP853, dense output, terminal events): the oracle for the in-repo
+    port of that integrator."""
+    opts = opts or IntegrationOptions()
+    R = metric.radius
+    chord_impact(metric, entry)
+    max_len = opts.length_cap(R)
+    x0, y0, theta0 = _entry_xytheta(entry, R)
+    rhs = metric._make_rhs()
+
+    def boundary_exit(s, y):
+        # The entry point rounds onto or just outside the circle; count it
+        # as inside, or a near-grazing chord spanned by the first step
+        # would exit at its own entry or never.
+        if s == 0.0:
+            return -R * R
+        return y[0] * y[0] + y[1] * y[1] - R * R
+
+    boundary_exit.terminal = True
+    boundary_exit.direction = 1.0
+
+    def length_cap(s, y):
+        return y[3] - max_len
+
+    length_cap.terminal = True
+    length_cap.direction = 1.0
+
+    # Metric length grows at rate n > 0, so the length cap always ends an
+    # unbounded span.
+    sol = solve_ivp(rhs, (0.0, math.inf), (x0, y0, theta0, 0.0), method="DOP853",
+                    rtol=_RTOL_SCALE * opts.step_tol, atol=1e-4 * opts.step_tol,
+                    events=(boundary_exit, length_cap), dense_output=True)
+    if not sol.success:
+        raise RuntimeError(f"geodesic integration failed: {sol.message}")
+
+    exited = sol.status == 1 and len(sol.t_events[0]) > 0
+    ys = _solve_ivp_refine(sol.sol, sol.t)
+    points = np.column_stack([ys[0], ys[1]])
+    lengths = ys[3]
+    # Guard against tiny non-monotonicity from dense-output refinement.
+    lengths = np.maximum.accumulate(lengths)
+
+    if not exited:
+        return GeodesicPath(points, ys[2], lengths, entry, None)
+
+    # Snap the terminal sample onto the boundary circle for clean arc data.
+    xe, ye, the, taue = sol.y[0, -1], sol.y[1, -1], sol.y[2, -1], sol.y[3, -1]
+    scale = R / math.hypot(xe, ye)
+    points[-1] = (xe * scale, ye * scale)
+    exit_vec = boundary_vector_at(points[-1, 0], points[-1, 1], the, radius=R)
+    return GeodesicPath(points, ys[2], lengths, entry, exit_vec)

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from lens_scatter import cli
 from lens_scatter.cli import main
+from lens_scatter.geometry import integrate_geodesic
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -229,6 +231,21 @@ class TestRender:
         assert "<polyline" in out.read_text()
 
 
+    def test_radial_fan_traces_each_angle_once(self, tmp_path, capsys, monkeypatch):
+        traced = []
+
+        def counted(metric, entry, opts=None):
+            traced.append(entry)
+            return integrate_geodesic(metric, entry, opts)
+
+        monkeypatch.setattr(cli, "integrate_geodesic", counted)
+        out = tmp_path / "rays.svg"
+        code, _ = run(["render", "--metric", "eaton", "--grid", "8x2", "--out", str(out)],
+                      capsys)
+        assert code == 0
+        assert len(traced) == 2
+        assert out.read_text().count("<polyline") == 16
+
     def test_pole_chords_are_skipped(self, tmp_path, capsys):
         # The middle of three angles is the normal, whose chord meets the
         # lens's pole: its four entries are left out of the fan.
@@ -340,6 +357,19 @@ class TestTraceCommand:
         rep = json.loads(out)
         assert rep["winding"] is None
         assert rep["exit"]["arc"] == pytest.approx(0.5, abs=1e-9)
+
+
+    def test_last_sample_is_the_exit(self, capsys):
+        # The default stride of 4 skips the exit of this two-sample path.
+        code, out = run(["trace", "--metric", "vacuum", "--arc", "0",
+                         "--angle", "0.001"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        phi = 2.0 * math.pi * rep["exit"]["arc"]
+        assert rep["samples"][0] == [1.0, 0.0]
+        assert math.hypot(rep["samples"][-1][0] - math.cos(phi),
+                          rep["samples"][-1][1] - math.sin(phi)) < 1e-8
+        assert rep["exit"]["arc"] == pytest.approx(1e-3 / math.pi, abs=1e-9)
 
 
 class TestDeterminism:

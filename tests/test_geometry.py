@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from lens_scatter.eaton import eaton_index
+from lens_scatter import dop853, geometry, scattering
+from lens_scatter.eaton import eaton_index, eaton_metric
 from lens_scatter.geometry import (ConformalMetric, IntegrationOptions,
                                    SingularChordError, SingularityError,
                                    integrate_geodesic, load_metric,
                                    metric_from_spec, riemannian_length)
-from lens_scatter.scattering import BoundaryVector
+from lens_scatter.scattering import BoundaryVector, _arc_distance, boundary_grid
 
-from conftest import christoffel_turn_rate
-from test_scattering import GENTLE_BUMPS
+from conftest import christoffel_turn_rate, solve_ivp_trace
+from test_scattering import GENTLE_BUMPS, _seeded_bumps
 
 BENDING_PROFILE = ConformalMetric.from_radial(
     lambda r: 1.0 + 0.3 * (1.0 - r * r), lambda r: -0.6 * r, name="bump")
@@ -145,6 +146,173 @@ class TestIntegration:
         move = float(np.hypot(*(coarse.points[-1] - fine.points[-1])))
         assert move < 1e-8
         assert abs(coarse.directions[-1] - fine.directions[-1]) < 1e-8
+
+
+KNOT_PROFILE = ConformalMetric.from_profile_knots(
+    [(0.0, 1.3), (0.4, 1.22), (0.75, 1.1), (1.0, 1.0)], name="knots")
+
+
+def _oracle_cases():
+    vacuum = ConformalMetric.vacuum()
+    lens = eaton_metric()
+    bumps = _seeded_bumps(3)
+    cases = [("vacuum", vacuum, BoundaryVector(k / 7, chi), None)
+             for k, chi in enumerate([1e-3, 0.3, 1.2, math.pi / 2, 2.5, math.pi - 1e-3])]
+    # Impacts 0.04 down to 0.002 wind the lens rays tightly round its pole.
+    cases += [("lens", lens, BoundaryVector(0.1 * k, math.acos(impact)), None)
+              for k, impact in enumerate([0.7, 0.3, 0.04, 0.01, 0.002, -0.02, -0.6])]
+    cases += [("knots", KNOT_PROFILE, BoundaryVector(0.3 * k, chi), None)
+              for k, chi in enumerate([0.4, 1.0, 1.5, 2.6])]
+    cases += [("bumps", bumps, BoundaryVector(k / 5, chi), None)
+              for k, chi in enumerate([0.2, 0.9, 1.6, 2.3, 3.0])]
+    cases.append(("capped", GENTLE_BUMPS, BoundaryVector(0.4, 1.2), 0.6))
+    return [pytest.param(*case, id=f"{case[0]}-{k}") for k, case in enumerate(cases)]
+
+
+class TestAgainstSolveIvp:
+    """The in-repo DOP853 takes the steps scipy's ``solve_ivp`` takes, so
+    its paths match the tracer it replaced sample for sample.  Steps cut at
+    the knot circles of a tabulated profile leave scipy's on purpose, so
+    the cutter is switched off here (see ``TestKnotCrossings``)."""
+
+    def test_tableau_is_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        assert np.array_equal(dop853._A, ref.A) and np.array_equal(dop853._C, ref.C)
+        assert np.array_equal(dop853._B, ref.B) and np.array_equal(dop853._D, ref.D)
+        assert np.array_equal(dop853._E3, ref.E3) and np.array_equal(dop853._E5, ref.E5)
+
+    @pytest.mark.parametrize("name,metric,entry,cap", _oracle_cases())
+    def test_paths_match_oracle(self, name, metric, entry, cap, monkeypatch):
+        monkeypatch.setattr(geometry, "_knot_cut", lambda metric: None)
+        opts = IntegrationOptions(max_length=cap)
+        got = integrate_geodesic(metric, entry, opts)
+        want = solve_ivp_trace(metric, entry, opts)
+        assert len(got.points) == len(want.points)
+        assert got.trapped == want.trapped == (cap is not None)
+        assert np.max(np.abs(got.points - want.points)) <= 1e-10
+        assert np.max(np.abs(got.directions - want.directions)) <= 1e-10
+        assert np.max(np.abs(got.lengths - want.lengths)) <= 1e-10
+        if not want.trapped:
+            assert _arc_distance(got.exit.arc, want.exit.arc) <= 1e-10
+            assert abs(got.exit.angle - want.exit.angle) <= 1e-10
+            assert abs(got.length - want.length) <= 1e-10
+
+
+# n is flat on 0.4 <= r <= 0.6 and n'' jumps on the r = 0.4 circle.  The
+# ray's perigee is 5e-4 inside that circle, and scipy's steps carry it in
+# and out between two stages of one 0.46-long step whose error estimate
+# never sees the bend: its exit lands 3e-6 off and its interpolated
+# samples break Clairaut's integral by 4e-5.
+GRAZED_KNOTS = ConformalMetric.from_profile_knots(
+    [(0.2 * k, 1.0 - sum([0.0, 0.004027576267654266, 0.0,
+                          0.023592330062498765, 0.004027576267654266][k:]))
+     for k in range(6)], name="knots")
+GRAZING_ENTRY = BoundaryVector(0.04988949262281213, 1.9697424712146816)
+
+
+class TestKnotCrossings:
+    def test_grazed_knot_circle_keeps_clairaut(self):
+        opts = IntegrationOptions()
+        lo, hi = integrate_geodesic(GRAZED_KNOTS, GRAZING_ENTRY, opts).clairaut_range(GRAZED_KNOTS)
+        assert hi - lo < opts.step_tol
+
+    @pytest.mark.parametrize("metric,entry", [
+        (GRAZED_KNOTS, GRAZING_ENTRY),
+        (KNOT_PROFILE, BoundaryVector(0.3, 1.0)),
+        (KNOT_PROFILE, BoundaryVector(0.6, 1.5)),
+    ], ids=["grazed", "knots-1.0", "knots-1.5"])
+    def test_exit_within_step_tol_of_quadrature(self, metric, entry, monkeypatch):
+        # n r increases on both profiles, so scatter answers by Clairaut
+        # quadrature, which no solver step can straddle a knot in.
+        opts = IntegrationOptions()
+        got = integrate_geodesic(metric, entry, opts)
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError("scatter traced instead of using quadrature")
+
+        monkeypatch.setattr(scattering, "integrate_geodesic", no_trace)
+        want = scattering.scatter(metric, entry, opts)
+        assert _arc_distance(got.exit.arc, want.exit.arc) < opts.step_tol
+        assert abs(got.exit.angle - want.exit.angle) < opts.step_tol
+        assert abs(got.length - want.tau) < opts.step_tol
+
+    def test_uncut_steps_miss_the_grazed_knot(self, monkeypatch):
+        # The defect the cutter mends, so the tests above can see it.
+        opts = IntegrationOptions()
+        want = integrate_geodesic(GRAZED_KNOTS, GRAZING_ENTRY, opts)
+        monkeypatch.setattr(geometry, "_knot_cut", lambda metric: None)
+        got = integrate_geodesic(GRAZED_KNOTS, GRAZING_ENTRY, opts)
+        assert abs(got.length - want.length) > 10 * opts.step_tol
+        lo, hi = got.clairaut_range(GRAZED_KNOTS)
+        assert hi - lo > 100 * opts.step_tol
+
+    def test_steps_end_just_past_the_circles(self):
+        # The ray's perigee is inside both interior knot circles, and it
+        # crosses each on a step end going in and another coming out.
+        path = integrate_geodesic(KNOT_PROFILE, BoundaryVector(0.6, 1.5))
+        r = np.hypot(path.points[:, 0], path.points[:, 1])
+        assert r.min() < 0.4
+        for knot in (0.4, 0.75):
+            near = np.flatnonzero(np.abs(r - knot) < 1e-7)
+            assert near.min() < np.argmin(r) < near.max()
+
+
+class TestTraceStats:
+    def test_rhs_calls_count_field_evaluations(self):
+        n, grad = GENTLE_BUMPS.field
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return grad(x, y)
+
+        metric = ConformalMetric.general(n, counted)
+        for entry, cap, end in [(BoundaryVector(0.1, 1.0), None, "exited"),
+                                (BoundaryVector(0.4, 1.2), 0.6, "length_cap")]:
+            calls.clear()
+            stats = integrate_geodesic(metric, entry, IntegrationOptions(max_length=cap)).stats
+            assert stats.termination == end
+            assert stats.rhs_calls == len(calls)
+            # Two calls pick the first step, each try costs 12 and each
+            # interpolated step 3 more; the last step is interpolated.
+            extra = stats.rhs_calls - 2 - 12 * (stats.steps + stats.rejected)
+            assert extra >= 3 and extra % 3 == 0
+
+    def test_refinement_rounds(self, eaton):
+        # Rays round the pole turn faster than the solver's steps resolve.
+        stats = integrate_geodesic(eaton, BoundaryVector(0.0, math.acos(0.01))).stats
+        assert stats.refine_rounds >= 1 and not stats.refine_exhausted
+        stats = integrate_geodesic(eaton, BoundaryVector(0.0, 0.3)).stats
+        assert stats.refine_rounds == 0
+
+
+class TestRotatedPaths:
+    @pytest.mark.parametrize("name", ["lens", "knots"])
+    def test_rotation_matches_per_entry_trace(self, eaton, name):
+        metric = eaton if name == "lens" else KNOT_PROFILE
+        opts = IntegrationOptions()
+        grid = boundary_grid(8, 2)
+        first = {}
+        for v in grid:
+            if v.angle not in first:
+                first[v.angle] = integrate_geodesic(metric, v, opts)
+            got = first[v.angle].rotated(v)
+            want = integrate_geodesic(metric, v, opts)
+            phi = 2.0 * math.pi * v.arc
+            assert np.hypot(*(got.points[0] - (math.cos(phi), math.sin(phi)))) < 1e-12
+            turn = got.directions[0] - want.directions[0]
+            assert abs(math.remainder(turn, 2.0 * math.pi)) < 1e-12
+            assert _arc_distance(got.exit.arc, want.exit.arc) < 10 * opts.step_tol
+            assert abs(got.exit.angle - want.exit.angle) < 10 * opts.step_tol
+            assert abs(got.length - want.length) < 10 * opts.step_tol
+
+    def test_trapped_path_stays_trapped(self, vacuum):
+        path = integrate_geodesic(vacuum, BoundaryVector(0.0, 1.0),
+                                  IntegrationOptions(max_length=0.5))
+        turned = path.rotated(BoundaryVector(0.25, 1.0))
+        assert turned.trapped and turned.stats is None
+        assert np.allclose(turned.points[0], (0.0, 1.0), atol=1e-15)
 
 
 class TestIntegrationOptions:
