@@ -1,17 +1,14 @@
 """Geodesic scattering on conformal disk metrics and knot invariants of
-projectivized tangent lifts of plane curves."""
+projectivized tangent lifts of plane curves.
+
+The knot side (``curves``, ``lift``, ``knot``) is imported with the
+package.  The geometry side (``geometry``, ``scattering``, ``eaton``,
+``dop853``) imports scipy, so it is imported on first access to one of
+its names; knot-side runs never load scipy.
+"""
 
 __version__ = "0.1.0"
 
-from .geometry import (ConformalMetric, GeodesicPath, IntegrationOptions,
-                       SingularChordError, SingularityError, integrate_geodesic,
-                       load_metric, metric_from_spec, riemannian_length)
-from .scattering import (BoundaryIsometry, BoundaryVector, CompareReport,
-                         ScatteringRecord, boundary_grid, classify,
-                         compare_scattering, length_excess, phi_map, scatter,
-                         scatter_grid)
-from .eaton import (EatonProfile, eaton_index, eaton_metric, invisibility_check,
-                    loop_winding)
 from .curves import (ParametricCurve, TrigCurve, circle, lemniscate,
                      load_curve_csv, named_curve, rose)
 from .lift import (FLAT_INJECTIVITY_RADIUS, LiftedCurve, MinimalLinearCurve,
@@ -24,4 +21,30 @@ from .knot import (Certificate, Crossing, InvariantTable, PLLoop, TangentLoop,
                    find_crossings, pl_refine, pl_validate, random_corpus,
                    singularity_classify, w_invariant)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Each lazily resolved name, a geometry-side module or one of its exports,
+# and the module that holds it.
+_LAZY = {name: module for module, names in {
+    "geometry": ("ConformalMetric", "GeodesicPath", "IntegrationOptions",
+                 "SingularChordError", "SingularityError", "integrate_geodesic",
+                 "load_metric", "metric_from_spec", "riemannian_length"),
+    "scattering": ("BoundaryIsometry", "BoundaryVector", "CompareReport",
+                   "ScatteringRecord", "boundary_grid", "classify",
+                   "compare_scattering", "length_excess", "phi_map", "scatter",
+                   "scatter_grid"),
+    "eaton": ("EatonProfile", "eaton_index", "eaton_metric", "invisibility_check",
+              "loop_winding"),
+    "dop853": (),
+}.items() for name in (module, *names)}
+
+
+def __getattr__(name):
+    # Unknown names raise AttributeError, so that ``from lens_scatter import
+    # svg`` falls back to importing the submodule.
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+__all__ = sorted([name for name in globals() if not name.startswith("_")] + list(_LAZY))

@@ -13,20 +13,22 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .curves import named_curve
-from .eaton import eaton_metric, invisibility_check, loop_winding
-from .geometry import (IntegrationOptions, NonIntegralWindingError, SingularChordError,
-                       chord_impact, integrate_geodesic, load_metric)
 from .knot import (TangentLoop, analyze_loop, choose_refinement_n,
                    embedding_separation, refine_stage_samples)
 from .lift import projectivize, unit_tangent_lift
-from .scattering import (BoundaryIsometry, BoundaryVector, boundary_grid,
-                         compare_scattering, scatter)
 from .svg import render_annulus, render_rays
+
+# The geometry side imports scipy: the commands that trace or scatter import
+# its names when they run, so the knot-side commands never load it.
+if TYPE_CHECKING:
+    from .geometry import IntegrationOptions
+    from .scattering import BoundaryVector
 
 SCHEMA_VERSION = 1
 
@@ -40,6 +42,8 @@ def _write_json(obj, path) -> None:
 
 
 def _parse_grid(text: str) -> list[BoundaryVector]:
+    from .scattering import boundary_grid
+
     try:
         counts = [int(v) for v in text.split("x")]
     except ValueError:
@@ -59,6 +63,8 @@ def _parse_grid(text: str) -> list[BoundaryVector]:
 
 def _parallel_fan(count: int) -> list[BoundaryVector]:
     """Entries of a family of ``count`` parallel rays across the disk."""
+    from .scattering import BoundaryVector
+
     fan = []
     for j in range(count):
         phi = math.pi * (0.5 + (j + 0.5) / count)
@@ -69,6 +75,8 @@ def _parallel_fan(count: int) -> list[BoundaryVector]:
 def _clear_of_pole(metric, entries, command: str, what: str) -> list[BoundaryVector]:
     """The entries whose chord clears the exclusion zone of a singular
     metric; the others are numbered on standard error."""
+    from .geometry import SingularChordError, chord_impact
+
     kept, skipped = [], []
     for k, v in enumerate(entries, 1):
         try:
@@ -87,10 +95,16 @@ def _clear_of_pole(metric, entries, command: str, what: str) -> list[BoundaryVec
 
 
 def _integration_options(args) -> IntegrationOptions:
+    from .geometry import IntegrationOptions
+
     return IntegrationOptions(step_tol=args.step_tol)
 
 
 def _cmd_trace(args) -> int:
+    from .eaton import loop_winding
+    from .geometry import NonIntegralWindingError, integrate_geodesic, load_metric
+    from .scattering import BoundaryVector
+
     metric = load_metric(args.metric)
     entry = BoundaryVector(args.arc, args.angle)
     path = integrate_geodesic(metric, entry, _integration_options(args))
@@ -121,6 +135,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_scatter(args) -> int:
+    from .geometry import load_metric
+    from .scattering import BoundaryVector, scatter
+
     metric = load_metric(args.metric)
     rec = scatter(metric, BoundaryVector(args.arc, args.angle),
                   _integration_options(args))
@@ -139,6 +156,9 @@ def _cmd_scatter(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .geometry import load_metric
+    from .scattering import BoundaryIsometry, compare_scattering
+
     metric_m = load_metric(args.m1)
     metric_n = load_metric(args.m2)
     rep = compare_scattering(metric_m, metric_n,
@@ -168,6 +188,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_eaton(args) -> int:
+    from .eaton import eaton_metric, invisibility_check
+    from .geometry import integrate_geodesic
+
     metric = eaton_metric()
     opts = _integration_options(args)
     fan = (_clear_of_pole(metric, _parallel_fan(args.svg_rays), "eaton", "fan ray")
@@ -253,6 +276,8 @@ def _cmd_render(args) -> int:
         curve = named_curve(args.curve)
         render_annulus(projectivize(unit_tangent_lift(curve, args.samples)), args.out)
         return 0
+    from .geometry import integrate_geodesic, load_metric
+
     metric = load_metric(args.metric)
     opts = _integration_options(args)
     grid = _clear_of_pole(metric, _parse_grid(args.grid), "render", "grid entry")

@@ -16,7 +16,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,6 +107,8 @@ class TrigCurve(ParametricCurve):
 
 def from_samples(points, *, name="sampled-curve") -> ParametricCurve:
     """Smooth the samples of a closed curve with a periodic cubic spline."""
+    from scipy.interpolate import CubicSpline  # only CSV curves need scipy
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 4:
         raise ValueError("need an (m, 2) array with m >= 4")

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .curves import ParametricCurve, TrigCurve
 from .lift import (FLAT_INJECTIVITY_RADIUS, MinimalLinearCurve, NonIntegralClassError,
@@ -218,20 +217,35 @@ def _segment_hits(p1, p2, p3, p4, eps: float):
 def _polyline_hits(pts: np.ndarray, eps: float):
     """Meeting pairs of non-adjacent segments of the closed polyline ``pts``.
 
-    Segments that meet have midpoints at most one longest segment apart, so
-    a KD-tree on the midpoints yields every candidate.  Returns index arrays
-    ``i < j`` and parameters ``t``, ``u`` in the KD-tree's pair order.
+    A sweep over segment bounding boxes yields every candidate: boxes
+    sorted by left edge, each paired with the later boxes that start before
+    its right edge, kept where the y-ranges overlap too.  The boxes are
+    padded by 1e-6 of the longest segment, since a hit within the ``eps``
+    window may lie just past a segment's end.  Returns index arrays
+    ``i < j`` and parameters ``t``, ``u`` in ``(i, j)`` order, the order
+    in which ``_dedup`` keeps the first of near-equal hits.
     """
     m = len(pts)
     nxt = np.roll(pts, -1, axis=0)
-    seg_len = np.hypot(*(nxt - pts).T)
-    tree = cKDTree(0.5 * (pts + nxt))
-    i, j = tree.query_pairs(float(np.max(seg_len)) * 1.000001, output_type="ndarray").T
+    pad = 1e-6 * float(np.max(np.hypot(*(nxt - pts).T)))
+    lo = np.minimum(pts, nxt) - pad
+    hi = np.maximum(pts, nxt) + pad
+    by_left = np.argsort(lo[:, 0], kind="stable")
+    # Sorted box k meets in x the boxes k + 1 .. end[k] - 1.
+    end = np.searchsorted(lo[by_left, 0], hi[by_left, 0], side="right")
+    count = end - np.arange(1, m + 1)
+    a = np.repeat(np.arange(m), count)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    i, j = by_left[a], by_left[b]
+    overlap = (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1])
+    i, j = np.minimum(i, j)[overlap], np.maximum(i, j)[overlap]
     gap = (j - i) % m
     keep = np.minimum(gap, m - gap) > 1
     i, j = i[keep], j[keep]
     hit, t, u = _segment_hits(pts[i], nxt[i], pts[j], nxt[j], eps)
-    return i[hit], j[hit], t[hit], u[hit]
+    i, j, t, u = i[hit], j[hit], t[hit], u[hit]
+    order = np.lexsort((j, i))
+    return i[order], j[order], t[order], u[order]
 
 
 def _polish_crossing(loop, l: float, lp: float):
@@ -281,11 +295,12 @@ def find_crossings(loop) -> list[Crossing]:
     :class:`CallableFramedLoop`) is sampled at the loop's own ``samples``
     parameters into a closed polyline; a PL knot
     (:class:`PLLoop` or :class:`~lens_scatter.lift.PLVertexPath`) uses its
-    edges.  Both take segment pairs from a KD-tree on segment midpoints and
-    test them in one vectorized pass.  Smooth hits are Newton-polished on
-    the curve until the two base points agree within 1e-9; PL hits are
-    exact, strictly interior to both edges, and not polished.  A triple
-    point shows up as its three parameter pairs.  Raises
+    edges.  Both take segment pairs from a sweep over segment bounding
+    boxes and test them in one vectorized pass, in segment-pair order.
+    Smooth hits are Newton-polished on the curve until the two base points
+    agree within 1e-9; PL hits are exact, strictly interior to both edges,
+    and not polished.  A triple point shows up as its three parameter
+    pairs.  Raises
     :class:`SelfTangencyError` when two branches meet at an angle whose
     ``|sin|`` is below 1e-6.
     """
@@ -307,8 +322,6 @@ def _pl_crossings(loop: PLLoop) -> list[Crossing]:
     # Negative eps keeps hits strictly interior: a vertex sitting on an edge
     # is a singular configuration, not a crossing.
     i, j, t, u = _polyline_hits(base, -1e-9)
-    order = np.lexsort((j, i))  # edge-pair order, which _dedup's first-wins relies on
-    i, j, t, u = i[order], j[order], t[order], u[order]
     d = np.roll(base, -1, axis=0) - base
     h = np.hypot(d[:, 0], d[:, 1])
     if np.any(np.abs(d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]) / (h[i] * h[j]) < _ANGULAR_TOL):

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import lens_scatter
 from lens_scatter.eaton import eaton_metric
 from lens_scatter.geometry import (_RTOL_SCALE, ConformalMetric, GeodesicPath,
                                    IntegrationOptions, _entry_xytheta,
@@ -36,13 +41,24 @@ def corpus():
     return random_corpus(20, seed=42)
 
 
+def run_python(code: str, cwd) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package; returns its standard output."""
+    src = str(Path(lens_scatter.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
 # --- independent oracles ----------------------------------------------------
 
 
 def brute_force_crossing_count(points: np.ndarray) -> int:
     """O(m^2) pairwise polyline segment intersections, grouped by location.
 
-    Independent of the production detector (no KD-tree pruning, no Newton
+    Independent of the production detector (no candidate pruning, no Newton
     polish): every pair of non-adjacent segments is tested, 256 rows of
     the pair matrix at a time to bound memory.  Counts isolated double
     points only; a k-fold point would count once.
@@ -77,7 +93,7 @@ def pl_crossing_oracle(points) -> list[tuple[float, float]]:
     """Strictly interior crossings ``(l, l')`` of the closed polygon through
     ``points``, sorted, from every pair of non-adjacent edges.
 
-    Independent of the production detector's KD-tree pruning: all
+    Independent of the production detector's bounding-box pruning: all
     ``n (n - 3) / 2`` edge pairs are tested.
     """
     p = np.asarray(points, dtype=float)

@@ -9,7 +9,9 @@ failed benchmark pass.  Keep this list in step with those two files.
 import inspect
 
 import lens_scatter as ls
-import lens_scatter.cli  # noqa: F401  (jobs.py reaches every module through it)
+# As worker.py does: binds ls.cli and ls.svg.  The geometry side
+# (ls.geometry, ls.scattering, ls.eaton) resolves on first access.
+import lens_scatter.cli  # noqa: F401
 
 # (dotted name on lens_scatter, positional args, keyword names) of each call
 # the two files make; None marks a name that is only looked up.

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from lens_scatter import cli
+from lens_scatter import geometry
 from lens_scatter.cli import main
 from lens_scatter.geometry import integrate_geodesic
+
+from conftest import run_python
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -238,7 +240,7 @@ class TestRender:
             traced.append(entry)
             return integrate_geodesic(metric, entry, opts)
 
-        monkeypatch.setattr(cli, "integrate_geodesic", counted)
+        monkeypatch.setattr(geometry, "integrate_geodesic", counted)
         out = tmp_path / "rays.svg"
         code, _ = run(["render", "--metric", "eaton", "--grid", "8x2", "--out", str(out)],
                       capsys)
@@ -443,3 +445,30 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         prog, *args = shlex.split(line)
         assert prog == "lens-scatter"
         assert main(args) == 0, line
+
+
+# Records, in a fresh interpreter, whether scipy (or for the metric command
+# the geometry side) is loaded after the import and after each command.
+LOADED_PROBE = """
+import contextlib, io, json, sys
+from lens_scatter.cli import main
+loaded = {"import": "scipy" in sys.modules}
+for argv in (["invariant", "--curve", "lemniscate", "--out", "inv.json",
+              "--emit-svg", "inv.svg"],
+             ["approx-pl", "--curve", "circle", "--report", "pl.csv"],
+             ["render", "--curve", "rose-3", "--out", "rose.svg"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded[argv[0]] = [main(argv), "scipy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(["scatter", "--metric", "eaton", "--arc", "0.1", "--angle", "1.0"])
+loaded["scatter"] = [rc, "lens_scatter.geometry" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_knot_side_commands_load_no_scipy(tmp_path):
+    # In a subprocess: the test process has scipy loaded by pytest's
+    # warning filter for scipy.integrate.
+    loaded = json.loads(run_python(LOADED_PROBE, tmp_path))
+    assert loaded == {"import": False, "invariant": [0, False], "approx-pl": [0, False],
+                      "render": [0, False], "scatter": [0, True]}

@@ -138,6 +138,66 @@ class TestCrossingSearch:
                    for g, w in zip(got, want))
 
     @staticmethod
+    def assert_matches_all_pairs(pts, eps):
+        # The brute-force oracle: every pair of non-adjacent segments goes
+        # through _segment_hits, in (i, j) order.
+        pts = np.asarray(pts, dtype=float)
+        m = len(pts)
+        i, j = np.triu_indices(m, 2)
+        keep = ~((i == 0) & (j == m - 1))
+        i, j = i[keep], j[keep]
+        nxt = np.roll(pts, -1, axis=0)
+        hit, t, u = knot._segment_hits(pts[i], nxt[i], pts[j], nxt[j], eps)
+        got = knot._polyline_hits(pts, eps)
+        for g, w in zip(got, (i[hit], j[hit], t[hit], u[hit])):
+            np.testing.assert_array_equal(g, w)
+        return len(got[0])
+
+    @pytest.mark.parametrize("eps", [1e-9, -1e-9])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_polylines_match_all_pairs(self, seed, eps):
+        n = 6 + 37 * seed
+        assert self.assert_matches_all_pairs(closed_walk(seed, n, 0.3), eps) > 0
+
+    def test_corpus_samples_match_all_pairs(self, corpus):
+        for curve in corpus:
+            self.assert_matches_all_pairs(curve.point(np.arange(512) / 512), 1e-9)
+
+    @pytest.mark.parametrize("eps", [1e-9, -1e-9])
+    def test_pl_snapshots_match_all_pairs(self, corpus, eps):
+        for curve in corpus:
+            pts = projectivize(unit_tangent_lift(curve, 512)).proj_points()
+
+            def family(s, t):
+                return pts[int(round((t % 1.0) * len(pts))) % len(pts)]
+
+            pl = pl_snapshot(family, 128, 0.0)
+            self.assert_matches_all_pairs([(v.x, v.y) for v in pl.vertices], eps)
+
+    @pytest.mark.parametrize("eps", [1e-9, -1e-9])
+    def test_equal_left_edges_match_all_pairs(self, eps):
+        # Every segment runs between x = 0 and x = 1, so every box has the
+        # same left edge; shuffled heights make the segments cross often.
+        ys = np.random.default_rng(7).permutation(40) / 40
+        pts = np.column_stack([np.arange(40) % 2, ys])
+        assert self.assert_matches_all_pairs(pts, eps) > 100
+
+    @pytest.mark.parametrize("eps", [1e-9, -1e-9])
+    def test_axis_parallel_segments_match_all_pairs(self, eps):
+        # Vertical lines x = 1, 2 and horizontal lines y = 1, 2 cross in four
+        # points; the segments x = 1, y = -1 .. 3 are collinear and adjacent.
+        pts = [(1, 0), (1, 3), (2, 3), (2, -0.5), (3, -0.5), (3, 1), (0, 1), (0, 2),
+               (3.5, 2), (3.5, -1), (1, -1)]
+        assert self.assert_matches_all_pairs(pts, eps) == 4
+
+    def test_crossing_next_to_a_vertex_matches_all_pairs(self):
+        # Segment 0 ends 5e-11 short of the line x = 0 that segment 2 runs
+        # along: a hit only within the eps = 1e-9 window.
+        pts = [(-1.0, 0.0), (-5e-11, 0.0), (0.0, 1.0), (0.0, -1.0), (-0.5, -1.0)]
+        assert self.assert_matches_all_pairs(pts, 1e-9) == 1
+        assert self.assert_matches_all_pairs(pts, -1e-9) == 0
+
+    @staticmethod
     def crossed_edges(offset):
         # Edges 0 and 3 cross at the origin at an angle of about offset/0.15.
         corners = [(-0.3, -offset), (0.3, offset), (0.4, -0.3),
