@@ -281,16 +281,14 @@ def _cmd_render(args) -> int:
     metric = load_metric(args.metric)
     opts = _integration_options(args)
     grid = _clear_of_pole(metric, _parse_grid(args.grid), "render", "grid entry")
-    if metric.is_radial:
-        # Paths at one entry angle are rotations of each other: trace each
-        # angle once, at its first entry.
-        first = {}
-        for v in grid:
-            if v.angle not in first:
-                first[v.angle] = integrate_geodesic(metric, v, opts)
-        paths = [first[v.angle].rotated(v) for v in grid]
-    else:
-        paths = [integrate_geodesic(metric, v, opts) for v in grid]
+    # Metric names and files give radial metrics, whose paths at one entry
+    # angle are rotations of each other: trace each angle once, at its
+    # first entry.
+    first = {}
+    for v in grid:
+        if v.angle not in first:
+            first[v.angle] = integrate_geodesic(metric, v, opts)
+    paths = [first[v.angle].rotated(v) for v in grid]
     render_rays(paths, args.out, radius=metric.radius)
     return 0
 

@@ -69,11 +69,13 @@ class EatonProfile:
 
     ``n = s^2`` with Cardano's root ``s = u - 1/(3u)`` of ``s^3 + s = 2/r``,
     ``u = cbrt(1/r + sqrt(1/r^2 + 1/27))``, and ``dn/dr = 1/r'(n)`` as in
-    :func:`_exact_dn_dr`.  Outside the disk (``r >= 1``) the profile
-    continues as vacuum, ``(1, 0)``.  Entry chords keep ``EXCLUSION_RADIUS``
-    from the origin, but interior ray perigees dip far below that (roughly
-    the cube of the chord offset), so evaluation is refused only below
-    ``r_min``.
+    :func:`_exact_dn_dr`.  The same formula holds past the rim: the cubic
+    has one positive root for every ``r > 0``, and ``n(1) = 1``,
+    ``n'(1) = -1``, so the right-hand side has no jump where a ray enters
+    or leaves, and the stages of an exit step past the rim see the smooth
+    continuation.  Entry chords keep ``EXCLUSION_RADIUS`` from the origin,
+    but interior ray perigees dip far below that (roughly the cube of the
+    chord offset), so evaluation is refused only below ``r_min``.
     """
 
     r_min = 1e-10
@@ -81,8 +83,6 @@ class EatonProfile:
 
     def eval(self, r: float) -> tuple[float, float]:
         """Return ``(n, dn/dr)`` at radius ``r`` (scalar)."""
-        if r >= 1.0:
-            return (1.0, 0.0)
         if r < self.r_min:
             raise SingularityError(
                 f"radius {r:.3e} below the lens index floor ({self.r_min:.3e})")
@@ -97,13 +97,11 @@ class EatonProfile:
         r = np.asarray(r, dtype=float)
         if np.any(r < self.r_min):
             raise SingularityError("radius below the lens index floor")
-        inside = r < 1.0
-        a = 1.0 / np.where(inside, r, 1.0)
+        a = 1.0 / r
         u = np.cbrt(a + np.sqrt(a * a + 1.0 / 27.0))
         s = u - 1.0 / (3.0 * u)
         n = s * s
-        dn = -s * n * (n + 1.0) ** 2 / (3.0 * n + 1.0)
-        return np.where(inside, n, 1.0), np.where(inside, dn, 0.0)
+        return n, -s * n * (n + 1.0) ** 2 / (3.0 * n + 1.0)
 
 
 _PROFILE = EatonProfile()

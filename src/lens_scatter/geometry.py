@@ -23,9 +23,11 @@ The system is integrated by :mod:`lens_scatter.dop853`, the DOP853 method
 with scipy's step control.  Samples are the solver's step ends, subdivided
 on its 7th-order interpolant where direction or polar angle turns fast,
 and the exit is the root of ``x^2 + y^2 - R^2`` on the last step's
-interpolant.  On a tabulated profile steps end just past each knot circle
-they cross (:func:`_knot_cut`).  Radial metrics get exit data without tracing, from Clairaut
-quadrature (:func:`clairaut_orbit`).
+interpolant.  A radial profile is one formula across the rim, so the
+right-hand side does not jump where a ray enters or leaves.  On a tabulated
+profile steps end just past each knot circle they cross and just past the
+rim (:func:`_knot_cut`).  Radial metrics get exit data without tracing,
+from Clairaut quadrature (:func:`clairaut_orbit`), split at the knots.
 """
 
 from __future__ import annotations
@@ -137,10 +139,13 @@ class IntegrationOptions:
 
 
 class _TabulatedRadial:
-    """Monotone-cubic (PCHIP) radial profile with a fast scalar evaluation path.
+    """Monotone-cubic (PCHIP) radial profile: one cubic per knot interval.
 
-    Derivatives come from the same interpolant so that quantities conserved
-    by the interpolated metric are conserved exactly.
+    Derivatives come from the same cubics, so quantities conserved by the
+    interpolated metric are conserved exactly, and ``eval`` and ``eval_many``
+    run the same Horner sums, so they agree bit for bit.  Past ``r_max`` it
+    keeps the rim value and the last cubic's rim slope: ``n'`` does not jump
+    at the rim, and steps end there as at the knots (:func:`_knot_cut`).
     """
 
     def __init__(self, radii, values):
@@ -155,32 +160,24 @@ class _TabulatedRadial:
         self.breakpoints = radii
         self.r_min = float(radii[0])
         self.r_max = float(radii[-1])
-        self._interp = PchipInterpolator(radii, values)
-        # Flatten breakpoints/coefficients into plain lists: scalar cubic
-        # evaluation this way is ~10x faster than PPoly.__call__ and the
-        # integrator calls it once per RHS evaluation.
-        self._bx = [float(v) for v in self._interp.x]
-        c = self._interp.c
-        self._c0 = [float(v) for v in c[0]]
-        self._c1 = [float(v) for v in c[1]]
-        self._c2 = [float(v) for v in c[2]]
-        self._c3 = [float(v) for v in c[3]]
-        self._edge_value = (float(values[-1]), 0.0)
+        self._c = PchipInterpolator(radii, values).c
+        # Plain lists for the scalar path, which the integrator calls once
+        # per RHS evaluation: float arithmetic beats numpy scalars there.
+        self._bx = radii.tolist()
+        self._c0, self._c1, self._c2, self._c3 = self._c.tolist()
+        h = self._bx[-1] - self._bx[-2]
+        self._rim = (float(values[-1]),
+                     (3.0 * self._c0[-1] * h + 2.0 * self._c1[-1]) * h + self._c2[-1])
 
     def eval(self, r: float) -> tuple[float, float]:
         """Return ``(n, dn/dr)`` at radius ``r`` (scalar)."""
         if r >= self.r_max:
-            # Constant continuation outside the table (n(R)=edge value).
-            return self._edge_value
+            return self._rim
         if r < self.r_min:
             raise SingularityError(
                 f"radius {r:.3e} below tabulated range ({self.r_min:.3e})"
             )
         i = bisect_right(self._bx, r) - 1
-        if i < 0:
-            i = 0
-        elif i >= len(self._c0):
-            i = len(self._c0) - 1
         du = r - self._bx[i]
         val = ((self._c0[i] * du + self._c1[i]) * du + self._c2[i]) * du + self._c3[i]
         der = (3.0 * self._c0[i] * du + 2.0 * self._c1[i]) * du + self._c2[i]
@@ -188,15 +185,16 @@ class _TabulatedRadial:
 
     def eval_many(self, r):
         r = np.asarray(r, dtype=float)
-        n = np.empty_like(r)
-        dn = np.empty_like(r)
-        inside = r < self.r_max
-        if np.any(r[inside] < self.r_min):
+        if np.any(r < self.r_min):
             raise SingularityError("radius below tabulated range")
-        n[inside] = self._interp(r[inside])
-        dn[inside] = self._interp(r[inside], 1)
-        n[~inside] = self._edge_value[0]
-        dn[~inside] = 0.0
+        n = np.full_like(r, self._rim[0])
+        dn = np.full_like(r, self._rim[1])
+        inside = r < self.r_max
+        i = np.searchsorted(self.breakpoints, r[inside], side="right") - 1
+        du = r[inside] - self.breakpoints[i]
+        c0, c1, c2, c3 = self._c[:, i]
+        n[inside] = ((c0 * du + c1) * du + c2) * du + c3
+        dn[inside] = (3.0 * c0 * du + 2.0 * c1) * du + c2
         return n, dn
 
 
@@ -262,12 +260,11 @@ class ConformalMetric:
         return cls("vacuum", radius=radius, profile=_VACUUM_PROFILE, name="vacuum")
 
     @classmethod
-    def from_radial(cls, n_of_r, dn_dr, *, radius=1.0, kind="radial-profile",
-                    r_min=0.0, name=None):
+    def from_radial(cls, n_of_r, dn_dr, *, radius=1.0, r_min=0.0, name=None):
         """Radial metric from ``n(r)`` and ``dn/dr``, both accepting numpy
         arrays; a positive ``r_min`` puts a pole at the origin."""
         prof = _CallableRadial(n_of_r, dn_dr, r_min=r_min)
-        return cls(kind, radius=radius, profile=prof, name=name)
+        return cls("radial-profile", radius=radius, profile=prof, name=name)
 
     @classmethod
     def from_profile_knots(cls, knots, *, radius=1.0, name=None):
@@ -551,10 +548,15 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
     # error does, so two decades below step_tol suffice (the ODE uses three).
     tol = 1e-2 * opts.step_tol
     top = math.sqrt(math.log(R / r_star))
+    # n'' jumps at the knots, which quad's error estimate does not see
+    # unless its panels end there.  quad drops the ones outside (0, top),
+    # and refuses more of them than its subinterval limit.
+    breaks = [math.sqrt(math.log(b / r_star)) for b in profile.breakpoints if b > r_star]
     out = []
     for integrand in (sweep, length):
         # With full_output, quad appends a message when it did not converge.
-        res = quad(integrand, 0.0, top, epsabs=tol, epsrel=tol, full_output=1)
+        res = quad(integrand, 0.0, top, epsabs=tol, epsrel=tol, full_output=1,
+                   points=breaks or None, limit=50 + len(breaks))
         if len(res) > 3 or not math.isfinite(res[0]):
             return None
         out.append(4.0 * res[0])
@@ -572,20 +574,21 @@ _KNOT_OVERSHOOT = 1e-8
 def _knot_cut(metric: ConformalMetric):
     """The solver's step cutter for a tabulated profile, else ``None``.
 
-    A tabulated profile is one cubic per knot interval, so ``n''`` jumps on
-    every interior knot circle.  A step across one fits its stages to a
+    A tabulated profile is one cubic per knot interval and keeps its rim
+    value and slope outside, so the right-hand side kinks on every interior
+    knot circle and on the rim.  A step across one fits its stages to a
     right-hand side that is not smooth, and when the ray only grazes the
-    circle between two stages the error estimate misses the jump: such a
+    circle between two stages the error estimate misses the kink: such a
     step put an exit 1e-5 off at ``step_tol`` 1e-7.  The cutter ends steps
-    just past the first circle they cross.  Along the step ``q = x^2 + y^2``
-    is taken as the cubic Hermite of its end values and slopes, which is
-    exact for a straight step and finds the circles a step dips across and
-    back out of.
+    just past the first circle they cross, so an exit step ends just past
+    the rim.  Along the step ``q = x^2 + y^2`` is taken as the cubic
+    Hermite of its end values and slopes, which is exact for a straight
+    step and finds the circles a step dips across and back out of.
     """
     if not metric.is_radial:
         return None
     R = metric.radius
-    knots = sorted(float(b) ** 2 for b in metric.profile.breakpoints if 0.0 < b < R)
+    knots = sorted(float(b) ** 2 for b in metric.profile.breakpoints if 0.0 < b <= R)
     if not knots:
         return None
     over = _KNOT_OVERSHOOT * R

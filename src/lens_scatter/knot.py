@@ -172,14 +172,6 @@ class InvariantTable:
     def get(self, g: int) -> int:
         return self.entries.get(g, 0)
 
-    def __eq__(self, other):
-        if isinstance(other, InvariantTable):
-            return self.entries == other.entries
-        return self.entries == other
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.entries.items())))
-
 
 @dataclass(frozen=True)
 class Certificate:

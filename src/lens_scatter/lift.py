@@ -205,13 +205,11 @@ def projectivize(lifted: LiftedCurve) -> ProjCurve:
 def vertical_length(obj) -> float:
     """Total fiber rotation of a curve in the line bundle.
 
-    Accepts a minimal linear curve (giving exactly its ``d_v``), a
-    :class:`ProjCurve` (including the wrap-around increment) or
+    Accepts a :class:`ProjCurve` (including the wrap-around increment) or
     a list of :class:`ProjPoint` whose lifts are read as one continuous
-    path.  Concatenation adds.
+    path; a minimal linear curve has its ``d_v`` as its own
+    ``vertical_length``.  Concatenation adds.
     """
-    if isinstance(obj, MinimalLinearCurve):
-        return obj.vertical_length
     if isinstance(obj, ProjCurve):
         closing = (obj.line_lift[0] + obj.lifted.total_turn) - obj.line_lift[-1]
         return float(np.sum(np.abs(np.diff(obj.line_lift)))) + abs(closing)

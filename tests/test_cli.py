@@ -143,6 +143,16 @@ class TestCompareCommand:
         assert rep["equal"] is True
         assert rep["mean_excess"] == pytest.approx(2 * math.pi, abs=1e-6)
 
+    def test_reflected_boundary_keeps_the_lens(self, capsys):
+        # A radial metric's lens data are invariant under every isometry of
+        # the boundary circle, reflections included.
+        code, out = run(["compare", "--m1", "eaton", "--m2", "eaton", "--grid", "4x3",
+                         "--h-shift", "0.3", "--h-reflect", "--expect-equal"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["equal"] is True
+        assert rep["mean_excess"] == 0.0
+
     def test_expect_equal_failure_sets_exit_one(self, tmp_path, capsys):
         spec = {"kind": "radial-profile", "radius": 1.0,
                 "profile": [[0.0, 1.3], [0.5, 1.2], [1.0, 1.0]]}

@@ -68,8 +68,14 @@ class TestProfileTable:
         n, _ = prof.eval_many(self.RADII)
         assert np.all(np.diff(n) < 0.0)
         assert np.all(n * self.RADII <= 1.0)
-        assert prof.eval(1.0) == (1.0, 0.0)
-        assert prof.eval(1.5) == (1.0, 0.0)
+        # The closed form continues past the rim: n(1) = 1, n'(1) = -1, and
+        # outside it still inverts r(n) = 2 / (sqrt(n) (n + 1)).
+        n1, dn1 = prof.eval(1.0)
+        assert abs(n1 - 1.0) <= math.ulp(1.0)
+        assert abs(dn1 + 1.0) <= math.ulp(1.0)
+        n_out, _ = prof.eval(1.5)
+        assert 0.0 < n_out < n1
+        assert 2.0 / (math.sqrt(n_out) * (n_out + 1.0)) == pytest.approx(1.5, rel=1e-15)
         with pytest.raises(SingularityError):
             prof.eval(0.99e-10)
         with pytest.raises(SingularityError):

@@ -14,7 +14,7 @@ from lens_scatter.geometry import (ConformalMetric, IntegrationOptions,
 from lens_scatter.scattering import BoundaryVector, _arc_distance, boundary_grid
 
 from conftest import christoffel_turn_rate, solve_ivp_trace
-from test_scattering import GENTLE_BUMPS, _seeded_bumps
+from test_scattering import GENTLE_BUMPS, KINKED_PROFILE, _seeded_bumps
 
 BENDING_PROFILE = ConformalMetric.from_radial(
     lambda r: 1.0 + 0.3 * (1.0 - r * r), lambda r: -0.6 * r, name="bump")
@@ -256,6 +256,41 @@ class TestKnotCrossings:
         for knot in (0.4, 0.75):
             near = np.flatnonzero(np.abs(r - knot) < 1e-7)
             assert near.min() < np.argmin(r) < near.max()
+
+
+class TestProfileRim:
+    """A radial profile is one formula across the rim, so a ray's
+    right-hand side does not jump where it enters or leaves."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tabulated_arrays_equal_scalars(self, seed):
+        rng = np.random.default_rng(seed)
+        radii = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 6)), [1.0]])
+        metric = ConformalMetric.from_profile_knots(
+            zip(radii, rng.uniform(0.5, 2.0, radii.size)))
+        r = np.concatenate([rng.uniform(0.0, 1.5, 400), radii, [1.0 + 1e-12, 1.5]])
+        n, dn = metric.profile.eval_many(r)
+        assert list(zip(n.tolist(), dn.tolist())) == [metric.profile.eval(x) for x in r.tolist()]
+
+    @pytest.mark.parametrize("name", ["lens", "knots"])
+    def test_no_jump_at_the_rim(self, eaton, name):
+        metric = eaton if name == "lens" else KNOT_PROFILE
+        R = metric.radius
+        inside = metric.profile.eval(R * (1.0 - 1e-12))
+        outside = metric.profile.eval(R * (1.0 + 1e-12))
+        assert abs(inside[0] - outside[0]) < 1e-9
+        assert abs(inside[1] - outside[1]) < 1e-9
+
+    @pytest.mark.parametrize("name,entry,bound", [
+        ("lens", BoundaryVector(0.2, 1.0), 30),
+        ("lens", BoundaryVector(0.0, 0.4), 10),
+        ("kinked", BoundaryVector(0.6, 1.5), 40),
+    ], ids=["lens-1.0", "lens-0.4", "kinked-1.5"])
+    def test_few_rejected_steps(self, eaton, name, entry, bound):
+        # With n' = 0 outside the rim these took 59, 42 and 63 rejected
+        # steps, most of them shrinking the first step across the jump.
+        metric = eaton if name == "lens" else KINKED_PROFILE
+        assert integrate_geodesic(metric, entry).stats.rejected <= bound
 
 
 class TestTraceStats:

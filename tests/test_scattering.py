@@ -10,7 +10,7 @@ from lens_scatter import scattering
 from lens_scatter.eaton import _exact_dn_dr, eaton_index, eaton_metric
 from lens_scatter.geometry import (ConformalMetric, IntegrationOptions,
                                    SingularChordError, clairaut_orbit,
-                                   integrate_geodesic)
+                                   integrate_geodesic, polar_sweep)
 from lens_scatter.scattering import (INWARD, OUTWARD, TANGENTIAL,
                                      BoundaryIsometry, BoundaryVector,
                                      _arc_distance, boundary_grid, classify,
@@ -30,6 +30,12 @@ monotone_profiles = st.builds(
         [(0.2 * k, 1.0 + (1.0 if outward_down else -1.0) * sum(steps[k:]))
          for k in range(6)], name="knots"),
     st.lists(st.floats(0.0, 0.06), min_size=5, max_size=5), st.booleans())
+
+# quad once integrated across these knots in one range, and missed the sweep
+# at impact 0.3 by 1.2e-6 without a warning.
+KINKED_PROFILE = ConformalMetric.from_profile_knots(
+    [(0.0, 0.81256), (0.2, 0.85507), (0.4, 0.85555), (0.6, 0.89562),
+     (0.8, 0.95026), (1.0, 1.0)], name="knots")
 
 entries = st.builds(
     lambda arc, impact, side: BoundaryVector(arc, math.acos(side * impact)),
@@ -313,6 +319,15 @@ class TestClairautFastPath:
         assert abs(rec.exit.angle - path.exit.angle) < tol
         assert abs(rec.tau - path.length) < tol
 
+    def test_quadrature_panels_end_at_the_knots(self):
+        # n'' jumps at each knot; quad's error estimate sees that only when
+        # its panels end there.
+        opts = IntegrationOptions()
+        sweep, tau = clairaut_orbit(KINKED_PROFILE, 0.3, opts)
+        path = integrate_geodesic(KINKED_PROFILE, BoundaryVector(0.0, math.acos(0.3)), opts)
+        assert abs(sweep - polar_sweep(path.points)) < opts.step_tol
+        assert abs(tau - path.length) < opts.step_tol
+
     def test_eaton_exits_on_the_vacuum_chord(self, eaton, monkeypatch):
         tracer = _CountingTracer()
         monkeypatch.setattr(scattering, "integrate_geodesic", tracer)
@@ -341,7 +356,7 @@ class TestClairautFastPath:
         # step_tol, and the ODE trace agrees with it to step_tol.
         exact = ConformalMetric.from_radial(
             np.vectorize(eaton_index), np.vectorize(lambda r: _exact_dn_dr(eaton_index(r))),
-            kind="eaton", r_min=1e-10, name="eaton-root-solved")
+            r_min=1e-10, name="eaton-root-solved")
         opts = IntegrationOptions()
         for impact in (0.3, 0.9, 0.99, GRAZING):
             entry = BoundaryVector(0.0, math.acos(impact))
@@ -349,6 +364,18 @@ class TestClairautFastPath:
             assert abs(scatter(eaton, entry, opts).tau - reference) < 1e-8
             assert abs(integrate_geodesic(eaton, entry, opts).length
                        - reference) < opts.step_tol
+
+    def test_near_grazing_lens_ray_circles_once(self, eaton, monkeypatch):
+        # Quadrature declines this close to grazing and the ODE answers.
+        # While n' jumped from -1 to 0 at the rim, the ray left along its
+        # straight chord, without the circuit's 2 pi.
+        tracer = _CountingTracer()
+        monkeypatch.setattr(scattering, "integrate_geodesic", tracer)
+        chi = 1e-4
+        rec = scatter(eaton, BoundaryVector(0.1, chi))
+        assert tracer.calls == 1
+        assert abs(rec.tau - (2.0 * math.pi + 2.0 * math.sin(chi))) < 1e-5
+        assert _arc_distance(rec.exit.arc, 0.1 + chi / math.pi) < 1e-5
 
     def test_general_metric_falls_back_to_ode(self, monkeypatch):
         tracer = _CountingTracer()
