@@ -141,11 +141,15 @@ class IntegrationOptions:
 class _TabulatedRadial:
     """Monotone-cubic (PCHIP) radial profile: one cubic per knot interval.
 
-    Derivatives come from the same cubics, so quantities conserved by the
-    interpolated metric are conserved exactly, and ``eval`` and ``eval_many``
-    run the same Horner sums, so they agree bit for bit.  Past ``r_max`` it
-    keeps the rim value and the last cubic's rim slope: ``n'`` does not jump
-    at the rim, and steps end there as at the knots (:func:`_knot_cut`).
+    Inside ``r_max`` derivatives come from the same cubics, so quantities
+    conserved by the interpolated metric are conserved exactly, and ``eval``
+    and ``eval_many`` run the same Horner sums, so they agree bit for bit.
+    Past ``r_max`` it holds ``n`` at its rim value, which keeps it positive,
+    and returns the last cubic's rim slope as ``n'`` on purpose, so ``n'``
+    does not jump at the rim.  That ``n'`` is not the derivative of the held
+    ``n``; it is harmless only because :func:`_knot_cut` ends exit steps
+    ``1e-8 R`` past the rim, so no more than the stages of that overshoot
+    see it.
     """
 
     def __init__(self, radii, values):

@@ -368,14 +368,18 @@ class TestClairautFastPath:
     def test_near_grazing_lens_ray_circles_once(self, eaton, monkeypatch):
         # Quadrature declines this close to grazing and the ODE answers.
         # While n' jumped from -1 to 0 at the rim, the ray left along its
-        # straight chord, without the circuit's 2 pi.
+        # straight chord, without the circuit's 2 pi (for chi up to about
+        # 6e-4).  Near grazing the trace misses tau by about 3.2e-10 / chi
+        # and the exit arc by about 5e-11 / chi; the bounds allow ten times
+        # that.
         tracer = _CountingTracer()
         monkeypatch.setattr(scattering, "integrate_geodesic", tracer)
-        chi = 1e-4
+        chi = 3e-4
         rec = scatter(eaton, BoundaryVector(0.1, chi))
         assert tracer.calls == 1
-        assert abs(rec.tau - (2.0 * math.pi + 2.0 * math.sin(chi))) < 1e-5
-        assert _arc_distance(rec.exit.arc, 0.1 + chi / math.pi) < 1e-5
+        bound = 10.0 * 3.2e-10 / chi
+        assert abs(rec.tau - (2.0 * math.pi + 2.0 * math.sin(chi))) < bound
+        assert _arc_distance(rec.exit.arc, 0.1 + chi / math.pi) < bound
 
     def test_general_metric_falls_back_to_ode(self, monkeypatch):
         tracer = _CountingTracer()
