@@ -3,8 +3,9 @@ projectivized tangent lifts of plane curves.
 
 The knot side (``curves``, ``lift``, ``knot``) is imported with the
 package.  The geometry side (``geometry``, ``scattering``, ``eaton``,
-``dop853``) imports scipy, so it is imported on first access to one of
-its names; knot-side runs never load scipy.
+``dop853``) is imported on first access to one of its names.  Both run on
+numpy alone; the geometry side stays lazy because its import (about 20 ms,
+byte-compilation included) would otherwise be paid by every knot-side run.
 """
 
 __version__ = "0.1.0"

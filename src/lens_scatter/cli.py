@@ -9,6 +9,7 @@ unequal data), 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -24,8 +25,8 @@ from .knot import (TangentLoop, analyze_loop, choose_refinement_n,
 from .lift import projectivize, unit_tangent_lift
 from .svg import render_annulus, render_rays
 
-# The geometry side imports scipy: the commands that trace or scatter import
-# its names when they run, so the knot-side commands never load it.
+# The commands that trace or scatter import the geometry side's names when
+# they run, so the knot-side commands never load it.
 if TYPE_CHECKING:
     from .geometry import IntegrationOptions
     from .scattering import BoundaryVector
@@ -293,7 +294,10 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it unchanged, and a caller running many commands reuses it."""
     ap = argparse.ArgumentParser(prog="lens-scatter",
                                  description=__doc__.splitlines()[0])
     ap.add_argument("--version", action="version",

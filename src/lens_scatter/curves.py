@@ -106,22 +106,41 @@ class TrigCurve(ParametricCurve):
 
 
 def from_samples(points, *, name="sampled-curve") -> ParametricCurve:
-    """Smooth the samples of a closed curve with a periodic cubic spline."""
-    from scipy.interpolate import CubicSpline  # only CSV curves need scipy
+    """Smooth the samples of a closed curve with a periodic cubic spline.
 
+    The ``m`` samples sit at the uniform parameters ``i / m``.  The
+    spline's second derivatives solve the cyclic tridiagonal system
+    ``M[i-1] + 4 M[i] + M[i+1] = 6 m^2 (p[i+1] - 2 p[i] + p[i-1])``.  With
+    uniform knots it is circulant, so the discrete Fourier transform
+    diagonalizes it, with eigenvalues ``4 + 2 cos(2 pi k / m) >= 2``.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 4:
         raise ValueError("need an (m, 2) array with m >= 4")
-    ts = np.linspace(0.0, 1.0, len(pts) + 1)
-    spl = CubicSpline(ts, np.vstack([pts, pts[:1]]), bc_type="periodic")
-    dspl = spl.derivative()
+    m = len(pts)
+    h = 1.0 / m
+    after = np.roll(pts, -1, axis=0)
+    rhs = 6.0 * m * m * (after - 2.0 * pts + np.roll(pts, 1, axis=0))
+    eig = 4.0 + 2.0 * np.cos(TWO_PI * np.arange(m) / m)
+    second = np.fft.ifft(np.fft.fft(rhs, axis=0) / eig[:, None], axis=0).real
+    # Each interval's cubic in powers of t - i h.
+    c1 = (after - pts) * m - h * (2.0 * second + np.roll(second, -1, axis=0)) / 6.0
+    c2 = 0.5 * second
+    c3 = (np.roll(second, -1, axis=0) - second) * m / 6.0
+
+    def interval(t):
+        t = np.mod(t, 1.0)
+        i = np.minimum((t * m).astype(int), m - 1)
+        return i, (t - i * h)[..., None]
 
     def p(t):
-        xy = spl(np.mod(t, 1.0))
+        i, u = interval(t)
+        xy = ((c3[i] * u + c2[i]) * u + c1[i]) * u + pts[i]
         return xy[..., 0], xy[..., 1]
 
     def v(t):
-        xy = dspl(np.mod(t, 1.0))
+        i, u = interval(t)
+        xy = (3.0 * c3[i] * u + 2.0 * c2[i]) * u + c1[i]
         return xy[..., 0], xy[..., 1]
 
     return ParametricCurve(p, v, name=name)

@@ -21,6 +21,10 @@ steps, and so the samples, identical.
 
 A caller whose right-hand side has known kinks may cut steps short at
 them (``solve``'s ``cut``); only then do the steps leave scipy's.
+
+The event roots come from :func:`brentq`, a port of scipy's Brent solver
+that returns its roots to the bit; the rest of the geometry side finds its
+roots with it too.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import math
 from bisect import bisect_right
 
 import numpy as np
-from scipy.optimize import brentq
 
 EPS = float(np.finfo(float).eps)
 
@@ -232,6 +235,77 @@ _D[3, 15] = -0.14972683625798562581422125276e+3
 # Stage s combines the first s stages with A[s, :s], as scipy slices them.
 _MAIN_ROWS = tuple((float(_C[s]), _A[s, :s]) for s in range(1, _STAGES))
 _EXTRA_ROWS = tuple((float(_C[s]), _A[s, :s]) for s in range(_STAGES + 1, _STAGES_EXTENDED))
+
+
+def _divide(a: float, b: float) -> float:
+    """``a / b`` as C divides: by zero it gives an infinity or NaN."""
+    if b != 0.0:
+        return a / b
+    if a == 0.0 or math.isnan(a):
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def brentq(f, xa: float, xb: float, xtol: float = 2e-12, rtol: float = 4 * EPS,
+           maxiter: int = 100) -> float:
+    """Root of ``f`` in the sign-changing bracket ``[xa, xb]`` by Brent's method.
+
+    A line-for-line port of scipy's ``brentq.c`` behind
+    ``scipy.optimize.brentq``, with its defaults: the same iterates in the
+    same order, so the same root to the bit.  It stops when the bracket's
+    half-width falls below ``(xtol + rtol |x|) / 2``.  Raises ``ValueError``
+    when ``f(xa)`` and ``f(xb)`` have one sign or ``f`` returns NaN, and
+    ``RuntimeError`` after ``maxiter`` iterations without convergence.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = _divide(fpre - fcur, xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = _divide(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur!r}")
 
 
 def _rms(v) -> float:

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .dop853 import brentq
 from .geometry import (ConformalMetric, GeodesicPath, IntegrationOptions,
                        NonIntegralWindingError, SingularityError, polar_sweep)
 from .scattering import scatter_grid
@@ -49,7 +49,7 @@ def eaton_index(r: float) -> float:
         raise ValueError("index profile is defined on (0, 1]")
     if r == 1.0:
         return 1.0
-    n = brentq(index_residual, 1.0, 1.0 / r, args=(r,), xtol=1e-15, rtol=8.9e-16,
+    n = brentq(lambda n: index_residual(n, r), 1.0, 1.0 / r, xtol=1e-15, rtol=8.9e-16,
                maxiter=200)
     # The equation's terms grow like sqrt(n), so the attainable absolute
     # residual scales with it.

@@ -28,6 +28,11 @@ right-hand side does not jump where a ray enters or leaves.  On a tabulated
 profile steps end just past each knot circle they cross and just past the
 rim (:func:`_knot_cut`).  Radial metrics get exit data without tracing,
 from Clairaut quadrature (:func:`clairaut_orbit`), split at the knots.
+
+The module needs numpy alone.  Its kernels are small ports checked against
+scipy in the tests: roots come from :func:`lens_scatter.dop853.brentq`,
+tabulated profiles from :func:`_pchip_coefficients`, and the orbit
+integrals from the adaptive Gauss-Kronrod rule :func:`_adaptive_gk15`.
 """
 
 from __future__ import annotations
@@ -39,11 +44,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from . import dop853
+from .dop853 import brentq
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,6 +141,44 @@ class IntegrationOptions:
         return self.max_length if self.max_length is not None else 200.0 * radius
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end knot, kept monotone (Moler's
+    ``pchiptx``); ``h0``, ``m0`` belong to the end interval."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x, y) -> np.ndarray:
+    """The ``(4, len(x) - 1)`` cubic coefficients of the monotone PCHIP
+    through ``(x, y)``, highest power first in ``x - x[i]``.
+
+    Fritsch-Carlson slopes with Moler's end rule, as scipy's
+    ``PchipInterpolator`` computes them (its ``.c``, bit for bit): an
+    interior slope is 0 where the neighbouring secants differ in sign or
+    one vanishes, else their weighted harmonic mean.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    d = np.empty_like(y)
+    if len(x) == 2:
+        d[:] = m[0]
+    else:
+        hl, hr, ml, mr = h[:-1], h[1:], m[:-1], m[1:]
+        mean = (np.sign(ml) == np.sign(mr)) & (ml != 0.0) & (mr != 0.0)
+        w1, w2 = (2.0 * hr + hl)[mean], (hr + 2.0 * hl)[mean]
+        d[1:-1] = 0.0
+        d[1:-1][mean] = 1.0 / ((w1 / ml[mean] + w2 / mr[mean]) / (w1 + w2))
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    # Cubic Hermite on each interval, in power form.
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
 class _TabulatedRadial:
     """Monotone-cubic (PCHIP) radial profile: one cubic per knot interval.
 
@@ -164,7 +205,7 @@ class _TabulatedRadial:
         self.breakpoints = radii
         self.r_min = float(radii[0])
         self.r_max = float(radii[-1])
-        self._c = PchipInterpolator(radii, values).c
+        self._c = _pchip_coefficients(radii, values)
         # Plain lists for the scalar path, which the integrator calls once
         # per RHS evaluation: float arithmetic beats numpy scalars there.
         self._bx = radii.tolist()
@@ -470,7 +511,20 @@ def chord_impact(metric: ConformalMetric, entry) -> float:
 
 _SCAN_POINTS = 400
 _SCAN_FLOOR = 1e-12   # deepest turning radius searched, relative to R
-_LINEAR_ZONE = 1e-8   # (r - r*) / r* below which n^2 r^2 - p^2 is linearized
+# (r - r*) / r* below which clairaut_orbit takes n r - p from the trapezoid
+# rule on (n r)' rather than from a difference that cancels.  Relative to
+# n r - p, the rule's error grows like (r - r*)^2 (n r)''' and the
+# difference's rounding like eps / (r - r*); they balance near 1e-5.
+_TRAPEZOID_ZONE = 1e-5
+
+
+def _scan_radii(floor: float, radius: float, knots) -> np.ndarray:
+    """The sorted log grid from ``floor`` to ``radius`` merged with the knots
+    strictly between them, each radius once: ``np.union1d`` of the two,
+    without the ``numpy.ma`` import that ``np.union1d`` triggers."""
+    rs = np.sort(np.concatenate([np.geomspace(floor, radius, _SCAN_POINTS),
+                                 knots[(knots > floor) & (knots < radius)]]))
+    return rs[np.concatenate([[True], rs[1:] != rs[:-1]])]
 
 
 def _turning_radius(profile, radius: float, p: float) -> float | None:
@@ -480,10 +534,8 @@ def _turning_radius(profile, radius: float, p: float) -> float | None:
     the profile's breakpoints, and the outermost sign change is closed by
     ``brentq``.
     """
-    floor = max(profile.r_min, _SCAN_FLOOR * radius)
-    knots = profile.breakpoints
-    rs = np.union1d(np.geomspace(floor, radius, _SCAN_POINTS),
-                    knots[(knots > floor) & (knots < radius)])
+    rs = _scan_radii(max(profile.r_min, _SCAN_FLOOR * radius), radius,
+                     profile.breakpoints)
     f = profile.eval_many(rs)[0] * rs - p
     inside = np.flatnonzero(f <= 0.0)
     if inside.size == 0 or inside[-1] == rs.size - 1:
@@ -493,6 +545,80 @@ def _turning_radius(profile, radius: float, p: float) -> float | None:
         return float(rs[i])
     lo, hi = float(rs[i]), float(rs[i + 1])
     return brentq(lambda r: profile.eval(r)[0] * r - p, lo, hi, xtol=1e-16 * lo)
+
+
+# Gauss-Kronrod G7K15 on [-1, 1] (QUADPACK's qk15): the 15 Kronrod nodes,
+# their weights, and the weights of the 7-point Gauss rule on every other
+# node (zero on the others).  Kronrod is exact to degree 22, Gauss to 13.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+       0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
+_GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_GK_WEIGHTS = np.array(_WGK[:-1] + _WGK[::-1])
+_G7_WEIGHTS = np.array(_WG[:-1] + _WG[::-1])
+_GK_RULES = np.column_stack([_GK_WEIGHTS, _G7_WEIGHTS])
+
+
+def _gk15(integrands, panels):
+    """G7K15 estimates of every integrand over each ``(a, b)`` panel.
+
+    ``integrands(u)`` maps a 1-d array of nodes to an ``(m, len(u))`` array
+    of ``m`` integrands, and is called once.  Returns one
+    ``(a, b, integrals, errors)`` per panel, the ``m`` errors scaled as
+    QUADPACK's ``qk15`` scales them.
+    """
+    a = np.array([panel[0] for panel in panels])
+    half = 0.5 * (np.array([panel[1] for panel in panels]) - a)
+    f = integrands(((a + half)[:, None] + half[:, None] * _GK_NODES).ravel())
+    f = f.reshape(len(f), len(panels), len(_GK_NODES))
+    sums = f @ _GK_RULES
+    spreads = (np.abs(f - 0.5 * sums[..., :1]) @ _GK_WEIGHTS).T.tolist()
+    out = []
+    for (lo, hi), h, rules, spread in zip(panels, half.tolist(),
+                                          sums.transpose(1, 0, 2).tolist(), spreads):
+        vals, errs = [], []
+        for (kronrod, gauss), asc in zip(rules, spread):
+            err, asc = abs((kronrod - gauss) * h), asc * h
+            if asc != 0.0 and err != 0.0:
+                err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
+            vals.append(kronrod * h)
+            errs.append(err)
+        out.append((lo, hi, vals, errs))
+    return out
+
+
+def _adaptive_gk15(integrands, edges, tol: float, limit: int):
+    """Integrals of every integrand over ``[edges[0], edges[-1]]``.
+
+    Global adaptive G7K15 from the panels between ``edges``: the panel with
+    the largest error relative to its integrand's target is halved until
+    every integrand's summed error is within ``max(tol, tol |integral|)``.
+    Returns ``None`` when that would take more than ``limit`` panels, a
+    panel can no longer be halved, or a value is not finite.
+    """
+    panels = _gk15(integrands, list(zip(edges[:-1], edges[1:])))
+    while True:
+        totals = [math.fsum(col) for col in zip(*(panel[2] for panel in panels))]
+        if not all(math.isfinite(t) for t in totals):
+            return None
+        targets = [max(tol, tol * abs(t)) for t in totals]
+        if all(sum(col) <= target
+               for col, target in zip(zip(*(panel[3] for panel in panels)), targets)):
+            return totals
+        i = max(range(len(panels)),
+                key=lambda k: max(e / t for e, t in zip(panels[k][3], targets)))
+        lo, hi = panels[i][:2]
+        mid = 0.5 * (lo + hi)
+        if len(panels) >= limit or not lo < mid < hi:
+            return None
+        panels[i:i + 1] = _gk15(integrands, [(lo, mid), (mid, hi)])
 
 
 def clairaut_orbit(metric: ConformalMetric, impact: float,
@@ -508,9 +634,12 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
 
     both over ``[r*, R]``.  The substitution ``r = r* exp(u^2)`` removes the
     inverse square root at ``r*`` and the scale range of near-pole turning
-    points; next to ``r*`` the radicand is replaced by its linearization
-    ``2 p (n r)'(r*) (r - r*)``, which cannot round to zero.  Returns
-    ``None`` when the quadrature does not apply, so the caller falls back to
+    points.  Next to ``r*`` the factor ``n r - p`` of the radicand comes from
+    the trapezoid rule on ``(n r)' = n + r n'`` over ``[r*, r]``, which
+    cannot round to zero.  Both integrals come from one adaptive
+    Gauss-Kronrod pass (:func:`_adaptive_gk15`) that evaluates the profile
+    once per batch of panels, split at the knots.  Returns ``None`` when
+    the quadrature does not apply, so the caller falls back to
     :func:`integrate_geodesic`: a non-radial metric, no turning point above
     the profile's domain, a turning point that is not simple (orbiting or
     trapped rays), or a quadrature that did not converge.
@@ -527,44 +656,32 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
     slope = n_star + r_star * dn_star
     if not slope > 0.0:
         return None
-    linear = 2.0 * p * slope * r_star
-    ev = profile.eval
 
-    def weight(u):
-        # n r and u / sqrt(n^2 r^2 - p^2) at r = r* exp(u^2); dr = 2 u r du.
-        e = math.expm1(u * u)
-        r = r_star + r_star * e
-        nr = ev(r)[0] * r
-        if e < _LINEAR_ZONE:
-            g = linear * e
-        else:
-            g = (nr - p) * (nr + p)
-        return nr, (u / math.sqrt(g) if g > 0.0 else math.nan)
-
-    def sweep(u):
-        return p * weight(u)[1]
-
-    def length(u):
-        nr, w = weight(u)
-        return nr * nr * w
+    def integrands(u):
+        # At r = r* exp(u^2), dr = 2 u r du: the sweep's p w and the
+        # length's (n r)^2 w, with w = u / sqrt(n^2 r^2 - p^2).
+        e = np.expm1(u * u)
+        dr = r_star * e
+        r = r_star + dr
+        n, dn = profile.eval_many(r)
+        nr = n * r
+        excess = np.where(e < _TRAPEZOID_ZONE, 0.5 * dr * (slope + n + r * dn), nr - p)
+        g = excess * (nr + p)
+        w = u / np.sqrt(np.where(g > 0.0, g, math.nan))
+        return np.stack([p * w, nr * nr * w])
 
     # Quadrature error does not build up along the path as the ODE's global
     # error does, so two decades below step_tol suffice (the ODE uses three).
     tol = 1e-2 * opts.step_tol
     top = math.sqrt(math.log(R / r_star))
-    # n'' jumps at the knots, which quad's error estimate does not see
-    # unless its panels end there.  quad drops the ones outside (0, top),
-    # and refuses more of them than its subinterval limit.
+    # n'' jumps at the knots, which the error estimate does not see unless
+    # the panels end there.
     breaks = [math.sqrt(math.log(b / r_star)) for b in profile.breakpoints if b > r_star]
-    out = []
-    for integrand in (sweep, length):
-        # With full_output, quad appends a message when it did not converge.
-        res = quad(integrand, 0.0, top, epsabs=tol, epsrel=tol, full_output=1,
-                   points=breaks or None, limit=50 + len(breaks))
-        if len(res) > 3 or not math.isfinite(res[0]):
-            return None
-        out.append(4.0 * res[0])
-    return out[0], out[1]
+    edges = [0.0, *sorted(u for u in breaks if u < top), top]
+    res = _adaptive_gk15(integrands, edges, tol, 50 + len(breaks))
+    if res is None:
+        return None
+    return 4.0 * res[0], 4.0 * res[1]
 
 
 _REFINE_ROUNDS = 10

@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 import lens_scatter
 from lens_scatter.eaton import eaton_metric
 from lens_scatter.geometry import (_RTOL_SCALE, ConformalMetric, GeodesicPath,
                                    IntegrationOptions, _entry_xytheta,
-                                   boundary_vector_at, chord_impact)
+                                   _turning_radius, boundary_vector_at,
+                                   chord_impact)
 from lens_scatter.knot import random_corpus
 from lens_scatter.scattering import boundary_grid
 
@@ -199,3 +200,64 @@ def solve_ivp_trace(metric: ConformalMetric, entry,
     points[-1] = (xe * scale, ye * scale)
     exit_vec = boundary_vector_at(points[-1, 0], points[-1, 1], the, radius=R)
     return GeodesicPath(points, ys[2], lengths, entry, exit_vec)
+
+
+_LINEAR_ZONE = 1e-8   # (r - r*) / r* below which n^2 r^2 - p^2 is linearized
+
+
+def quad_clairaut_orbit(metric: ConformalMetric, impact: float,
+                        opts: IntegrationOptions) -> tuple[float, float] | None:
+    """``clairaut_orbit`` as it was written on scipy's ``quad`` (QUADPACK's
+    21-point Gauss-Kronrod with extrapolation, one call per integrand, the
+    radicand linearized next to ``r*``): the oracle for the in-repo G7K15
+    quadrature."""
+    profile = metric.profile
+    if profile is None:
+        return None
+    R = metric.radius
+    p = profile.eval(R)[0] * impact
+    r_star = _turning_radius(profile, R, p)
+    if r_star is None:
+        return None
+    n_star, dn_star = profile.eval(r_star)
+    slope = n_star + r_star * dn_star
+    if not slope > 0.0:
+        return None
+    linear = 2.0 * p * slope * r_star
+    ev = profile.eval
+
+    def weight(u):
+        # n r and u / sqrt(n^2 r^2 - p^2) at r = r* exp(u^2); dr = 2 u r du.
+        e = math.expm1(u * u)
+        r = r_star + r_star * e
+        nr = ev(r)[0] * r
+        if e < _LINEAR_ZONE:
+            g = linear * e
+        else:
+            g = (nr - p) * (nr + p)
+        return nr, (u / math.sqrt(g) if g > 0.0 else math.nan)
+
+    def sweep(u):
+        return p * weight(u)[1]
+
+    def length(u):
+        nr, w = weight(u)
+        return nr * nr * w
+
+    # Quadrature error does not build up along the path as the ODE's global
+    # error does, so two decades below step_tol suffice (the ODE uses three).
+    tol = 1e-2 * opts.step_tol
+    top = math.sqrt(math.log(R / r_star))
+    # n'' jumps at the knots, which quad's error estimate does not see
+    # unless its panels end there.  quad drops the ones outside (0, top),
+    # and refuses more of them than its subinterval limit.
+    breaks = [math.sqrt(math.log(b / r_star)) for b in profile.breakpoints if b > r_star]
+    out = []
+    for integrand in (sweep, length):
+        # With full_output, quad appends a message when it did not converge.
+        res = quad(integrand, 0.0, top, epsabs=tol, epsrel=tol, full_output=1,
+                   points=breaks or None, limit=50 + len(breaks))
+        if len(res) > 3 or not math.isfinite(res[0]):
+            return None
+        out.append(4.0 * res[0])
+    return out[0], out[1]

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from lens_scatter import geometry
-from lens_scatter.cli import main
+from lens_scatter.cli import build_parser, main
 from lens_scatter.geometry import integrate_geodesic
 
 from conftest import run_python
@@ -398,6 +398,20 @@ class TestDeterminism:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
+        # main reuses one parser per process; options given to one call
+        # must not leak into the next.
+        assert build_parser() is build_parser()
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["scatter", "--metric", "eaton", "--arc", "0.3", "--angle", "0.9"]
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(["--step-tol", "1e-5", "scatter", "--metric", "vacuum", "--arc", "0.1",
+                     "--angle", "1.2", "--out", str(tmp_path / "other.json")]) == 0
+        assert main(["eaton", "--grid", "4x2", "--tol", "1e-3",
+                     "--out", str(tmp_path / "eaton.json")]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -461,7 +475,7 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
 # the geometry side) is loaded after the import and after each command.
 LOADED_PROBE = """
 import contextlib, io, json, sys
-from lens_scatter.cli import main
+from lens_scatter.cli import build_parser, main
 loaded = {"import": "scipy" in sys.modules}
 for argv in (["invariant", "--curve", "lemniscate", "--out", "inv.json",
               "--emit-svg", "inv.svg"],
@@ -482,3 +496,36 @@ def test_knot_side_commands_load_no_scipy(tmp_path):
     loaded = json.loads(run_python(LOADED_PROBE, tmp_path))
     assert loaded == {"import": False, "invariant": [0, False], "approx-pl": [0, False],
                       "render": [0, False], "scatter": [0, True]}
+
+
+# Runs the metric commands in a fresh interpreter that cannot import scipy,
+# and records each exit code and whether scipy or numpy.ma got loaded.
+NO_SCIPY_PROBE = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from lens_scatter.cli import main
+with open("knots.json", "w") as fh:
+    json.dump({"kind": "radial-profile",
+               "profile": [[0, 1.3], [0.4, 1.22], [0.75, 1.1], [1, 1]]}, fh)
+runs = {}
+for metric in ("vacuum", "eaton", "knots.json"):
+    for argv in (["scatter", "--metric", metric, "--arc", "0.1", "--angle", "1.0"],
+                 ["trace", "--metric", metric, "--arc", "0.2", "--angle", "0.7"],
+                 ["compare", "--m1", "vacuum", "--m2", metric, "--grid", "4x2"],
+                 ["render", "--metric", metric, "--grid", "4x2", "--out", "fan.svg"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            runs[" ".join(argv)] = main(argv)
+with contextlib.redirect_stdout(io.StringIO()):
+    runs["eaton"] = main(["eaton", "--grid", "4x2", "--emit-svg", "rays.svg",
+                          "--svg-rays", "3"])
+loaded = sorted(name for name, module in sys.modules.items() if module is not None
+                and (name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "ma"]))
+print(json.dumps({"runs": runs, "loaded": loaded}))
+"""
+
+
+def test_metric_commands_run_without_scipy(tmp_path):
+    result = json.loads(run_python(NO_SCIPY_PROBE, tmp_path))
+    assert len(result["runs"]) == 13
+    assert all(code == 0 for code in result["runs"].values()), result["runs"]
+    assert result["loaded"] == []
