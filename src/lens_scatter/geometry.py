@@ -511,11 +511,12 @@ def chord_impact(metric: ConformalMetric, entry) -> float:
 
 _SCAN_POINTS = 400
 _SCAN_FLOOR = 1e-12   # deepest turning radius searched, relative to R
-# (r - r*) / r* below which clairaut_orbit takes n r - p from the trapezoid
+# (r - r*) / r* below which clairaut_orbit takes n r - p from Simpson's
 # rule on (n r)' rather than from a difference that cancels.  Relative to
-# n r - p, the rule's error grows like (r - r*)^2 (n r)''' and the
-# difference's rounding like eps / (r - r*); they balance near 1e-5.
-_TRAPEZOID_ZONE = 1e-5
+# n r - p, the rule's error grows like (r - r*)^4 and the difference's
+# rounding like eps / (r - r*), both over (n r)' at r*; they balance near
+# 2e-3.  On the lens the rule's error shows in tau from 1e-2.
+_SIMPSON_ZONE = 2e-3
 
 
 def _scan_radii(floor: float, radius: float, knots) -> np.ndarray:
@@ -635,8 +636,8 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
     both over ``[r*, R]``.  The substitution ``r = r* exp(u^2)`` removes the
     inverse square root at ``r*`` and the scale range of near-pole turning
     points.  Next to ``r*`` the factor ``n r - p`` of the radicand comes from
-    the trapezoid rule on ``(n r)' = n + r n'`` over ``[r*, r]``, which
-    cannot round to zero.  Both integrals come from one adaptive
+    Simpson's rule on ``(n r)' = n + r n'`` over ``[r*, r]``, which cannot
+    round to zero.  Both integrals come from one adaptive
     Gauss-Kronrod pass (:func:`_adaptive_gk15`) that evaluates the profile
     once per batch of panels, split at the knots.  Returns ``None`` when
     the quadrature does not apply, so the caller falls back to
@@ -663,9 +664,16 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
         e = np.expm1(u * u)
         dr = r_star * e
         r = r_star + dr
-        n, dn = profile.eval_many(r)
-        nr = n * r
-        excess = np.where(e < _TRAPEZOID_ZONE, 0.5 * dr * (slope + n + r * dn), nr - p)
+        near = e < _SIMPSON_ZONE
+        mid = r_star + 0.5 * dr[near]
+        rs = np.concatenate([r, mid])
+        n, dn = profile.eval_many(rs)
+        # (n r)' at every node, then at the midpoints.
+        slopes = n + rs * dn
+        nr = n[:len(r)] * r
+        excess = nr - p
+        excess[near] = dr[near] / 6.0 * (slope + 4.0 * slopes[len(r):]
+                                         + slopes[:len(r)][near])
         g = excess * (nr + p)
         w = u / np.sqrt(np.where(g > 0.0, g, math.nan))
         return np.stack([p * w, nr * nr * w])
@@ -822,7 +830,12 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
     return GeodesicPath(points, ys[2], lengths, entry, exit_vec, stats)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# The 5-point Gauss-Legendre rule on [-1, 1], exact to degree 9.
+_GL_NODES = np.array([-0.906179845938663992797626878299393, -0.538469310105683091036314420700209,
+                      0.0, 0.538469310105683091036314420700209, 0.906179845938663992797626878299393])
+_GL_WEIGHTS = np.array([0.236926885056189087514264040719917, 0.478628670499366468041291514835638,
+                        0.568888888888888888888888888888889, 0.478628670499366468041291514835638,
+                        0.236926885056189087514264040719917])
 
 
 def riemannian_length(metric: ConformalMetric, points) -> float:

@@ -174,8 +174,9 @@ class TestEatonCommand:
         assert rep["windings"] in ([1], [-1], [-1, 1])
 
     def test_impossible_tolerance_fails(self, capsys):
+        # The deviations on this grid are about 1e-13, rounding included.
         code, out = run(["eaton", "--check", "invisibility", "--grid", "4x2",
-                         "--tol", "1e-12"], capsys)
+                         "--tol", "1e-15"], capsys)
         assert code == 1
         assert json.loads(out)["passed"] is False
 

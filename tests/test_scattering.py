@@ -370,14 +370,30 @@ class TestClairautFastPath:
         # its straight chord, without the circuit's 2 pi (for chi up to
         # about 6e-4).  Near grazing the trace misses tau by about
         # 3.2e-10 / chi and the exit arc by about 5e-11 / chi; the bounds
-        # allow ten times that.  (scatter traced this entry while quadrature
-        # linearized n^2 r^2 - p^2 next to r*; it may now take quadrature,
-        # see test_kernels.py.)
+        # allow ten times that.
         chi = 3e-4
-        path = integrate_geodesic(eaton, BoundaryVector(0.1, chi))
+        entry = BoundaryVector(0.1, chi)
         bound = 10.0 * 3.2e-10 / chi
+        rec = scatter(eaton, entry)
+        assert abs(rec.tau - (2.0 * math.pi + 2.0 * math.sin(chi))) < bound
+        assert _arc_distance(rec.exit.arc, 0.1 + chi / math.pi) < bound
+        path = integrate_geodesic(eaton, entry)
         assert abs(path.length - (2.0 * math.pi + 2.0 * math.sin(chi))) < bound
         assert _arc_distance(path.exit.arc, 0.1 + chi / math.pi) < bound
+
+    @pytest.mark.parametrize("chi", [1e-6, 3e-6, 3e-5, 3e-4])
+    def test_near_grazing_lens_quadrature_within_step_tol(self, eaton, chi, monkeypatch):
+        # Below chi ~ 5e-6 the whole orbit lies within _SIMPSON_ZONE of r*,
+        # so every node takes n r - p from Simpson's rule on (n r)'.  That
+        # rule's error is smooth, and the Gauss-Kronrod error estimate
+        # cannot see it.
+        tracer = _CountingTracer()
+        monkeypatch.setattr(scattering, "integrate_geodesic", tracer)
+        rec = scatter(eaton, BoundaryVector(0.1, chi))
+        assert tracer.calls == 0
+        step_tol = IntegrationOptions().step_tol
+        assert abs(rec.tau - (2.0 * math.pi + 2.0 * math.sin(chi))) < step_tol
+        assert _arc_distance(rec.exit.arc, 0.1 + chi / math.pi) < step_tol
 
     def test_general_metric_falls_back_to_ode(self, monkeypatch):
         tracer = _CountingTracer()
