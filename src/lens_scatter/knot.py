@@ -18,6 +18,7 @@ counts crossings of each nonzero type with signs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,8 +26,8 @@ import numpy as np
 
 from .curves import ParametricCurve, TrigCurve
 from .lift import (FLAT_INJECTIVITY_RADIUS, MinimalLinearCurve, NonIntegralClassError,
-                   PLVertexPath, ProjPoint, _circ_dist, _whole_number, dist_components,
-                   unit_tangent_lift)
+                   PLVertexPath, ProjPoint, _circ_dist, _edge_ends, _edge_gaps,
+                   _whole_number, dist_components, unit_tangent_lift)
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,22 +58,38 @@ class _FramedLoop:
 
 
 class TangentLoop(_FramedLoop):
-    """Framed loop whose frame is the unit tangent of its own base curve."""
+    """Framed loop whose frame is the unit tangent of its own base curve.
+
+    The lift's sample points are reused for the same parameters, and each
+    velocity is evaluated once per parameter, then shared (read-only) by
+    crossing polishing, signs and types.
+    """
 
     def __init__(self, curve: ParametricCurve, samples: int = 512):
         self.curve = curve
         self.samples = samples
         self.lifted = unit_tangent_lift(curve, samples)
         self.period_shift = self.lifted.total_turn
+        self._velocities: dict[float, np.ndarray] = {}
 
     def base_points(self, ts) -> np.ndarray:
-        return self.curve.point(np.mod(ts, 1.0))
+        ts = np.mod(ts, 1.0)
+        if np.array_equal(ts, self.lifted.t):
+            return self.lifted.points
+        return self.curve.point(ts)
 
     def base_point(self, l: float) -> np.ndarray:
         return self.curve.point(l % 1.0)
 
+    def _velocity(self, lw: float) -> np.ndarray:
+        v = self._velocities.get(lw)
+        if v is None:
+            v = self._velocities[lw] = self.curve.velocity(lw)
+            v.flags.writeable = False
+        return v
+
     def base_velocity(self, l: float) -> np.ndarray:
-        return self.curve.velocity(l % 1.0)
+        return self._velocity(l % 1.0)
 
     def frame_angle(self, l: float) -> float:
         """Direction angle of the velocity at ``l``; the nearest sample of
@@ -80,7 +97,7 @@ class TangentLoop(_FramedLoop):
         lw = l % 1.0
         theta = self.lifted.theta
         i = min(int(round(lw * len(theta))), len(theta) - 1)
-        v = self.curve.velocity(lw)
+        v = self._velocity(lw)
         return theta[i] + math.remainder(math.atan2(v[1], v[0]) - theta[i], TWO_PI)
 
 
@@ -123,9 +140,10 @@ class PLLoop(_FramedLoop):
         return self.path.point_at(l).base
 
     def base_velocity(self, l: float) -> np.ndarray:
-        k = min(int((l % 1.0) * self.path.n), self.path.n - 1)
-        e = self.path.edges[k]
-        return np.array([e.q.x - e.p.x, e.q.y - e.p.y])
+        n = self.path.n
+        k = min(int((l % 1.0) * n), n - 1)
+        xy = self.path.xyl[:, :2]
+        return xy[(k + 1) % n] - xy[k]
 
     def frame_angle(self, l: float) -> float:
         return self.path.point_at(l).lift
@@ -241,9 +259,13 @@ def _polyline_hits(pts: np.ndarray, eps: float):
 
 
 def _polish_crossing(loop, l: float, lp: float):
-    """Newton-refine base_point(l) == base_point(l'), then check transversality."""
+    """Newton-refine base_point(l) == base_point(l'), then check transversality.
+
+    Returns ``l``, ``l'`` mod 1 and the base point at ``l`` it converged on.
+    """
+    p = loop.base_point(l)
+    f = p - loop.base_point(lp)
     for _ in range(30):
-        f = loop.base_point(l) - loop.base_point(lp)
         if math.hypot(f[0], f[1]) < 1e-13:
             break
         v1 = loop.base_velocity(l)
@@ -253,7 +275,8 @@ def _polish_crossing(loop, l: float, lp: float):
             raise SelfTangencyError("parallel branches at a coincident point")
         l -= (-f[0] * v2[1] + f[1] * v2[0]) / det
         lp -= (v1[0] * f[1] - v1[1] * f[0]) / det
-    f = loop.base_point(l) - loop.base_point(lp)
+        p = loop.base_point(l)
+        f = p - loop.base_point(lp)
     if math.hypot(f[0], f[1]) > _CROSSING_TOL:
         raise DegenerateCrossingError("crossing refinement did not converge")
     v1 = loop.base_velocity(l)
@@ -261,7 +284,7 @@ def _polish_crossing(loop, l: float, lp: float):
     s = abs(v1[0] * v2[1] - v1[1] * v2[0]) / (math.hypot(*v1) * math.hypot(*v2))
     if s < _ANGULAR_TOL:
         raise SelfTangencyError("branches meet tangentially")
-    return l % 1.0, lp % 1.0
+    return l % 1.0, lp % 1.0, p
 
 
 def _dedup(raw, merge_tol: float):
@@ -301,15 +324,12 @@ def find_crossings(loop) -> list[Crossing]:
         return _pl_crossings(loop)
     m = loop.samples
     i, j, t, u = _polyline_hits(loop.base_points(np.arange(m) / m), 1e-9)
-    raw = []
-    for l, lp in zip((i + t) / m, (j + u) / m):
-        l, lp = _polish_crossing(loop, l, lp)
-        raw.append((l, lp, loop.base_point(l)))
+    raw = [_polish_crossing(loop, l, lp) for l, lp in zip((i + t) / m, (j + u) / m)]
     return _dedup(raw, merge_tol=max(2.0 / m, 1e-5))
 
 
 def _pl_crossings(loop: PLLoop) -> list[Crossing]:
-    base = np.array([v.base for v in loop.path.vertices])
+    base = loop.path.xyl[:, :2]
     n = len(base)
     # Negative eps keeps hits strictly interior: a vertex sitting on an edge
     # is a singular configuration, not a crossing.
@@ -429,19 +449,38 @@ def pl_validate(vertices, n: int, eps: float) -> PLMembership:
         raise ValueError("need n >= 4 vertices")
     if not (0.0 < eps < min(FLAT_INJECTIVITY_RADIUS, 0.5 * math.pi)):
         raise ValueError("eps must lie in (0, min(inj, pi/2))")
-    vertices = list(vertices)
-    if len(vertices) != n:
-        raise ValueError(f"expected {n} vertices, got {len(vertices)}")
-    for k in range(n):
-        dc = dist_components(vertices[k], vertices[(k + 1) % n])
-        if dc.d0 >= eps:
-            return PLMembership(False, 2,
-                                f"gap d0={dc.d0:.4f} at vertex {k} reaches eps={eps}")
-    path = PLVertexPath(vertices)
+    xyl = np.array(vertices, dtype=float)
+    if len(xyl) != n:
+        raise ValueError(f"expected {n} vertices, got {len(xyl)}")
+    d0, k = _gaps_d0(xyl, eps)
+    if k is not None:
+        return PLMembership(False, 2,
+                            f"gap d0={float(d0[k]):.4f} at vertex {k} reaches eps={eps}")
+    path = PLVertexPath(xyl)
     if not path.contractible:
         return PLMembership(False, 1,
                             f"total rotation {path.total_rotation:.4f} rad is nonzero")
     return PLMembership(True, None, "member")
+
+
+def _gaps_d0(xyl, limit: float):
+    """``d0`` of each edge ``k -> k + 1`` of the closed vertex array ``xyl``
+    and the first ``k`` whose ``d0`` reaches ``limit`` (None if none does).
+
+    As :func:`dist_components` run over the edges up to that ``k`` would,
+    this raises :class:`~lens_scatter.lift.TransportUndefinedError` when the
+    ends of edge ``k`` are an injectivity radius apart.  With ``limit`` at
+    that radius every edge is checked, since ``d_v`` never exceeds pi/2.
+    """
+    d_h, steps = _edge_gaps(xyl)
+    d0 = np.maximum(d_h, np.abs(steps))
+    wide = np.flatnonzero(d0 >= limit)
+    if not wide.size:
+        return d0, None
+    k = int(wide[0])
+    if d_h[k] >= FLAT_INJECTIVITY_RADIUS:
+        dist_components(*_edge_ends(xyl, k))
+    return d0, k
 
 
 def _point_segment_distance(p, a, b) -> float:
@@ -465,15 +504,13 @@ def singularity_classify(pl_knot: PLVertexPath, vertex: int, edge: int) -> Singu
     i, j = vertex % n, edge % n
     if j == i or j == (i - 1) % n:
         raise ValueError("edge is incident to the vertex: not a singularity")
-    p = pl_knot.vertices[i].base
-    a = pl_knot.vertices[j].base
-    b = pl_knot.vertices[(j + 1) % n].base
+    xy = pl_knot.xyl[:, :2]
+    p, a, b = xy[i], xy[j], xy[(j + 1) % n]
     if _point_segment_distance(p, a, b) > _CROSSING_TOL:
         raise ValueError("vertex does not lie on the edge")
     d = b - a
     d = d / np.hypot(*d)
-    prev = pl_knot.vertices[(i - 1) % n].base
-    nxt = pl_knot.vertices[(i + 1) % n].base
+    prev, nxt = xy[(i - 1) % n], xy[(i + 1) % n]
     for other in (prev, nxt):
         e = other - p
         norm = np.hypot(*e)
@@ -499,22 +536,38 @@ def pl_refine_local(G, n: int, l: float, s: float, k: int, t_local: float) -> Pr
     """
     if not 0.0 <= t_local <= 1.0:
         raise ValueError("local parameter must lie in [0, 1]")
+    return _stage_point(G, n, l, s, k, t_local, functools.partial(_segment, G, n, l, s))
+
+
+def _segment(G, n: int, l: float, s: float, k: int) -> MinimalLinearCurve:
+    """The minimal linear curve that segment ``k`` follows up to local time ``l``."""
+    return MinimalLinearCurve(G(s, (k % n) / n), G(s, ((k + l) / n) % 1.0))
+
+
+def _stage_point(G, n: int, l: float, s: float, k: int, t_local: float, segment) -> ProjPoint:
+    """:func:`pl_refine_local`, taking segment ``k``'s curve from ``segment(k)``."""
     if l > 0.0 and t_local < l:
-        p = G(s, (k % n) / n)
-        q = G(s, ((k + l) / n) % 1.0)
-        return MinimalLinearCurve(p, q).point_at(t_local / l)
+        return segment(k).point_at(t_local / l)
     return G(s, ((k + t_local) / n) % 1.0)
+
+
+def _segment_time(n: int, t: float) -> tuple[int, float]:
+    """Segment index and local time of global curve parameter ``t``."""
+    u = (t % 1.0) * n
+    k = min(int(u), n - 1)
+    return k, u - k
 
 
 def pl_refine(G, n: int, l: float, s: float, t: float) -> ProjPoint:
     """Evaluate the straightening interpolation at global curve parameter t."""
-    u = (t % 1.0) * n
-    k = min(int(u), n - 1)
-    return pl_refine_local(G, n, l, s, k, u - k)
+    return pl_refine_local(G, n, l, s, *_segment_time(n, t))
 
 
 def refine_stage_samples(G, n: int, l: float, s: float, m: int = 256) -> list[ProjPoint]:
-    return [pl_refine(G, n, l, s, i / m) for i in range(m)]
+    """:func:`pl_refine` at the ``m`` parameters ``i / m``; the samples on one
+    segment share its minimal linear curve."""
+    segment = functools.cache(functools.partial(_segment, G, n, l, s))
+    return [_stage_point(G, n, l, s, *_segment_time(n, i / m), segment) for i in range(m)]
 
 
 def pl_snapshot(G, n: int, s: float) -> PLVertexPath:
@@ -542,8 +595,8 @@ def choose_refinement_n(G, eps: float, *, max_n: int = 4096) -> int:
         for s, key in zip(ss, samples):
             verts = tuple(G(s, k / n) for k in range(n))
             if verts not in largest_gap:
-                largest_gap[verts] = max(dist_components(verts[k], verts[(k + 1) % n]).d0
-                                         for k in range(n))
+                d0, _ = _gaps_d0(np.array(verts), FLAT_INJECTIVITY_RADIUS)
+                largest_gap[verts] = float(np.max(d0))
             if largest_gap[verts] >= min(0.25 * eps, 0.5 * seps[key]):
                 ok = False
                 break
@@ -556,22 +609,29 @@ def choose_refinement_n(G, eps: float, *, max_n: int = 4096) -> int:
 def embedding_separation(samples, window: float) -> float:
     """Minimum pairwise d0 between samples at circular parameter distance
     beyond ``window``; a positive value certifies embeddedness at the
-    sampling resolution."""
-    pts = list(samples)
-    m = len(pts)
-    idx = np.arange(m)
-    pdist = np.abs(idx[:, None] - idx[None, :]) / m
-    mask = np.minimum(pdist, 1.0 - pdist) > window
-    if not np.any(mask):
+    sampling resolution.
+
+    Of ``m`` samples, ``i`` and ``j`` lie ``min(g / m, 1 - g / m)`` apart
+    for ``g = |i - j|``; the pairs of each kept ``g`` are ``(i, i + g)``
+    for ``i < m - g``, so each unordered pair is measured once.
+    """
+    xyl = np.array(samples, dtype=float).reshape(-1, 3)
+    m = len(xyl)
+    dist = np.arange(m) / m
+    gaps = np.flatnonzero(np.minimum(dist, 1.0 - dist) > window)
+    if not gaps.size:
         raise ValueError("window excludes every sample pair")
-    base = np.array([[p.x, p.y] for p in pts])
-    ang = np.array([p.line_angle for p in pts])
-    # d0 = max(d_h, d_v), built in place: the m x m temporaries set the peak
-    # memory of a refinement search.
-    d0 = np.hypot(base[:, None, 0] - base[None, :, 0], base[:, None, 1] - base[None, :, 1])
-    da = np.abs(ang[:, None] - ang[None, :]) % math.pi
+    counts = m - gaps
+    i = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    j = i + np.repeat(gaps, counts)
+    x, y = xyl[:, 0], xyl[:, 1]
+    angle = xyl[:, 2] % math.pi
+    d0 = np.hypot(x[i] - x[j], y[i] - y[j])
+    # Line angles lie in [0, pi], so the shorter arc between two of them is
+    # min(da, pi - da) with no further reduction mod pi.
+    da = np.abs(angle[i] - angle[j])
     np.maximum(d0, np.minimum(da, math.pi - da), out=d0)
-    return float(np.min(d0[mask]))
+    return float(np.min(d0))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +57,7 @@ def _circ_dist(a: float, b: float, period: float) -> float:
     return min(d, period - d)
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(NamedTuple):
     """Point of the projectivized bundle: base point and line-angle lift."""
 
     x: float
@@ -93,6 +93,33 @@ def dist_components(p: ProjPoint, q: ProjPoint) -> DistComponents:
 def fiber_step(p: ProjPoint, q: ProjPoint) -> float:
     """Signed rotation through the shorter pi-periodic arc from p's line to q's."""
     return math.remainder(q.line_angle - p.line_angle, math.pi)
+
+
+def _fiber_steps(angle_from, angle_to):
+    """:func:`fiber_step` element-wise, from line angles in ``[0, pi]``.
+
+    The difference ``x`` lies in ``[-pi, pi]``, so ``remainder(x, pi)`` is
+    ``x`` up to ``|x| = pi/2`` and ``x -+ pi`` past it, which is exact by
+    Sterbenz's lemma; ``sign(x) * (|x| - pi)`` also gives ``remainder``'s
+    signed zero at ``x = -pi``.  The absolute value is ``d_v``.
+    """
+    x = angle_to - angle_from
+    a = np.abs(x)
+    return np.where(a > 0.5 * math.pi, np.sign(x) * (a - math.pi), x)
+
+
+def _edge_gaps(xyl):
+    """Base distance ``d_h`` and fiber step of each edge ``k -> k + 1`` of the
+    closed vertex array ``xyl``, bit for bit as :func:`dist_components` and
+    :func:`fiber_step` give them pair by pair; nothing is checked here.
+
+    ``d_h`` comes from ``math.hypot``, which ``np.hypot`` differs from in
+    the last bit on some inputs.
+    """
+    d = np.roll(xyl, -1, axis=0) - xyl
+    d_h = np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())))
+    angle = xyl[:, 2] % math.pi
+    return d_h, _fiber_steps(angle, np.roll(angle, -1))
 
 
 class MinimalLinearCurve:
@@ -188,8 +215,8 @@ class ProjCurve:
                              "line rotation in half-turns")
 
     def proj_points(self) -> list[ProjPoint]:
-        return [ProjPoint(p[0], p[1], c)
-                for p, c in zip(self.points, self.line_lift)]
+        return list(map(ProjPoint, self.points[:, 0].tolist(), self.points[:, 1].tolist(),
+                        self.line_lift.tolist()))
 
 
 def projectivize(lifted: LiftedCurve) -> ProjCurve:
@@ -218,25 +245,40 @@ def vertical_length(obj) -> float:
 
 
 class PLVertexPath:
-    """Closed piecewise-linear knot: bundle vertices joined by minimal
-    linear edges (adjacent vertices must admit them)."""
+    """Closed piecewise-linear knot: an ``(n, 3)`` array ``xyl`` of bundle
+    vertices ``(x, y, lift)``, each joined to the next by the minimal linear
+    curve between them.  Adjacent vertices must admit one: base points
+    closer than the injectivity radius, lines not perpendicular.  ``deltas``
+    holds the fiber step of each edge.
+    """
 
     def __init__(self, vertices):
-        self.vertices = list(vertices)
-        if len(self.vertices) < 3:
+        self.xyl = np.array(vertices, dtype=float)
+        if len(self.xyl) < 3:
             raise ValueError("need at least 3 vertices")
-        self.edges = [MinimalLinearCurve(a, b)
-                      for a, b in zip(self.vertices,
-                                      self.vertices[1:] + self.vertices[:1])]
-        self.deltas = [e.delta for e in self.edges]
+        if self.xyl.shape[1:] != (3,):
+            raise ValueError("vertices must be (x, y, lift) triples")
+        self.xyl.flags.writeable = False
+        d_h, self.deltas = _edge_gaps(self.xyl)
+        bad = ((d_h >= FLAT_INJECTIVITY_RADIUS)
+               | (np.abs(np.abs(self.deltas) - 0.5 * math.pi) < 1e-12))
+        if bad.any():
+            # The scalar constructor raises the error of the first bad edge.
+            MinimalLinearCurve(*_edge_ends(self.xyl, int(np.argmax(bad))))
+        # _turned[k] is the rotation over the first k edges, summed in order.
+        self._turned = np.cumsum(np.concatenate(([0.0], self.deltas)))
+
+    @property
+    def vertices(self) -> list[ProjPoint]:
+        return list(map(ProjPoint._make, self.xyl.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.xyl)
 
     @property
     def total_rotation(self) -> float:
-        return float(sum(self.deltas))
+        return float(self._turned[-1])
 
     @property
     def contractible(self) -> bool:
@@ -245,16 +287,22 @@ class PLVertexPath:
         return abs(self.total_rotation) < 1e-9
 
     def lift_at_vertex(self, k: int) -> float:
-        return self.vertices[0].lift + sum(self.deltas[:k])
+        return float(self.xyl[0, 2] + self._turned[k])
 
     def point_at(self, u: float) -> ProjPoint:
         u = u % 1.0
         scaled = u * self.n
         k = min(int(scaled), self.n - 1)
         frac = scaled - k
-        base = self.edges[k].point_at(frac)
-        # Re-anchor the lift so it is continuous around the whole loop.
-        return ProjPoint(base.x, base.y, self.lift_at_vertex(k) + frac * self.deltas[k])
+        p, q = _edge_ends(self.xyl, k)
+        # The lift is continuous around the whole loop.
+        return ProjPoint(p.x + frac * (q.x - p.x), p.y + frac * (q.y - p.y),
+                         self.lift_at_vertex(k) + frac * float(self.deltas[k]))
+
+
+def _edge_ends(xyl, k: int) -> tuple[ProjPoint, ProjPoint]:
+    """The vertices ``k`` and ``k + 1`` of the closed vertex array ``xyl``."""
+    return ProjPoint(*xyl[k].tolist()), ProjPoint(*xyl[(k + 1) % len(xyl)].tolist())
 
 
 def _flat_embedding(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> np.ndarray:

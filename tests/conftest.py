@@ -113,6 +113,25 @@ def pl_crossing_oracle(points) -> list[tuple[float, float]]:
     return sorted(zip(((i + t) / n)[hit].tolist(), ((j + u) / n)[hit].tolist()))
 
 
+def embedding_separation_oracle(samples, window: float) -> float:
+    """Minimum ``d0`` over the full ``m x m`` matrix of sample pairs whose
+    circular parameter distance exceeds ``window``, both orders of each
+    pair included; ``d_v`` reduces the angle difference mod pi first."""
+    pts = list(samples)
+    m = len(pts)
+    idx = np.arange(m)
+    pdist = np.abs(idx[:, None] - idx[None, :]) / m
+    mask = np.minimum(pdist, 1.0 - pdist) > window
+    if not np.any(mask):
+        raise ValueError("window excludes every sample pair")
+    base = np.array([[p.x, p.y] for p in pts])
+    ang = np.array([p.line_angle for p in pts])
+    d0 = np.hypot(base[:, None, 0] - base[None, :, 0], base[:, None, 1] - base[None, :, 1])
+    da = np.abs(ang[:, None] - ang[None, :]) % math.pi
+    np.maximum(d0, np.minimum(da, math.pi - da), out=d0)
+    return float(np.min(d0[mask]))
+
+
 def christoffel_turn_rate(metric, x: float, y: float, theta: float,
                           h: float = 1e-6) -> float:
     """Angular rate per unit metric arclength from finite-difference

@@ -227,6 +227,20 @@ class TestApproxPL:
         assert len(lines) == 4
         assert all(float(line.split(",")[1]) > 0 for line in lines[1:])
 
+    @pytest.mark.parametrize("curve,args,stdout", [
+        ("circle", [], "n=128, separations 0.1227 0.1227 0.1227 0.1227 0.1227"),
+        ("lemniscate", ["--samples", "2048"],
+         "n=512, separations 0.0300 0.0300 0.0300 0.0301 0.0301"),
+    ])
+    def test_report_is_pinned(self, curve, args, stdout, tmp_path, capsys):
+        report = tmp_path / "sep.csv"
+        code, out = run(["approx-pl", "--curve", curve, *args, "--report", str(report)],
+                        capsys)
+        assert code == 0
+        assert out == f"approx-pl: {stdout}\n"
+        golden = "-".join(["approx-pl", curve, *args[1:]]) + ".csv"
+        assert report.read_text() == (DATA / golden).read_text()
+
 
 class TestRender:
     def test_annulus_svg(self, tmp_path, capsys):

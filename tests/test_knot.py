@@ -20,9 +20,10 @@ from lens_scatter.knot import (CallableFramedLoop, Certificate, Crossing,
                                refine_stage_samples, singularity_classify,
                                w_invariant)
 from lens_scatter.lift import (MinimalLinearCurve, PLVertexPath, ProjPoint,
-                               projectivize, unit_tangent_lift)
+                               dist_components, projectivize, unit_tangent_lift)
 
-from conftest import brute_force_crossing_count, pl_crossing_oracle
+from conftest import (brute_force_crossing_count, embedding_separation_oracle,
+                      pl_crossing_oracle)
 
 
 def reversed_curve(curve):
@@ -162,6 +163,27 @@ class TestCrossingSearch:
     def test_corpus_samples_match_all_pairs(self, corpus):
         for curve in corpus:
             self.assert_matches_all_pairs(curve.point(np.arange(512) / 512), 1e-9)
+
+    @pytest.mark.parametrize("samples", [512, 500])
+    def test_curve_values_evaluated_once(self, corpus, samples):
+        # The lift's samples serve the crossing search when their parameters
+        # are bitwise the search's (512 = 2^9 samples; 500 are not), and each
+        # velocity serves the polish, the sign and the type.
+        curve = TrigCurve(corpus[6].coeffs)
+        calls = {"point": [], "velocity": []}
+        for name, log in calls.items():
+            def counting(t, evaluate=getattr(curve, name), log=log):
+                log.append(np.asarray(t, dtype=float).tolist())
+                return evaluate(t)
+
+            setattr(curve, name, counting)
+        loop = TangentLoop(curve, samples)
+        analysis = analyze_loop(loop)
+        assert len(analysis.crossings) == 5
+        grids = [t for t in calls["point"] if isinstance(t, list)]
+        assert len(grids) == (1 if samples == 512 else 2)
+        scalars = [t for t in calls["velocity"] if not isinstance(t, list)]
+        assert len(scalars) == len(set(scalars)) > 2 * len(analysis.crossings)
 
     @pytest.mark.parametrize("eps", [1e-9, -1e-9])
     def test_pl_snapshots_match_all_pairs(self, corpus, eps):
@@ -466,6 +488,21 @@ class TestPLValidate:
         assert not rep.member
         assert rep.failed_condition == 1
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_wide_gap_reported_as_a_scalar_scan_would(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 48
+        angles = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+        vs = [ProjPoint(0.5 * math.cos(a), 0.5 * math.sin(a), rng.uniform(-20.0, 20.0))
+              for a in angles]
+        d0 = [dist_components(vs[k], vs[(k + 1) % n]).d0 for k in range(n)]
+        # A gap exactly at eps already fails.
+        eps = sorted(d for d in d0 if d < 0.5 * math.pi)[-5]
+        k = next(k for k in range(n) if d0[k] >= eps)
+        want = f"gap d0={d0[k]:.4f} at vertex {k} reaches eps={eps}"
+        rep = pl_validate(vs, n, eps)
+        assert (rep.member, rep.failed_condition, rep.detail) == (False, 2, want)
+
     def test_too_few_vertices_rejected(self):
         vs = [ProjPoint(math.cos(a), math.sin(a), 0.0)
               for a in (0.0, 2.0, 4.0)]
@@ -691,3 +728,46 @@ class TestEmbeddingSeparation:
         pts = [ProjPoint(0.0, 0.0, 0.0), ProjPoint(0.1, 0.0, 0.0)]
         with pytest.raises(ValueError):
             embedding_separation(pts, window=0.6)
+
+    @pytest.mark.parametrize("m,window", [(0, 0.1), (1, 0.0), (2, 0.5), (8, 0.5), (9, 4 / 9)])
+    def test_window_at_the_widest_distance_leaves_no_pair(self, m, window):
+        pts = [ProjPoint(0.1 * k, 0.0, 0.2 * k) for k in range(m)]
+        for separation in (embedding_separation, embedding_separation_oracle):
+            with pytest.raises(ValueError, match="window excludes every sample pair"):
+                separation(pts, window)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_full_matrix_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 260)) if seed else 5
+        pts = [ProjPoint(*rng.uniform(-0.9, 0.9, 2), rng.uniform(-20.0, 20.0))
+               for _ in range(m)]
+        # A repeated point, a line repeated a half-turn up the lift, and a
+        # line angle of exactly pi (-1e-20 % pi rounds up to pi).
+        pts[int(rng.integers(m))] = pts[0]
+        pts[int(rng.integers(m))] = ProjPoint(pts[1].x, pts[1].y + 1e-3, pts[1].lift - math.pi)
+        pts[int(rng.integers(m))] = ProjPoint(*rng.uniform(-0.9, 0.9, 2), -1e-20)
+        k = int(rng.integers(0, m))
+        # Windows exactly at a pair distance, in both of its forms, and
+        # windows that keep every pair, self-pairs included.
+        windows = [k / m, 1.0 - k / m, float(rng.uniform(0.0, 0.5)), 0.0, -0.1]
+        for window in windows:
+            try:
+                want = embedding_separation_oracle(pts, window)
+            except ValueError:
+                with pytest.raises(ValueError, match="window excludes every sample pair"):
+                    embedding_separation(pts, window)
+                continue
+            assert embedding_separation(pts, window) == want, window
+
+    def test_straightening_stages_equal_full_matrix_oracle(self):
+        pts = projectivize(unit_tangent_lift(lemniscate(), 1024)).proj_points()
+
+        def iso(s, t):
+            return pts[int(round((t % 1.0) * len(pts))) % len(pts)]
+
+        for l in (0.0, 0.3, 1.0):
+            samples = refine_stage_samples(iso, 64, l, 0.0, m=300)
+            for window in (2.0 / 64, 0.25, 75 / 300):
+                assert (embedding_separation(samples, window)
+                        == embedding_separation_oracle(samples, window))

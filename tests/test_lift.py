@@ -9,7 +9,8 @@ from lens_scatter.curves import ImmersionError, ParametricCurve, circle, lemnisc
 from lens_scatter.knot import TangentLoop
 from lens_scatter.lift import (AmbiguousFiberArcError, LiftedCurve,
                                MinimalLinearCurve, PLVertexPath, ProjPoint,
-                               TransportUndefinedError, dist_components,
+                               TransportUndefinedError, _circ_dist, _edge_gaps,
+                               _fiber_steps, dist_components, fiber_step,
                                projectivize, triangle_angle_sum,
                                unit_tangent_lift, vertical_length)
 
@@ -194,6 +195,117 @@ class TestPLVertexPath:
         mid = path.point_at(1.0 / 6.0)
         assert (mid.x, mid.y) == (0.5, 0.0)
         assert mid.lift == pytest.approx(0.1)
+
+
+def assert_same_bits(got, want):
+    """Equal as IEEE doubles, signed zeros told apart."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# Lifts whose line angles differ by exactly +-pi/2 and +-pi: -1e-20 % pi
+# rounds up to pi, so its line angle is pi, not 0.
+SPECIAL_LIFTS = [0.0, -0.0, 0.5 * math.pi, math.pi, -1e-20, 1e-20, 2.5 * math.pi,
+                 -0.5 * math.pi, 1.5 * math.pi, 20.0, -20.0]
+
+
+class TestArrayGaps:
+    @staticmethod
+    def closed_path(seed, n):
+        rng = np.random.default_rng(seed)
+        return [ProjPoint(*rng.uniform(-0.7, 0.7, 2), rng.uniform(-20.0, 20.0))
+                for _ in range(n)]
+
+    @staticmethod
+    def scalar_edges(pts):
+        return list(zip(pts, pts[1:] + pts[:1]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fiber_steps_equal_scalar_steps(self, seed):
+        rng = np.random.default_rng(seed)
+        lifts = np.concatenate([rng.uniform(-20.0, 20.0, 400), SPECIAL_LIFTS])
+        a, b = np.meshgrid(lifts[::7] if seed else SPECIAL_LIFTS, lifts)
+        a, b = a.ravel(), b.ravel()
+        steps = _fiber_steps(a % math.pi, b % math.pi)
+        pairs = [(ProjPoint(0.0, 0.0, p), ProjPoint(0.0, 0.0, q))
+                 for p, q in zip(a.tolist(), b.tolist())]
+        assert_same_bits(steps, [fiber_step(p, q) for p, q in pairs])
+        assert_same_bits(np.abs(steps), [_circ_dist(p.line_angle, q.line_angle, math.pi)
+                                         for p, q in pairs])
+
+    def test_special_differences_hit_both_branches(self):
+        angles = np.array(SPECIAL_LIFTS) % math.pi
+        diffs = {float(x) for x in (angles[:, None] - angles[None, :]).ravel()}
+        assert {0.5 * math.pi, -0.5 * math.pi, math.pi, -math.pi} <= diffs
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_edge_gaps_equal_dist_components(self, seed):
+        # np.hypot differs from math.hypot in the last bit on ~0.6% of
+        # inputs, so 400 edges a seed would show it.
+        pts = self.closed_path(seed, 400)
+        if seed == 0:
+            pts[3:3 + len(SPECIAL_LIFTS)] = [ProjPoint(0.1, 0.2, c) for c in SPECIAL_LIFTS]
+        d_h, steps = _edge_gaps(np.array(pts))
+        scalar = [dist_components(p, q) for p, q in self.scalar_edges(pts)]
+        assert_same_bits(d_h, [dc.d_h for dc in scalar])
+        assert_same_bits(np.abs(steps), [dc.d_v for dc in scalar])
+        assert_same_bits(steps, [fiber_step(p, q) for p, q in self.scalar_edges(pts)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_path_matches_minimal_linear_edges(self, seed):
+        pts = self.closed_path(seed, 40)
+        path = PLVertexPath(pts)
+        edges = [MinimalLinearCurve(p, q) for p, q in self.scalar_edges(pts)]
+        assert_same_bits(path.deltas, [e.delta for e in edges])
+        assert path.total_rotation == sum(e.delta for e in edges)
+        for k in range(len(pts)):
+            assert path.lift_at_vertex(k) == pts[0].lift + sum(e.delta for e in edges[:k])
+        for u in np.linspace(0.0, 1.0, 97).tolist():
+            k = min(int(u % 1.0 * len(pts)), len(pts) - 1)
+            frac = u % 1.0 * len(pts) - k
+            base = edges[k].point_at(frac)
+            got = path.point_at(u)
+            assert (got.x, got.y) == (base.x, base.y)
+            assert got.lift == path.lift_at_vertex(k) + frac * edges[k].delta
+
+    def scalar_error(self, pts):
+        for p, q in self.scalar_edges(pts):
+            try:
+                MinimalLinearCurve(p, q)
+            except ValueError as exc:
+                return exc
+        return None
+
+    @pytest.mark.parametrize("bad", [["long"], ["perpendicular"], ["long", "perpendicular"],
+                                     ["perpendicular", "long"]])
+    def test_path_raises_the_first_scalar_error(self, bad):
+        pts = [ProjPoint(0.3 * math.cos(a), 0.3 * math.sin(a), 0.2) for a in np.arange(8.0)]
+        for k, kind in zip((2, 5), bad):
+            if kind == "long":
+                pts[k] = ProjPoint(-0.95, 0.95, 0.2)
+                pts[k + 1] = ProjPoint(0.95, -0.95, 0.2)
+            else:
+                pts[k + 1] = ProjPoint(pts[k].x, pts[k].y + 0.01, 0.2 + 0.5 * math.pi)
+        want = self.scalar_error(pts)
+        assert type(want) is {"long": TransportUndefinedError,
+                              "perpendicular": AmbiguousFiberArcError}[bad[0]]
+        with pytest.raises(type(want)) as got:
+            PLVertexPath(pts)
+        assert str(got.value) == str(want)
+
+    def test_path_rejects_non_triples(self):
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            PLVertexPath([ProjPoint(0.0, 0.0, 0.0)] * 2)
+        with pytest.raises(ValueError, match="triples"):
+            PLVertexPath(np.zeros((4, 2)))
+
+    def test_proj_point_is_an_immutable_hashable_triple(self):
+        p = ProjPoint(0.25, -0.5, -1e-20)
+        assert p == ProjPoint(0.25, -0.5, -1e-20) and hash(p) == hash((0.25, -0.5, -1e-20))
+        assert p.line_angle == math.pi
+        assert p.base.tolist() == [0.25, -0.5]
+        with pytest.raises(AttributeError):
+            p.x = 1.0
 
 
 class TestTriangleAngles:
