@@ -14,13 +14,12 @@ from .curves import (ParametricCurve, TrigCurve, circle, lemniscate,
                      load_curve_csv, named_curve, rose)
 from .lift import (FLAT_INJECTIVITY_RADIUS, LiftedCurve, MinimalLinearCurve,
                    PLVertexPath, ProjCurve, ProjPoint, dist_components,
-                   projectivize, triangle_angle_sum, unit_tangent_lift,
-                   vertical_length)
+                   projectivize, triangle_angle_sum, unit_tangent_lift)
 from .knot import (Certificate, Crossing, InvariantTable, PLLoop, TangentLoop,
                    analyze_loop, certify_nontrivial, choose_refinement_n,
                    crossing_sign, crossing_type, embedding_separation,
                    find_crossings, pl_refine, pl_validate, random_corpus,
-                   singularity_classify, w_invariant)
+                   w_invariant)
 
 # Each lazily resolved name, a geometry-side module or one of its exports,
 # and the module that holds it.
@@ -29,9 +28,8 @@ _LAZY = {name: module for module, names in {
                  "SingularChordError", "SingularityError", "integrate_geodesic",
                  "load_metric", "metric_from_spec", "riemannian_length"),
     "scattering": ("BoundaryIsometry", "BoundaryVector", "CompareReport",
-                   "ScatteringRecord", "boundary_grid", "classify",
-                   "compare_scattering", "length_excess", "phi_map", "scatter",
-                   "scatter_grid"),
+                   "ScatteringRecord", "boundary_grid", "compare_scattering",
+                   "length_excess", "phi_map", "scatter", "scatter_grid"),
     "eaton": ("EatonProfile", "eaton_index", "eaton_metric", "invisibility_check",
               "loop_winding"),
     "dop853": (),

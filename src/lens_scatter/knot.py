@@ -101,34 +101,6 @@ class TangentLoop(_FramedLoop):
         return theta[i] + math.remainder(math.atan2(v[1], v[0]) - theta[i], TWO_PI)
 
 
-class CallableFramedLoop(_FramedLoop):
-    """Framed loop from explicit callables (base, velocity, frame lift).
-
-    ``chi_fn`` must be a continuous real lift over ``[0, 1]``; its increment
-    over the period is the fiber class of the loop times pi.
-    """
-
-    def __init__(self, point_fn, velocity_fn, chi_fn, *, samples: int = 512):
-        self._point = point_fn
-        self._velocity = velocity_fn
-        self._chi = chi_fn
-        self.samples = samples
-        self.period_shift = float(chi_fn(1.0) - chi_fn(0.0))
-
-    def base_points(self, ts) -> np.ndarray:
-        return np.array([self._point(float(t) % 1.0) for t in np.asarray(ts).ravel()])
-
-    def base_point(self, l: float) -> np.ndarray:
-        return np.asarray(self._point(l % 1.0), dtype=float)
-
-    def base_velocity(self, l: float) -> np.ndarray:
-        return np.asarray(self._velocity(l % 1.0), dtype=float)
-
-    def frame_angle(self, l: float) -> float:
-        lw = l % 1.0
-        return float(self._chi(lw))
-
-
 class PLLoop(_FramedLoop):
     """Framed loop view of a piecewise-linear knot (exact crossing search)."""
 
@@ -306,9 +278,10 @@ def _dedup(raw, merge_tol: float):
 def find_crossings(loop) -> list[Crossing]:
     """All double points of the base curve, signs and types unfilled.
 
-    A smooth loop (a curve, a :class:`TangentLoop` or a
-    :class:`CallableFramedLoop`) is sampled at the loop's own ``samples``
-    parameters into a closed polyline; a PL knot
+    A smooth loop (a curve, a :class:`TangentLoop` or another framed loop
+    with a ``samples`` count) is sampled into a closed polyline on the grid
+    of :func:`~lens_scatter.lift.unit_tangent_lift`, so that a tangent loop
+    reuses its lift's points; a PL knot
     (:class:`PLLoop` or :class:`~lens_scatter.lift.PLVertexPath`) uses its
     edges.  Both take segment pairs from a sweep over segment bounding
     boxes and test them in one vectorized pass, in segment-pair order.
@@ -323,7 +296,8 @@ def find_crossings(loop) -> list[Crossing]:
     if isinstance(loop, PLLoop):
         return _pl_crossings(loop)
     m = loop.samples
-    i, j, t, u = _polyline_hits(loop.base_points(np.arange(m) / m), 1e-9)
+    ts = np.linspace(0.0, 1.0, m, endpoint=False)
+    i, j, t, u = _polyline_hits(loop.base_points(ts), 1e-9)
     raw = [_polish_crossing(loop, l, lp) for l, lp in zip((i + t) / m, (j + u) / m)]
     return _dedup(raw, merge_tol=max(2.0 / m, 1e-5))
 
@@ -424,13 +398,6 @@ def certify_nontrivial(curve) -> Certificate:
 
 
 @dataclass(frozen=True)
-class SingularityReport:
-    kind: str  # "cusp" | "self_tangency" | "transverse"
-    vertex: int
-    edge: int
-
-
-@dataclass(frozen=True)
 class PLMembership:
     member: bool
     failed_condition: int | None
@@ -481,48 +448,6 @@ def _gaps_d0(xyl, limit: float):
     if d_h[k] >= FLAT_INJECTIVITY_RADIUS:
         dist_components(*_edge_ends(xyl, k))
     return d0, k
-
-
-def _point_segment_distance(p, a, b) -> float:
-    p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
-    d = b - a
-    L2 = float(d @ d)
-    if L2 == 0.0:
-        return float(np.hypot(*(p - a)))
-    t = max(0.0, min(1.0, float((p - a) @ d) / L2))
-    return float(np.hypot(*(p - (a + t * d))))
-
-
-def singularity_classify(pl_knot: PLVertexPath, vertex: int, edge: int) -> SingularityReport:
-    """Classify a vertex-on-edge incidence of a PL knot's base projection.
-
-    ``cusp`` when an edge incident to the vertex is tangent to the met
-    edge; otherwise ``self_tangency`` when both incident edges leave on the
-    same side of it, ``transverse`` when they straddle it.
-    """
-    n = pl_knot.n
-    i, j = vertex % n, edge % n
-    if j == i or j == (i - 1) % n:
-        raise ValueError("edge is incident to the vertex: not a singularity")
-    xy = pl_knot.xyl[:, :2]
-    p, a, b = xy[i], xy[j], xy[(j + 1) % n]
-    if _point_segment_distance(p, a, b) > _CROSSING_TOL:
-        raise ValueError("vertex does not lie on the edge")
-    d = b - a
-    d = d / np.hypot(*d)
-    prev, nxt = xy[(i - 1) % n], xy[(i + 1) % n]
-    for other in (prev, nxt):
-        e = other - p
-        norm = np.hypot(*e)
-        if norm < 1e-15:
-            continue
-        if abs(d[0] * e[1] - d[1] * e[0]) / norm < _ANGULAR_TOL:
-            return SingularityReport("cusp", i, j)
-    s_prev = d[0] * (prev - a)[1] - d[1] * (prev - a)[0]
-    s_next = d[0] * (nxt - a)[1] - d[1] * (nxt - a)[0]
-    if s_prev * s_next > 0.0:
-        return SingularityReport("self_tangency", i, j)
-    return SingularityReport("transverse", i, j)
 
 
 def pl_refine_local(G, n: int, l: float, s: float, k: int, t_local: float) -> ProjPoint:
@@ -649,14 +574,13 @@ def random_corpus(count: int = 20, *, seed: int = 42) -> list[TrigCurve]:
     than 5e-3: all of these would make crossing data ill-conditioned.
     """
     rng = np.random.default_rng(seed)
-    weights = 1.0 / np.arange(1, 5) ** 1.5
     out: list[TrigCurve] = []
     attempts = 0
     while len(out) < count:
         attempts += 1
         if attempts > 200 * count:
             raise RuntimeError("corpus rejection rate unexpectedly high")
-        coeffs = rng.normal(size=(4, 4)) * weights
+        coeffs = perturbation_deltas(rng, (4, 4), 1.0)
         curve = TrigCurve(coeffs, name=f"corpus-{len(out)}")
         pts = curve.point(np.linspace(0.0, 1.0, 512, endpoint=False))
         rmax = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
@@ -688,7 +612,7 @@ def random_corpus(count: int = 20, *, seed: int = 42) -> list[TrigCurve]:
 
 
 def perturbation_deltas(rng, shape, amplitude: float) -> np.ndarray:
-    """Coefficient perturbation with the same harmonic decay as the corpus."""
+    """Normal coefficients with the corpus's ``m^-1.5`` harmonic decay, times ``amplitude``."""
     degree = shape[1]
     weights = 1.0 / np.arange(1, degree + 1) ** 1.5
     return rng.normal(size=shape) * weights * amplitude

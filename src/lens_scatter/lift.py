@@ -143,21 +143,6 @@ class MinimalLinearCurve:
                          self.p.y + t * (self.q.y - self.p.y),
                          self.p.lift + t * self.delta)
 
-    def points_at(self, ts) -> list[ProjPoint]:
-        return [self.point_at(float(t)) for t in np.asarray(ts).ravel()]
-
-    @property
-    def vertical_length(self) -> float:
-        return abs(self.delta)
-
-    @property
-    def start(self) -> ProjPoint:
-        return self.point_at(0.0)
-
-    @property
-    def end(self) -> ProjPoint:
-        return self.point_at(1.0)
-
 
 class LiftedCurve:
     """Closed curve in the unit tangent bundle: base samples plus a continuous
@@ -227,21 +212,6 @@ def projectivize(lifted: LiftedCurve) -> ProjCurve:
     halves from 2 pi to pi).
     """
     return ProjCurve(lifted)
-
-
-def vertical_length(obj) -> float:
-    """Total fiber rotation of a curve in the line bundle.
-
-    Accepts a :class:`ProjCurve` (including the wrap-around increment) or
-    a list of :class:`ProjPoint` whose lifts are read as one continuous
-    path; a minimal linear curve has its ``d_v`` as its own
-    ``vertical_length``.  Concatenation adds.
-    """
-    if isinstance(obj, ProjCurve):
-        closing = (obj.line_lift[0] + obj.lifted.total_turn) - obj.line_lift[-1]
-        return float(np.sum(np.abs(np.diff(obj.line_lift)))) + abs(closing)
-    pts = list(obj)
-    return float(sum(abs(b.lift - a.lift) for a, b in zip(pts, pts[1:])))
 
 
 class PLVertexPath:

@@ -8,9 +8,9 @@ their angle is measured toward the inward normal; exit vectors point
 outward and the same unsigned measure then runs toward the outward normal.
 This makes the entry and exit of a straight chord carry equal angles, and
 reversal is simply ``angle -> pi - angle`` at the same arc.  Whether a
-vector is inward or outward is contextual (entry slot vs exit slot);
-:func:`classify` interprets its argument in the inward frame, so exit
-vectors should be classified after reversal.
+vector is inward or outward is contextual (entry slot vs exit slot), not
+stored: :func:`scatter` reads its argument as an entry, and an exit vector
+enters again after reversal.
 """
 
 from __future__ import annotations
@@ -24,24 +24,6 @@ from .geometry import (BoundaryVector, ConformalMetric, IntegrationOptions,
                        polar_sweep)
 
 TWO_PI = 2.0 * math.pi
-
-INWARD = "inward"
-TANGENTIAL = "tangential"
-OUTWARD = "outward"
-
-
-def classify(v: BoundaryVector) -> str:
-    """Inward / tangential / outward class, reading the angle in the inward frame.
-
-    The inward class is the *strict* open interval ``(0, pi)``; both 0 and
-    pi are tangential.  Angles outside ``[0, pi]`` (never produced by
-    :class:`BoundaryVector` itself, but accepted from duck-typed inputs)
-    classify as outward.
-    """
-    a = v.angle % TWO_PI
-    if a == 0.0 or a == math.pi:
-        return TANGENTIAL
-    return INWARD if 0.0 < a < math.pi else OUTWARD
 
 
 @dataclass(frozen=True)
@@ -62,11 +44,6 @@ class BoundaryIsometry:
 
     def apply_arc(self, arc: float) -> float:
         return (self.shift - arc if self.reflect else self.shift + arc) % 1.0
-
-    def inverse(self) -> "BoundaryIsometry":
-        if self.reflect:
-            return self
-        return BoundaryIsometry(-self.shift % 1.0, False)
 
 
 def phi_map(h: BoundaryIsometry, v: BoundaryVector) -> BoundaryVector:

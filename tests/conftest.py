@@ -18,7 +18,7 @@ from lens_scatter.geometry import (_RTOL_SCALE, ConformalMetric, GeodesicPath,
                                    IntegrationOptions, _entry_xytheta,
                                    _turning_radius, boundary_vector_at,
                                    chord_impact)
-from lens_scatter.knot import random_corpus
+from lens_scatter.knot import _FramedLoop, random_corpus
 from lens_scatter.scattering import boundary_grid
 
 
@@ -51,6 +51,37 @@ def run_python(code: str, cwd) -> str:
     proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True)
     return proc.stdout
+
+
+# --- test vehicles ----------------------------------------------------------
+
+
+class CallableFramedLoop(_FramedLoop):
+    """Framed loop from explicit callables (base, velocity, frame lift), for
+    frames other than a curve's own tangent.
+
+    ``chi_fn`` must be a continuous real lift over ``[0, 1]``; its increment
+    over the period is the fiber class of the loop times pi.
+    """
+
+    def __init__(self, point_fn, velocity_fn, chi_fn, *, samples: int = 512):
+        self._point = point_fn
+        self._velocity = velocity_fn
+        self._chi = chi_fn
+        self.samples = samples
+        self.period_shift = float(chi_fn(1.0) - chi_fn(0.0))
+
+    def base_points(self, ts) -> np.ndarray:
+        return np.array([self._point(float(t) % 1.0) for t in np.asarray(ts).ravel()])
+
+    def base_point(self, l: float) -> np.ndarray:
+        return np.asarray(self._point(l % 1.0), dtype=float)
+
+    def base_velocity(self, l: float) -> np.ndarray:
+        return np.asarray(self._velocity(l % 1.0), dtype=float)
+
+    def frame_angle(self, l: float) -> float:
+        return float(self._chi(l % 1.0))
 
 
 # --- independent oracles ----------------------------------------------------

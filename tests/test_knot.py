@@ -9,21 +9,19 @@ from scipy.interpolate import interp1d
 from lens_scatter import knot
 from lens_scatter.curves import (ParametricCurve, TrigCurve, circle, lemniscate,
                                  rose)
-from lens_scatter.knot import (CallableFramedLoop, Certificate, Crossing,
-                               InvariantTable, PLLoop, SelfTangencyError,
-                               TangentLoop, analyze_loop, certify_nontrivial,
-                               choose_refinement_n, crossing_sign,
-                               crossing_type, embedding_separation,
-                               find_crossings, first_return_crossing,
-                               perturbation_deltas, pl_refine, pl_refine_local,
-                               pl_snapshot, pl_validate,
-                               refine_stage_samples, singularity_classify,
-                               w_invariant)
+from lens_scatter.knot import (Certificate, Crossing, InvariantTable, PLLoop,
+                               SelfTangencyError, TangentLoop, analyze_loop,
+                               certify_nontrivial, choose_refinement_n,
+                               crossing_sign, crossing_type,
+                               embedding_separation, find_crossings,
+                               first_return_crossing, perturbation_deltas,
+                               pl_refine, pl_refine_local, pl_snapshot,
+                               pl_validate, refine_stage_samples, w_invariant)
 from lens_scatter.lift import (MinimalLinearCurve, PLVertexPath, ProjPoint,
                                dist_components, projectivize, unit_tangent_lift)
 
-from conftest import (brute_force_crossing_count, embedding_separation_oracle,
-                      pl_crossing_oracle)
+from conftest import (CallableFramedLoop, brute_force_crossing_count,
+                      embedding_separation_oracle, pl_crossing_oracle)
 
 
 def reversed_curve(curve):
@@ -166,9 +164,8 @@ class TestCrossingSearch:
 
     @pytest.mark.parametrize("samples", [512, 500])
     def test_curve_values_evaluated_once(self, corpus, samples):
-        # The lift's samples serve the crossing search when their parameters
-        # are bitwise the search's (512 = 2^9 samples; 500 are not), and each
-        # velocity serves the polish, the sign and the type.
+        # The lift's samples serve the crossing search, whatever their
+        # number, and each velocity serves the polish, the sign and the type.
         curve = TrigCurve(corpus[6].coeffs)
         calls = {"point": [], "velocity": []}
         for name, log in calls.items():
@@ -181,7 +178,7 @@ class TestCrossingSearch:
         analysis = analyze_loop(loop)
         assert len(analysis.crossings) == 5
         grids = [t for t in calls["point"] if isinstance(t, list)]
-        assert len(grids) == (1 if samples == 512 else 2)
+        assert len(grids) == 1
         scalars = [t for t in calls["velocity"] if not isinstance(t, list)]
         assert len(scalars) == len(set(scalars)) > 2 * len(analysis.crossings)
 
@@ -514,60 +511,6 @@ class TestPLValidate:
                         0.2 * math.sin(2 * math.pi * k / 8), 0.0) for k in range(8)]
         with pytest.raises(ValueError):
             pl_validate(vs, 8, 2.0)
-
-
-class TestSingularityClassify:
-    def base_path(self, v0_lift=0.1):
-        # Hexagon-ish loop; vertex 0 will be moved onto edge 2 ([v2, v3]).
-        vs = [ProjPoint(0.5, 0.0, v0_lift), ProjPoint(0.4, 0.4, 0.2),
-              ProjPoint(-0.1, 0.45, 0.3), ProjPoint(-0.5, 0.05, 0.2),
-              ProjPoint(-0.2, -0.45, 0.1), ProjPoint(0.3, -0.4, 0.0)]
-        return vs
-
-    def on_edge_point(self, vs, j, frac):
-        a, b = vs[j], vs[(j + 1) % len(vs)]
-        return (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
-
-    def test_transverse(self):
-        vs = self.base_path()
-        x, y = self.on_edge_point(vs, 2, 0.5)
-        vs[0] = ProjPoint(x, y, vs[0].lift)
-        # Put one neighbor beyond edge 2 so the incident edges straddle it.
-        vs[1] = ProjPoint(-0.5, 0.5, vs[1].lift)
-        rep = singularity_classify(PLVertexPath(vs), 0, 2)
-        assert rep.kind == "transverse"
-        assert (rep.vertex, rep.edge) == (0, 2)
-
-    def test_self_tangency_same_side(self):
-        vs = self.base_path()
-        x, y = self.on_edge_point(vs, 2, 0.4)
-        vs[0] = ProjPoint(x, y, vs[0].lift)
-        # Pull both neighbors to the inner side of edge 2.
-        vs[1] = ProjPoint(0.1, 0.1, vs[1].lift)
-        vs[5] = ProjPoint(0.0, -0.1, vs[5].lift)
-        rep = singularity_classify(PLVertexPath(vs), 0, 2)
-        assert rep.kind == "self_tangency"
-
-    def test_cusp_when_incident_edge_collinear(self):
-        vs = self.base_path()
-        x, y = self.on_edge_point(vs, 2, 0.5)
-        vs[0] = ProjPoint(x, y, vs[0].lift)
-        # Align v1 with edge 2's direction from the vertex: tangency.
-        a, b = vs[2], vs[3]
-        d = (b.x - a.x, b.y - a.y)
-        vs[1] = ProjPoint(x + 0.3 * d[0], y + 0.3 * d[1], vs[1].lift)
-        rep = singularity_classify(PLVertexPath(vs), 0, 2)
-        assert rep.kind == "cusp"
-
-    def test_vertex_off_edge_rejected(self):
-        vs = self.base_path()
-        with pytest.raises(ValueError):
-            singularity_classify(PLVertexPath(vs), 0, 2)
-
-    def test_incident_edge_rejected(self):
-        vs = self.base_path()
-        with pytest.raises(ValueError):
-            singularity_classify(PLVertexPath(vs), 0, 0)
 
 
 class TestReidemeisterAccounting:

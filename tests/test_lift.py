@@ -12,7 +12,7 @@ from lens_scatter.lift import (AmbiguousFiberArcError, LiftedCurve,
                                TransportUndefinedError, _circ_dist, _edge_gaps,
                                _fiber_steps, dist_components, fiber_step,
                                projectivize, triangle_angle_sum,
-                               unit_tangent_lift, vertical_length)
+                               unit_tangent_lift)
 
 
 class TestUnitTangentLift:
@@ -127,17 +127,16 @@ class TestMinimalLinearCurve:
         mid = ml.point_at(0.5)
         assert (mid.x, mid.y) == (0.5, 0.0)
         assert mid.lift == 0.0
-        assert ml.vertical_length == 0.0
+        assert ml.delta == 0.0
 
     def test_pure_fiber_rotation(self):
         ml = MinimalLinearCurve(ProjPoint(0, 0, 0.0), ProjPoint(0, 0, math.pi / 3))
-        assert ml.vertical_length == pytest.approx(math.pi / 3)
+        assert abs(ml.delta) == pytest.approx(math.pi / 3)
         assert ml.point_at(1.0).line_angle == pytest.approx(math.pi / 3)
 
     def test_wraparound_takes_shorter_arc(self):
         ml = MinimalLinearCurve(ProjPoint(0, 0, 0.9 * math.pi),
                                 ProjPoint(1, 0, 0.1 * math.pi))
-        assert ml.vertical_length == pytest.approx(0.2 * math.pi, abs=1e-12)
         assert ml.delta == pytest.approx(0.2 * math.pi, abs=1e-12)
         assert ml.point_at(1.0).line_angle == pytest.approx(0.1 * math.pi, abs=1e-12)
 
@@ -145,9 +144,10 @@ class TestMinimalLinearCurve:
         p = ProjPoint(0.3, -0.4, 1.234)
         q = ProjPoint(-0.2, 0.5, 2.345)
         ml = MinimalLinearCurve(p, q)
-        assert (ml.start.x, ml.start.y, ml.start.lift) == (p.x, p.y, p.lift)
-        assert (ml.end.x, ml.end.y) == (q.x, q.y)
-        assert ml.end.line_angle == pytest.approx(q.line_angle, abs=1e-12)
+        start, end = ml.point_at(0.0), ml.point_at(1.0)
+        assert (start.x, start.y, start.lift) == (p.x, p.y, p.lift)
+        assert (end.x, end.y) == (q.x, q.y)
+        assert end.line_angle == pytest.approx(q.line_angle, abs=1e-12)
 
     def test_vertical_length_equals_dv(self):
         rng = np.random.default_rng(5)
@@ -157,28 +157,11 @@ class TestMinimalLinearCurve:
             dc = dist_components(p, q)
             if abs(dc.d_v - math.pi / 2) < 1e-9:
                 continue
-            assert MinimalLinearCurve(p, q).vertical_length == pytest.approx(
-                dc.d_v, abs=1e-12)
+            assert abs(MinimalLinearCurve(p, q).delta) == pytest.approx(dc.d_v, abs=1e-12)
 
     def test_perpendicular_lines_rejected(self):
         with pytest.raises(AmbiguousFiberArcError):
             MinimalLinearCurve(ProjPoint(0, 0, 0.0), ProjPoint(1, 0, math.pi / 2))
-
-
-class TestVerticalLength:
-    def test_circle_lift(self):
-        proj = projectivize(unit_tangent_lift(circle()))
-        assert vertical_length(proj) == pytest.approx(2 * math.pi, abs=1e-9)
-
-    def test_concatenation_adds(self):
-        a = ProjPoint(0, 0, 0.0)
-        b = ProjPoint(0.5, 0, 0.3)
-        c = ProjPoint(0.5, 0.5, 1.1)
-        ml1 = MinimalLinearCurve(a, b)
-        ml2 = MinimalLinearCurve(b, c)
-        chain = ml1.points_at(np.linspace(0, 1, 9)) + ml2.points_at(np.linspace(0, 1, 9))
-        assert vertical_length(chain) == pytest.approx(
-            ml1.vertical_length + ml2.vertical_length, abs=1e-12)
 
 
 class TestPLVertexPath:

@@ -15,22 +15,22 @@ PUBLIC = [
     "GeodesicPath", "IntegrationOptions", "InvariantTable", "LiftedCurve",
     "MinimalLinearCurve", "PLLoop", "PLVertexPath", "ParametricCurve", "ProjCurve",
     "ProjPoint", "ScatteringRecord", "SingularChordError", "SingularityError",
-    "TangentLoop", "TrigCurve", "analyze_loop", "boundary_grid", "certify_nontrivial",
-    "choose_refinement_n", "circle", "classify", "compare_scattering", "crossing_sign",
-    "crossing_type", "curves", "dist_components", "dop853", "eaton", "eaton_index",
-    "eaton_metric", "embedding_separation", "find_crossings", "geometry",
-    "integrate_geodesic", "invisibility_check", "knot", "lemniscate", "length_excess",
-    "lift", "load_curve_csv", "load_metric", "loop_winding", "metric_from_spec",
-    "named_curve", "phi_map", "pl_refine", "pl_validate", "projectivize",
-    "random_corpus", "riemannian_length", "rose", "scatter", "scatter_grid",
-    "scattering", "singularity_classify", "triangle_angle_sum", "unit_tangent_lift",
-    "vertical_length", "w_invariant",
+    "TangentLoop", "TrigCurve", "analyze_loop", "boundary_grid",
+    "certify_nontrivial", "choose_refinement_n", "circle", "compare_scattering",
+    "crossing_sign", "crossing_type", "curves", "dist_components", "dop853",
+    "eaton", "eaton_index", "eaton_metric", "embedding_separation",
+    "find_crossings", "geometry", "integrate_geodesic", "invisibility_check",
+    "knot", "lemniscate", "length_excess", "lift", "load_curve_csv", "load_metric",
+    "loop_winding", "metric_from_spec", "named_curve", "phi_map", "pl_refine",
+    "pl_validate", "projectivize", "random_corpus", "riemannian_length", "rose",
+    "scatter", "scatter_grid", "scattering", "triangle_angle_sum",
+    "unit_tangent_lift", "w_invariant",
 ]
 MODULES = {"curves", "dop853", "eaton", "geometry", "knot", "lift", "scattering"}
 
 
 def test_all_is_unchanged():
-    assert len(PUBLIC) == 67
+    assert len(PUBLIC) == 64
     assert ls.__all__ == PUBLIC
 
 

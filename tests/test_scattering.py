@@ -11,9 +11,8 @@ from lens_scatter.eaton import _exact_dn_dr, eaton_index, eaton_metric
 from lens_scatter.geometry import (ConformalMetric, IntegrationOptions,
                                    SingularChordError, clairaut_orbit,
                                    integrate_geodesic, polar_sweep)
-from lens_scatter.scattering import (INWARD, OUTWARD, TANGENTIAL,
-                                     BoundaryIsometry, BoundaryVector,
-                                     _arc_distance, boundary_grid, classify,
+from lens_scatter.scattering import (BoundaryIsometry, BoundaryVector,
+                                     _arc_distance, boundary_grid,
                                      compare_scattering, length_excess,
                                      phi_map, scatter)
 
@@ -43,22 +42,7 @@ entries = st.builds(
 
 
 class TestClassify:
-    def test_normal_is_inward(self):
-        assert classify(BoundaryVector(0.0, math.pi / 2)) == INWARD
-
-    def test_zero_is_tangential(self):
-        assert classify(BoundaryVector(0.7, 0.0)) == TANGENTIAL
-        assert classify(BoundaryVector(0.7, math.pi)) == TANGENTIAL
-
-    def test_strict_inequality_near_pi(self):
-        assert classify(BoundaryVector(0.0, math.pi - 1e-9)) == INWARD
-
-    def test_outward_duck_typed(self):
-        class V:
-            arc = 0.0
-            angle = 1.5 * math.pi
-
-        assert classify(V()) == OUTWARD
+    """Which boundary vectors exist: angles in ``[0, pi]``, finite arcs."""
 
     def test_angle_range_enforced(self):
         with pytest.raises(ValueError):
@@ -136,8 +120,10 @@ class TestPhiMap:
         h = BoundaryIsometry(shift, reflect)
         v = BoundaryVector(arc, angle)
         w = phi_map(h, v)
-        assert classify(w) == classify(v)
-        back = phi_map(h.inverse(), w)
+        # Tangential (0 or pi) and inward angles keep their class.
+        assert (w.angle in (0.0, math.pi)) == (v.angle in (0.0, math.pi))
+        inverse = h if reflect else BoundaryIsometry(-shift % 1.0)
+        back = phi_map(inverse, w)
         arc_dev = abs(back.arc - v.arc) % 1.0
         assert min(arc_dev, 1.0 - arc_dev) < 1e-12
         assert abs(back.angle - v.angle) < 1e-12
@@ -527,6 +513,56 @@ class TestBenndorfRelation:
             sweep, tau = clairaut_orbit(eaton, p, opts)
             area = _gauss(lambda q: self.sweep(eaton, q), p, q0, 64)
             assert abs(tau0 - q0 * sweep0 + p * sweep + area - tau) < opts.step_tol
+
+
+class TestFirstVariation:
+    """Lens data from scattering data by the first variation of length: with
+    the entry point fixed and the entry angle ``chi`` varying,
+
+        tau(chi) - tau(chi_0) = int 2 pi R n(y) cos(alpha) db,
+
+    ``y`` being the exit point, ``b`` its arc (unwrapped along the fan) and
+    ``alpha`` the exit angle.  Only exit data and ``n`` on the rim enter;
+    Benndorf's relation is the radial case, and no symmetry is assumed.
+    """
+
+    ARC = 0.13
+    CHIS = np.linspace(0.05, 1.5, 101)
+
+    def deviation(self, metric, opts) -> float:
+        """Largest miss of the identity over the fan, at every other entry."""
+        recs = [scatter(metric, BoundaryVector(self.ARC, float(chi)), opts)
+                for chi in self.CHIS]
+        tau = np.array([r.tau for r in recs])
+        b = np.unwrap([r.exit.arc for r in recs], period=1.0)
+        R = metric.radius
+        y = R * np.column_stack([np.cos(2.0 * math.pi * b), np.sin(2.0 * math.pi * b)])
+        f = 2.0 * math.pi * R * metric.n_many(y) * np.cos([r.exit.angle for r in recs])
+
+        def trapezoid(step):
+            # Cumulative trapezoid in b over every step-th entry.
+            fs, bs = f[::step], b[::step]
+            return np.concatenate(([0.0], np.cumsum(0.5 * (fs[1:] + fs[:-1]) * np.diff(bs))))
+
+        # Each panel's rule is symmetric about its midpoint, so the error runs
+        # in even powers of the chi step: Richardson on 100 and 50 panels.
+        integral = (4.0 * trapezoid(1)[::2] - trapezoid(2)) / 3.0
+        return float(np.max(np.abs(tau[::2] - tau[0] - integral)))
+
+    @pytest.mark.parametrize("metric", [ConformalMetric.vacuum(), GENTLE_BUMPS, eaton_metric()],
+                             ids=["vacuum", "bumps-ode", "lens"])
+    def test_lengths_from_exit_data(self, metric):
+        opts = IntegrationOptions(step_tol=1e-7)
+        assert self.deviation(metric, opts) < 5.0 * opts.step_tol
+
+    def test_lens_anchor_is_the_circuit(self, eaton):
+        # Grazing rays of a simple metric have tau -> 0, which fixes the
+        # constant.  The lens has the vacuum's scattering data, but its
+        # grazing rays circle the disk once: the anchor is 2 pi longer.
+        opts = IntegrationOptions(step_tol=1e-7)
+        chi = float(self.CHIS[0])
+        tau = scatter(eaton, BoundaryVector(self.ARC, chi), opts).tau
+        assert abs(tau - (2.0 * math.pi + 2.0 * math.sin(chi))) < opts.step_tol
 
 
 class TestClairautDrift:
