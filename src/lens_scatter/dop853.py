@@ -375,11 +375,15 @@ class DenseSolution:
 
 
 def _initial_step(rhs, y, f, rtol, atol) -> float:
-    """scipy's ``select_initial_step`` from ``t = 0`` over an unbounded span."""
+    """scipy's ``select_initial_step`` from ``t = 0`` over an unbounded span;
+    raises ``RuntimeError`` when an overflowing ``f`` leaves no positive step."""
     scale = atol + np.abs(y) * rtol
     d0 = _rms(y / scale)
-    d1 = _rms(f / scale)
+    with np.errstate(over="ignore"):
+        d1 = _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not h0 > 0.0:
+        raise RuntimeError(f"geodesic integration failed: initial step size {h0} is not positive")
     f1 = np.array(rhs(h0, (y + h0 * f).tolist()))
     d2 = _rms((f1 - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:

@@ -97,7 +97,7 @@ class BoundaryVector:
         return BoundaryVector(self.arc, math.pi - self.angle)
 
 
-def boundary_vector_at(x: float, y: float, theta: float, *, radius: float = 1.0) -> BoundaryVector:
+def boundary_vector_at(x: float, y: float, theta: float) -> BoundaryVector:
     """Boundary vector for a direction angle ``theta`` at boundary point ``(x, y)``."""
     phi = math.atan2(y, x)
     tx, ty = -math.sin(phi), math.cos(phi)
@@ -269,6 +269,11 @@ class _CallableRadial:
 # One shared profile, so that equal vacuum metrics compare equal.
 _VACUUM_PROFILE = _CallableRadial(lambda r: 1.0, lambda r: 0.0)
 
+# Radii whose exit data stay within step_tol of the unit disk's, scaled, at
+# every step_tol: the solver's atol and other floors are absolute lengths.
+_MIN_RADIUS = 1e-6
+_MAX_RADIUS = 1e6
+
 
 @dataclass(frozen=True)
 class ConformalMetric:
@@ -279,7 +284,7 @@ class ConformalMetric:
     ``eval_many``, ``r_min``, ``breakpoints``); general metrics carry
     ``field``, the pair ``n(x, y)`` and its gradient.  Instances are frozen
     and all evaluation methods are pure, so a metric may be shared freely
-    across threads.
+    across threads.  ``radius`` must lie in ``[1e-6, 1e6]``.
     """
 
     kind: str
@@ -294,6 +299,9 @@ class ConformalMetric:
         object.__setattr__(self, "radius", float(self.radius))
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"metric radius must be positive and finite, got {self.radius}")
+        if not _MIN_RADIUS <= self.radius <= _MAX_RADIUS:
+            raise ValueError(f"metric radius must lie in [{_MIN_RADIUS:g}, {_MAX_RADIUS:g}], "
+                             f"got {self.radius}")
         object.__setattr__(self, "name", self.name or self.kind)
         if self.profile is None and self.field is None:
             raise ValueError("metric needs a radial profile or a general field")
@@ -826,7 +834,7 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
     xe, ye, the, _ = sol.ys[-1]
     scale = R / math.hypot(xe, ye)
     points[-1] = (xe * scale, ye * scale)
-    exit_vec = boundary_vector_at(points[-1, 0], points[-1, 1], the, radius=R)
+    exit_vec = boundary_vector_at(points[-1, 0], points[-1, 1], the)
     return GeodesicPath(points, ys[2], lengths, entry, exit_vec, stats)
 
 

@@ -18,7 +18,6 @@ counts crossings of each nonzero type with signs.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -60,23 +59,19 @@ class _FramedLoop:
 class TangentLoop(_FramedLoop):
     """Framed loop whose frame is the unit tangent of its own base curve.
 
-    The lift's sample points are reused for the same parameters, and each
+    The crossing search runs on the lift's sample points, and each
     velocity is evaluated once per parameter, then shared (read-only) by
     crossing polishing, signs and types.
     """
 
     def __init__(self, curve: ParametricCurve, samples: int = 512):
         self.curve = curve
-        self.samples = samples
         self.lifted = unit_tangent_lift(curve, samples)
         self.period_shift = self.lifted.total_turn
         self._velocities: dict[float, np.ndarray] = {}
 
-    def base_points(self, ts) -> np.ndarray:
-        ts = np.mod(ts, 1.0)
-        if np.array_equal(ts, self.lifted.t):
-            return self.lifted.points
-        return self.curve.point(ts)
+    def sample_points(self) -> np.ndarray:
+        return self.lifted.points
 
     def base_point(self, l: float) -> np.ndarray:
         return self.curve.point(l % 1.0)
@@ -278,10 +273,9 @@ def _dedup(raw, merge_tol: float):
 def find_crossings(loop) -> list[Crossing]:
     """All double points of the base curve, signs and types unfilled.
 
-    A smooth loop (a curve, a :class:`TangentLoop` or another framed loop
-    with a ``samples`` count) is sampled into a closed polyline on the grid
-    of :func:`~lens_scatter.lift.unit_tangent_lift`, so that a tangent loop
-    reuses its lift's points; a PL knot
+    A smooth loop (a curve, a :class:`TangentLoop` or another framed loop)
+    gives its ``m`` samples at the parameters ``i / m`` as a closed
+    polyline, which for a tangent loop is its lift's points; a PL knot
     (:class:`PLLoop` or :class:`~lens_scatter.lift.PLVertexPath`) uses its
     edges.  Both take segment pairs from a sweep over segment bounding
     boxes and test them in one vectorized pass, in segment-pair order.
@@ -295,9 +289,9 @@ def find_crossings(loop) -> list[Crossing]:
     loop = as_framed_loop(loop)
     if isinstance(loop, PLLoop):
         return _pl_crossings(loop)
-    m = loop.samples
-    ts = np.linspace(0.0, 1.0, m, endpoint=False)
-    i, j, t, u = _polyline_hits(loop.base_points(ts), 1e-9)
+    pts = loop.sample_points()
+    m = len(pts)
+    i, j, t, u = _polyline_hits(pts, 1e-9)
     raw = [_polish_crossing(loop, l, lp) for l, lp in zip((i + t) / m, (j + u) / m)]
     return _dedup(raw, merge_tol=max(2.0 / m, 1e-5))
 
@@ -450,49 +444,37 @@ def _gaps_d0(xyl, limit: float):
     return d0, k
 
 
-def pl_refine_local(G, n: int, l: float, s: float, k: int, t_local: float) -> ProjPoint:
-    """One segment of the straightening interpolation.
+def _straighten(G, n: int, l: float, s: float, ts) -> list[ProjPoint]:
+    """The straightening interpolation of ``G(s, .)`` at the parameters ``ts``.
 
-    For local time below ``l`` the point moves along the minimal linear
-    curve from the segment's start vertex toward the point at parameter
-    ``(k + l)/n``; past ``l`` it follows the original family.  ``l = 0``
-    reproduces the family exactly and ``l = 1`` yields the PL knot through
-    the ``n`` sample vertices.
+    On segment ``k``, local time below ``l`` moves along the minimal linear
+    curve from ``G(s, k/n)`` toward ``G(s, (k + l)/n)``, shared by the
+    segment's parameters; past ``l`` the point follows the family.  ``l = 0``
+    reproduces the family and ``l = 1`` is the PL knot through ``n`` samples.
     """
-    if not 0.0 <= t_local <= 1.0:
-        raise ValueError("local parameter must lie in [0, 1]")
-    return _stage_point(G, n, l, s, k, t_local, functools.partial(_segment, G, n, l, s))
-
-
-def _segment(G, n: int, l: float, s: float, k: int) -> MinimalLinearCurve:
-    """The minimal linear curve that segment ``k`` follows up to local time ``l``."""
-    return MinimalLinearCurve(G(s, (k % n) / n), G(s, ((k + l) / n) % 1.0))
-
-
-def _stage_point(G, n: int, l: float, s: float, k: int, t_local: float, segment) -> ProjPoint:
-    """:func:`pl_refine_local`, taking segment ``k``'s curve from ``segment(k)``."""
-    if l > 0.0 and t_local < l:
-        return segment(k).point_at(t_local / l)
-    return G(s, ((k + t_local) / n) % 1.0)
-
-
-def _segment_time(n: int, t: float) -> tuple[int, float]:
-    """Segment index and local time of global curve parameter ``t``."""
-    u = (t % 1.0) * n
-    k = min(int(u), n - 1)
-    return k, u - k
+    segments: dict[int, MinimalLinearCurve] = {}
+    out = []
+    for t in ts:
+        u = (t % 1.0) * n
+        k = min(int(u), n - 1)
+        t_local = u - k
+        if l > 0.0 and t_local < l:
+            if k not in segments:
+                segments[k] = MinimalLinearCurve(G(s, k / n), G(s, ((k + l) / n) % 1.0))
+            out.append(segments[k].point_at(t_local / l))
+        else:
+            out.append(G(s, ((k + t_local) / n) % 1.0))
+    return out
 
 
 def pl_refine(G, n: int, l: float, s: float, t: float) -> ProjPoint:
     """Evaluate the straightening interpolation at global curve parameter t."""
-    return pl_refine_local(G, n, l, s, *_segment_time(n, t))
+    return _straighten(G, n, l, s, (t,))[0]
 
 
 def refine_stage_samples(G, n: int, l: float, s: float, m: int = 256) -> list[ProjPoint]:
-    """:func:`pl_refine` at the ``m`` parameters ``i / m``; the samples on one
-    segment share its minimal linear curve."""
-    segment = functools.cache(functools.partial(_segment, G, n, l, s))
-    return [_stage_point(G, n, l, s, *_segment_time(n, i / m), segment) for i in range(m)]
+    """:func:`pl_refine` at the ``m`` parameters ``i / m``."""
+    return _straighten(G, n, l, s, (i / m for i in range(m)))
 
 
 def pl_snapshot(G, n: int, s: float) -> PLVertexPath:

@@ -145,12 +145,12 @@ class MinimalLinearCurve:
 
 
 class LiftedCurve:
-    """Closed curve in the unit tangent bundle: base samples plus a continuous
-    direction-angle lift.  ``total_turn`` is the lift increment over one full
+    """Closed curve in the unit tangent bundle: base samples at the ``m``
+    parameters ``i / m`` plus a continuous direction-angle lift there.
+    ``total_turn`` is the lift increment over one full
     period (2 pi times the turning number)."""
 
-    def __init__(self, t, points, theta, *, total_turn):
-        self.t = np.asarray(t, dtype=float)
+    def __init__(self, points, theta, *, total_turn):
         self.points = np.asarray(points, dtype=float)
         self.theta = np.asarray(theta, dtype=float)
         self.total_turn = float(total_turn)
@@ -182,7 +182,7 @@ def unit_tangent_lift(curve, samples: int = 512) -> LiftedCurve:
     theta_ext = np.unwrap(np.concatenate([raw, raw[:1]]))
     if np.max(np.abs(np.diff(theta_ext))) > 0.5 * math.pi:
         raise ValueError("sampling too sparse for a continuous direction lift")
-    return LiftedCurve(ts, pts, theta_ext[:-1], total_turn=theta_ext[-1] - theta_ext[0])
+    return LiftedCurve(pts, theta_ext[:-1], total_turn=theta_ext[-1] - theta_ext[0])
 
 
 class ProjCurve:
@@ -190,7 +190,6 @@ class ProjCurve:
 
     def __init__(self, lifted: LiftedCurve):
         self.lifted = lifted
-        self.t = lifted.t
         self.points = lifted.points
         self.line_lift = lifted.theta
 

@@ -71,8 +71,9 @@ class CallableFramedLoop(_FramedLoop):
         self.samples = samples
         self.period_shift = float(chi_fn(1.0) - chi_fn(0.0))
 
-    def base_points(self, ts) -> np.ndarray:
-        return np.array([self._point(float(t) % 1.0) for t in np.asarray(ts).ravel()])
+    def sample_points(self) -> np.ndarray:
+        ts = np.linspace(0.0, 1.0, self.samples, endpoint=False)
+        return np.array([self._point(t) for t in ts.tolist()])
 
     def base_point(self, l: float) -> np.ndarray:
         return np.asarray(self._point(l % 1.0), dtype=float)
@@ -248,7 +249,7 @@ def solve_ivp_trace(metric: ConformalMetric, entry,
     xe, ye, the, taue = sol.y[0, -1], sol.y[1, -1], sol.y[2, -1], sol.y[3, -1]
     scale = R / math.hypot(xe, ye)
     points[-1] = (xe * scale, ye * scale)
-    exit_vec = boundary_vector_at(points[-1, 0], points[-1, 1], the, radius=R)
+    exit_vec = boundary_vector_at(points[-1, 0], points[-1, 1], the)
     return GeodesicPath(points, ys[2], lengths, entry, exit_vec)
 
 

@@ -92,11 +92,31 @@ class TestScatterCommand:
                 "profile": [[0.0, 1.2], [1.0, 1.0]]}
         path = tmp_path / "metric.json"
         path.write_text(json.dumps(spec))
-        code = main(["scatter", "--metric", str(path), "--arc", "0", "--angle", "1"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "metric radius must be positive" in captured.err
-        assert "Traceback" not in captured.err
+        for command in ("scatter", "trace"):
+            code = main([command, "--metric", str(path), "--arc", "0", "--angle", "1"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert "metric radius must be positive" in captured.err
+            assert "Traceback" not in captured.err
+
+    # Out of range the tolerances, absolute lengths, stop fitting the disk:
+    # without the range check, vacuum at 1e16 exited at its own entry, 1e200
+    # was trapped, 1e155 raised ZeroDivisionError, 1e-12 missed the chord
+    # by 87 step_tol and 1e-160 failed inside brentq.
+    @pytest.mark.parametrize("kind", ["vacuum", "radial-profile"])
+    @pytest.mark.parametrize("radius", [1e-160, 1e-12, 1e16, 1e155, 1e200])
+    @pytest.mark.filterwarnings("error")
+    def test_out_of_range_radius_is_input_error(self, tmp_path, capsys, radius, kind):
+        spec = {"kind": kind, "radius": radius, "profile": [[0.0, 1.2], [radius, 1.0]]}
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(spec))
+        for command in ("scatter", "trace"):
+            code = main([command, "--metric", str(path), "--arc", "0.1", "--angle", "1"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == (f"lens-scatter: metric radius must lie in [1e-06, 1e+06], "
+                                    f"got {float(radius)!r}\n")
 
     def test_singular_entry_still_aborts(self, capsys):
         code = main(["scatter", "--metric", "eaton", "--arc", "0",
@@ -457,13 +477,17 @@ def test_curve_csv_input(tmp_path, capsys):
     ("scatter", ".json", '{"kind": "vacuum", "radius": null}'),
     ("scatter", ".json", '{"kind": "eaton", "radius": 2}'),
     ("invariant", ".csv", "t,x,y\n0.0,1\n"),
+    # The index overflows the solver's initial-step norm.
+    ("scatter", ".json", '{"kind": "radial-profile", "profile": [[0, 1e150], [1, 1]]}'),
+    ("trace", ".json", '{"kind": "radial-profile", "profile": [[0, 1e150], [1, 1]]}'),
 ], ids=["list", "string", "flat-knots", "null-knot", "null-radius", "eaton-radius",
-        "short-csv-row"])
+        "short-csv-row", "overflowing-index", "overflowing-index-trace"])
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
 def test_malformed_input_file_is_input_error(tmp_path, capsys, command, suffix, text):
     path = tmp_path / f"input{suffix}"
     path.write_text(text)
-    if command == "scatter":
-        args = ["scatter", "--metric", str(path), "--arc", "0", "--angle", "1"]
+    if command in ("scatter", "trace"):
+        args = [command, "--metric", str(path), "--arc", "0", "--angle", "1"]
     else:
         args = ["invariant", "--curve", str(path)]
     code = main(args)

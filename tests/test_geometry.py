@@ -493,6 +493,36 @@ class TestMetricSpecs:
             metric_from_spec({"kind": "radial-profile", "radius": radius,
                               "profile": [[0.0, 1.2], [1.0, 1.0]]})
 
+    @pytest.mark.parametrize("radius", [1e-160, 1e-12, 9.9e-7, 1.01e6, 1e16, 1e155, 1e200])
+    def test_radius_must_lie_in_range(self, radius):
+        with pytest.raises(ValueError, match=r"metric radius must lie in \[1e-06, 1e\+06\]"):
+            ConformalMetric.vacuum(radius=radius)
+        with pytest.raises(ValueError, match=r"metric radius must lie in \[1e-06, 1e\+06\]"):
+            metric_from_spec({"kind": "radial-profile", "radius": radius,
+                              "profile": [[0.0, 1.2], [radius, 1.0]]})
+
+    @pytest.mark.parametrize("radius", [1e-6, 1e6])
+    def test_range_ends_scale_the_unit_disk(self, radius):
+        # Vacuum and a six-knot profile, both scaled to the radius: exit
+        # arcs and tau / R, from quadrature and from the ODE, match R = 1.
+        def metrics(R):
+            knots = [(R * r, 1.0 + 0.3 * (1.0 - r * r)) for r in np.linspace(0.0, 1.0, 6)]
+            return ConformalMetric.vacuum(R), ConformalMetric.from_profile_knots(knots, radius=R)
+
+        def exit_data(m, entry):
+            rec = scattering.scatter(m, entry, opts)
+            path = integrate_geodesic(m, entry, opts)
+            return [(rec.exit.arc, rec.tau / m.radius), (path.exit.arc, path.length / m.radius)]
+
+        opts = IntegrationOptions()
+        for entry in (BoundaryVector(0.1, 1.0), BoundaryVector(0.7, 0.05),
+                      BoundaryVector(0.3, 3.0)):
+            for unit, scaled in zip(metrics(1.0), metrics(radius)):
+                for (arc_a, tau_a), (arc_b, tau_b) in zip(exit_data(unit, entry),
+                                                          exit_data(scaled, entry)):
+                    assert _arc_distance(arc_a, arc_b) < opts.step_tol
+                    assert abs(tau_a - tau_b) < opts.step_tol
+
     def test_load_metric_builtin_names(self):
         assert load_metric("vacuum").kind == "vacuum"
         assert load_metric("eaton").singular_at_origin

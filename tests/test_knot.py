@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from lens_scatter.knot import (Certificate, Crossing, InvariantTable, PLLoop,
                                crossing_sign, crossing_type,
                                embedding_separation, find_crossings,
                                first_return_crossing, perturbation_deltas,
-                               pl_refine, pl_refine_local, pl_snapshot,
+                               pl_refine, pl_snapshot,
                                pl_validate, refine_stage_samples, w_invariant)
 from lens_scatter.lift import (MinimalLinearCurve, PLVertexPath, ProjPoint,
                                dist_components, projectivize, unit_tangent_lift)
@@ -613,11 +614,60 @@ class TestRefinement:
 
     def test_halfway_midpoint_formula(self):
         n = 32
-        h = pl_refine_local(self.embedded_isotopy, n, 0.5, 0.2, 0, 0.25)
+        h = pl_refine(self.embedded_isotopy, n, 0.5, 0.2, 0.25 / n)
         p = self.embedded_isotopy(0.2, 0.0)
         q = self.embedded_isotopy(0.2, 0.5 / n)
         mid = MinimalLinearCurve(p, q).point_at(0.5)
         assert (h.x, h.y, h.lift) == pytest.approx((mid.x, mid.y, mid.lift))
+
+    @staticmethod
+    def drifting_isotopy(s, t):
+        # Criterion 9's family: a pulsing circle on a drifting centre.
+        ang = 2 * math.pi * t
+        cx = 0.1 * math.sin(2 * math.pi * s + 1.1)
+        cy = 0.05 * math.cos(2 * math.pi * s + 1.1)
+        r = 0.42 + 0.06 * s
+        return ProjPoint(cx + r * math.cos(ang), cy + r * math.sin(ang), ang + math.pi / 2)
+
+    @pytest.mark.parametrize("n,s,l,digest,points", [
+        (64, 0.3, 0.25, "ea495e93fee2bb917df55d19254e5921c9ae6571db36ecf6d4e5d78b904154d3",
+         [("0x1.d06e9da49cf89p-2", "-0x1.715cea3be39f4p-5", "0x1.94a31b33166fap+0"),
+          ("-0x1.48e74867ea2fep-5", "0x1.8a4a7a9e8c22bp-2", "0x1.a275cbd4a2554p+1"),
+          ("-0x1.0ff2e9334c3dcp-2", "-0x1.8a77b3d776addp-2", "0x1.658363f5169b1p+2")]),
+        (64, 0.3, 0.6, "25a41900ffc5125b99d84ceee46c56f8a8143784d9f11d6fe91bfa1b93182d03",
+         [("0x1.d05b42171436bp-2", "-0x1.71613945eed1dp-5", "0x1.94a31b33166fap+0"),
+          ("-0x1.48b493fe654bbp-5", "0x1.8a191682c32e0p-2", "0x1.a275cbd4a2554p+1"),
+          ("-0x1.0ff2e9334c3dcp-2", "-0x1.8a77b3d776addp-2", "0x1.658363f5169b1p+2")]),
+        (64, 0.5, 0.25, "fc4ddda57588d6b2b2b41549de71aebaa21b6e97ae13157c40f0bad940c19f2e",
+         [("0x1.717c1f4ca9222p-2", "-0x1.2b35fe8354a98p-6", "0x1.94a31b33166fap+0"),
+          ("-0x1.2bd249e5264a4p-3", "0x1.b1d3fb46c1ff7p-2", "0x1.a275cbd4a2554p+1"),
+          ("-0x1.8312289bafac6p-2", "-0x1.788a508324d6bp-2", "0x1.658363f5169b1p+2")]),
+        (64, 0.5, 0.6, "70cc7442891da7970f88e2f746442fbea16ebf0652081e821d0c9a9b9ddebed7",
+         [("0x1.71683bfa5f426p-2", "-0x1.2b3ed908300e0p-6", "0x1.94a31b33166fap+0"),
+          ("-0x1.2bc543e298524p-3", "0x1.b1a13cc101904p-2", "0x1.a275cbd4a2554p+1"),
+          ("-0x1.8312289bafac6p-2", "-0x1.788a508324d6bp-2", "0x1.658363f5169b1p+2")]),
+        # Division by n = 64 is exact; n = 48 also pins the rounding of k / n.
+        (48, 0.3, 0.6, "e4a036bcd98c70789f1adeba8b891bf9d84c78071dedf9b337b60ae948c6eecf",
+         [("0x1.d04174f486822p-2", "-0x1.65aa6939691b0p-5", "0x1.95799282b24f0p+0"),
+          ("-0x1.0e99cffe30967p-2", "0x1.25fee975ed972p-2", "0x1.eaed1c3acd4ecp+1"),
+          ("0x1.1c5473a47a01bp-2", "-0x1.99f1f43a5d951p-2", "0x1.bb2c8b811892ap+2")]),
+        (48, 0.5, 0.25, "89ba935a48bca797ec60c8c6e4793fcd031f783aa122295965e13f22f3580aae",
+         [("0x1.717111e18d46ep-2", "-0x1.1317ebc232731p-6", "0x1.95799282b24f0p+0"),
+          ("-0x1.81e9c29c7ee16p-2", "0x1.4b0ee5dac55d8p-2", "0x1.eaed1c3acd4ebp+1"),
+          ("0x1.70e58d1e4d0d6p-3", "-0x1.88711eefc4eadp-2", "0x1.bb2c8b811892ap+2")]),
+    ], ids=["64-0.3-0.25", "64-0.3-0.6", "64-0.5-0.25", "64-0.5-0.6", "48-0.3-0.6", "48-0.5-0.25"])
+    def test_straightening_bit_identical_to_pinned(self, n, s, l, digest, points):
+        # Pinned as float.hex: the 200 stage samples by the SHA-256 of their
+        # joined hex strings, and pl_refine on the straightened part of two
+        # segments and on the family part of a third.
+        samples = refine_stage_samples(self.drifting_isotopy, n, l, s, m=200)
+        joined = " ".join(v.hex() for p in samples for v in p)
+        assert hashlib.sha256(joined.encode()).hexdigest() == digest
+        assert samples == [pl_refine(self.drifting_isotopy, n, l, s, i / 200)
+                           for i in range(200)]
+        for t, pinned in zip((0.1 / n, 17.3 / n, 40.9 / n), points):
+            h = pl_refine(self.drifting_isotopy, n, l, s, t)
+            assert tuple(h) == tuple(float.fromhex(v) for v in pinned)
 
     def test_separation_positive_across_stages(self):
         n = choose_refinement_n(self.embedded_isotopy, 0.3)

@@ -48,7 +48,7 @@ class TestUnitTangentLift:
         loop = TangentLoop(circle())
         lifted = loop.lifted
         for l in (0.0, 0.2499, 0.5, 0.87, 0.999):
-            i = int(round(l * len(lifted.t))) % len(lifted.t)
+            i = int(round(l * len(lifted.theta))) % len(lifted.theta)
             near = lifted.theta[i]
             assert abs(loop.frame_angle(l) - near) < 0.05 + 2 * math.pi / 512
 
@@ -66,13 +66,12 @@ class TestProjectivize:
         # A pure fiber sweep 0 -> pi at a fixed base point closes in the
         # line bundle and winds once along the fiber.
         ts = np.linspace(0.0, 1.0, 64, endpoint=False)
-        lifted = LiftedCurve(ts, np.zeros((64, 2)), math.pi * ts,
-                             total_turn=math.pi)
+        lifted = LiftedCurve(np.zeros((64, 2)), math.pi * ts, total_turn=math.pi)
         assert projectivize(lifted).line_winding == 1
 
     def test_non_integral_rotation_raises(self):
         ts = np.linspace(0.0, 1.0, 64, endpoint=False)
-        lifted = LiftedCurve(ts, np.zeros((64, 2)), 1.3 * math.pi * ts,
+        lifted = LiftedCurve(np.zeros((64, 2)), 1.3 * math.pi * ts,
                              total_turn=1.3 * math.pi)
         with pytest.raises(RuntimeError, match="not integral"):
             lifted.turning_number
