@@ -66,31 +66,20 @@ def _parallel_fan(count: int) -> list[BoundaryVector]:
     """Entries of a family of ``count`` parallel rays across the disk."""
     from .scattering import BoundaryVector
 
-    fan = []
-    for j in range(count):
-        phi = math.pi * (0.5 + (j + 0.5) / count)
-        fan.append(BoundaryVector(phi / (2 * math.pi), math.acos(-math.sin(phi))))
-    return fan
+    phis = [math.pi * (0.5 + (j + 0.5) / count) for j in range(count)]
+    return [BoundaryVector(phi / (2 * math.pi), math.acos(-math.sin(phi))) for phi in phis]
 
 
-def _clear_of_pole(metric, entries, command: str, what: str) -> list[BoundaryVector]:
-    """The entries whose chord clears the exclusion zone of a singular
-    metric; the others are numbered on standard error."""
-    from .geometry import SingularChordError, chord_impact
-
-    kept, skipped = [], []
-    for k, v in enumerate(entries, 1):
-        try:
-            chord_impact(metric, v)
-        except SingularChordError:
-            skipped.append(f"#{k}")
-            continue
-        kept.append(v)
+def _drop_pole_chords(results, command: str, what: str) -> list:
+    """``results`` without its ``None``s, the pole chords of a singular
+    metric, which are numbered on standard error."""
+    kept = [r for r in results if r is not None]
     if not kept:
         raise ValueError(f"every {what} passes through the exclusion zone")
+    skipped = [f"#{k}" for k, r in enumerate(results, 1) if r is None]
     if skipped:
         noun = "entry" if len(skipped) == 1 else "entries"
-        print(f"{command}: skipped {len(skipped)} {noun} of {len(entries)} whose chord "
+        print(f"{command}: skipped {len(skipped)} {noun} of {len(results)} whose chord "
               f"passes through the exclusion zone: {', '.join(skipped)}", file=sys.stderr)
     return kept
 
@@ -191,10 +180,14 @@ def _cmd_compare(args) -> int:
 def _cmd_eaton(args) -> int:
     from .eaton import eaton_metric, invisibility_check
     from .geometry import integrate_geodesic
+    from .scattering import per_angle
 
     metric = eaton_metric()
     opts = _integration_options(args)
-    fan = (_clear_of_pole(metric, _parallel_fan(args.svg_rays), "eaton", "fan ray")
+    # Traced before the report is written: a fan of pole chords leaves none.
+    fan = (_drop_pole_chords(per_angle(metric, _parallel_fan(args.svg_rays),
+                                       lambda v: integrate_geodesic(metric, v, opts)),
+                             "eaton", "fan ray")
            if args.emit_svg else [])
     rep = invisibility_check(_parse_grid(args.grid), args.tol, metric=metric, opts=opts)
     circuits_ok = all(abs(w) == 1 for w in rep.windings)
@@ -215,8 +208,7 @@ def _cmd_eaton(args) -> int:
     }
     _write_json(report, args.out)
     if args.emit_svg:
-        paths = [integrate_geodesic(metric, v, opts) for v in fan]
-        render_rays(paths, args.emit_svg, radius=metric.radius)
+        render_rays(fan, args.emit_svg, radius=metric.radius)
     return 0 if passed else 1
 
 
@@ -278,19 +270,14 @@ def _cmd_render(args) -> int:
         render_annulus(projectivize(unit_tangent_lift(curve, args.samples)), args.out)
         return 0
     from .geometry import integrate_geodesic, load_metric
+    from .scattering import per_angle
 
     metric = load_metric(args.metric)
     opts = _integration_options(args)
-    grid = _clear_of_pole(metric, _parse_grid(args.grid), "render", "grid entry")
-    # Metric names and files give radial metrics, whose paths at one entry
-    # angle are rotations of each other: trace each angle once, at its
-    # first entry.
-    first = {}
-    for v in grid:
-        if v.angle not in first:
-            first[v.angle] = integrate_geodesic(metric, v, opts)
-    paths = [first[v.angle].rotated(v) for v in grid]
-    render_rays(paths, args.out, radius=metric.radius)
+    paths = per_angle(metric, _parse_grid(args.grid),
+                      lambda v: integrate_geodesic(metric, v, opts))
+    render_rays(_drop_pole_chords(paths, "render", "grid entry"), args.out,
+                radius=metric.radius)
     return 0
 
 

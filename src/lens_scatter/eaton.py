@@ -6,8 +6,8 @@ The index ``n(r)`` on the unit disk is the root of the implicit equation
 
 on the branch with ``n * r <= 1`` that is continuous from ``n(1) = 1``.  In
 ``s = sqrt(n)`` it reduces to the cubic ``s^3 + s = 2/r``, whose one real
-root gives ``n`` in closed form (:class:`EatonProfile`); the bracketed root
-solve :func:`eaton_index` is kept as the independent reference.  ``n``
+root gives ``n`` in closed form (:class:`EatonProfile`, in ``geometry``); the
+bracketed root solve :func:`eaton_index` is kept as the reference.  ``n``
 decreases strictly in ``r`` and diverges at the origin, where the metric
 ``n^2 g0`` has a pole.  Rays entering the disk leave it with the same
 direction and on the same straight line as in vacuum, after winding exactly
@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dop853 import brentq
-from .geometry import (ConformalMetric, GeodesicPath, IntegrationOptions,
-                       NonIntegralWindingError, SingularityError, polar_sweep)
+from .geometry import (ConformalMetric, EatonProfile, GeodesicPath,  # noqa: F401
+                       IntegrationOptions, NonIntegralWindingError, eaton_metric,
+                       polar_sweep)
 from .scattering import scatter_grid
 
 TWO_PI = 2.0 * math.pi
@@ -62,59 +63,6 @@ def _exact_dn_dr(n: float) -> float:
     # Implicit differentiation of the index equation, algebraically reduced:
     # r(n) = 2 / (sqrt(n) (n + 1)), so dn/dr = 1 / r'(n).
     return -(n ** 1.5) * (n + 1.0) ** 2 / (3.0 * n + 1.0)
-
-
-class EatonProfile:
-    """Closed-form lens index; the metric's profile object.
-
-    ``n = s^2`` with Cardano's root ``s = u - 1/(3u)`` of ``s^3 + s = 2/r``,
-    ``u = cbrt(1/r + sqrt(1/r^2 + 1/27))``, and ``dn/dr = 1/r'(n)`` as in
-    :func:`_exact_dn_dr`.  The same formula holds past the rim: the cubic
-    has one positive root for every ``r > 0``, and ``n(1) = 1``,
-    ``n'(1) = -1``, so the right-hand side has no jump where a ray enters
-    or leaves, and the stages of an exit step past the rim see the smooth
-    continuation.  Entry chords keep ``EXCLUSION_RADIUS`` from the origin,
-    but interior ray perigees dip far below that (roughly the cube of the
-    chord offset), so evaluation is refused only below ``r_min``.
-    """
-
-    r_min = 1e-10
-    breakpoints = np.empty(0)
-
-    def eval(self, r: float) -> tuple[float, float]:
-        """Return ``(n, dn/dr)`` at radius ``r`` (scalar)."""
-        if r < self.r_min:
-            raise SingularityError(
-                f"radius {r:.3e} below the lens index floor ({self.r_min:.3e})")
-        a = 1.0 / r
-        # The cube root as a power: math.cbrt needs Python 3.11.
-        u = (a + math.sqrt(a * a + 1.0 / 27.0)) ** (1.0 / 3.0)
-        s = u - 1.0 / (3.0 * u)
-        n = s * s
-        return n, -s * n * (n + 1.0) ** 2 / (3.0 * n + 1.0)
-
-    def eval_many(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < self.r_min):
-            raise SingularityError("radius below the lens index floor")
-        a = 1.0 / r
-        u = np.cbrt(a + np.sqrt(a * a + 1.0 / 27.0))
-        s = u - 1.0 / (3.0 * u)
-        n = s * s
-        return n, -s * n * (n + 1.0) ** 2 / (3.0 * n + 1.0)
-
-
-_PROFILE = EatonProfile()
-
-
-def eaton_metric() -> ConformalMetric:
-    """Lens metric on the unit disk, evaluated by the closed-form index.
-
-    Its exit directions match those of the flat disk, its lengths do not;
-    the pole at the origin keeps it from being simple, so lens rigidity of
-    simple metrics (Pestov-Uhlmann 2005) does not apply to it.
-    """
-    return ConformalMetric("eaton", profile=_PROFILE, name="eaton")
 
 
 def _whole_turns(turns: float) -> int:

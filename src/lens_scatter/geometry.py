@@ -205,7 +205,10 @@ class _TabulatedRadial:
         self.breakpoints = radii
         self.r_min = float(radii[0])
         self.r_max = float(radii[-1])
-        self._c = _pchip_coefficients(radii, values)
+        with np.errstate(all="ignore"):
+            self._c = _pchip_coefficients(radii, values)
+        if not np.all(np.isfinite(self._c)):
+            raise ValueError("profile knots too close or too large: non-finite interpolant")
         # Plain lists for the scalar path, which the integrator calls once
         # per RHS evaluation: float arithmetic beats numpy scalars there.
         self._bx = radii.tolist()
@@ -269,10 +272,73 @@ class _CallableRadial:
 # One shared profile, so that equal vacuum metrics compare equal.
 _VACUUM_PROFILE = _CallableRadial(lambda r: 1.0, lambda r: 0.0)
 
+
+class EatonProfile:
+    """Closed-form lens index; the metric's profile object.
+
+    ``n = s^2`` with Cardano's root ``s = u - 1/(3u)`` of ``s^3 + s = 2/r``,
+    ``u = cbrt(1/r + sqrt(1/r^2 + 1/27))``, and ``dn/dr = 1/r'(n)`` with
+    ``r(n) = 2 / (sqrt(n) (n + 1))``.  The same formula holds past the rim:
+    the cubic has one positive root for every ``r > 0``, and ``n(1) = 1``,
+    ``n'(1) = -1``, so the right-hand side has no jump where a ray enters
+    or leaves, and the stages of an exit step past the rim see the smooth
+    continuation.  Entry chords keep ``EXCLUSION_RADIUS`` from the origin,
+    but interior ray perigees dip far below that (roughly the cube of the
+    chord offset), so evaluation is refused only below ``r_min``.
+    """
+
+    r_min = 1e-10
+    breakpoints = np.empty(0)
+
+    def eval(self, r: float) -> tuple[float, float]:
+        """Return ``(n, dn/dr)`` at radius ``r`` (scalar)."""
+        if r < self.r_min:
+            raise SingularityError(
+                f"radius {r:.3e} below the lens index floor ({self.r_min:.3e})")
+        a = 1.0 / r
+        # The cube root as a power: math.cbrt needs Python 3.11.
+        u = (a + math.sqrt(a * a + 1.0 / 27.0)) ** (1.0 / 3.0)
+        s = u - 1.0 / (3.0 * u)
+        n = s * s
+        return n, -s * n * (n + 1.0) ** 2 / (3.0 * n + 1.0)
+
+    def eval_many(self, r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r < self.r_min):
+            raise SingularityError("radius below the lens index floor")
+        a = 1.0 / r
+        u = np.cbrt(a + np.sqrt(a * a + 1.0 / 27.0))
+        s = u - 1.0 / (3.0 * u)
+        n = s * s
+        return n, -s * n * (n + 1.0) ** 2 / (3.0 * n + 1.0)
+
+
+_EATON_PROFILE = EatonProfile()
+
+
+def eaton_metric() -> ConformalMetric:
+    """Lens metric on the unit disk, evaluated by the closed-form index.
+
+    Its exit directions match those of the flat disk, its lengths do not;
+    the pole at the origin keeps it from being simple, so lens rigidity of
+    simple metrics (Pestov-Uhlmann 2005) does not apply to it.
+    """
+    return ConformalMetric("eaton", profile=_EATON_PROFILE, name="eaton")
+
 # Radii whose exit data stay within step_tol of the unit disk's, scaled, at
 # every step_tol: the solver's atol and other floors are absolute lengths.
 _MIN_RADIUS = 1e-6
 _MAX_RADIUS = 1e6
+
+
+def _checked_radius(radius) -> float:
+    radius = float(radius)
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"metric radius must be positive and finite, got {radius}")
+    if not _MIN_RADIUS <= radius <= _MAX_RADIUS:
+        raise ValueError(f"metric radius must lie in [{_MIN_RADIUS:g}, {_MAX_RADIUS:g}], "
+                         f"got {radius}")
+    return radius
 
 
 @dataclass(frozen=True)
@@ -296,12 +362,7 @@ class ConformalMetric:
     def __post_init__(self):
         if self.kind not in ("vacuum", "eaton", "radial-profile", "general"):
             raise ValueError(f"unknown metric kind {self.kind!r}")
-        object.__setattr__(self, "radius", float(self.radius))
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"metric radius must be positive and finite, got {self.radius}")
-        if not _MIN_RADIUS <= self.radius <= _MAX_RADIUS:
-            raise ValueError(f"metric radius must lie in [{_MIN_RADIUS:g}, {_MAX_RADIUS:g}], "
-                             f"got {self.radius}")
+        object.__setattr__(self, "radius", _checked_radius(self.radius))
         object.__setattr__(self, "name", self.name or self.kind)
         if self.profile is None and self.field is None:
             raise ValueError("metric needs a radial profile or a general field")
@@ -322,6 +383,7 @@ class ConformalMetric:
     @classmethod
     def from_profile_knots(cls, knots, *, radius=1.0, name=None):
         """Radial metric interpolating ``[(r, n), ...]`` knots monotone-cubically."""
+        radius = _checked_radius(radius)  # before the interpolant divides by knot gaps
         knots = sorted((float(r), float(n)) for r, n in knots)
         radii = [k[0] for k in knots]
         values = [k[1] for k in knots]
@@ -894,8 +956,6 @@ def metric_from_spec(spec) -> ConformalMetric:
     if kind == "eaton":
         if radius != 1.0:
             raise ValueError("the lens profile is normalized to a unit disk")
-        from .eaton import eaton_metric
-
         return eaton_metric()
     if kind == "radial-profile":
         knots = spec.get("profile")

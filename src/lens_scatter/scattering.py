@@ -73,6 +73,15 @@ class ScatteringRecord:
     def trapped(self) -> bool:
         return self.exit is None
 
+    def rotated(self, entry) -> "ScatteringRecord":
+        """A radial metric's record moved to ``entry``, of the same angle: the
+        exit arc is the entry arc advanced by ``sweep / 2 pi``, as in :func:`scatter`."""
+        if self.trapped:
+            return ScatteringRecord(entry, None, math.inf)
+        turn = self.exit.arc - self.entry.arc if self.sweep is None else self.sweep / TWO_PI
+        return ScatteringRecord(entry, BoundaryVector(entry.arc + turn, self.exit.angle),
+                                self.tau, self.sweep)
+
 
 def scatter(metric: ConformalMetric, entry: BoundaryVector,
             opts: IntegrationOptions | None = None) -> ScatteringRecord:
@@ -107,40 +116,34 @@ def scatter(metric: ConformalMetric, entry: BoundaryVector,
     return ScatteringRecord(entry, path.exit, path.length, sweep)
 
 
-def scatter_grid(metric: ConformalMetric, entries,
-                 opts: IntegrationOptions | None = None) -> list[ScatteringRecord | None]:
-    """Scattering records of ``entries``, in order; ``None`` for pole chords.
+def per_angle(metric: ConformalMetric, entries, compute) -> list:
+    """``compute(v)`` for each of ``entries``, in order; ``None`` for pole chords.
 
-    A radial metric's exit data depend on the entry angle only, so each
-    distinct angle is scattered once, at its first entry, and the record is
-    rotated to the other entries of that angle: the exit arc is the entry
-    arc advanced by ``sweep / 2 pi``, as :func:`scatter` computes it.
-    Entries of other metrics are scattered one by one.
+    Rays of a radial metric at one entry angle are rotations of each other:
+    each angle is computed at its first entry only, and the result moved to
+    the others by its ``rotated(entry)``.  Other metrics are computed entry
+    by entry.  ``compute`` raises ``SingularChordError`` for a pole chord.
     """
-    first: dict[float, ScatteringRecord | None] = {}
-    records = []
+    first = {}
+    results = []
     for v in entries:
-        if metric.is_radial and v.angle in first:
-            records.append(_rotated(first[v.angle], v))
+        if v.angle in first:
+            done = first[v.angle]
+            results.append(None if done is None else done.rotated(v))
             continue
         try:
-            rec = scatter(metric, v, opts)
+            results.append(compute(v))
         except SingularChordError:
-            rec = None
+            results.append(None)
         if metric.is_radial:
-            first[v.angle] = rec
-        records.append(rec)
-    return records
+            first[v.angle] = results[-1]
+    return results
 
 
-def _rotated(rec: ScatteringRecord | None, v) -> ScatteringRecord | None:
-    """A radial metric's record moved to the entry ``v`` of the same angle."""
-    if rec is None:
-        return None
-    if rec.trapped:
-        return ScatteringRecord(v, None, math.inf)
-    turn = rec.exit.arc - rec.entry.arc if rec.sweep is None else rec.sweep / TWO_PI
-    return ScatteringRecord(v, BoundaryVector(v.arc + turn, rec.exit.angle), rec.tau, rec.sweep)
+def scatter_grid(metric: ConformalMetric, entries,
+                 opts: IntegrationOptions | None = None) -> list[ScatteringRecord | None]:
+    """Scattering records of ``entries`` by :func:`per_angle`; ``None`` for pole chords."""
+    return per_angle(metric, entries, lambda v: scatter(metric, v, opts))
 
 
 def boundary_grid(n_arcs: int = 16, n_angles: int = 8, *,

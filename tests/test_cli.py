@@ -480,8 +480,19 @@ def test_curve_csv_input(tmp_path, capsys):
     # The index overflows the solver's initial-step norm.
     ("scatter", ".json", '{"kind": "radial-profile", "profile": [[0, 1e150], [1, 1]]}'),
     ("trace", ".json", '{"kind": "radial-profile", "profile": [[0, 1e150], [1, 1]]}'),
+    # A subnormal knot gap overflows the interpolant's secant slopes.
+    ("scatter", ".json", '{"kind": "radial-profile", '
+                         '"profile": [[0, 1.2], [1e-320, 1.1], [1, 1]]}'),
+    ("trace", ".json", '{"kind": "radial-profile", '
+                       '"profile": [[0, 1.2], [1e-320, 1.1], [1, 1]]}'),
+    # The radius is checked before the profile is interpolated.
+    ("scatter", ".json", '{"kind": "radial-profile", "radius": 5e-324, '
+                         '"profile": [[0, 1.2], [5e-324, 1.0]]}'),
+    ("trace", ".json", '{"kind": "radial-profile", "radius": 5e-324, '
+                       '"profile": [[0, 1.2], [5e-324, 1.0]]}'),
 ], ids=["list", "string", "flat-knots", "null-knot", "null-radius", "eaton-radius",
-        "short-csv-row", "overflowing-index", "overflowing-index-trace"])
+        "short-csv-row", "overflowing-index", "overflowing-index-trace", "subnormal-gap",
+        "subnormal-gap-trace", "subnormal-radius", "subnormal-radius-trace"])
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
 def test_malformed_input_file_is_input_error(tmp_path, capsys, command, suffix, text):
     path = tmp_path / f"input{suffix}"

@@ -328,11 +328,10 @@ class TestRotatedPaths:
         metric = eaton if name == "lens" else KNOT_PROFILE
         opts = IntegrationOptions()
         grid = boundary_grid(8, 2)
-        first = {}
-        for v in grid:
-            if v.angle not in first:
-                first[v.angle] = integrate_geodesic(metric, v, opts)
-            got = first[v.angle].rotated(v)
+        paths = scattering.per_angle(metric, grid, lambda v: integrate_geodesic(metric, v, opts))
+        # Two angles: the first entry of each is traced, the others rotated.
+        assert [p.stats is not None for p in paths] == [True, True] + [False] * 14
+        for v, got in zip(grid, paths):
             want = integrate_geodesic(metric, v, opts)
             phi = 2.0 * math.pi * v.arc
             assert np.hypot(*(got.points[0] - (math.cos(phi), math.sin(phi)))) < 1e-12
@@ -341,6 +340,20 @@ class TestRotatedPaths:
             assert _arc_distance(got.exit.arc, want.exit.arc) < 10 * opts.step_tol
             assert abs(got.exit.angle - want.exit.angle) < 10 * opts.step_tol
             assert abs(got.length - want.length) < 10 * opts.step_tol
+
+    def test_general_metric_traced_per_entry(self):
+        # Bumps have no rotational symmetry: every entry is traced, none rotated.
+        traced = []
+
+        def trace(v):
+            traced.append(v)
+            return integrate_geodesic(GENTLE_BUMPS, v)
+
+        grid = boundary_grid(3, 2)
+        paths = scattering.per_angle(GENTLE_BUMPS, grid, trace)
+        assert traced == grid
+        assert [p.entry for p in paths] == grid
+        assert all(p.stats is not None for p in paths)
 
     def test_trapped_path_stays_trapped(self, vacuum):
         path = integrate_geodesic(vacuum, BoundaryVector(0.0, 1.0),

@@ -10,7 +10,7 @@ from lens_scatter import scattering
 from lens_scatter.eaton import _exact_dn_dr, eaton_index, eaton_metric
 from lens_scatter.geometry import (ConformalMetric, IntegrationOptions,
                                    SingularChordError, clairaut_orbit,
-                                   integrate_geodesic, polar_sweep)
+                                   integrate_geodesic, metric_from_spec, polar_sweep)
 from lens_scatter.scattering import (BoundaryIsometry, BoundaryVector,
                                      _arc_distance, boundary_grid,
                                      compare_scattering, length_excess,
@@ -231,6 +231,38 @@ class TestCompare:
             assert _arc_distance(got_n.exit.arc, rec_n.exit.arc) <= 1e-15
             assert got_n.exit.angle == rec_n.exit.angle
             assert excess == rec_n.tau - rec_m.tau
+
+
+class TestPerAngle:
+    def test_pole_chords_are_none_and_computed_once(self, eaton):
+        # The middle angle of three is the normal: its chords hit the pole.
+        grid = boundary_grid(3, 3)
+        computed = []
+
+        def compute(v):
+            computed.append(v)
+            return scatter(eaton, v)
+
+        records = scattering.per_angle(eaton, grid, compute)
+        assert computed == grid[:3]
+        assert [rec is None for rec in records] == [False, True, False] * 3
+
+    def test_trapped_record_rotates_trapped(self, vacuum):
+        rec = scatter(vacuum, BoundaryVector(0.1, 1.0), IntegrationOptions(max_length=0.5))
+        turned = rec.rotated(BoundaryVector(0.6, 1.0))
+        assert turned.trapped and turned.tau == math.inf and turned.sweep is None
+        assert turned.entry == BoundaryVector(0.6, 1.0)
+
+    def test_record_without_sweep_turns_by_its_exit_arc(self):
+        # A traced path too close to the origin has no sweep; the exit arc's
+        # advance over the entry arc is rotated instead.
+        rec = scattering.ScatteringRecord(BoundaryVector(0.1, 1.0), BoundaryVector(0.45, 1.2),
+                                          2.5, None)
+        turned = rec.rotated(BoundaryVector(0.3, 1.0))
+        assert turned.entry == BoundaryVector(0.3, 1.0)
+        assert turned.exit.arc == pytest.approx(0.65, abs=1e-15)
+        assert turned.exit.angle == 1.2
+        assert turned.tau == 2.5 and turned.sweep is None
 
 
 class TestLengthExcess:
@@ -529,10 +561,9 @@ class TestFirstVariation:
     ARC = 0.13
     CHIS = np.linspace(0.05, 1.5, 101)
 
-    def deviation(self, metric, opts) -> float:
+    def deviation(self, metric, opts, chis=CHIS) -> float:
         """Largest miss of the identity over the fan, at every other entry."""
-        recs = [scatter(metric, BoundaryVector(self.ARC, float(chi)), opts)
-                for chi in self.CHIS]
+        recs = [scatter(metric, BoundaryVector(self.ARC, float(chi)), opts) for chi in chis]
         tau = np.array([r.tau for r in recs])
         b = np.unwrap([r.exit.arc for r in recs], period=1.0)
         R = metric.radius
@@ -545,7 +576,7 @@ class TestFirstVariation:
             return np.concatenate(([0.0], np.cumsum(0.5 * (fs[1:] + fs[:-1]) * np.diff(bs))))
 
         # Each panel's rule is symmetric about its midpoint, so the error runs
-        # in even powers of the chi step: Richardson on 100 and 50 panels.
+        # in even powers of the chi step: Richardson on n and n / 2 panels.
         integral = (4.0 * trapezoid(1)[::2] - trapezoid(2)) / 3.0
         return float(np.max(np.abs(tau[::2] - tau[0] - integral)))
 
@@ -554,6 +585,22 @@ class TestFirstVariation:
     def test_lengths_from_exit_data(self, metric):
         opts = IntegrationOptions(step_tol=1e-7)
         assert self.deviation(metric, opts) < 5.0 * opts.step_tol
+
+    def test_seeded_knot_profile(self):
+        # A six-knot profile falling from n(0) in [1.3, 1.5] to n(1) = 1, drawn
+        # as perfbench's lens-exit workload draws it at seed 1.  Its knot
+        # circles put kinks in the exit data, so the fan needs 401 entries
+        # (400 panels) to come within the bound.
+        rng = np.random.default_rng(1)
+        n0 = 1.0 + rng.uniform(0.3, 0.5)
+        drops = np.cumsum(rng.uniform(0.5, 1.0, 5))
+        knots = [[0.2 * k, float(n0 - (n0 - 1.0) * (drops[k - 1] / drops[-1] if k else 0.0))]
+                 for k in range(6)]
+        knots[-1][1] = 1.0
+        metric = metric_from_spec({"kind": "radial-profile", "profile": knots})
+        opts = IntegrationOptions(step_tol=1e-7)
+        chis = np.linspace(0.05, 1.5, 401)
+        assert self.deviation(metric, opts, chis) < 5.0 * opts.step_tol
 
     def test_lens_anchor_is_the_circuit(self, eaton):
         # Grazing rays of a simple metric have tau -> 0, which fixes the
