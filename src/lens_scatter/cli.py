@@ -1,7 +1,8 @@
 """Command-line front end: tracing, comparison, invariants, PL reports, SVG.
 
-All JSON reports carry a ``schema_version`` field, are written with sorted
-keys, and are byte-identical across runs with the same arguments and seed.
+All JSON reports carry ``schema_version`` and ``command`` fields, are written
+with sorted keys, and are byte-identical across runs with the same arguments
+and seed.
 Exit codes: 0 success, 1 failed assertion (e.g. ``--expect-equal`` with
 unequal data), 2 bad input.
 """
@@ -14,7 +15,6 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,22 +27,22 @@ from .svg import render_annulus, render_rays
 
 # The commands that trace or scatter import the geometry side's names when
 # they run, so the knot-side commands never load it.
-if TYPE_CHECKING:
-    from .geometry import IntegrationOptions
-    from .scattering import BoundaryVector
 
 SCHEMA_VERSION = 1
 
 
-def _write_json(obj, path) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if path is None or path == "-":
+def _write_report(args, fields: dict) -> None:
+    """Write ``fields`` under the report header as sorted-key JSON, to
+    stdout for ``--out -`` and to the ``--out`` file otherwise."""
+    report = {"schema_version": SCHEMA_VERSION, "command": args.command, **fields}
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        Path(args.out).write_text(text)
 
 
-def _parse_grid(text: str) -> list[BoundaryVector]:
+def _parse_grid(text: str) -> list:
     from .scattering import boundary_grid
 
     try:
@@ -62,7 +62,7 @@ def _parse_grid(text: str) -> list[BoundaryVector]:
     return boundary_grid(n_arcs, n_angles)
 
 
-def _parallel_fan(count: int) -> list[BoundaryVector]:
+def _parallel_fan(count: int) -> list:
     """Entries of a family of ``count`` parallel rays across the disk."""
     from .scattering import BoundaryVector
 
@@ -84,20 +84,15 @@ def _drop_pole_chords(results, command: str, what: str) -> list:
     return kept
 
 
-def _integration_options(args) -> IntegrationOptions:
-    from .geometry import IntegrationOptions
-
-    return IntegrationOptions(step_tol=args.step_tol)
-
-
 def _cmd_trace(args) -> int:
     from .eaton import loop_winding
-    from .geometry import NonIntegralWindingError, integrate_geodesic, load_metric
+    from .geometry import (IntegrationOptions, NonIntegralWindingError,
+                           integrate_geodesic, load_metric)
     from .scattering import BoundaryVector
 
     metric = load_metric(args.metric)
     entry = BoundaryVector(args.arc, args.angle)
-    path = integrate_geodesic(metric, entry, _integration_options(args))
+    path = integrate_geodesic(metric, entry, IntegrationOptions(step_tol=args.step_tol))
     # Every stride-th sample, and the last one (the exit) wherever it falls.
     last = len(path.points) - 1
     keep = [*range(0, last, args.stride), last]
@@ -106,9 +101,7 @@ def _cmd_trace(args) -> int:
     except (ValueError, NonIntegralWindingError):
         # A path through the origin has no polar-angle lift.
         winding = None
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "trace",
+    _write_report(args, {
         "metric": metric.name,
         "entry": {"arc": entry.arc, "angle": entry.angle},
         "trapped": path.trapped,
@@ -117,36 +110,32 @@ def _cmd_trace(args) -> int:
                                            "angle": path.exit.angle},
         "winding": winding,
         "samples": [[round(x, 9), round(y, 9)] for x, y in path.points[keep]],
-    }
-    _write_json(report, args.out)
+    })
     if args.emit_svg:
         render_rays([path], args.emit_svg, radius=metric.radius)
     return 0
 
 
 def _cmd_scatter(args) -> int:
-    from .geometry import load_metric
+    from .geometry import IntegrationOptions, load_metric
     from .scattering import BoundaryVector, scatter
 
     metric = load_metric(args.metric)
     rec = scatter(metric, BoundaryVector(args.arc, args.angle),
-                  _integration_options(args))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "scatter",
+                  IntegrationOptions(step_tol=args.step_tol))
+    _write_report(args, {
         "metric": metric.name,
         "entry": {"arc": rec.entry.arc, "angle": rec.entry.angle},
         "trapped": rec.trapped,
         "exit": None if rec.trapped else {"arc": rec.exit.arc,
                                           "angle": rec.exit.angle},
         "tau": None if rec.trapped else rec.tau,
-    }
-    _write_json(report, args.out)
+    })
     return 0
 
 
 def _cmd_compare(args) -> int:
-    from .geometry import load_metric
+    from .geometry import IntegrationOptions, load_metric
     from .scattering import BoundaryIsometry, compare_scattering
 
     metric_m = load_metric(args.m1)
@@ -154,10 +143,8 @@ def _cmd_compare(args) -> int:
     rep = compare_scattering(metric_m, metric_n,
                              BoundaryIsometry(args.h_shift, args.h_reflect),
                              _parse_grid(args.grid), args.tol,
-                             _integration_options(args))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "compare",
+                             IntegrationOptions(step_tol=args.step_tol))
+    _write_report(args, {
         "m1": metric_m.name,
         "m2": metric_n.name,
         "grid": args.grid,
@@ -169,8 +156,7 @@ def _cmd_compare(args) -> int:
         "excluded": rep.excluded,
         "mean_excess": rep.mean_excess,
         "excess_dev": rep.max_abs_dev,
-    }
-    _write_json(report, args.out)
+    })
     if args.expect_equal and not rep.equal:
         print("compare: metrics are NOT scattering-equal", file=sys.stderr)
         return 1
@@ -179,11 +165,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_eaton(args) -> int:
     from .eaton import eaton_metric, invisibility_check
-    from .geometry import integrate_geodesic
+    from .geometry import IntegrationOptions, integrate_geodesic
     from .scattering import per_angle
 
     metric = eaton_metric()
-    opts = _integration_options(args)
+    opts = IntegrationOptions(step_tol=args.step_tol)
     # Traced before the report is written: a fan of pole chords leaves none.
     fan = (_drop_pole_chords(per_angle(metric, _parallel_fan(args.svg_rays),
                                        lambda v: integrate_geodesic(metric, v, opts)),
@@ -192,9 +178,7 @@ def _cmd_eaton(args) -> int:
     rep = invisibility_check(_parse_grid(args.grid), args.tol, metric=metric, opts=opts)
     circuits_ok = all(abs(w) == 1 for w in rep.windings)
     passed = rep.passed if args.check == "invisibility" else circuits_ok
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "eaton",
+    _write_report(args, {
         "check": args.check,
         "grid": args.grid,
         "tol": args.tol,
@@ -205,8 +189,7 @@ def _cmd_eaton(args) -> int:
         "windings": sorted(set(rep.windings)),
         "circuits_ok": circuits_ok,
         "passed": passed,
-    }
-    _write_json(report, args.out)
+    })
     if args.emit_svg:
         render_rays(fan, args.emit_svg, radius=metric.radius)
     return 0 if passed else 1
@@ -216,9 +199,7 @@ def _cmd_invariant(args) -> int:
     loop = TangentLoop(named_curve(args.curve), args.samples)
     analysis = analyze_loop(loop)
     cert = analysis.certificate
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "invariant",
+    _write_report(args, {
         "curve": args.curve,
         "windings": {"turning": loop.lifted.turning_number,
                      "line": analysis.line_winding},
@@ -231,8 +212,7 @@ def _cmd_invariant(args) -> int:
                                      if analysis.table else [])},
         "certificate": {"kind": cert.kind, "g": cert.g,
                         "line_winding": cert.line_winding},
-    }
-    _write_json(report, args.out)
+    })
     if args.emit_svg:
         render_annulus(projectivize(loop.lifted), args.emit_svg)
     return 0
@@ -269,11 +249,11 @@ def _cmd_render(args) -> int:
         curve = named_curve(args.curve)
         render_annulus(projectivize(unit_tangent_lift(curve, args.samples)), args.out)
         return 0
-    from .geometry import integrate_geodesic, load_metric
+    from .geometry import IntegrationOptions, integrate_geodesic, load_metric
     from .scattering import per_angle
 
     metric = load_metric(args.metric)
-    opts = _integration_options(args)
+    opts = IntegrationOptions(step_tol=args.step_tol)
     paths = per_angle(metric, _parse_grid(args.grid),
                       lambda v: integrate_geodesic(metric, v, opts))
     render_rays(_drop_pole_chords(paths, "render", "grid entry"), args.out,

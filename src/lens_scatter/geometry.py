@@ -383,8 +383,10 @@ class ConformalMetric:
     @classmethod
     def from_profile_knots(cls, knots, *, radius=1.0, name=None):
         """Radial metric interpolating ``[(r, n), ...]`` knots monotone-cubically."""
-        radius = _checked_radius(radius)  # before the interpolant divides by knot gaps
         knots = sorted((float(r), float(n)) for r, n in knots)
+        if not knots:
+            raise ValueError("radial-profile metric needs profile knots")
+        radius = _checked_radius(radius)  # before the interpolant divides by knot gaps
         radii = [k[0] for k in knots]
         values = [k[1] for k in knots]
         if radii[0] > 0.0:
@@ -422,29 +424,24 @@ class ConformalMetric:
         if self.is_radial:
             ev = self.profile.eval
 
-            def rhs(s, y):
-                x, yy, th = y[0], y[1], y[2]
-                r = math.hypot(x, yy)
+            def field(x, y):
+                # grad n = n'(r) (x, y) / r, zero at the origin.
+                r = math.hypot(x, y)
                 n, dn = ev(r)
-                c = math.cos(th)
-                sn = math.sin(th)
                 if r > 0.0 and dn != 0.0:
                     g = dn / r
-                    dth = (g * yy * c - g * x * sn) / n
-                else:
-                    dth = 0.0
-                return (c, sn, dth, n)
+                    return n, g * x, g * y
+                return n, 0.0, 0.0
+        else:
+            n_xy, grad = self.field
 
-            return rhs
-
-        n_xy, grad = self.field
+            def field(x, y):
+                return float(n_xy(x, y)), *grad(x, y)
 
         def rhs(s, y):
-            x, yy, th = y[0], y[1], y[2]
-            n = float(n_xy(x, yy))
-            gx, gy = grad(x, yy)
-            c = math.cos(th)
-            sn = math.sin(th)
+            n, gx, gy = field(y[0], y[1])
+            c = math.cos(y[2])
+            sn = math.sin(y[2])
             return (c, sn, (gy * c - gx * sn) / n, n)
 
         return rhs
@@ -637,32 +634,26 @@ _G7_WEIGHTS = np.array(_WG[:-1] + _WG[::-1])
 _GK_RULES = np.column_stack([_GK_WEIGHTS, _G7_WEIGHTS])
 
 
-def _gk15(integrands, panels):
-    """G7K15 estimates of every integrand over each ``(a, b)`` panel.
+def _gk15(integrands, lo, hi):
+    """G7K15 estimates of every integrand over the panels ``[lo[i], hi[i]]``.
 
     ``integrands(u)`` maps a 1-d array of nodes to an ``(m, len(u))`` array
-    of ``m`` integrands, and is called once.  Returns one
-    ``(a, b, integrals, errors)`` per panel, the ``m`` errors scaled as
+    of ``m`` integrands, and is called once.  Returns the ``(k, m)`` arrays
+    of integrals and errors of the ``k`` panels, the errors scaled as
     QUADPACK's ``qk15`` scales them.
     """
-    a = np.array([panel[0] for panel in panels])
-    half = 0.5 * (np.array([panel[1] for panel in panels]) - a)
-    f = integrands(((a + half)[:, None] + half[:, None] * _GK_NODES).ravel())
-    f = f.reshape(len(f), len(panels), len(_GK_NODES))
+    half = 0.5 * (hi - lo)
+    f = integrands(((lo + half)[:, None] + half[:, None] * _GK_NODES).ravel())
+    f = f.reshape(len(f), len(lo), len(_GK_NODES))
     sums = f @ _GK_RULES
-    spreads = (np.abs(f - 0.5 * sums[..., :1]) @ _GK_WEIGHTS).T.tolist()
-    out = []
-    for (lo, hi), h, rules, spread in zip(panels, half.tolist(),
-                                          sums.transpose(1, 0, 2).tolist(), spreads):
-        vals, errs = [], []
-        for (kronrod, gauss), asc in zip(rules, spread):
-            err, asc = abs((kronrod - gauss) * h), asc * h
-            if asc != 0.0 and err != 0.0:
-                err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
-            vals.append(kronrod * h)
-            errs.append(err)
-        out.append((lo, hi, vals, errs))
-    return out
+    h = half[:, None]
+    err = np.abs((sums[..., 0] - sums[..., 1]).T * h)
+    asc = (np.abs(f - 0.5 * sums[..., :1]) @ _GK_WEIGHTS).T * h
+    # The power by Python floats: numpy's vector pow may round differently,
+    # and the errors decide which panel the adaptive pass halves.
+    err = [a * min(1.0, (200.0 * e / a) ** 1.5) if a != 0.0 and e != 0.0 else e
+           for e, a in zip(err.ravel().tolist(), asc.ravel().tolist())]
+    return sums[..., 0].T * h, np.reshape(err, asc.shape)
 
 
 def _adaptive_gk15(integrands, edges, tol: float, limit: int):
@@ -674,22 +665,24 @@ def _adaptive_gk15(integrands, edges, tol: float, limit: int):
     Returns ``None`` when that would take more than ``limit`` panels, a
     panel can no longer be halved, or a value is not finite.
     """
-    panels = _gk15(integrands, list(zip(edges[:-1], edges[1:])))
+    edges = np.asarray(edges, dtype=float)
+    vals, errs = _gk15(integrands, edges[:-1], edges[1:])
     while True:
-        totals = [math.fsum(col) for col in zip(*(panel[2] for panel in panels))]
+        totals = [math.fsum(col) for col in vals.T.tolist()]
         if not all(math.isfinite(t) for t in totals):
             return None
         targets = [max(tol, tol * abs(t)) for t in totals]
-        if all(sum(col) <= target
-               for col, target in zip(zip(*(panel[3] for panel in panels)), targets)):
+        # Summed left to right, as the panels lie.
+        if all(sum(col) <= target for col, target in zip(errs.T.tolist(), targets)):
             return totals
-        i = max(range(len(panels)),
-                key=lambda k: max(e / t for e, t in zip(panels[k][3], targets)))
-        lo, hi = panels[i][:2]
-        mid = 0.5 * (lo + hi)
-        if len(panels) >= limit or not lo < mid < hi:
+        i = int(np.argmax(np.max(errs / targets, axis=1)))
+        mid = 0.5 * (edges[i] + edges[i + 1])
+        if len(vals) >= limit or not edges[i] < mid < edges[i + 1]:
             return None
-        panels[i:i + 1] = _gk15(integrands, [(lo, mid), (mid, hi)])
+        edges = np.concatenate([edges[:i + 1], [mid], edges[i + 1:]])
+        v, e = _gk15(integrands, edges[i:i + 2], edges[i + 1:i + 3])
+        vals = np.concatenate([vals[:i], v, vals[i + 1:]])
+        errs = np.concatenate([errs[:i], e, errs[i + 1:]])
 
 
 def clairaut_orbit(metric: ConformalMetric, impact: float,
@@ -900,16 +893,9 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
     return GeodesicPath(points, ys[2], lengths, entry, exit_vec, stats)
 
 
-# The 5-point Gauss-Legendre rule on [-1, 1], exact to degree 9.
-_GL_NODES = np.array([-0.906179845938663992797626878299393, -0.538469310105683091036314420700209,
-                      0.0, 0.538469310105683091036314420700209, 0.906179845938663992797626878299393])
-_GL_WEIGHTS = np.array([0.236926885056189087514264040719917, 0.478628670499366468041291514835638,
-                        0.568888888888888888888888888888889, 0.478628670499366468041291514835638,
-                        0.236926885056189087514264040719917])
-
-
 def riemannian_length(metric: ConformalMetric, points) -> float:
-    """Metric length of a polyline via per-segment Gauss-Legendre quadrature.
+    """Metric length of a polyline by the 7-point Gauss rule of the G7K15
+    table on every segment.
 
     Converges at the quadrature order under refinement of the polyline.
     Raises :class:`SingularityError` if a segment passes through the
@@ -922,14 +908,15 @@ def riemannian_length(metric: ConformalMetric, points) -> float:
     d = pts[1:] - a
     seg_len = np.hypot(d[:, 0], d[:, 1])
     # Quadrature nodes along every segment, evaluated in one vector call.
-    u = 0.5 * (_GL_NODES + 1.0)
+    gauss = _G7_WEIGHTS != 0.0
+    u = 0.5 * (_GK_NODES[gauss] + 1.0)
     nodes = a[:, None, :] + u[None, :, None] * d[:, None, :]
     if metric.singular_at_origin:
         r = np.hypot(nodes[..., 0], nodes[..., 1])
         if np.min(r) < EXCLUSION_RADIUS:
             raise SingularityError("polyline passes through the singular origin")
     n_vals = metric.n_many(nodes.reshape(-1, 2)).reshape(nodes.shape[:2])
-    return float(np.sum(seg_len * 0.5 * (n_vals @ _GL_WEIGHTS)))
+    return float(np.sum(seg_len * 0.5 * (n_vals @ _G7_WEIGHTS[gauss])))
 
 
 def _spec_number(value, what: str) -> float:
@@ -958,9 +945,7 @@ def metric_from_spec(spec) -> ConformalMetric:
             raise ValueError("the lens profile is normalized to a unit disk")
         return eaton_metric()
     if kind == "radial-profile":
-        knots = spec.get("profile")
-        if not knots:
-            raise ValueError("radial-profile metric needs profile knots")
+        knots = spec.get("profile") or []
         if not (isinstance(knots, list)
                 and all(isinstance(k, list) and len(k) == 2 for k in knots)):
             raise ValueError(f"profile knots must be [r, n] pairs, got {json.dumps(knots)}")

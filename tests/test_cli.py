@@ -419,6 +419,30 @@ class TestTraceCommand:
         assert rep["exit"]["arc"] == pytest.approx(1e-3 / math.pi, abs=1e-9)
 
 
+REPORTS = {
+    "trace": ["trace", "--metric", "eaton", "--arc", "0.2", "--angle", "1.0"],
+    "scatter": ["scatter", "--metric", "vacuum", "--arc", "0.1", "--angle", "1.2"],
+    "compare": ["compare", "--m1", "vacuum", "--m2", "eaton", "--grid", "4x2"],
+    "eaton": ["eaton", "--grid", "4x2"],
+    "invariant": ["invariant", "--curve", "circle"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORTS))
+def test_report_header_and_out_file(command, tmp_path, capsys):
+    # One writer serves every JSON report: the same header, and --out gets
+    # exactly the bytes stdout gets.
+    code, out = run(REPORTS[command], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["schema_version"] == 1
+    assert rep["command"] == command
+    path = tmp_path / "report.json"
+    assert main(REPORTS[command] + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+
+
 class TestDeterminism:
     def test_invariant_reports_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -434,7 +434,7 @@ class TestRiemannianLength:
 
     def test_nodes_exact_on_straight_segments(self):
         # n = 1.3 - 0.3 r^2 is quadratic along any straight segment, so the
-        # 5-point Gauss rule integrates it exactly; only polyline geometry
+        # 7-point Gauss rule integrates it exactly; only polyline geometry
         # can contribute error.
         a = np.array([0.1, -0.2])
         b = np.array([0.6, 0.5])
@@ -485,6 +485,20 @@ class TestMetricSpecs:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             metric_from_spec({"kind": "hyperbolic"})
+
+    @pytest.mark.parametrize("knots", [[], iter([])], ids=["list", "iterator"])
+    @pytest.mark.parametrize("radius", [1.0, -1.0])
+    def test_profile_needs_knots(self, knots, radius):
+        # The missing knots are named even when the radius is also bad.
+        with pytest.raises(ValueError, match="^radial-profile metric needs profile knots$"):
+            ConformalMetric.from_profile_knots(knots, radius=radius)
+
+    @pytest.mark.parametrize("spec", [{}, {"profile": None}, {"profile": []},
+                                      {"profile": [], "radius": -1.0}],
+                             ids=["missing", "null", "empty", "empty-bad-radius"])
+    def test_spec_profile_needs_knots(self, spec):
+        with pytest.raises(ValueError, match="^radial-profile metric needs profile knots$"):
+            metric_from_spec({"kind": "radial-profile", **spec})
 
     def test_load_metric_file(self, tmp_path):
         spec = {"kind": "radial-profile", "radius": 1.0,

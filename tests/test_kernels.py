@@ -133,11 +133,6 @@ class TestGaussKronrod:
         np.testing.assert_allclose(geometry._GK_NODES[gauss], nodes, rtol=0, atol=1e-15)
         np.testing.assert_allclose(geometry._G7_WEIGHTS[gauss], weights, rtol=0, atol=1e-15)
 
-    def test_five_point_gauss_is_legendre(self):
-        nodes, weights = np.polynomial.legendre.leggauss(5)
-        np.testing.assert_allclose(geometry._GL_NODES, nodes, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(geometry._GL_WEIGHTS, weights, rtol=0, atol=1e-15)
-
     @pytest.mark.parametrize("degree", range(23))
     def test_kronrod_integrates_monomials_exactly(self, degree):
         exact = 0.0 if degree % 2 else 2.0 / (degree + 1)

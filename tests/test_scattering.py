@@ -586,6 +586,14 @@ class TestFirstVariation:
         opts = IntegrationOptions(step_tol=1e-7)
         assert self.deviation(metric, opts) < 5.0 * opts.step_tol
 
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_seeded_bumps(self, seed):
+        # Two ODE-traced bumps with |a| <= 0.3.  Seed 3's lengths bend fast
+        # enough in chi that 101 entries miss by 8.5 step_tol; 201 suffice.
+        opts = IntegrationOptions(step_tol=1e-7)
+        chis = np.linspace(0.05, 1.5, 201)
+        assert self.deviation(_seeded_bumps(seed), opts, chis) < 5.0 * opts.step_tol
+
     def test_seeded_knot_profile(self):
         # A six-knot profile falling from n(0) in [1.3, 1.5] to n(1) = 1, drawn
         # as perfbench's lens-exit workload draws it at seed 1.  Its knot
