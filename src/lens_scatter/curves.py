@@ -6,7 +6,9 @@ Curves are parametrized over ``t in [0, 1)`` and evaluated through vectorized
 double point at the origin), ``rose-k`` (k petals with k simple crossings
 near the center, e.g. ``rose-3``).  Every curve is closed.  The builtins
 are :class:`TrigCurve` coefficient tables, so their velocities are derived
-from the coefficients like those of any trigonometric polynomial.
+from the coefficients like those of any trigonometric polynomial, in sums
+that do not go through BLAS.  A CSV file gives the samples at ``t = i / m``
+of a periodic cubic spline (:func:`load_curve_csv`).
 """
 
 from __future__ import annotations
@@ -73,32 +75,37 @@ class TrigCurve(ParametricCurve):
     """Closed trigonometric polynomial curve, kept perturbable via its coefficients.
 
     ``coeffs`` has shape (4, degree): rows are cos/sin coefficients of x then
-    y, harmonic m = 1..degree.
+    y, harmonic m = 1..degree; it is read-only.  Point and velocity evaluate
+    one series, the basis ``cos 2 pi m t``, ``sin 2 pi m t`` contracted with
+    a ``(2 degree, 2)`` table term after term, without BLAS: a value is the
+    same bits whether asked for alone or in a batch, on any BLAS kernel.
     """
 
     def __init__(self, coeffs, *, name="trig-curve"):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        if self.coeffs.ndim != 2 or self.coeffs.shape[0] != 4:
+        coeffs = np.array(coeffs, dtype=float)
+        if coeffs.ndim != 2 or coeffs.shape[0] != 4:
             raise ValueError("coeffs must have shape (4, degree)")
-        degree = self.coeffs.shape[1]
-        harmonics = np.arange(1, degree + 1)
+        coeffs.flags.writeable = False
+        self.coeffs = coeffs
+        harmonics = np.arange(1, coeffs.shape[1] + 1)
+        cos_xy, sin_xy = coeffs[0::2].T, coeffs[1::2].T
+        # d/dt (a cos u + b sin u) = 2 pi m (b cos u - a sin u), u = 2 pi m t.
+        rate = TWO_PI * harmonics[:, None]
+        point_table = np.concatenate([cos_xy, sin_xy])
+        velocity_table = np.concatenate([sin_xy * rate, -cos_xy * rate])
 
-        def p(t):
-            u = TWO_PI * np.asarray(t, dtype=float)[..., None] * harmonics
-            c, s = np.cos(u), np.sin(u)
-            x = c @ self.coeffs[0] + s @ self.coeffs[1]
-            y = c @ self.coeffs[2] + s @ self.coeffs[3]
-            return x, y
+        # einsum adds term after term into each output for this (2 degree, 2)
+        # layout; a contiguous coefficient row would take its unrolled SIMD
+        # sum instead.
+        def series(table):
+            def evaluate(t):
+                u = TWO_PI * np.asarray(t, dtype=float)[..., None] * harmonics
+                basis = np.concatenate([np.cos(u), np.sin(u)], axis=-1)
+                xy = np.einsum("...j,jk->...k", basis, table)
+                return xy[..., 0], xy[..., 1]
+            return evaluate
 
-        def v(t):
-            u = TWO_PI * np.asarray(t, dtype=float)[..., None] * harmonics
-            w = TWO_PI * harmonics
-            c, s = np.cos(u), np.sin(u)
-            x = -(s * w) @ self.coeffs[0] + (c * w) @ self.coeffs[1]
-            y = -(s * w) @ self.coeffs[2] + (c * w) @ self.coeffs[3]
-            return x, y
-
-        super().__init__(p, v, name=name)
+        super().__init__(series(point_table), series(velocity_table), name=name)
 
     def perturbed(self, delta) -> "TrigCurve":
         return TrigCurve(self.coeffs + np.asarray(delta, dtype=float),
@@ -146,10 +153,18 @@ def from_samples(points, *, name="sampled-curve") -> ParametricCurve:
     return ParametricCurve(p, v, name=name)
 
 
-def load_curve_csv(path) -> ParametricCurve:
-    """Read ``t,x,y`` rows (t uniform over [0,1)) of a closed curve and spline them.
+CSV_T_TOL = 1e-9
 
-    A row without exactly three finite numbers raises ``ValueError``.
+
+def load_curve_csv(path) -> ParametricCurve:
+    """Read ``t,x,y`` rows of a closed curve and spline them.
+
+    The ``m`` rows, in any order, must sample the uniform parameters
+    ``t = i / m`` for ``i = 0 .. m - 1``, each within ``CSV_T_TOL``: a ``t``
+    outside ``[0, 1)`` (such as a closing row at ``t = 1`` that repeats the
+    first point), a repeated ``t`` or a non-uniform one raises
+    ``ValueError`` naming its line, and so does a row without exactly three
+    finite numbers.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -162,9 +177,19 @@ def load_curve_csv(path) -> ParametricCurve:
                 t = x = y = math.nan
             if not all(math.isfinite(v) for v in (t, x, y)):
                 raise ValueError(f"{path}:{line}: expected finite t,x,y, got {','.join(row)!r}")
-            rows.append((t, x, y))
+            if not 0.0 <= t < 1.0:
+                raise ValueError(f"{path}:{line}: t = {t!r} lies outside [0, 1)")
+            rows.append((t, line, x, y))
     rows.sort()
-    pts = np.array([(x, y) for _, x, y in rows])
+    for (t0, line0, _, _), (t, line, _, _) in zip(rows, rows[1:]):
+        if t == t0:
+            raise ValueError(f"{path}:{line}: t = {t!r} repeats line {line0}")
+    m = len(rows)
+    for i, (t, line, _, _) in enumerate(rows):
+        if abs(t - i / m) > CSV_T_TOL:
+            raise ValueError(f"{path}:{line}: t = {t!r} is not {i}/{m}: the {m} rows "
+                             f"must sit at t = i/{m} within {CSV_T_TOL:g}")
+    pts = np.array([(x, y) for _, _, x, y in rows])
     return from_samples(pts, name=Path(path).stem)
 
 

@@ -42,11 +42,12 @@ def corpus():
     return random_corpus(20, seed=42)
 
 
-def run_python(code: str, cwd) -> str:
+def run_python(code: str, cwd, env=None) -> str:
     """Run ``code`` in a fresh interpreter that imports this checkout's
-    package; returns its standard output."""
+    package, with the variables of ``env`` added to its environment;
+    returns its standard output."""
     src = str(Path(lens_scatter.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True)

@@ -479,18 +479,24 @@ def test_version_flag(capsys):
     assert "lens-scatter" in capsys.readouterr().out
 
 
+# The corners of a square at t = i/4.  Rows may come in any order.
+SQUARE_CSV = "t,x,y\n0,0.5,0.5\n0.5,-0.5,-0.5\n0.25,-0.5,0.5\n0.75,0.5,-0.5\n"
+CIRCLE_CSV = "t,x,y\n" + "".join(
+    f"{i / 64},{0.6 * math.cos(2 * math.pi * i / 64)},{0.6 * math.sin(2 * math.pi * i / 64)}\n"
+    for i in range(64))
+
+
 def test_curve_csv_input(tmp_path, capsys):
-    ts = [i / 64 for i in range(64)]
-    rows = ["t,x,y"] + [f"{t},{0.6 * math.cos(2 * math.pi * t)},"
-                        f"{0.6 * math.sin(2 * math.pi * t)}" for t in ts]
-    path = tmp_path / "loop.csv"
-    path.write_text("\n".join(rows) + "\n")
-    code = main(["invariant", "--curve", str(path), "--samples", "256",
-                 "--out", str(tmp_path / "t.json")])
-    assert code == 0
-    rep = json.loads((tmp_path / "t.json").read_text())
-    assert rep["windings"] == {"turning": 1, "line": 2}
-    assert rep["certificate"]["kind"] == "non_contractible"
+    for text in (CIRCLE_CSV, SQUARE_CSV):
+        path = tmp_path / "loop.csv"
+        path.write_text(text)
+        code = main(["invariant", "--curve", str(path), "--samples", "256",
+                     "--out", str(tmp_path / "t.json")])
+        assert code == 0
+        rep = json.loads((tmp_path / "t.json").read_text())
+        assert rep["windings"] == {"turning": 1, "line": 2}
+        assert rep["certificate"]["kind"] == "non_contractible"
+        assert rep["crossings"] == []
 
 
 @pytest.mark.parametrize("command,suffix,text", [
@@ -501,6 +507,12 @@ def test_curve_csv_input(tmp_path, capsys):
     ("scatter", ".json", '{"kind": "vacuum", "radius": null}'),
     ("scatter", ".json", '{"kind": "eaton", "radius": 2}'),
     ("invariant", ".csv", "t,x,y\n0.0,1\n"),
+    # The square of test_curve_csv_input with a closing row at t = 1 (its
+    # spline would pass the first corner twice), with a repeated t, and with
+    # a non-uniform t.
+    ("invariant", ".csv", SQUARE_CSV + "1.0,0.5,0.5\n"),
+    ("invariant", ".csv", SQUARE_CSV + "0.25,-0.5,0.5\n"),
+    ("invariant", ".csv", SQUARE_CSV.replace("0.25,", "0.1,")),
     # The index overflows the solver's initial-step norm.
     ("scatter", ".json", '{"kind": "radial-profile", "profile": [[0, 1e150], [1, 1]]}'),
     ("trace", ".json", '{"kind": "radial-profile", "profile": [[0, 1e150], [1, 1]]}'),
@@ -515,7 +527,8 @@ def test_curve_csv_input(tmp_path, capsys):
     ("trace", ".json", '{"kind": "radial-profile", "radius": 5e-324, '
                        '"profile": [[0, 1.2], [5e-324, 1.0]]}'),
 ], ids=["list", "string", "flat-knots", "null-knot", "null-radius", "eaton-radius",
-        "short-csv-row", "overflowing-index", "overflowing-index-trace", "subnormal-gap",
+        "short-csv-row", "csv-closing-row", "csv-repeated-t", "csv-nonuniform-t",
+        "overflowing-index", "overflowing-index-trace", "subnormal-gap",
         "subnormal-gap-trace", "subnormal-radius", "subnormal-radius-trace"])
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
 def test_malformed_input_file_is_input_error(tmp_path, capsys, command, suffix, text):

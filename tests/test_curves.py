@@ -1,0 +1,112 @@
+"""TrigCurve's series: one value per parameter, whatever the batch and the
+CPU's BLAS or SIMD kernels, and read-only coefficients."""
+
+import hashlib
+import math
+import platform
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lens_scatter.curves import TrigCurve, circle, lemniscate, rose
+
+TESTS = Path(__file__).resolve().parent
+
+
+def trig_curves():
+    """The builtins and seeded curves of degree 1..12."""
+    curves = [circle(), lemniscate()] + [rose(k) for k in range(2, 12)]
+    for degree in range(1, 13):
+        # Coefficients decay like 1/m.  Not knot.perturbation_deltas: its
+        # m ** -1.5 goes through numpy's SIMD power, whose last bits depend
+        # on the CPU from about eight harmonics on.
+        rng = np.random.default_rng(degree)
+        coeffs = rng.normal(size=(4, degree)) / np.arange(1, degree + 1)
+        curves.append(TrigCurve(coeffs, name=f"seeded-{degree}"))
+    return curves
+
+
+def parameters():
+    """777 grid parameters and 300 random ones, some outside [0, 1)."""
+    rng = np.random.default_rng(777)
+    return np.concatenate([np.arange(777) / 777, rng.uniform(-2.0, 3.0, 300)])
+
+
+@pytest.mark.parametrize("curve", trig_curves(), ids=lambda c: c.name)
+@pytest.mark.parametrize("which", ["point", "velocity"])
+def test_scalar_and_batched_values_agree(curve, which):
+    evaluate = getattr(curve, which)
+    ts = parameters()
+    batched = evaluate(ts)
+    scalar = np.array([evaluate(t) for t in ts])
+    assert batched.shape == scalar.shape == (len(ts), 2)
+    assert np.array_equal(batched, scalar)
+    # A 2-D batch and a single-parameter batch read the same values.
+    assert np.array_equal(evaluate(ts[:770].reshape(70, 11)), scalar[:770].reshape(70, 11, 2))
+    assert np.array_equal(evaluate(ts[:1]), scalar[:1])
+
+
+@pytest.mark.parametrize("curve", trig_curves()[::5], ids=lambda c: c.name)
+def test_series_matches_exact_sum(curve):
+    # The reference sums the terms exactly (math.fsum), at the series' own
+    # angles (2 pi t) m: the series must lie within a few ulps of the
+    # largest term.
+    m = np.arange(1, curve.coeffs.shape[1] + 1)
+    for t in (0.0, 0.1234, 0.5, 0.999, -1.75):
+        cos = np.array([math.cos(2 * math.pi * t * k) for k in m])
+        sin = np.array([math.sin(2 * math.pi * t * k) for k in m])
+        for axis, (a, b) in enumerate((curve.coeffs[:2], curve.coeffs[2:])):
+            for got, terms in ((curve.point(t)[axis], [a * cos, b * sin]),
+                               (curve.velocity(t)[axis],
+                                [2 * math.pi * m * b * cos, -2 * math.pi * m * a * sin])):
+                terms = np.concatenate(terms)
+                assert abs(got - math.fsum(terms)) <= 64 * np.spacing(np.max(np.abs(terms)))
+
+
+def test_coeffs_are_read_only():
+    given = np.array([[0.9, 0.1], [0.0, 0.0], [0.0, 0.0], [0.9, 0.0]])
+    curve = TrigCurve(given)
+    with pytest.raises(ValueError, match="read-only"):
+        curve.coeffs[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        curve.coeffs += 1.0
+    # The curve keeps its own copy; the caller's array stays writable.
+    given[0, 0] = 0.5
+    assert curve.coeffs[0, 0] == 0.9
+    assert curve.perturbed(np.full((4, 2), 0.1)).coeffs[0, 0] == 1.0
+
+
+def digest() -> str:
+    """sha256 of the curves' batched values and of some scalar velocities."""
+    h = hashlib.sha256()
+    ts = parameters()
+    for curve in trig_curves():
+        h.update(curve.point(ts).tobytes())
+        h.update(curve.velocity(ts).tobytes())
+        h.update(np.array([curve.velocity(t) for t in ts[::37]]).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the kernel names are x86-64 ones")
+@pytest.mark.parametrize("env,needs", [
+    ({"OPENBLAS_CORETYPE": "Haswell"}, ["AVX2", "FMA3"]),
+    ({"OPENBLAS_CORETYPE": "Prescott"}, []),
+    ({"NPY_DISABLE_CPU_FEATURES": "X86_V4"}, ["X86_V4"]),
+    ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3"}, ["X86_V4", "X86_V3"]),
+], ids=["Haswell", "Prescott", "no-X86_V4", "no-X86_V4-X86_V3"])
+def test_values_do_not_depend_on_cpu_kernels(tmp_path, env, needs):
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    missing = [f for f in needs if not __cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"this CPU has no {' '.join(missing)}")
+    # Imported here: a module-level import of conftest would load scipy in
+    # the probe too.
+    from conftest import run_python
+
+    probe = f"import sys; sys.path.insert(0, {str(TESTS)!r}); import test_curves; print(test_curves.digest())"
+    assert run_python(probe, tmp_path, env).strip() == digest()
