@@ -1,19 +1,22 @@
 """Immersed plane curves: builtins, CSV input, and trigonometric families.
 
 Curves are parametrized over ``t in [0, 1)`` and evaluated through vectorized
-``point``/``velocity`` callables.  The builtin names understood by
-:func:`named_curve` are ``circle``, ``lemniscate`` (a figure eight with its
-double point at the origin), ``rose-k`` (k petals with k simple crossings
-near the center, e.g. ``rose-3``).  Every curve is closed.  The builtins
-are :class:`TrigCurve` coefficient tables, so their velocities are derived
-from the coefficients like those of any trigonometric polynomial, in sums
-that do not go through BLAS.  A CSV file gives the samples at ``t = i / m``
-of a periodic cubic spline (:func:`load_curve_csv`).
+``point``/``velocity`` callables, which return one ``(..., 2)`` array.  The
+builtin names understood by :func:`named_curve` are ``circle``,
+``lemniscate`` (a figure eight with its double point at the origin),
+``rose-k`` (k petals with k simple crossings near the center, e.g.
+``rose-3``).  Every curve is closed.  The builtins are :class:`TrigCurve`
+coefficient tables, so their velocities are derived from the coefficients
+like those of any trigonometric polynomial, in sums that do not go through
+BLAS.  Curves of one degree share the ``cos``/``sin`` basis of a parameter
+array.  A CSV file gives the samples at ``t = i / m`` of a periodic cubic
+spline (:func:`load_curve_csv`).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from pathlib import Path
 
@@ -27,7 +30,12 @@ class ImmersionError(ValueError):
 
 
 class ParametricCurve:
-    """Closed plane curve with analytic velocity."""
+    """Closed plane curve with analytic velocity.
+
+    ``point_fn`` and ``velocity_fn`` take a float array of parameters of
+    any shape ``S`` and return one new ``S + (2,)`` array of ``(x, y)``
+    values, which ``point`` and ``velocity`` hand back as they are.
+    """
 
     def __init__(self, point_fn, velocity_fn, *, name="curve"):
         self._point = point_fn
@@ -35,12 +43,10 @@ class ParametricCurve:
         self.name = name
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack(self._point(t), axis=-1)
+        return self._point(np.asarray(t, dtype=float))
 
     def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack(self._velocity(t), axis=-1)
+        return self._velocity(np.asarray(t, dtype=float))
 
     def __repr__(self):
         return f"<ParametricCurve {self.name!r}>"
@@ -71,6 +77,38 @@ def rose(k: int = 3) -> TrigCurve:
     return TrigCurve(coeffs, name=f"rose-{k}")
 
 
+# Bases larger than this many parameters times degree are not kept.
+_BASIS_KEPT_SIZE = 1 << 15
+
+
+@functools.lru_cache(maxsize=8)
+def _array_basis(shape: tuple, bits: bytes, degree: int) -> np.ndarray:
+    """Read-only basis of the float array with this shape and these bytes.
+
+    Kept for the most recent arrays, so curves of one degree share it: a
+    lift's point and velocity, and all corpus candidates on one grid.
+    """
+    u = TWO_PI * np.frombuffer(bits).reshape(shape)[..., None] * np.arange(1, degree + 1)
+    basis = np.concatenate([np.cos(u), np.sin(u)], axis=-1)
+    basis.flags.writeable = False
+    return basis
+
+
+def _basis(t: np.ndarray, degree: int) -> np.ndarray:
+    """``cos 2 pi m t`` then ``sin 2 pi m t``, m = 1..degree, on a new last axis.
+
+    A single finite parameter takes ``math.cos``/``math.sin`` of the same
+    angles ``(2 pi t) m``, which give the same bits as numpy's.
+    """
+    if t.ndim == 0:
+        x = TWO_PI * float(t)
+        u = [x * m for m in range(1, degree + 1)]
+        if math.isfinite(u[-1]):
+            return np.array([*map(math.cos, u), *map(math.sin, u)])
+    kept = t.size * degree <= _BASIS_KEPT_SIZE
+    return (_array_basis if kept else _array_basis.__wrapped__)(t.shape, t.tobytes(), degree)
+
+
 class TrigCurve(ParametricCurve):
     """Closed trigonometric polynomial curve, kept perturbable via its coefficients.
 
@@ -79,6 +117,8 @@ class TrigCurve(ParametricCurve):
     one series, the basis ``cos 2 pi m t``, ``sin 2 pi m t`` contracted with
     a ``(2 degree, 2)`` table term after term, without BLAS: a value is the
     same bits whether asked for alone or in a batch, on any BLAS kernel.
+    The basis of a parameter array is built once and shared by the curves
+    of its degree.
     """
 
     def __init__(self, coeffs, *, name="trig-curve"):
@@ -87,10 +127,10 @@ class TrigCurve(ParametricCurve):
             raise ValueError("coeffs must have shape (4, degree)")
         coeffs.flags.writeable = False
         self.coeffs = coeffs
-        harmonics = np.arange(1, coeffs.shape[1] + 1)
+        degree = coeffs.shape[1]
         cos_xy, sin_xy = coeffs[0::2].T, coeffs[1::2].T
         # d/dt (a cos u + b sin u) = 2 pi m (b cos u - a sin u), u = 2 pi m t.
-        rate = TWO_PI * harmonics[:, None]
+        rate = TWO_PI * np.arange(1, degree + 1)[:, None]
         point_table = np.concatenate([cos_xy, sin_xy])
         velocity_table = np.concatenate([sin_xy * rate, -cos_xy * rate])
 
@@ -98,12 +138,7 @@ class TrigCurve(ParametricCurve):
         # layout; a contiguous coefficient row would take its unrolled SIMD
         # sum instead.
         def series(table):
-            def evaluate(t):
-                u = TWO_PI * np.asarray(t, dtype=float)[..., None] * harmonics
-                basis = np.concatenate([np.cos(u), np.sin(u)], axis=-1)
-                xy = np.einsum("...j,jk->...k", basis, table)
-                return xy[..., 0], xy[..., 1]
-            return evaluate
+            return lambda t: np.einsum("...j,jk->...k", _basis(t, degree), table)
 
         super().__init__(series(point_table), series(velocity_table), name=name)
 
@@ -142,13 +177,11 @@ def from_samples(points, *, name="sampled-curve") -> ParametricCurve:
 
     def p(t):
         i, u = interval(t)
-        xy = ((c3[i] * u + c2[i]) * u + c1[i]) * u + pts[i]
-        return xy[..., 0], xy[..., 1]
+        return ((c3[i] * u + c2[i]) * u + c1[i]) * u + pts[i]
 
     def v(t):
         i, u = interval(t)
-        xy = (3.0 * c3[i] * u + 2.0 * c2[i]) * u + c1[i]
-        return xy[..., 0], xy[..., 1]
+        return (3.0 * c3[i] * u + 2.0 * c2[i]) * u + c1[i]
 
     return ParametricCurve(p, v, name=name)
 

@@ -594,7 +594,11 @@ def random_corpus(count: int = 20, *, seed: int = 42) -> list[TrigCurve]:
 
 
 def perturbation_deltas(rng, shape, amplitude: float) -> np.ndarray:
-    """Normal coefficients with the corpus's ``m^-1.5`` harmonic decay, times ``amplitude``."""
-    degree = shape[1]
-    weights = 1.0 / np.arange(1, degree + 1) ** 1.5
+    """Normal coefficients with the corpus's ``m^-1.5`` harmonic decay, times ``amplitude``.
+
+    The weights are ``1 / (m sqrt m)``: each step is correctly rounded, so
+    they do not depend on numpy's SIMD ``power``.
+    """
+    m = np.arange(1, shape[1] + 1)
+    weights = 1.0 / (m * np.sqrt(m))
     return rng.normal(size=shape) * weights * amplitude

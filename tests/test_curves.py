@@ -1,5 +1,6 @@
-"""TrigCurve's series: one value per parameter, whatever the batch and the
-CPU's BLAS or SIMD kernels, and read-only coefficients."""
+"""TrigCurve's series: one value per parameter, whatever the batch, the
+curves evaluated before and the CPU's BLAS or SIMD kernels, and read-only
+coefficients and bases."""
 
 import hashlib
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lens_scatter.curves import TrigCurve, circle, lemniscate, rose
+from lens_scatter.curves import TrigCurve, _basis, circle, lemniscate, rose
 
 TESTS = Path(__file__).resolve().parent
 
@@ -18,9 +19,7 @@ def trig_curves():
     """The builtins and seeded curves of degree 1..12."""
     curves = [circle(), lemniscate()] + [rose(k) for k in range(2, 12)]
     for degree in range(1, 13):
-        # Coefficients decay like 1/m.  Not knot.perturbation_deltas: its
-        # m ** -1.5 goes through numpy's SIMD power, whose last bits depend
-        # on the CPU from about eight harmonics on.
+        # Coefficients decay like 1/m.
         rng = np.random.default_rng(degree)
         coeffs = rng.normal(size=(4, degree)) / np.arange(1, degree + 1)
         curves.append(TrigCurve(coeffs, name=f"seeded-{degree}"))
@@ -45,6 +44,16 @@ def test_scalar_and_batched_values_agree(curve, which):
     # A 2-D batch and a single-parameter batch read the same values.
     assert np.array_equal(evaluate(ts[:770].reshape(70, 11)), scalar[:770].reshape(70, 11, 2))
     assert np.array_equal(evaluate(ts[:1]), scalar[:1])
+    # Another curve of the same degree on the same parameters, and writes
+    # into a returned array, leave the values alone.
+    getattr(curve.perturbed(np.ones_like(curve.coeffs)), which)(ts)
+    batched[:] = np.nan
+    assert np.array_equal(evaluate(ts), scalar)
+    # Grids equal as reals but not as bits each get their own values.
+    arange, linspace = np.arange(500) / 500, np.linspace(0.0, 1.0, 500, endpoint=False)
+    assert not np.array_equal(arange, linspace)
+    for grid in (arange, linspace, arange):
+        assert np.array_equal(evaluate(grid), np.array([evaluate(t) for t in grid]))
 
 
 @pytest.mark.parametrize("curve", trig_curves()[::5], ids=lambda c: c.name)
@@ -75,6 +84,11 @@ def test_coeffs_are_read_only():
     given[0, 0] = 0.5
     assert curve.coeffs[0, 0] == 0.9
     assert curve.perturbed(np.full((4, 2), 0.1)).coeffs[0, 0] == 1.0
+    # So is the cos/sin basis that curves of one degree share on a grid.
+    basis = _basis(parameters(), 2)
+    assert basis is _basis(parameters(), 2)
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0, 0] = 0.5
 
 
 def digest() -> str:

@@ -26,10 +26,9 @@ from conftest import (CallableFramedLoop, brute_force_crossing_count,
 
 
 def reversed_curve(curve):
-    return ParametricCurve(
-        lambda t: curve._point(1.0 - np.asarray(t, dtype=float)),
-        lambda t: tuple(-a for a in curve._velocity(1.0 - np.asarray(t, dtype=float))),
-        name=curve.name + "-reversed")
+    return ParametricCurve(lambda t: curve.point(1.0 - t),
+                           lambda t: -curve.velocity(1.0 - t),
+                           name=curve.name + "-reversed")
 
 
 class TestFindCrossings:
@@ -59,13 +58,13 @@ class TestFindCrossings:
         # (sin 4 pi t, sin^3 2 pi t) touches itself tangentially at the
         # origin (t = 0 and t = 1/2 share point and direction).
         def p(t):
-            u = 2 * np.pi * np.asarray(t, dtype=float)
-            return 0.8 * np.sin(2 * u), 0.8 * np.sin(u) ** 3
+            u = 2 * np.pi * t
+            return np.stack([0.8 * np.sin(2 * u), 0.8 * np.sin(u) ** 3], axis=-1)
 
         def v(t):
-            u = 2 * np.pi * np.asarray(t, dtype=float)
-            return (2 * np.pi * 1.6 * np.cos(2 * u),
-                    2 * np.pi * 2.4 * np.sin(u) ** 2 * np.cos(u))
+            u = 2 * np.pi * t
+            return np.stack([2 * np.pi * 1.6 * np.cos(2 * u),
+                             2 * np.pi * 2.4 * np.sin(u) ** 2 * np.cos(u)], axis=-1)
 
         with pytest.raises(SelfTangencyError):
             find_crossings(ParametricCurve(p, v, name="tangent-eight"))
@@ -396,8 +395,8 @@ class TestCorpusProperties:
         c, s = math.cos(angle), math.sin(angle)
         x, y = curve.coeffs[:2], curve.coeffs[2:]
         rotated = TrigCurve(np.vstack([c * x - s * y, s * x + c * y]))
-        shifted = ParametricCurve(lambda t: curve._point(t + shift),
-                                  lambda t: curve._velocity(t + shift))
+        shifted = ParametricCurve(lambda t: curve.point(t + shift),
+                                  lambda t: curve.velocity(t + shift))
         base = analyze_loop(curve)
         for moved in (rotated, shifted):
             moved = analyze_loop(moved)
@@ -414,14 +413,13 @@ class TestCorpusProperties:
         w = 2 * math.pi * k
 
         def sigma(t):
-            t = np.asarray(t, dtype=float)
             return t + a * np.sin(w * t) / w
 
         def velocity(t):
-            rate = 1.0 + a * np.cos(w * np.asarray(t, dtype=float))
-            return tuple(rate * c for c in curve._velocity(sigma(t)))
+            rate = 1.0 + a * np.cos(w * t)
+            return rate[..., None] * curve.velocity(sigma(t))
 
-        moved = analyze_loop(ParametricCurve(lambda t: curve._point(sigma(t)), velocity))
+        moved = analyze_loop(ParametricCurve(lambda t: curve.point(sigma(t)), velocity))
         base = analyze_loop(curve)
         assert moved.line_winding == base.line_winding
         assert moved.table == base.table
@@ -434,6 +432,18 @@ class TestCorpusProperties:
             for _ in range(5):
                 pert = curve.perturbed(perturbation_deltas(rng, curve.coeffs.shape, 2e-3))
                 assert w_invariant(pert) == base
+
+    def test_perturbation_weights_are_correctly_rounded(self):
+        # With unit normals the deltas are the weights.  numpy's SIMD
+        # ``power`` would round m ** 1.5 differently from m = 7 on, on some
+        # CPUs; the weights must not.
+        class UnitNormals:
+            def normal(self, size):
+                return np.ones(size)
+
+        weights = perturbation_deltas(UnitNormals(), (4, 12), 1.0)
+        for m in range(1, 13):
+            assert (weights[:, m - 1] == 1.0 / (m * math.sqrt(m))).all()
 
 
 # --- piecewise-linear machinery ----------------------------------------------

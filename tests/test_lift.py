@@ -28,8 +28,8 @@ class TestUnitTangentLift:
 
     def test_zero_speed_rejected(self):
         bad = ParametricCurve(
-            lambda t: (np.asarray(t) * 0.0, np.sin(2 * np.pi * np.asarray(t))),
-            lambda t: (np.asarray(t) * 0.0, 2 * np.pi * np.cos(2 * np.pi * np.asarray(t))))
+            lambda t: np.stack([t * 0.0, np.sin(2 * np.pi * t)], axis=-1),
+            lambda t: np.stack([t * 0.0, 2 * np.pi * np.cos(2 * np.pi * t)], axis=-1))
         with pytest.raises(ImmersionError):
             unit_tangent_lift(bad)
 
