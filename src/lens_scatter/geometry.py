@@ -37,6 +37,7 @@ integrals from the adaptive Gauss-Kronrod rule :func:`_adaptive_gk15`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from bisect import bisect_left, bisect_right
@@ -194,7 +195,7 @@ class _TabulatedRadial:
     """
 
     def __init__(self, radii, values):
-        radii = np.asarray(radii, dtype=float)
+        radii = np.array(radii, dtype=float)
         values = np.asarray(values, dtype=float)
         if radii.ndim != 1 or radii.shape != values.shape or radii.size < 2:
             raise ValueError("profile needs matching 1-d radius/value tables")
@@ -209,6 +210,10 @@ class _TabulatedRadial:
             self._c = _pchip_coefficients(radii, values)
         if not np.all(np.isfinite(self._c)):
             raise ValueError("profile knots too close or too large: non-finite interpolant")
+        # Read-only, as metrics are immutable: ``eval`` reads list copies, so
+        # a write would split it from ``eval_many`` and the quadrature panels.
+        radii.flags.writeable = False
+        self._c.flags.writeable = False
         # Plain lists for the scalar path, which the integrator calls once
         # per RHS evaluation: float arithmetic beats numpy scalars there.
         self._bx = radii.tolist()
@@ -389,7 +394,7 @@ class ConformalMetric:
         radius = _checked_radius(radius)  # before the interpolant divides by knot gaps
         radii = [k[0] for k in knots]
         values = [k[1] for k in knots]
-        if radii[0] > 0.0:
+        if radii[0] != 0.0:
             raise ValueError("profile knots must start at r = 0")
         if radii[-1] < radius:
             raise ValueError("profile knots must cover the domain radius")
@@ -586,11 +591,20 @@ _SCAN_FLOOR = 1e-12   # deepest turning radius searched, relative to R
 _SIMPSON_ZONE = 2e-3
 
 
+@functools.lru_cache(maxsize=8)
+def _log_grid(floor: float, radius: float) -> np.ndarray:
+    """``np.geomspace(floor, radius, _SCAN_POINTS)``, read-only: every orbit
+    of a metric scans the same grid, so it is built once."""
+    grid = np.geomspace(floor, radius, _SCAN_POINTS)
+    grid.flags.writeable = False
+    return grid
+
+
 def _scan_radii(floor: float, radius: float, knots) -> np.ndarray:
     """The sorted log grid from ``floor`` to ``radius`` merged with the knots
     strictly between them, each radius once: ``np.union1d`` of the two,
     without the ``numpy.ma`` import that ``np.union1d`` triggers."""
-    rs = np.sort(np.concatenate([np.geomspace(floor, radius, _SCAN_POINTS),
+    rs = np.sort(np.concatenate([_log_grid(floor, radius),
                                  knots[(knots > floor) & (knots < radius)]]))
     return rs[np.concatenate([[True], rs[1:] != rs[:-1]])]
 
@@ -632,6 +646,12 @@ _GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _GK_WEIGHTS = np.array(_WGK[:-1] + _WGK[::-1])
 _G7_WEIGHTS = np.array(_WG[:-1] + _WG[::-1])
 _GK_RULES = np.column_stack([_GK_WEIGHTS, _G7_WEIGHTS])
+# Node sums contract with this table, or a one-column view of it, by
+# ``np.einsum("...j,jk->...k")``, as ``TrigCurve`` sums its series: with
+# the table's rows 16 bytes apart, einsum adds term after term into each
+# output, where ``@`` sums in the order of the CPU's BLAS kernel.
+_GK_KRONROD = _GK_RULES[:, :1]
+_G7_GAUSS = _GK_RULES[_G7_WEIGHTS != 0.0][:, 1:]
 
 
 def _gk15(integrands, lo, hi):
@@ -645,10 +665,11 @@ def _gk15(integrands, lo, hi):
     half = 0.5 * (hi - lo)
     f = integrands(((lo + half)[:, None] + half[:, None] * _GK_NODES).ravel())
     f = f.reshape(len(f), len(lo), len(_GK_NODES))
-    sums = f @ _GK_RULES
+    sums = np.einsum("...j,jk->...k", f, _GK_RULES)
     h = half[:, None]
     err = np.abs((sums[..., 0] - sums[..., 1]).T * h)
-    asc = (np.abs(f - 0.5 * sums[..., :1]) @ _GK_WEIGHTS).T * h
+    asc = np.einsum("...j,jk->...k", np.abs(f - 0.5 * sums[..., :1]), _GK_KRONROD)
+    asc = asc[..., 0].T * h
     # The power by Python floats: numpy's vector pow may round differently,
     # and the errors decide which panel the adaptive pass halves.
     err = [a * min(1.0, (200.0 * e / a) ** 1.5) if a != 0.0 and e != 0.0 else e
@@ -724,7 +745,9 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
     def integrands(u):
         # At r = r* exp(u^2), dr = 2 u r du: the sweep's p w and the
         # length's (n r)^2 w, with w = u / sqrt(n^2 r^2 - p^2).
-        e = np.expm1(u * u)
+        # libm's expm1, not numpy's: numpy's takes its AVX-512 kernel where
+        # the CPU has one, and its last bits differ.
+        e = np.array(list(map(math.expm1, (u * u).tolist())))
         dr = r_star * e
         r = r_star + dr
         near = e < _SIMPSON_ZONE
@@ -916,7 +939,8 @@ def riemannian_length(metric: ConformalMetric, points) -> float:
         if np.min(r) < EXCLUSION_RADIUS:
             raise SingularityError("polyline passes through the singular origin")
     n_vals = metric.n_many(nodes.reshape(-1, 2)).reshape(nodes.shape[:2])
-    return float(np.sum(seg_len * 0.5 * (n_vals @ _G7_WEIGHTS[gauss])))
+    gauss_sums = np.einsum("...j,jk->...k", n_vals, _G7_GAUSS)[:, 0]
+    return float(np.sum(seg_len * 0.5 * gauss_sums))
 
 
 def _spec_number(value, what: str) -> float:

@@ -295,10 +295,13 @@ def triangle_angle_sum(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> float:
     verts = _flat_embedding(p, q, r)
     total = 0.0
     for i in range(3):
-        a = verts[(i + 1) % 3] - verts[i]
-        b = verts[(i + 2) % 3] - verts[i]
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        a = (verts[(i + 1) % 3] - verts[i]).tolist()
+        b = (verts[(i + 2) % 3] - verts[i]).tolist()
+        # Correctly rounded sums, not BLAS ones: the same bits on every CPU.
+        na = math.sqrt(math.fsum(x * x for x in a))
+        nb = math.sqrt(math.fsum(x * x for x in b))
         if na == 0.0 or nb == 0.0:
             raise ValueError("degenerate triangle: coincident vertices")
-        total += math.acos(max(-1.0, min(1.0, float(np.dot(a, b)) / (na * nb))))
+        dot = math.fsum(x * y for x, y in zip(a, b))
+        total += math.acos(max(-1.0, min(1.0, dot / (na * nb))))
     return total

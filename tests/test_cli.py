@@ -10,8 +10,8 @@ from lens_scatter.cli import build_parser, main
 from lens_scatter.geometry import integrate_geodesic
 
 from conftest import run_python
+from pins import PINS, mismatches
 
-DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
 
 
@@ -19,6 +19,11 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.parametrize("pin", PINS, ids=lambda pin: pin.name)
+def test_report_is_pinned(pin, tmp_path):
+    assert mismatches(pin, tmp_path) == []
 
 
 class TestInvariantCommand:
@@ -42,12 +47,6 @@ class TestInvariantCommand:
     def test_unknown_curve_is_input_error(self, capsys):
         code, _ = run(["invariant", "--curve", "doughnut"], capsys)
         assert code == 2
-
-    @pytest.mark.parametrize("curve", ["circle", "lemniscate", "rose-3", "rose-5"])
-    def test_builtin_report_is_pinned(self, curve, capsys):
-        code, out = run(["invariant", "--curve", curve], capsys)
-        assert code == 0
-        assert out == (DATA / f"invariant-{curve}.json").read_text()
 
 
 class TestScatterCommand:
@@ -246,20 +245,6 @@ class TestApproxPL:
         assert lines[0] == "stage,separation"
         assert len(lines) == 4
         assert all(float(line.split(",")[1]) > 0 for line in lines[1:])
-
-    @pytest.mark.parametrize("curve,args,stdout", [
-        ("circle", [], "n=128, separations 0.1227 0.1227 0.1227 0.1227 0.1227"),
-        ("lemniscate", ["--samples", "2048"],
-         "n=512, separations 0.0300 0.0300 0.0300 0.0301 0.0301"),
-    ])
-    def test_report_is_pinned(self, curve, args, stdout, tmp_path, capsys):
-        report = tmp_path / "sep.csv"
-        code, out = run(["approx-pl", "--curve", curve, *args, "--report", str(report)],
-                        capsys)
-        assert code == 0
-        assert out == f"approx-pl: {stdout}\n"
-        golden = "-".join(["approx-pl", curve, *args[1:]]) + ".csv"
-        assert report.read_text() == (DATA / golden).read_text()
 
 
 class TestRender:
@@ -526,10 +511,21 @@ def test_curve_csv_input(tmp_path, capsys):
                          '"profile": [[0, 1.2], [5e-324, 1.0]]}'),
     ("trace", ".json", '{"kind": "radial-profile", "radius": 5e-324, '
                        '"profile": [[0, 1.2], [5e-324, 1.0]]}'),
+    # The knots must start at r = 0, with strictly increasing radii and a
+    # positive index.
+    ("scatter", ".json", '{"kind": "radial-profile", '
+                         '"profile": [[-0.5, 1.3], [0.4, 1.22], [1, 1]]}'),
+    ("scatter", ".json", '{"kind": "radial-profile", "profile": [[0.1, 1.3], [1, 1]]}'),
+    ("scatter", ".json", '{"kind": "radial-profile", '
+                         '"profile": [[0, 1.3], [0.4, 1.22], [0.4, 1.1], [1, 1]]}'),
+    ("scatter", ".json", '{"kind": "radial-profile", "profile": [[0, 1.3], [0.4, 0], [1, 1]]}'),
+    ("scatter", ".json", '{"kind": "radial-profile", "profile": [[0, -1.3], [1, 1]]}'),
 ], ids=["list", "string", "flat-knots", "null-knot", "null-radius", "eaton-radius",
         "short-csv-row", "csv-closing-row", "csv-repeated-t", "csv-nonuniform-t",
         "overflowing-index", "overflowing-index-trace", "subnormal-gap",
-        "subnormal-gap-trace", "subnormal-radius", "subnormal-radius-trace"])
+        "subnormal-gap-trace", "subnormal-radius", "subnormal-radius-trace",
+        "negative-first-knot", "positive-first-knot", "repeated-knot", "zero-index",
+        "negative-index"])
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
 def test_malformed_input_file_is_input_error(tmp_path, capsys, command, suffix, text):
     path = tmp_path / f"input{suffix}"

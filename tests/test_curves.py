@@ -1,6 +1,7 @@
 """TrigCurve's series: one value per parameter, whatever the batch, the
 curves evaluated before and the CPU's BLAS or SIMD kernels, and read-only
-coefficients and bases."""
+coefficients and bases.  Clairaut quadrature's orbits on the CPU's kernels
+too."""
 
 import hashlib
 import math
@@ -102,15 +103,22 @@ def digest() -> str:
     return h.hexdigest()
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="the kernel names are x86-64 ones")
-@pytest.mark.parametrize("env,needs", [
-    ({"OPENBLAS_CORETYPE": "Haswell"}, ["AVX2", "FMA3"]),
-    ({"OPENBLAS_CORETYPE": "Prescott"}, []),
-    ({"NPY_DISABLE_CPU_FEATURES": "X86_V4"}, ["X86_V4"]),
-    ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3"}, ["X86_V4", "X86_V3"]),
-], ids=["Haswell", "Prescott", "no-X86_V4", "no-X86_V4-X86_V3"])
-def test_values_do_not_depend_on_cpu_kernels(tmp_path, env, needs):
+# An old BLAS kernel and numpy without AVX-512 or AVX2 change rounding
+# orders; each setting with the CPU features it needs.
+KERNELS = [
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, ["AVX2", "FMA3"], id="Haswell"),
+    pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, [], id="Prescott"),
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": "X86_V4"}, ["X86_V4"], id="no-X86_V4"),
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3"}, ["X86_V4", "X86_V3"],
+                 id="no-X86_V4-X86_V3"),
+]
+on_x86 = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                            reason="the kernel names are x86-64 ones")
+
+
+def in_subprocess(tmp_path, env, needs, call: str) -> str:
+    """``test_curves.<call>`` printed by a fresh interpreter under ``env``;
+    skips where the CPU lacks a feature of ``needs``."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy < 2
@@ -122,5 +130,38 @@ def test_values_do_not_depend_on_cpu_kernels(tmp_path, env, needs):
     # the probe too.
     from conftest import run_python
 
-    probe = f"import sys; sys.path.insert(0, {str(TESTS)!r}); import test_curves; print(test_curves.digest())"
-    assert run_python(probe, tmp_path, env).strip() == digest()
+    probe = f"import sys; sys.path.insert(0, {str(TESTS)!r}); import test_curves; print(test_curves.{call})"
+    return run_python(probe, tmp_path, env).strip()
+
+
+@on_x86
+@pytest.mark.parametrize("env,needs", KERNELS)
+def test_values_do_not_depend_on_cpu_kernels(tmp_path, env, needs):
+    assert in_subprocess(tmp_path, env, needs, "digest()") == digest()
+
+
+def orbit_digest(*metrics: str) -> str:
+    """sha256 of ``clairaut_orbit``'s sweep and length at 30 impacts on each
+    metric: ``vacuum``, ``eaton`` or a metric file."""
+    from lens_scatter.geometry import IntegrationOptions, clairaut_orbit, load_metric
+
+    h = hashlib.sha256()
+    for name in metrics:
+        metric = load_metric(name)
+        for k in range(30):
+            orbit = clairaut_orbit(metric, (k + 0.5) / 30, IntegrationOptions())
+            h.update(np.array(orbit, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@on_x86
+@pytest.mark.parametrize("env,needs", KERNELS)
+def test_orbits_do_not_depend_on_cpu_kernels(tmp_path, env, needs):
+    # numpy's SIMD level still moves the lens's index (np.cbrt) and some
+    # turning radii of a tabulated profile (the np.geomspace scan grid), so
+    # those two join only the BLAS settings.
+    metrics = ["vacuum"]
+    if "OPENBLAS_CORETYPE" in env:
+        metrics += [str(TESTS / "data" / "metric-four-knots.json"), "eaton"]
+    call = f"orbit_digest(*{metrics!r})"
+    assert in_subprocess(tmp_path, env, needs, call) == orbit_digest(*metrics)

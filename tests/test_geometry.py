@@ -563,6 +563,11 @@ class TestMetricSpecs:
         knots = ConformalMetric.from_profile_knots([(0.0, 1.2), (1.0, 1.0)])
         with pytest.raises(dataclasses.FrozenInstanceError):
             knots.radius = 2.0
+        # Its tables too: a write would reach eval_many but not eval.
+        with pytest.raises(ValueError, match="read-only"):
+            knots.profile.breakpoints[1] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            knots.profile._c[0, 0] = 0.5
         assert not knots.singular_at_origin
         assert not load_metric("vacuum").singular_at_origin
         assert not BENDING_PROFILE.singular_at_origin

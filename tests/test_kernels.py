@@ -159,6 +159,41 @@ class TestGaussKronrod:
 
         assert geometry._adaptive_gk15(integrands, [0.0, 1.0], 1e-8, 50) is None
 
+    def test_node_sums_add_term_after_term(self):
+        # The reference adds each node's term in node order, as the rule
+        # must on every CPU: neither a BLAS kernel's order nor a SIMD
+        # reduction's.
+        def in_order(values, weights):
+            total = 0.0
+            for v, w in zip(values, weights):
+                total += v * w
+            return total
+
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=(2, 5, 15)) * 10.0 ** rng.integers(-6, 7, size=(2, 5, 15))
+        lo = rng.uniform(0.0, 1.0, 5)
+        hi = lo + rng.uniform(0.1, 1.0, 5)
+        vals, errs = geometry._gk15(lambda u: f.reshape(2, -1), lo, hi)
+        wk, wg = geometry._GK_WEIGHTS.tolist(), geometry._G7_WEIGHTS.tolist()
+        for i in range(2):
+            for k in range(5):
+                h = 0.5 * (hi[k] - lo[k])
+                kronrod = in_order(f[i, k], wk)
+                ascent = in_order(np.abs(f[i, k] - 0.5 * kronrod), wk) * h
+                err = abs((kronrod - in_order(f[i, k], wg)) * h)
+                assert vals[k, i] == kronrod * h
+                assert errs[k, i] == ascent * min(1.0, (200.0 * err / ascent) ** 1.5)
+        # riemannian_length's Gauss sums, on three segments.
+        metric = next(_seeded_profiles(1))
+        points = np.array([[0.1, 0.2], [0.5, -0.3], [-0.2, -0.6], [0.0, 0.7]])
+        gauss = geometry._G7_WEIGHTS != 0.0
+        segments = []
+        for a, b in zip(points[:-1], points[1:]):
+            nodes = a + 0.5 * (geometry._GK_NODES[gauss] + 1.0)[:, None] * (b - a)
+            segments.append(np.hypot(*(b - a)) * 0.5 * in_order(
+                metric.n_many(nodes), geometry._G7_WEIGHTS[gauss].tolist()))
+        assert geometry.riemannian_length(metric, points) == np.sum(segments)
+
 
 def _seeded_profiles(count):
     rng = np.random.default_rng(11)
