@@ -6,21 +6,25 @@ state vector (Hairer, Norsett & Wanner, *Solving Ordinary Differential
 Equations I*, II.5-II.6).  The tableau is copied from
 ``scipy/integrate/_ivp/dop853_coefficients.py``; the initial step, the
 error norm, the step-size controller and the event localization are
-scipy's, so the port takes scipy's steps and gives its samples.
+scipy's.
 
-At one ray, scipy's cost is bookkeeping around length-4 arrays.  Here the
-controller, the right-hand side, the events and the interpolant run on
-Python floats, and the three extra dense-output stages are computed only
+At one ray, scipy's cost is bookkeeping around length-4 arrays.  Here
+everything runs on Python floats, and no numpy or BLAS call runs per step.
+The stage, solution, error-estimate and dense-output sums are written out
+stage by stage, as in Hairer's ``dop853.f``, over the nonzero entries of
+the one table below, term after term; a loop over (index, coefficient)
+pairs costs more.  The three extra dense-output stages are computed only
 for the steps that are interpolated: the last step, where the stopping
-event is localized, and any step a caller samples inside.  The stage and
-error combinations stay ``np.dot`` calls of the shapes scipy uses: the
-error estimate cancels six or more digits, and with any other summation
-order the step sizes drift by about 1e-6 relative, which moved samples of
-a 128-ray bump fan by up to 5e-5.  Rounding as scipy's calls do keeps the
-steps, and so the samples, identical.
+event is localized, and any step a caller samples inside.  The summation
+order is fixed, so the rounding, and with it the steps, depend on the
+inputs alone.  That matters: on a straight stretch the error estimate is
+pure rounding noise and the step sizes follow it, so with ``np.dot`` the
+samples followed the CPU's BLAS kernel.  scipy's ``np.dot`` rounds in
+another order, so the steps are not scipy's: samples agree with
+``solve_ivp``'s within the tolerance, not to the bit.
 
 A caller whose right-hand side has known kinks may cut steps short at
-them (``solve``'s ``cut``); only then do the steps leave scipy's.
+them (``solve``'s ``cut``).
 
 The event roots come from :func:`brentq`, a port of scipy's Brent solver
 that returns its roots to the bit; the rest of the geometry side finds its
@@ -30,6 +34,7 @@ roots with it too.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 
 import numpy as np
@@ -232,9 +237,36 @@ _D[3, 13] = 0.96324553959188282948394950600e+2
 _D[3, 14] = -0.39177261675615439165231486172e+2
 _D[3, 15] = -0.14972683625798562581422125276e+3
 
-# Stage s combines the first s stages with A[s, :s], as scipy slices them.
-_MAIN_ROWS = tuple((float(_C[s]), _A[s, :s]) for s in range(1, _STAGES))
-_EXTRA_ROWS = tuple((float(_C[s]), _A[s, :s]) for s in range(_STAGES + 1, _STAGES_EXTENDED))
+
+def _nonzero(row) -> list:
+    """The nonzero entries of a tableau row as floats, in column order."""
+    return [float(v) for v in row if v != 0.0]
+
+
+# The table's nonzero entries as floats, named by position: ``A5_3`` is
+# ``_A[5, 3]``, ``B7`` is ``_B[7]``, ``E5_7`` is ``_E5[7]``.  The sums
+# below take them term after term in column order.
+C1, C2, C3, C4, C5, C6, C7, C8, C9, C10, C11 = _C[1:_STAGES].tolist()
+C13, C14, C15 = _C[_STAGES + 1:].tolist()
+(A1_0,) = _nonzero(_A[1])
+A2_0, A2_1 = _nonzero(_A[2])
+A3_0, A3_2 = _nonzero(_A[3])
+A4_0, A4_2, A4_3 = _nonzero(_A[4])
+A5_0, A5_3, A5_4 = _nonzero(_A[5])
+A6_0, A6_3, A6_4, A6_5 = _nonzero(_A[6])
+A7_0, A7_3, A7_4, A7_5, A7_6 = _nonzero(_A[7])
+A8_0, A8_3, A8_4, A8_5, A8_6, A8_7 = _nonzero(_A[8])
+A9_0, A9_3, A9_4, A9_5, A9_6, A9_7, A9_8 = _nonzero(_A[9])
+A10_0, A10_3, A10_4, A10_5, A10_6, A10_7, A10_8, A10_9 = _nonzero(_A[10])
+A11_0, A11_3, A11_4, A11_5, A11_6, A11_7, A11_8, A11_9, A11_10 = _nonzero(_A[11])
+B0, B5, B6, B7, B8, B9, B10, B11 = _nonzero(_B)
+E3_0, E3_5, E3_6, E3_7, E3_8, E3_9, E3_10, E3_11 = _nonzero(_E3)
+E5_0, E5_5, E5_6, E5_7, E5_8, E5_9, E5_10, E5_11 = _nonzero(_E5)
+A13_0, A13_6, A13_7, A13_8, A13_9, A13_10, A13_11, A13_12 = _nonzero(_A[13])
+A14_0, A14_5, A14_6, A14_7, A14_10, A14_11, A14_12, A14_13 = _nonzero(_A[14])
+A15_0, A15_5, A15_6, A15_7, A15_8, A15_12, A15_13, A15_14 = _nonzero(_A[15])
+# Each row of _D over stages 0 and 5-15.
+_D_ROWS = tuple(tuple(_nonzero(row)) for row in _D)
 
 
 def _divide(a: float, b: float) -> float:
@@ -309,8 +341,146 @@ def brentq(f, xa: float, xb: float, xtol: float = 2e-12, rtol: float = 4 * EPS,
 
 
 def _rms(v) -> float:
-    """scipy's RMS norm ``np.linalg.norm(v) / sqrt(v.size)``."""
-    return math.sqrt(v.dot(v)) / 2.0
+    """scipy's RMS norm of four floats: the 2-norm over sqrt(4)."""
+    a, b, c, d = v
+    return math.sqrt(a * a + b * b + c * c + d * d) / 2.0
+
+
+def _step(rhs, t, h, y, f, rtol, atol):
+    """One trial step of length ``h`` from ``(t, y)``, where ``f`` is
+    ``rhs(t, y)``: the new state, its slope, scipy's DOP853 error norm (the
+    5th-order estimate damped by the 3rd-order one) and, as one flat tuple,
+    the stages 0 and 5-12 that the interpolant reads.
+
+    Written out stage by stage and component by component, as Hairer's
+    ``dop853.f`` is: ``kj_i`` is component ``i`` of stage ``j``, and each
+    sum runs over the nonzero coefficients of its row, term after term.
+    """
+    y0, y1, y2, y3 = y
+    k0_0, k0_1, k0_2, k0_3 = f
+    k1_0, k1_1, k1_2, k1_3 = rhs(t + C1 * h, (
+        y0 + (A1_0 * k0_0) * h,
+        y1 + (A1_0 * k0_1) * h,
+        y2 + (A1_0 * k0_2) * h,
+        y3 + (A1_0 * k0_3) * h,
+    ))
+    k2_0, k2_1, k2_2, k2_3 = rhs(t + C2 * h, (
+        y0 + (A2_0 * k0_0 + A2_1 * k1_0) * h,
+        y1 + (A2_0 * k0_1 + A2_1 * k1_1) * h,
+        y2 + (A2_0 * k0_2 + A2_1 * k1_2) * h,
+        y3 + (A2_0 * k0_3 + A2_1 * k1_3) * h,
+    ))
+    k3_0, k3_1, k3_2, k3_3 = rhs(t + C3 * h, (
+        y0 + (A3_0 * k0_0 + A3_2 * k2_0) * h,
+        y1 + (A3_0 * k0_1 + A3_2 * k2_1) * h,
+        y2 + (A3_0 * k0_2 + A3_2 * k2_2) * h,
+        y3 + (A3_0 * k0_3 + A3_2 * k2_3) * h,
+    ))
+    k4_0, k4_1, k4_2, k4_3 = rhs(t + C4 * h, (
+        y0 + (A4_0 * k0_0 + A4_2 * k2_0 + A4_3 * k3_0) * h,
+        y1 + (A4_0 * k0_1 + A4_2 * k2_1 + A4_3 * k3_1) * h,
+        y2 + (A4_0 * k0_2 + A4_2 * k2_2 + A4_3 * k3_2) * h,
+        y3 + (A4_0 * k0_3 + A4_2 * k2_3 + A4_3 * k3_3) * h,
+    ))
+    k5_0, k5_1, k5_2, k5_3 = rhs(t + C5 * h, (
+        y0 + (A5_0 * k0_0 + A5_3 * k3_0 + A5_4 * k4_0) * h,
+        y1 + (A5_0 * k0_1 + A5_3 * k3_1 + A5_4 * k4_1) * h,
+        y2 + (A5_0 * k0_2 + A5_3 * k3_2 + A5_4 * k4_2) * h,
+        y3 + (A5_0 * k0_3 + A5_3 * k3_3 + A5_4 * k4_3) * h,
+    ))
+    k6_0, k6_1, k6_2, k6_3 = rhs(t + C6 * h, (
+        y0 + (A6_0 * k0_0 + A6_3 * k3_0 + A6_4 * k4_0 + A6_5 * k5_0) * h,
+        y1 + (A6_0 * k0_1 + A6_3 * k3_1 + A6_4 * k4_1 + A6_5 * k5_1) * h,
+        y2 + (A6_0 * k0_2 + A6_3 * k3_2 + A6_4 * k4_2 + A6_5 * k5_2) * h,
+        y3 + (A6_0 * k0_3 + A6_3 * k3_3 + A6_4 * k4_3 + A6_5 * k5_3) * h,
+    ))
+    k7_0, k7_1, k7_2, k7_3 = rhs(t + C7 * h, (
+        y0 + (A7_0 * k0_0 + A7_3 * k3_0 + A7_4 * k4_0 + A7_5 * k5_0 + A7_6 * k6_0) * h,
+        y1 + (A7_0 * k0_1 + A7_3 * k3_1 + A7_4 * k4_1 + A7_5 * k5_1 + A7_6 * k6_1) * h,
+        y2 + (A7_0 * k0_2 + A7_3 * k3_2 + A7_4 * k4_2 + A7_5 * k5_2 + A7_6 * k6_2) * h,
+        y3 + (A7_0 * k0_3 + A7_3 * k3_3 + A7_4 * k4_3 + A7_5 * k5_3 + A7_6 * k6_3) * h,
+    ))
+    k8_0, k8_1, k8_2, k8_3 = rhs(t + C8 * h, (
+        y0 + (A8_0 * k0_0 + A8_3 * k3_0 + A8_4 * k4_0 + A8_5 * k5_0 + A8_6 * k6_0
+             + A8_7 * k7_0) * h,
+        y1 + (A8_0 * k0_1 + A8_3 * k3_1 + A8_4 * k4_1 + A8_5 * k5_1 + A8_6 * k6_1
+             + A8_7 * k7_1) * h,
+        y2 + (A8_0 * k0_2 + A8_3 * k3_2 + A8_4 * k4_2 + A8_5 * k5_2 + A8_6 * k6_2
+             + A8_7 * k7_2) * h,
+        y3 + (A8_0 * k0_3 + A8_3 * k3_3 + A8_4 * k4_3 + A8_5 * k5_3 + A8_6 * k6_3
+             + A8_7 * k7_3) * h,
+    ))
+    k9_0, k9_1, k9_2, k9_3 = rhs(t + C9 * h, (
+        y0 + (A9_0 * k0_0 + A9_3 * k3_0 + A9_4 * k4_0 + A9_5 * k5_0 + A9_6 * k6_0 + A9_7 * k7_0
+             + A9_8 * k8_0) * h,
+        y1 + (A9_0 * k0_1 + A9_3 * k3_1 + A9_4 * k4_1 + A9_5 * k5_1 + A9_6 * k6_1 + A9_7 * k7_1
+             + A9_8 * k8_1) * h,
+        y2 + (A9_0 * k0_2 + A9_3 * k3_2 + A9_4 * k4_2 + A9_5 * k5_2 + A9_6 * k6_2 + A9_7 * k7_2
+             + A9_8 * k8_2) * h,
+        y3 + (A9_0 * k0_3 + A9_3 * k3_3 + A9_4 * k4_3 + A9_5 * k5_3 + A9_6 * k6_3 + A9_7 * k7_3
+             + A9_8 * k8_3) * h,
+    ))
+    k10_0, k10_1, k10_2, k10_3 = rhs(t + C10 * h, (
+        y0 + (A10_0 * k0_0 + A10_3 * k3_0 + A10_4 * k4_0 + A10_5 * k5_0 + A10_6 * k6_0
+             + A10_7 * k7_0 + A10_8 * k8_0 + A10_9 * k9_0) * h,
+        y1 + (A10_0 * k0_1 + A10_3 * k3_1 + A10_4 * k4_1 + A10_5 * k5_1 + A10_6 * k6_1
+             + A10_7 * k7_1 + A10_8 * k8_1 + A10_9 * k9_1) * h,
+        y2 + (A10_0 * k0_2 + A10_3 * k3_2 + A10_4 * k4_2 + A10_5 * k5_2 + A10_6 * k6_2
+             + A10_7 * k7_2 + A10_8 * k8_2 + A10_9 * k9_2) * h,
+        y3 + (A10_0 * k0_3 + A10_3 * k3_3 + A10_4 * k4_3 + A10_5 * k5_3 + A10_6 * k6_3
+             + A10_7 * k7_3 + A10_8 * k8_3 + A10_9 * k9_3) * h,
+    ))
+    k11_0, k11_1, k11_2, k11_3 = rhs(t + C11 * h, (
+        y0 + (A11_0 * k0_0 + A11_3 * k3_0 + A11_4 * k4_0 + A11_5 * k5_0 + A11_6 * k6_0
+             + A11_7 * k7_0 + A11_8 * k8_0 + A11_9 * k9_0 + A11_10 * k10_0) * h,
+        y1 + (A11_0 * k0_1 + A11_3 * k3_1 + A11_4 * k4_1 + A11_5 * k5_1 + A11_6 * k6_1
+             + A11_7 * k7_1 + A11_8 * k8_1 + A11_9 * k9_1 + A11_10 * k10_1) * h,
+        y2 + (A11_0 * k0_2 + A11_3 * k3_2 + A11_4 * k4_2 + A11_5 * k5_2 + A11_6 * k6_2
+             + A11_7 * k7_2 + A11_8 * k8_2 + A11_9 * k9_2 + A11_10 * k10_2) * h,
+        y3 + (A11_0 * k0_3 + A11_3 * k3_3 + A11_4 * k4_3 + A11_5 * k5_3 + A11_6 * k6_3
+             + A11_7 * k7_3 + A11_8 * k8_3 + A11_9 * k9_3 + A11_10 * k10_3) * h,
+    ))
+    n0 = y0 + h * (B0 * k0_0 + B5 * k5_0 + B6 * k6_0 + B7 * k7_0 + B8 * k8_0 + B9 * k9_0
+                  + B10 * k10_0 + B11 * k11_0)
+    n1 = y1 + h * (B0 * k0_1 + B5 * k5_1 + B6 * k6_1 + B7 * k7_1 + B8 * k8_1 + B9 * k9_1
+                  + B10 * k10_1 + B11 * k11_1)
+    n2 = y2 + h * (B0 * k0_2 + B5 * k5_2 + B6 * k6_2 + B7 * k7_2 + B8 * k8_2 + B9 * k9_2
+                  + B10 * k10_2 + B11 * k11_2)
+    n3 = y3 + h * (B0 * k0_3 + B5 * k5_3 + B6 * k6_3 + B7 * k7_3 + B8 * k8_3 + B9 * k9_3
+                  + B10 * k10_3 + B11 * k11_3)
+    s0 = atol + max(abs(y0), abs(n0)) * rtol
+    p0 = (E5_0 * k0_0 + E5_5 * k5_0 + E5_6 * k6_0 + E5_7 * k7_0 + E5_8 * k8_0 + E5_9 * k9_0
+          + E5_10 * k10_0 + E5_11 * k11_0) / s0
+    q0 = (E3_0 * k0_0 + E3_5 * k5_0 + E3_6 * k6_0 + E3_7 * k7_0 + E3_8 * k8_0 + E3_9 * k9_0
+          + E3_10 * k10_0 + E3_11 * k11_0) / s0
+    s1 = atol + max(abs(y1), abs(n1)) * rtol
+    p1 = (E5_0 * k0_1 + E5_5 * k5_1 + E5_6 * k6_1 + E5_7 * k7_1 + E5_8 * k8_1 + E5_9 * k9_1
+          + E5_10 * k10_1 + E5_11 * k11_1) / s1
+    q1 = (E3_0 * k0_1 + E3_5 * k5_1 + E3_6 * k6_1 + E3_7 * k7_1 + E3_8 * k8_1 + E3_9 * k9_1
+          + E3_10 * k10_1 + E3_11 * k11_1) / s1
+    s2 = atol + max(abs(y2), abs(n2)) * rtol
+    p2 = (E5_0 * k0_2 + E5_5 * k5_2 + E5_6 * k6_2 + E5_7 * k7_2 + E5_8 * k8_2 + E5_9 * k9_2
+          + E5_10 * k10_2 + E5_11 * k11_2) / s2
+    q2 = (E3_0 * k0_2 + E3_5 * k5_2 + E3_6 * k6_2 + E3_7 * k7_2 + E3_8 * k8_2 + E3_9 * k9_2
+          + E3_10 * k10_2 + E3_11 * k11_2) / s2
+    s3 = atol + max(abs(y3), abs(n3)) * rtol
+    p3 = (E5_0 * k0_3 + E5_5 * k5_3 + E5_6 * k6_3 + E5_7 * k7_3 + E5_8 * k8_3 + E5_9 * k9_3
+          + E5_10 * k10_3 + E5_11 * k11_3) / s3
+    q3 = (E3_0 * k0_3 + E3_5 * k5_3 + E3_6 * k6_3 + E3_7 * k7_3 + E3_8 * k8_3 + E3_9 * k9_3
+          + E3_10 * k10_3 + E3_11 * k11_3) / s3
+
+    y_new = (n0, n1, n2, n3)
+    f_new = rhs(t + h, y_new)
+    err5 = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
+    err3 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
+    if err5 == 0.0 and err3 == 0.0:
+        error_norm = 0.0
+    else:
+        error_norm = abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 4)
+    stages = (k0_0, k0_1, k0_2, k0_3, k5_0, k5_1, k5_2, k5_3, k6_0, k6_1, k6_2, k6_3,
+              k7_0, k7_1, k7_2, k7_3, k8_0, k8_1, k8_2, k8_3, k9_0, k9_1, k9_2, k9_3,
+              k10_0, k10_1, k10_2, k10_3, k11_0, k11_1, k11_2, k11_3, *f_new)
+    return y_new, f_new, error_norm, stages
 
 
 class DenseSolution:
@@ -326,7 +496,7 @@ class DenseSolution:
 
     def __init__(self, rhs):
         self._rhs = rhs
-        self._steps = []  # (t, h, y, y_new, stages) per accepted step
+        self._steps = []  # (t, h, y, y_new, stages 0 and 5-12 as one array) per step
         self._dense = {}
         self.ts = []
         self.ys = []
@@ -340,18 +510,35 @@ class DenseSolution:
         three extra stages on first use."""
         if i not in self._dense:
             t, h, y, y_new, K = self._steps[i]
-            y, y_new = np.array(y), np.array(y_new)
-            for s, (c, a) in enumerate(_EXTRA_ROWS, start=_STAGES + 1):
-                K[s] = self._rhs(t + c * h, (y + K[:s].T.dot(a) * h).tolist())
-            self.nfev += len(_EXTRA_ROWS)
-            F = np.empty((7, 4))
-            f_old, f_new = K[0], K[_STAGES]
-            delta_y = y_new - y
-            F[0] = delta_y
-            F[1] = h * f_old - delta_y
-            F[2] = 2 * delta_y - h * (f_new + f_old)
-            F[3:] = h * np.dot(_D, K)
-            self._dense[i] = (t, h, F[::-1].T.tolist(), y.tolist())
+            k0, k5, k6, k7, k8, k9, k10, k11, k12 = (K[j:j + 4] for j in range(0, 36, 4))
+            rhs = self._rhs
+            k13 = rhs(t + C13 * h, [v + (A13_0 * p0 + A13_6 * p6 + A13_7 * p7 + A13_8 * p8
+                                         + A13_9 * p9 + A13_10 * p10 + A13_11 * p11
+                                         + A13_12 * p12) * h
+                                    for v, p0, p6, p7, p8, p9, p10, p11, p12
+                                    in zip(y, k0, k6, k7, k8, k9, k10, k11, k12)])
+            k14 = rhs(t + C14 * h, [v + (A14_0 * p0 + A14_5 * p5 + A14_6 * p6 + A14_7 * p7
+                                         + A14_10 * p10 + A14_11 * p11 + A14_12 * p12
+                                         + A14_13 * p13) * h
+                                    for v, p0, p5, p6, p7, p10, p11, p12, p13
+                                    in zip(y, k0, k5, k6, k7, k10, k11, k12, k13)])
+            k15 = rhs(t + C15 * h, [v + (A15_0 * p0 + A15_5 * p5 + A15_6 * p6 + A15_7 * p7
+                                         + A15_8 * p8 + A15_12 * p12 + A15_13 * p13
+                                         + A15_14 * p14) * h
+                                    for v, p0, p5, p6, p7, p8, p12, p13, p14
+                                    in zip(y, k0, k5, k6, k7, k8, k12, k13, k14)])
+            self.nfev += 3
+            stages = (k0, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15)
+            f3, f4, f5, f6 = (
+                [h * (d0 * p0 + d5 * p5 + d6 * p6 + d7 * p7 + d8 * p8 + d9 * p9 + d10 * p10
+                      + d11 * p11 + d12 * p12 + d13 * p13 + d14 * p14 + d15 * p15)
+                 for p0, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15 in zip(*stages)]
+                for d0, d5, d6, d7, d8, d9, d10, d11, d12, d13, d14, d15 in _D_ROWS)
+            rows = []
+            for v, w, p0, p12, *high in zip(y, y_new, k0, k12, f3, f4, f5, f6):
+                dy = w - v
+                rows.append((*reversed(high), 2 * dy - h * (p12 + p0), h * p0 - dy, dy))
+            self._dense[i] = (t, h, rows, y)
         return self._dense[i]
 
     def _interpolate(self, i, t):
@@ -377,33 +564,19 @@ class DenseSolution:
 def _initial_step(rhs, y, f, rtol, atol) -> float:
     """scipy's ``select_initial_step`` from ``t = 0`` over an unbounded span;
     raises ``RuntimeError`` when an overflowing ``f`` leaves no positive step."""
-    scale = atol + np.abs(y) * rtol
-    d0 = _rms(y / scale)
-    with np.errstate(over="ignore"):
-        d1 = _rms(f / scale)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([p / s for p, s in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if not h0 > 0.0:
         raise RuntimeError(f"geodesic integration failed: initial step size {h0} is not positive")
-    f1 = np.array(rhs(h0, (y + h0 * f).tolist()))
-    d2 = _rms((f1 - f) / scale) / h0
+    f1 = rhs(h0, [v + h0 * p for v, p in zip(y, f)])
+    d2 = _rms([(q - p) / s for q, p, s in zip(f1, f, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1)
-
-
-def _error_norm(KE, h, scale) -> float:
-    """scipy's DOP853 error norm of a step from the stage columns ``KE``
-    (``K[:13].T``): the 5th-order estimate damped by the 3rd-order one."""
-    err5 = KE.dot(_E5) / scale
-    err3 = KE.dot(_E3) / scale
-    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
-    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return abs(h) * err5_norm_2 / math.sqrt(denom * 4)
 
 
 def solve(rhs, y0, rtol: float, atol: float, events, cut=None) -> DenseSolution:
@@ -417,28 +590,23 @@ def solve(rhs, y0, rtol: float, atol: float, events, cut=None) -> DenseSolution:
     Raises ``RuntimeError`` when the step size falls below its floor.
 
     ``cut(h, y, y_new, f, f_new)``, if given, sees every trial step before
-    its error test, which means nothing on a step across a point where
-    ``rhs`` is not smooth.  It returns ``None``, or a shorter step that
+    its error norm is used, which means nothing on a step across a point
+    where ``rhs`` is not smooth.  It returns ``None``, or a shorter step that
     ends just past the first such point; the step is then redone at that
     length and counted as rejected, and the next one resumes at the length
-    that was cut.  Without ``cut`` the steps are scipy's.
+    that was cut.  Without ``cut`` the steps are scipy's controller's.
     """
     sol = DenseSolution(rhs)
     t = 0.0
-    y = [float(v) for v in y0]
+    y = tuple(float(v) for v in y0)
     f = rhs(t, y)
-    h_abs = _initial_step(rhs, np.array(y), np.array(f), rtol, atol)
+    h_abs = _initial_step(rhs, y, f, rtol, atol)
     sol.nfev = 2
-    # One stage buffer; the column views are the ones scipy's slices make.
-    K = np.empty((_STAGES_EXTENDED, 4))
-    main = tuple((s, c, K[:s].T, a) for s, (c, a) in enumerate(_MAIN_ROWS, start=1))
-    KB, KE = K[:_STAGES].T, K[:_STAGES + 1].T
     while True:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         resume = None
-        y0, y1, y2, y3 = y
         while True:
             if h_abs < min_step:
                 raise RuntimeError("geodesic integration failed: Required step size "
@@ -446,36 +614,27 @@ def solve(rhs, y0, rtol: float, atol: float, events, cut=None) -> DenseSolution:
             t_new = t + h_abs
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
-            for s, c, Ks, a in main:
-                d0, d1, d2, d3 = Ks.dot(a).tolist()
-                K[s] = rhs(t + c * h, (y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h))
-            b0, b1, b2, b3 = KB.dot(_B).tolist()
-            y_new = (y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3)
-            f_new = rhs(t + h, y_new)
-            K[_STAGES] = f_new
+            y_new, f_new, error_norm, stages = _step(rhs, t, h, y, f, rtol, atol)
             sol.nfev += _STAGES
             h_cut = None if cut is None else cut(h, y, y_new, f, f_new)
             if h_cut is not None:
                 if resume is None:
                     resume = h_abs
                 h_abs = h_cut
+            elif error_norm < 1:
+                factor = (MAX_FACTOR if error_norm == 0
+                          else min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
+                if rejected:
+                    factor = min(1, factor)
+                h_abs = resume if resume is not None else h_abs * factor
+                break
             else:
-                scale = np.array([atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)])
-                error_norm = _error_norm(KE, h, scale)
-                if error_norm < 1:
-                    factor = (MAX_FACTOR if error_norm == 0
-                              else min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
-                    if rejected:
-                        factor = min(1, factor)
-                    h_abs = resume if resume is not None else h_abs * factor
-                    break
                 h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
             sol.rejected += 1
 
         sol.steps += 1
-        sol._steps.append((t, h, y, y_new, K.copy()))
+        sol._steps.append((t, h, y, y_new, array("d", stages)))
         sol.ts.append(t)
         sol.ys.append(y)
         fired = [k for k, g in enumerate(events) if g(t_new, y_new) >= 0.0]

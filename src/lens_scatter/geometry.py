@@ -846,12 +846,13 @@ def _refine_samples(sol, max_step=0.45):
     polar angles step slowly.
 
     Returns the ``(4, m)`` states and the number of subdivision rounds;
-    only the new midpoints are interpolated.
+    only the new midpoints are interpolated.  Polar angles come from libm's
+    ``atan2``: numpy's follows its SIMD level, and the samples must not.
     """
     ts = np.array(sol.ts)
     ys = np.array(sol.ys).T
     for k in range(_REFINE_ROUNDS):
-        polar = np.unwrap(np.arctan2(ys[1], ys[0]))
+        polar = np.unwrap(list(map(math.atan2, ys[1].tolist(), ys[0].tolist())))
         bad = (np.abs(np.diff(ys[2])) > max_step) | (np.abs(np.diff(polar)) > max_step)
         if not np.any(bad):
             return ys, k

@@ -199,11 +199,12 @@ def _solve_ivp_refine(dense, ts, max_step=0.45, rounds=10):
     return dense(ts)
 
 
-def solve_ivp_trace(metric: ConformalMetric, entry,
-                    opts: IntegrationOptions | None = None) -> GeodesicPath:
+def solve_ivp_trace(metric: ConformalMetric, entry, opts: IntegrationOptions | None = None):
     """``integrate_geodesic`` as it was written on scipy's ``solve_ivp``
     (DOP853, dense output, terminal events): the oracle for the in-repo
-    port of that integrator."""
+    port of that integrator.  Returns the path and ``solve_ivp``'s dense
+    solution, the ``(4,)`` state at any Euclidean arclength ``s`` of the
+    run."""
     opts = opts or IntegrationOptions()
     R = metric.radius
     chord_impact(metric, entry)
@@ -244,14 +245,14 @@ def solve_ivp_trace(metric: ConformalMetric, entry,
     lengths = np.maximum.accumulate(lengths)
 
     if not exited:
-        return GeodesicPath(points, ys[2], lengths, entry, None)
+        return GeodesicPath(points, ys[2], lengths, entry, None), sol.sol
 
     # Snap the terminal sample onto the boundary circle for clean arc data.
     xe, ye, the, taue = sol.y[0, -1], sol.y[1, -1], sol.y[2, -1], sol.y[3, -1]
     scale = R / math.hypot(xe, ye)
     points[-1] = (xe * scale, ye * scale)
     exit_vec = boundary_vector_at(points[-1, 0], points[-1, 1], the)
-    return GeodesicPath(points, ys[2], lengths, entry, exit_vec)
+    return GeodesicPath(points, ys[2], lengths, entry, exit_vec), sol.sol
 
 
 _LINEAR_ZONE = 1e-8   # (r - r*) / r* below which n^2 r^2 - p^2 is linearized

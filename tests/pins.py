@@ -9,8 +9,11 @@ fails; it needs numpy alone:
     python tests/pins.py
 
 Only reports whose bytes do not depend on the CPU's BLAS kernel or numpy's
-SIMD level are pinned (README, "Portable bytes").  The lens's reports are
-not: its index takes a cube root by numpy's SIMD-dispatched ``np.cbrt``.
+SIMD level are pinned (README, "Portable bytes").  Traces are: the solver
+sums Python floats, and a trace evaluates the index one point at a time by
+libm.  The lens's quadrature reports (``scatter``, ``compare``, ``eaton``)
+are not: they evaluate its index on arrays, whose cube root is numpy's
+SIMD-dispatched ``np.cbrt``.
 """
 
 import contextlib
@@ -55,6 +58,14 @@ PINS = (
          "--angle", "1.0"), "scatter-four-knots.json"),
     Pin(("compare", "--m1", "vacuum", "--m2", "{data}/metric-four-knots.json",
          "--grid", "16x8"), "compare-vacuum-four-knots.json"),
+    # Traced geodesics: every sample of a chord and of a lens ray, and a fan
+    # on a tabulated profile.
+    Pin(("trace", "--metric", "vacuum", "--arc", "0", "--angle", "1.136", "--stride", "1"),
+        "trace-vacuum.json"),
+    Pin(("trace", "--metric", "eaton", "--arc", "0.1", "--angle", "1.0", "--stride", "1"),
+        "trace-eaton.json"),
+    Pin(("render", "--metric", "{data}/metric-four-knots.json", "--grid", "4x2",
+         "--out", "{report}"), "render-four-knots.svg"),
 )
 
 

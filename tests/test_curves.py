@@ -1,7 +1,7 @@
 """TrigCurve's series: one value per parameter, whatever the batch, the
 curves evaluated before and the CPU's BLAS or SIMD kernels, and read-only
-coefficients and bases.  Clairaut quadrature's orbits on the CPU's kernels
-too."""
+coefficients and bases.  Clairaut quadrature's orbits and traced geodesics
+on the CPU's kernels too."""
 
 import hashlib
 import math
@@ -165,3 +165,58 @@ def test_orbits_do_not_depend_on_cpu_kernels(tmp_path, env, needs):
         metrics += [str(TESTS / "data" / "metric-four-knots.json"), "eaton"]
     call = f"orbit_digest(*{metrics!r})"
     assert in_subprocess(tmp_path, env, needs, call) == orbit_digest(*metrics)
+
+
+def _seeded_bumps():
+    """Three Gaussian bumps on the index, ``1 + sum_k a_k exp(-|p - c_k|^2 /
+    (2 s_k^2))``, evaluated by libm alone."""
+    from lens_scatter.geometry import ConformalMetric
+
+    rng = np.random.default_rng(5)
+    bumps = np.column_stack([rng.uniform(-0.4, 0.4, (3, 2)), rng.uniform(-0.3, 0.3, 3),
+                             rng.uniform(0.15, 0.35, 3)]).tolist()
+
+    def n(x, y):
+        total = 1.0
+        for cx, cy, a, s in bumps:
+            total += a * math.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * s * s))
+        return total
+
+    def grad(x, y):
+        gx = gy = 0.0
+        for cx, cy, a, s in bumps:
+            w = a * math.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * s * s)) / (s * s)
+            gx -= w * (x - cx)
+            gy -= w * (y - cy)
+        return gx, gy
+
+    return ConformalMetric.general(n, grad, name="bumps")
+
+
+def trace_digest(*metrics: str) -> str:
+    """sha256 of ``integrate_geodesic``'s samples and exit at 12 entries on
+    each metric: ``vacuum``, ``eaton``, a metric file or ``bumps``, a seeded
+    non-radial field."""
+    from lens_scatter.geometry import IntegrationOptions, integrate_geodesic, load_metric
+    from lens_scatter.scattering import BoundaryVector
+
+    h = hashlib.sha256()
+    for name in metrics:
+        metric = _seeded_bumps() if name == "bumps" else load_metric(name)
+        for k in range(12):
+            entry = BoundaryVector(k / 12 + 0.01, 0.1 + (math.pi - 0.2) * k / 11)
+            path = integrate_geodesic(metric, entry, IntegrationOptions())
+            for values in (path.points, path.directions, path.lengths,
+                           [path.exit.arc, path.exit.angle]):
+                h.update(np.asarray(values, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+TRACED = ["vacuum", "eaton", str(TESTS / "data" / "metric-four-knots.json"), "bumps"]
+
+
+@on_x86
+@pytest.mark.parametrize("env,needs", KERNELS)
+def test_traces_do_not_depend_on_cpu_kernels(tmp_path, env, needs):
+    call = f"trace_digest(*{TRACED!r})"
+    assert in_subprocess(tmp_path, env, needs, call) == trace_digest(*TRACED)

@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import math
+from array import array
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
 from lens_scatter import dop853, geometry, scattering
+from lens_scatter.dop853 import EPS
 from lens_scatter.eaton import eaton_index, eaton_metric
 from lens_scatter.geometry import (ConformalMetric, IntegrationOptions,
                                    SingularChordError, SingularityError,
@@ -169,11 +172,26 @@ def _oracle_cases():
     return [pytest.param(*case, id=f"{case[0]}-{k}") for k, case in enumerate(cases)]
 
 
+def _state_at_length(dense, tau: float):
+    """The state of the dense solution ``dense`` where its metric length is
+    ``tau``; length grows at the rate ``n > 0``, so there is one."""
+    if tau == 0.0:
+        return dense(dense.t_min)
+    # The exit sample may lie a little past the end: extrapolate.
+    hi, step = dense.t_max, 1e-12
+    while dense(hi)[3] < tau:
+        hi, step = hi + step, 2.0 * step
+    return dense(scipy_brentq(lambda s: dense(s)[3] - tau, dense.t_min, hi,
+                              xtol=1e-15, rtol=4 * EPS))
+
+
 class TestAgainstSolveIvp:
-    """The in-repo DOP853 takes the steps scipy's ``solve_ivp`` takes, so
-    its paths match the tracer it replaced sample for sample.  Steps cut at
-    the knot circles of a tabulated profile leave scipy's on purpose, so
-    the cutter is switched off here (see ``TestKnotCrossings``)."""
+    """The in-repo DOP853 has scipy's tableau, initial step and controller,
+    but sums in its own order, so its steps follow other rounding.  Its
+    paths are checked against the tracer it replaced at the same metric
+    length, state for state; steps cut at the knot circles of a tabulated
+    profile leave scipy's on purpose, so the cutter is switched off here
+    (see ``TestKnotCrossings``)."""
 
     def test_tableau_is_scipys(self):
         from scipy.integrate._ivp import dop853_coefficients as ref
@@ -182,33 +200,94 @@ class TestAgainstSolveIvp:
         assert np.array_equal(dop853._B, ref.B) and np.array_equal(dop853._D, ref.D)
         assert np.array_equal(dop853._E3, ref.E3) and np.array_equal(dop853._E5, ref.E5)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_step_is_the_tableau_written_out(self, seed):
+        # A guard on the straight-line sums: a right-hand side that replays
+        # random stage vectors, so that no sum cancels by the method's order
+        # conditions, sees the arguments the tableau arrays give, and the
+        # step's new state, error norm and interpolant are the arrays' too.
+        # Each agrees to rounding: a few eps of the magnitude of its terms.
+        rng = np.random.default_rng(seed)
+        A, B, C, D, E3, E5 = (dop853._A, dop853._B, dop853._C, dop853._D, dop853._E3,
+                              dop853._E5)
+        K = rng.normal(size=(16, 4))
+        y = rng.normal(size=4)
+        t, h, rtol, atol = 0.25, 0.4, 1e-7, 1e-11
+        calls = []
+
+        def replay(s, state):
+            calls.append((s, np.array(state)))
+            return tuple(K[len(calls)].tolist())
+
+        y_new, f_new, error_norm, stages = dop853._step(replay, t, h, tuple(y.tolist()),
+                                                        tuple(K[0].tolist()), rtol, atol)
+        sol = dop853.DenseSolution(replay)
+        sol._steps.append((t, h, tuple(y.tolist()), y_new, array("d", stages)))
+        x = 0.37
+        got = sol([t + x * h])[:, 0]
+        assert len(calls) == 15 and f_new == tuple(K[12].tolist())
+
+        rows = [(s, A[s, :s]) for s in range(1, 12)] + [(12, B)]
+        rows += [(s, A[s, :s]) for s in range(13, 16)]
+        for (s, a), (t_s, state) in zip(rows, calls):
+            assert t_s == (t + C[s] * h if s != 12 else t + h)
+            k = K[:len(a)]
+            bound = 4 * EPS * (np.abs(y) + h * np.abs(a).dot(np.abs(k)))
+            assert np.all(np.abs(state - (y + h * a.dot(k))) <= bound)
+        assert np.array_equal(np.array(y_new), calls[11][1])
+
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err5 = E5.dot(K[:13]) / scale
+        err3 = E3.dot(K[:13]) / scale
+        want = h * err5.dot(err5) / math.sqrt((err5.dot(err5) + 0.01 * err3.dot(err3)) * 4)
+        assert abs(error_norm - want) <= 8 * EPS * want
+
+        dy = np.array(y_new) - y
+        F = [dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0]), *(h * D.dot(K))]
+        want = np.zeros(4)
+        for i, f in enumerate(reversed(F)):
+            want = (want + f) * (x if i % 2 == 0 else 1 - x)
+        bound = 4 * EPS * (np.abs(y) + np.sum(np.abs(F), axis=0))
+        assert np.all(np.abs(got - (y + want)) <= bound)
+
     @pytest.mark.parametrize("name,metric,entry,cap", _oracle_cases())
     def test_paths_match_oracle(self, name, metric, entry, cap, monkeypatch):
         monkeypatch.setattr(geometry, "_knot_cut", lambda metric: None)
         opts = IntegrationOptions(max_length=cap)
+        tol = opts.step_tol
         got = integrate_geodesic(metric, entry, opts)
-        want = solve_ivp_trace(metric, entry, opts)
-        assert len(got.points) == len(want.points)
+        want, dense = solve_ivp_trace(metric, entry, opts)
         assert got.trapped == want.trapped == (cap is not None)
-        assert np.max(np.abs(got.points - want.points)) <= 1e-10
-        assert np.max(np.abs(got.directions - want.directions)) <= 1e-10
-        assert np.max(np.abs(got.lengths - want.lengths)) <= 1e-10
+        rhs = metric._make_rhs()
+        for point, direction, tau in zip(got.points, got.directions, got.lengths):
+            x, y, theta, _ = state = _state_at_length(dense, tau)
+            slip = math.hypot(point[0] - x, point[1] - y)
+            assert slip <= tol
+            # Within step_tol at one point, and the two points may lie up
+            # to step_tol apart along the ray, which turns by its turn rate
+            # times that distance.
+            turn = abs(rhs(0.0, state)[2])
+            assert abs(direction - theta) <= tol * (1.0 + turn)
         if not want.trapped:
-            assert _arc_distance(got.exit.arc, want.exit.arc) <= 1e-10
-            assert abs(got.exit.angle - want.exit.angle) <= 1e-10
-            assert abs(got.length - want.length) <= 1e-10
+            # Steps across the kinks of an uncut tabulated profile fit their
+            # stages to a right-hand side that is not smooth.
+            exit_tol = tol if name == "knots" else 1e-10
+            assert _arc_distance(got.exit.arc, want.exit.arc) <= exit_tol
+            assert abs(got.exit.angle - want.exit.angle) <= exit_tol
+            assert abs(got.length - want.length) <= exit_tol
 
 
 # n is flat on 0.4 <= r <= 0.6 and n'' jumps on the r = 0.4 circle.  The
-# ray's perigee is 5e-4 inside that circle, and scipy's steps carry it in
-# and out between two stages of one 0.46-long step whose error estimate
-# never sees the bend: its exit lands 3e-6 off and its interpolated
-# samples break Clairaut's integral by 4e-5.
+# ray's perigee is 6e-6 inside that circle.  Uncut steps carry it in and
+# out within one 0.40-long step whose error estimate never sees the bend:
+# the exit lands 6e-6 off in length and 2e-6 in arc, and the interpolated
+# samples break Clairaut's integral by 9e-5.  No BLAS or SIMD-dispatched
+# call enters the trace, so this holds on every CPU.
 GRAZED_KNOTS = ConformalMetric.from_profile_knots(
     [(0.2 * k, 1.0 - sum([0.0, 0.004027576267654266, 0.0,
                           0.023592330062498765, 0.004027576267654266][k:]))
      for k in range(6)], name="knots")
-GRAZING_ENTRY = BoundaryVector(0.04988949262281213, 1.9697424712146816)
+GRAZING_ENTRY = BoundaryVector(0.7370101066977546, 1.9694947240607714)
 
 
 class TestKnotCrossings:
