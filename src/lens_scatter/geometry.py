@@ -28,6 +28,8 @@ right-hand side does not jump where a ray enters or leaves.  On a tabulated
 profile steps end just past each knot circle they cross and just past the
 rim (:func:`_knot_cut`).  Radial metrics get exit data without tracing,
 from Clairaut quadrature (:func:`clairaut_orbit`), split at the knots.
+Both run on Python floats and evaluate the index one point at a time, so
+their bits do not depend on the CPU's BLAS kernel or numpy's SIMD level.
 
 The module needs numpy alone.  Its kernels are small ports checked against
 scipy in the tests: roots come from :func:`lens_scatter.dop853.brentq`,
@@ -289,7 +291,9 @@ class EatonProfile:
     or leaves, and the stages of an exit step past the rim see the smooth
     continuation.  Entry chords keep ``EXCLUSION_RADIUS`` from the origin,
     but interior ray perigees dip far below that (roughly the cube of the
-    chord offset), so evaluation is refused only below ``r_min``.
+    chord offset), so evaluation is refused only below ``r_min``.  One
+    formula serves points and arrays: the cube root is libm's power, and
+    ``eval_many`` maps ``eval``.
     """
 
     r_min = 1e-10
@@ -308,14 +312,12 @@ class EatonProfile:
         return n, -s * n * (n + 1.0) ** 2 / (3.0 * n + 1.0)
 
     def eval_many(self, r):
+        """``eval`` at every radius of the array ``r``, so the two agree bit
+        for bit: ``np.cbrt`` would follow numpy's SIMD level."""
         r = np.asarray(r, dtype=float)
-        if np.any(r < self.r_min):
-            raise SingularityError("radius below the lens index floor")
-        a = 1.0 / r
-        u = np.cbrt(a + np.sqrt(a * a + 1.0 / 27.0))
-        s = u - 1.0 / (3.0 * u)
-        n = s * s
-        return n, -s * n * (n + 1.0) ** 2 / (3.0 * n + 1.0)
+        values = np.array([self.eval(x) for x in r.ravel().tolist()])
+        values = values.reshape(r.shape + (2,))
+        return values[..., 0], values[..., 1]
 
 
 _EATON_PROFILE = EatonProfile()
@@ -543,7 +545,7 @@ def polar_sweep(points, max_step: float = 0.5 * math.pi) -> float:
     r = np.hypot(pts[:, 0], pts[:, 1])
     if np.min(r) <= 0.0:
         raise ValueError("path passes through the origin")
-    polar = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
+    polar = np.unwrap(list(map(math.atan2, pts[:, 1].tolist(), pts[:, 0].tolist())))
     steps = np.abs(np.diff(polar))
     if steps.size and float(np.max(steps)) > max_step:
         raise NonIntegralWindingError(
@@ -593,9 +595,14 @@ _SIMPSON_ZONE = 2e-3
 
 @functools.lru_cache(maxsize=8)
 def _log_grid(floor: float, radius: float) -> np.ndarray:
-    """``np.geomspace(floor, radius, _SCAN_POINTS)``, read-only: every orbit
-    of a metric scans the same grid, so it is built once."""
-    grid = np.geomspace(floor, radius, _SCAN_POINTS)
+    """``_SCAN_POINTS`` radii from ``floor`` to ``radius``, evenly spaced in
+    ``log10``, read-only.  The powers are libm's, not ``np.geomspace``'s,
+    which follow numpy's SIMD level; as in ``np.geomspace`` the ends are
+    exactly ``floor`` and ``radius``.  Profiles with one floor and radius
+    share it."""
+    logs = np.linspace(math.log10(floor), math.log10(radius), _SCAN_POINTS).tolist()
+    grid = np.array([10.0 ** y for y in logs])
+    grid[0], grid[-1] = floor, radius
     grid.flags.writeable = False
     return grid
 
@@ -609,6 +616,18 @@ def _scan_radii(floor: float, radius: float, knots) -> np.ndarray:
     return rs[np.concatenate([[True], rs[1:] != rs[:-1]])]
 
 
+@functools.lru_cache(maxsize=8)
+def _scan_table(profile, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan radii of ``profile`` below ``radius`` and ``n r`` on them,
+    read-only.  Profiles are immutable, so every orbit of a metric reads the
+    table built for its first one."""
+    rs = _scan_radii(max(profile.r_min, _SCAN_FLOOR * radius), radius,
+                     profile.breakpoints)
+    nr = profile.eval_many(rs)[0] * rs
+    rs.flags.writeable = nr.flags.writeable = False
+    return rs, nr
+
+
 def _turning_radius(profile, radius: float, p: float) -> float | None:
     """Outermost root of ``n(r) r = p`` below ``radius``, or ``None``.
 
@@ -616,14 +635,12 @@ def _turning_radius(profile, radius: float, p: float) -> float | None:
     the profile's breakpoints, and the outermost sign change is closed by
     ``brentq``.
     """
-    rs = _scan_radii(max(profile.r_min, _SCAN_FLOOR * radius), radius,
-                     profile.breakpoints)
-    f = profile.eval_many(rs)[0] * rs - p
-    inside = np.flatnonzero(f <= 0.0)
+    rs, nr = _scan_table(profile, radius)
+    inside = np.flatnonzero(nr <= p)
     if inside.size == 0 or inside[-1] == rs.size - 1:
         return None
     i = inside[-1]
-    if f[i] == 0.0:
+    if nr[i] == p:
         return float(rs[i])
     lo, hi = float(rs[i]), float(rs[i + 1])
     return brentq(lambda r: profile.eval(r)[0] * r - p, lo, hi, xtol=1e-16 * lo)
@@ -645,39 +662,52 @@ _WG = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467
 _GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _GK_WEIGHTS = np.array(_WGK[:-1] + _WGK[::-1])
 _G7_WEIGHTS = np.array(_WG[:-1] + _WG[::-1])
-_GK_RULES = np.column_stack([_GK_WEIGHTS, _G7_WEIGHTS])
-# Node sums contract with this table, or a one-column view of it, by
+# ``riemannian_length``'s Gauss sums contract with this one-column view by
 # ``np.einsum("...j,jk->...k")``, as ``TrigCurve`` sums its series: with
-# the table's rows 16 bytes apart, einsum adds term after term into each
-# output, where ``@`` sums in the order of the CPU's BLAS kernel.
-_GK_KRONROD = _GK_RULES[:, :1]
-_G7_GAUSS = _GK_RULES[_G7_WEIGHTS != 0.0][:, 1:]
+# rows 16 bytes apart, einsum adds term after term into each output, where
+# ``@`` sums in the order of the CPU's BLAS kernel.
+_G7_GAUSS = np.column_stack([_GK_WEIGHTS, _G7_WEIGHTS])[_G7_WEIGHTS != 0.0][:, 1:]
+# The panel rule's table as Python floats: the nodes in ``_GK_NODES`` order,
+# the Kronrod weights (nodes ``j`` and ``14 - j`` share ``_Kj``) and the
+# Gauss weights of the odd nodes.
+_GK_X = tuple(_GK_NODES.tolist())
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
+_G1, _G3, _G5, _G7 = _WG[1::2]
 
 
-def _gk15(integrands, lo, hi):
-    """G7K15 estimates of every integrand over the panels ``[lo[i], hi[i]]``.
+def _gk15(integrand, lo: float, hi: float):
+    """G7K15 estimates of every integrand over the panel ``[lo, hi]``.
 
-    ``integrands(u)`` maps a 1-d array of nodes to an ``(m, len(u))`` array
-    of ``m`` integrands, and is called once.  Returns the ``(k, m)`` arrays
-    of integrals and errors of the ``k`` panels, the errors scaled as
-    QUADPACK's ``qk15`` scales them.
+    ``integrand(u)`` returns the values of ``m`` integrands at the node
+    ``u``; it is called at the 15 nodes in ``_GK_NODES`` order.  Returns the
+    lists of the ``m`` integrals and of their errors, scaled as QUADPACK's
+    ``qk15`` scales them.  Every node sum is written out term after term in
+    node order, so its bits do not depend on the CPU.
     """
     half = 0.5 * (hi - lo)
-    f = integrands(((lo + half)[:, None] + half[:, None] * _GK_NODES).ravel())
-    f = f.reshape(len(f), len(lo), len(_GK_NODES))
-    sums = np.einsum("...j,jk->...k", f, _GK_RULES)
-    h = half[:, None]
-    err = np.abs((sums[..., 0] - sums[..., 1]).T * h)
-    asc = np.einsum("...j,jk->...k", np.abs(f - 0.5 * sums[..., :1]), _GK_KRONROD)
-    asc = asc[..., 0].T * h
-    # The power by Python floats: numpy's vector pow may round differently,
-    # and the errors decide which panel the adaptive pass halves.
-    err = [a * min(1.0, (200.0 * e / a) ** 1.5) if a != 0.0 and e != 0.0 else e
-           for e, a in zip(err.ravel().tolist(), asc.ravel().tolist())]
-    return sums[..., 0].T * h, np.reshape(err, asc.shape)
+    centre = lo + half
+    values, errors = [], []
+    for f in zip(*[integrand(centre + half * x) for x in _GK_X]):
+        f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14 = f
+        kronrod = (f0 * _K0 + f1 * _K1 + f2 * _K2 + f3 * _K3 + f4 * _K4 + f5 * _K5
+                   + f6 * _K6 + f7 * _K7 + f8 * _K6 + f9 * _K5 + f10 * _K4 + f11 * _K3
+                   + f12 * _K2 + f13 * _K1 + f14 * _K0)
+        gauss = (f1 * _G1 + f3 * _G3 + f5 * _G5 + f7 * _G7 + f9 * _G5 + f11 * _G3
+                 + f13 * _G1)
+        m = 0.5 * kronrod
+        asc = (abs(f0 - m) * _K0 + abs(f1 - m) * _K1 + abs(f2 - m) * _K2
+               + abs(f3 - m) * _K3 + abs(f4 - m) * _K4 + abs(f5 - m) * _K5
+               + abs(f6 - m) * _K6 + abs(f7 - m) * _K7 + abs(f8 - m) * _K6
+               + abs(f9 - m) * _K5 + abs(f10 - m) * _K4 + abs(f11 - m) * _K3
+               + abs(f12 - m) * _K2 + abs(f13 - m) * _K1 + abs(f14 - m) * _K0) * half
+        err = abs((kronrod - gauss) * half)
+        values.append(kronrod * half)
+        errors.append(asc * min(1.0, (200.0 * err / asc) ** 1.5)
+                      if asc != 0.0 and err != 0.0 else err)
+    return values, errors
 
 
-def _adaptive_gk15(integrands, edges, tol: float, limit: int):
+def _adaptive_gk15(integrand, edges, tol: float, limit: int):
     """Integrals of every integrand over ``[edges[0], edges[-1]]``.
 
     Global adaptive G7K15 from the panels between ``edges``: the panel with
@@ -686,24 +716,27 @@ def _adaptive_gk15(integrands, edges, tol: float, limit: int):
     Returns ``None`` when that would take more than ``limit`` panels, a
     panel can no longer be halved, or a value is not finite.
     """
-    edges = np.asarray(edges, dtype=float)
-    vals, errs = _gk15(integrands, edges[:-1], edges[1:])
+    edges = [float(e) for e in edges]
+    panels = [_gk15(integrand, a, b) for a, b in zip(edges, edges[1:])]
     while True:
-        totals = [math.fsum(col) for col in vals.T.tolist()]
+        totals = [math.fsum(col) for col in zip(*(v for v, _ in panels))]
         if not all(math.isfinite(t) for t in totals):
             return None
         targets = [max(tol, tol * abs(t)) for t in totals]
         # Summed left to right, as the panels lie.
-        if all(sum(col) <= target for col, target in zip(errs.T.tolist(), targets)):
+        summed = [0.0] * len(totals)
+        for _, errs in panels:
+            summed = [s + e for s, e in zip(summed, errs)]
+        if all(s <= target for s, target in zip(summed, targets)):
             return totals
-        i = int(np.argmax(np.max(errs / targets, axis=1)))
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        if len(vals) >= limit or not edges[i] < mid < edges[i + 1]:
+        worst = [max(e / target for e, target in zip(errs, targets)) for _, errs in panels]
+        i = worst.index(max(worst))
+        lo, hi = edges[i], edges[i + 1]
+        mid = 0.5 * (lo + hi)
+        if len(panels) >= limit or not lo < mid < hi:
             return None
-        edges = np.concatenate([edges[:i + 1], [mid], edges[i + 1:]])
-        v, e = _gk15(integrands, edges[i:i + 2], edges[i + 1:i + 3])
-        vals = np.concatenate([vals[:i], v, vals[i + 1:]])
-        errs = np.concatenate([errs[:i], e, errs[i + 1:]])
+        edges.insert(i + 1, mid)
+        panels[i:i + 1] = [_gk15(integrand, lo, mid), _gk15(integrand, mid, hi)]
 
 
 def clairaut_orbit(metric: ConformalMetric, impact: float,
@@ -721,9 +754,11 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
     inverse square root at ``r*`` and the scale range of near-pole turning
     points.  Next to ``r*`` the factor ``n r - p`` of the radicand comes from
     Simpson's rule on ``(n r)' = n + r n'`` over ``[r*, r]``, which cannot
-    round to zero.  Both integrals come from one adaptive
-    Gauss-Kronrod pass (:func:`_adaptive_gk15`) that evaluates the profile
-    once per batch of panels, split at the knots.  Returns ``None`` when
+    round to zero; across a knot the rule runs piecewise.  Both integrals
+    come from one adaptive Gauss-Kronrod pass (:func:`_adaptive_gk15`),
+    split at the knots, that evaluates the profile node by node with its
+    scalar ``eval``.  The turning radius is bracketed on the profile's scan
+    table (:func:`_scan_table`), built once.  Returns ``None`` when
     the quadrature does not apply, so the caller falls back to
     :func:`integrate_geodesic`: a non-radial metric, no turning point above
     the profile's domain, a turning point that is not simple (orbiting or
@@ -742,27 +777,39 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
     if not slope > 0.0:
         return None
 
-    def integrands(u):
+    # (n r)' kinks at the knots, where Simpson's rule loses its order, so
+    # across a knot in its zone the rule runs piecewise between the knots.
+    # The list takes knots up to twice the zone; each node keeps those below
+    # its own radius.
+    zone_knots = [float(b) for b in profile.breakpoints
+                  if r_star < b < r_star * (1.0 + 2.0 * _SIMPSON_ZONE)]
+
+    def integrand(u):
         # At r = r* exp(u^2), dr = 2 u r du: the sweep's p w and the
         # length's (n r)^2 w, with w = u / sqrt(n^2 r^2 - p^2).
-        # libm's expm1, not numpy's: numpy's takes its AVX-512 kernel where
-        # the CPU has one, and its last bits differ.
-        e = np.array(list(map(math.expm1, (u * u).tolist())))
+        e = math.expm1(u * u)
         dr = r_star * e
         r = r_star + dr
-        near = e < _SIMPSON_ZONE
-        mid = r_star + 0.5 * dr[near]
-        rs = np.concatenate([r, mid])
-        n, dn = profile.eval_many(rs)
-        # (n r)' at every node, then at the midpoints.
-        slopes = n + rs * dn
-        nr = n[:len(r)] * r
-        excess = nr - p
-        excess[near] = dr[near] / 6.0 * (slope + 4.0 * slopes[len(r):]
-                                         + slopes[:len(r)][near])
+        n, dn = profile.eval(r)
+        nr = n * r
+        if e >= _SIMPSON_ZONE:
+            excess = nr - p
+        elif not zone_knots or r <= zone_knots[0]:
+            mid = r_star + 0.5 * dr
+            n_mid, dn_mid = profile.eval(mid)
+            excess = dr / 6.0 * (slope + 4.0 * (n_mid + mid * dn_mid) + (n + r * dn))
+        else:
+            excess, a, slope_a = 0.0, r_star, slope
+            for b in [*(k for k in zone_knots if k < r), r]:
+                mid = 0.5 * (a + b)
+                n_mid, dn_mid = profile.eval(mid)
+                n_b, dn_b = profile.eval(b)
+                slope_b = n_b + b * dn_b
+                excess += (b - a) / 6.0 * (slope_a + 4.0 * (n_mid + mid * dn_mid) + slope_b)
+                a, slope_a = b, slope_b
         g = excess * (nr + p)
-        w = u / np.sqrt(np.where(g > 0.0, g, math.nan))
-        return np.stack([p * w, nr * nr * w])
+        w = u / math.sqrt(g) if g > 0.0 else math.nan
+        return p * w, nr * nr * w
 
     # Quadrature error does not build up along the path as the ODE's global
     # error does, so two decades below step_tol suffice (the ODE uses three).
@@ -772,7 +819,7 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
     # the panels end there.
     breaks = [math.sqrt(math.log(b / r_star)) for b in profile.breakpoints if b > r_star]
     edges = [0.0, *sorted(u for u in breaks if u < top), top]
-    res = _adaptive_gk15(integrands, edges, tol, 50 + len(breaks))
+    res = _adaptive_gk15(integrand, edges, tol, 50 + len(breaks))
     if res is None:
         return None
     return 4.0 * res[0], 4.0 * res[1]

@@ -9,11 +9,10 @@ fails; it needs numpy alone:
     python tests/pins.py
 
 Only reports whose bytes do not depend on the CPU's BLAS kernel or numpy's
-SIMD level are pinned (README, "Portable bytes").  Traces are: the solver
-sums Python floats, and a trace evaluates the index one point at a time by
-libm.  The lens's quadrature reports (``scatter``, ``compare``, ``eaton``)
-are not: they evaluate its index on arrays, whose cube root is numpy's
-SIMD-dispatched ``np.cbrt``.
+SIMD level are pinned (README, "Portable bytes").  Quadrature and traces
+are: the Gauss-Kronrod rule and the solver sum Python floats, both evaluate
+the index one point at a time by libm (the lens's cube root too), and the
+turning radius is bracketed on a grid of libm powers.
 """
 
 import contextlib
@@ -51,13 +50,19 @@ PINS = (
         "approx-pl-lemniscate-2048.csv",
         "approx-pl: n=512, separations 0.0300 0.0300 0.0300 0.0301 0.0301\n"),
     Pin(("render", "--curve", "lemniscate", "--out", "{report}"), "render-lemniscate.svg"),
-    # Clairaut quadrature on the flat disk and on a tabulated profile.
+    # Clairaut quadrature on the flat disk, on a tabulated profile and on
+    # the lens.
     Pin(("scatter", "--metric", "vacuum", "--arc", "0", "--angle", "0.785398"),
         "scatter-vacuum.json"),
     Pin(("scatter", "--metric", "{data}/metric-four-knots.json", "--arc", "0.1",
          "--angle", "1.0"), "scatter-four-knots.json"),
     Pin(("compare", "--m1", "vacuum", "--m2", "{data}/metric-four-knots.json",
          "--grid", "16x8"), "compare-vacuum-four-knots.json"),
+    Pin(("scatter", "--metric", "eaton", "--arc", "0.1", "--angle", "1.0"),
+        "scatter-eaton.json"),
+    Pin(("compare", "--m1", "vacuum", "--m2", "eaton", "--grid", "16x8"),
+        "compare-vacuum-eaton.json"),
+    Pin(("eaton", "--grid", "64"), "eaton-64.json"),
     # Traced geodesics: every sample of a chord and of a lens ray, and a fan
     # on a tabulated profile.
     Pin(("trace", "--metric", "vacuum", "--arc", "0", "--angle", "1.136", "--stride", "1"),

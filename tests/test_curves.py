@@ -157,12 +157,7 @@ def orbit_digest(*metrics: str) -> str:
 @on_x86
 @pytest.mark.parametrize("env,needs", KERNELS)
 def test_orbits_do_not_depend_on_cpu_kernels(tmp_path, env, needs):
-    # numpy's SIMD level still moves the lens's index (np.cbrt) and some
-    # turning radii of a tabulated profile (the np.geomspace scan grid), so
-    # those two join only the BLAS settings.
-    metrics = ["vacuum"]
-    if "OPENBLAS_CORETYPE" in env:
-        metrics += [str(TESTS / "data" / "metric-four-knots.json"), "eaton"]
+    metrics = ["vacuum", str(TESTS / "data" / "metric-four-knots.json"), "eaton"]
     call = f"orbit_digest(*{metrics!r})"
     assert in_subprocess(tmp_path, env, needs, call) == orbit_digest(*metrics)
 

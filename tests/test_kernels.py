@@ -144,20 +144,20 @@ class TestGaussKronrod:
 
     def test_adaptive_rule_meets_its_tolerance(self):
         # A peaked integrand that needs many panels, and a smooth one.
-        def integrands(u):
-            return np.stack([1.0 / (1e-4 + u * u), np.cos(u)])
+        def integrand(u):
+            return 1.0 / (1e-4 + u * u), math.cos(u)
 
-        got = geometry._adaptive_gk15(integrands, [-1.0, 0.0, 1.0], 1e-10, 100)
+        got = geometry._adaptive_gk15(integrand, [-1.0, 0.0, 1.0], 1e-10, 100)
         want = [2.0 * math.atan(1.0 / 1e-2) / 1e-2, 2.0 * math.sin(1.0)]
         assert got[0] == pytest.approx(want[0], rel=1e-10)
         assert got[1] == pytest.approx(want[1], rel=1e-10)
-        assert geometry._adaptive_gk15(integrands, [-1.0, 1.0], 1e-10, 4) is None
+        assert geometry._adaptive_gk15(integrand, [-1.0, 1.0], 1e-10, 4) is None
 
     def test_non_finite_values_decline(self):
-        def integrands(u):
-            return np.stack([np.where(u > 0.3, math.nan, 1.0), u])
+        def integrand(u):
+            return math.nan if u > 0.3 else 1.0, u
 
-        assert geometry._adaptive_gk15(integrands, [0.0, 1.0], 1e-8, 50) is None
+        assert geometry._adaptive_gk15(integrand, [0.0, 1.0], 1e-8, 50) is None
 
     def test_node_sums_add_term_after_term(self):
         # The reference adds each node's term in node order, as the rule
@@ -173,16 +173,18 @@ class TestGaussKronrod:
         f = rng.normal(size=(2, 5, 15)) * 10.0 ** rng.integers(-6, 7, size=(2, 5, 15))
         lo = rng.uniform(0.0, 1.0, 5)
         hi = lo + rng.uniform(0.1, 1.0, 5)
-        vals, errs = geometry._gk15(lambda u: f.reshape(2, -1), lo, hi)
         wk, wg = geometry._GK_WEIGHTS.tolist(), geometry._G7_WEIGHTS.tolist()
-        for i in range(2):
-            for k in range(5):
-                h = 0.5 * (hi[k] - lo[k])
+        for k in range(5):
+            # Panel k's integrands at its nodes, in the order they are asked for.
+            rows = iter(f[:, k].T.tolist())
+            vals, errs = geometry._gk15(lambda u: next(rows), float(lo[k]), float(hi[k]))
+            h = 0.5 * (hi[k] - lo[k])
+            for i in range(2):
                 kronrod = in_order(f[i, k], wk)
                 ascent = in_order(np.abs(f[i, k] - 0.5 * kronrod), wk) * h
                 err = abs((kronrod - in_order(f[i, k], wg)) * h)
-                assert vals[k, i] == kronrod * h
-                assert errs[k, i] == ascent * min(1.0, (200.0 * err / ascent) ** 1.5)
+                assert vals[i] == kronrod * h
+                assert errs[i] == ascent * min(1.0, (200.0 * err / ascent) ** 1.5)
         # riemannian_length's Gauss sums, on three segments.
         metric = next(_seeded_profiles(1))
         points = np.array([[0.1, 0.2], [0.5, -0.3], [-0.2, -0.6], [0.0, 0.7]])
@@ -226,6 +228,27 @@ class TestClairautAgainstQuad:
                     for g, w in zip(got, want):
                         assert abs(g - w) < 1e-2 * step_tol * max(1.0, abs(w)), (metric.name, chi)
 
+    @pytest.mark.parametrize("gap", [1e-6, 1e-4, 1e-3])
+    def test_turning_point_just_below_a_knot(self, gap):
+        # (n r)' kinks at the knot, inside Simpson's zone above r*; a rule
+        # across the kink put tau 1e-6 off on a profile whose last step is
+        # 2e-12 (a Hypothesis example).
+        opts = IntegrationOptions()
+        steps = [0.007868514420622487, 0.002768714668970618, 0.021344378134921,
+                 0.04667729232281976, 2e-12]
+        flat_rim = ConformalMetric.from_profile_knots(
+            [(0.2 * k, 1.0 + sum(steps[k:])) for k in range(6)])
+        for metric in [flat_rim, KINKED_PROFILE, *_seeded_profiles(4)]:
+            profile = metric.profile
+            for knot in profile.breakpoints[1:-1].tolist():
+                r_star = knot * (1.0 - gap)
+                impact = profile.eval(r_star)[0] * r_star / profile.eval(1.0)[0]
+                got = clairaut_orbit(metric, impact, opts)
+                want = quad_clairaut_orbit(metric, impact, opts)
+                assert got is not None and want is not None
+                for g, w in zip(got, want):
+                    assert abs(g - w) < 1e-2 * opts.step_tol * max(1.0, abs(w)), (knot, gap)
+
     def test_lens_lengths_closer_to_exact_near_grazing(self):
         # The lens's orbit lengths are 2 pi + 2 sin(chi).  Close to grazing
         # (n r)' is small at r*, and the difference n r - p cancels;
@@ -241,7 +264,10 @@ class TestScanGrid:
     def test_equals_union1d(self):
         rng = np.random.default_rng(5)
         floor, radius = 1e-12, 1.0
-        grid = np.geomspace(floor, radius, geometry._SCAN_POINTS)
+        # libm's powers of 10 over evenly spaced logs, with exact ends.
+        logs = np.linspace(math.log10(floor), math.log10(radius), geometry._SCAN_POINTS)
+        grid = np.array([10.0 ** y for y in logs.tolist()])
+        grid[0], grid[-1] = floor, radius
         for k in range(50):
             knots = np.sort(rng.uniform(0.0, 1.2, int(rng.integers(0, 8))))
             if k % 2:
