@@ -667,12 +667,11 @@ _G7_WEIGHTS = np.array(_WG[:-1] + _WG[::-1])
 # rows 16 bytes apart, einsum adds term after term into each output, where
 # ``@`` sums in the order of the CPU's BLAS kernel.
 _G7_GAUSS = np.column_stack([_GK_WEIGHTS, _G7_WEIGHTS])[_G7_WEIGHTS != 0.0][:, 1:]
-# The panel rule's table as Python floats: the nodes in ``_GK_NODES`` order,
-# the Kronrod weights (nodes ``j`` and ``14 - j`` share ``_Kj``) and the
-# Gauss weights of the odd nodes.
+# The panel rule's table as Python floats: the nodes and Kronrod weights in
+# ``_GK_NODES`` order, and the Gauss weights of the odd nodes.
 _GK_X = tuple(_GK_NODES.tolist())
-_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
-_G1, _G3, _G5, _G7 = _WG[1::2]
+_GK_W = tuple(_GK_WEIGHTS.tolist())
+_G7_W = tuple(_G7_WEIGHTS[1::2].tolist())
 
 
 def _gk15(integrand, lo: float, hi: float):
@@ -681,25 +680,22 @@ def _gk15(integrand, lo: float, hi: float):
     ``integrand(u)`` returns the values of ``m`` integrands at the node
     ``u``; it is called at the 15 nodes in ``_GK_NODES`` order.  Returns the
     lists of the ``m`` integrals and of their errors, scaled as QUADPACK's
-    ``qk15`` scales them.  Every node sum is written out term after term in
-    node order, so its bits do not depend on the CPU.
+    ``qk15`` scales them.  Every node sum adds term after term in node
+    order, so its bits do not depend on the CPU.
     """
     half = 0.5 * (hi - lo)
     centre = lo + half
     values, errors = [], []
     for f in zip(*[integrand(centre + half * x) for x in _GK_X]):
-        f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14 = f
-        kronrod = (f0 * _K0 + f1 * _K1 + f2 * _K2 + f3 * _K3 + f4 * _K4 + f5 * _K5
-                   + f6 * _K6 + f7 * _K7 + f8 * _K6 + f9 * _K5 + f10 * _K4 + f11 * _K3
-                   + f12 * _K2 + f13 * _K1 + f14 * _K0)
-        gauss = (f1 * _G1 + f3 * _G3 + f5 * _G5 + f7 * _G7 + f9 * _G5 + f11 * _G3
-                 + f13 * _G1)
+        kronrod = gauss = asc = 0.0
+        for fj, w in zip(f, _GK_W):
+            kronrod += fj * w
+        for fj, w in zip(f[1::2], _G7_W):
+            gauss += fj * w
         m = 0.5 * kronrod
-        asc = (abs(f0 - m) * _K0 + abs(f1 - m) * _K1 + abs(f2 - m) * _K2
-               + abs(f3 - m) * _K3 + abs(f4 - m) * _K4 + abs(f5 - m) * _K5
-               + abs(f6 - m) * _K6 + abs(f7 - m) * _K7 + abs(f8 - m) * _K6
-               + abs(f9 - m) * _K5 + abs(f10 - m) * _K4 + abs(f11 - m) * _K3
-               + abs(f12 - m) * _K2 + abs(f13 - m) * _K1 + abs(f14 - m) * _K0) * half
+        for fj, w in zip(f, _GK_W):
+            asc += abs(fj - m) * w
+        asc *= half
         err = abs((kronrod - gauss) * half)
         values.append(kronrod * half)
         errors.append(asc * min(1.0, (200.0 * err / asc) ** 1.5)
@@ -778,10 +774,9 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
         return None
 
     # (n r)' kinks at the knots, where Simpson's rule loses its order, so
-    # across a knot in its zone the rule runs piecewise between the knots.
-    # The list takes knots up to twice the zone; each node keeps those below
-    # its own radius.
-    zone_knots = [float(b) for b in profile.breakpoints
+    # the rule runs piecewise between the knots in its zone.  The list takes
+    # knots up to twice the zone; each node keeps those below its own radius.
+    zone_knots = [(float(b), *profile.eval(float(b))) for b in profile.breakpoints
                   if r_star < b < r_star * (1.0 + 2.0 * _SIMPSON_ZONE)]
 
     def integrand(u):
@@ -794,17 +789,14 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
         nr = n * r
         if e >= _SIMPSON_ZONE:
             excess = nr - p
-        elif not zone_knots or r <= zone_knots[0]:
-            mid = r_star + 0.5 * dr
-            n_mid, dn_mid = profile.eval(mid)
-            excess = dr / 6.0 * (slope + 4.0 * (n_mid + mid * dn_mid) + (n + r * dn))
         else:
-            excess, a, slope_a = 0.0, r_star, slope
-            for b in [*(k for k in zone_knots if k < r), r]:
-                mid = 0.5 * (a + b)
+            # Segment ends as offsets from r*: each knot below r, then r.
+            excess, a, slope_a = 0.0, 0.0, slope
+            ends = [(k - r_star, k, n_k, dn_k) for k, n_k, dn_k in zone_knots if k < r]
+            for b, r_b, n_b, dn_b in [*ends, (dr, r, n, dn)]:
+                mid = r_star + 0.5 * (a + b)
                 n_mid, dn_mid = profile.eval(mid)
-                n_b, dn_b = profile.eval(b)
-                slope_b = n_b + b * dn_b
+                slope_b = n_b + r_b * dn_b
                 excess += (b - a) / 6.0 * (slope_a + 4.0 * (n_mid + mid * dn_mid) + slope_b)
                 a, slope_a = b, slope_b
         g = excess * (nr + p)
