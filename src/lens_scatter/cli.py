@@ -9,12 +9,11 @@ unequal data), 2 bad input.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -261,80 +260,106 @@ def _cmd_render(args) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: ``parse_args``
-    leaves it unchanged, and a caller running many commands reuses it."""
-    ap = argparse.ArgumentParser(prog="lens-scatter",
-                                 description=__doc__.splitlines()[0])
-    ap.add_argument("--version", action="version",
-                    version=f"lens-scatter {__version__}")
-    ap.add_argument("--seed", type=int, default=42,
-                    help="seed for randomized subcommands (fixed default)")
-    ap.add_argument("--step-tol", type=float, default=1e-7,
-                    help="exit-accuracy budget for geodesic integration")
-    sub = ap.add_subparsers(dest="command", required=True)
+_REQUIRED = object()
 
-    p = sub.add_parser("trace", help="trace one geodesic and dump its polyline")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--arc", type=float, required=True)
-    p.add_argument("--angle", type=float, required=True)
-    p.add_argument("--stride", type=int, default=4)
-    p.add_argument("--out", default="-")
-    p.add_argument("--emit-svg")
-    p.set_defaults(func=_cmd_trace)
+# The option table.  Each option maps its flag to its type and its default
+# (or _REQUIRED); a bare flag has type None and defaults to False, and a
+# tuple type lists the choices.  The global options come before the command.
+_GLOBAL = {"--seed": (int, 42), "--step-tol": (float, 1e-7)}
+_COMMANDS = {
+    "trace": (_cmd_trace, "trace one geodesic and dump its polyline", {
+        "--metric": (str, _REQUIRED), "--arc": (float, _REQUIRED),
+        "--angle": (float, _REQUIRED), "--stride": (int, 4), "--out": (str, "-"),
+        "--emit-svg": (str, None)}),
+    "scatter": (_cmd_scatter, "exit vector and length of one entry", {
+        "--metric": (str, _REQUIRED), "--arc": (float, _REQUIRED),
+        "--angle": (float, _REQUIRED), "--out": (str, "-")}),
+    "compare": (_cmd_compare, "scattering/lens data comparison report", {
+        "--m1": (str, _REQUIRED), "--m2": (str, _REQUIRED), "--grid": (str, "16x8"),
+        "--tol": (float, 1e-4), "--h-shift": (float, 0.0), "--h-reflect": (None, False),
+        "--expect-equal": (None, False), "--out": (str, "-")}),
+    "eaton": (_cmd_eaton, "lens invisibility / circuit checks", {
+        "--check": (("invisibility", "circuit"), "invisibility"), "--grid": (str, "64"),
+        "--tol": (float, 1e-4), "--svg-rays": (int, 12), "--out": (str, "-"),
+        "--emit-svg": (str, None)}),
+    "invariant": (_cmd_invariant, "crossing table of a curve's lift", {
+        "--curve": (str, _REQUIRED), "--samples": (int, 512), "--out": (str, "-"),
+        "--emit-svg": (str, None)}),
+    "approx-pl": (_cmd_approx_pl, "PL straightening separation report", {
+        "--curve": (str, _REQUIRED), "--eps": (float, 0.2), "--stages": (int, 5),
+        "--samples": (int, 512), "--report": (str, _REQUIRED)}),
+    "render": (_cmd_render, "SVG of a ray fan or a lift annulus", {
+        "--metric": (str, None), "--curve": (str, None), "--grid": (str, "12x2"),
+        "--samples": (int, 512), "--out": (str, _REQUIRED)}),
+}
 
-    p = sub.add_parser("scatter", help="exit vector and length of one entry")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--arc", type=float, required=True)
-    p.add_argument("--angle", type=float, required=True)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_scatter)
 
-    p = sub.add_parser("compare", help="scattering/lens data comparison report")
-    p.add_argument("--m1", required=True)
-    p.add_argument("--m2", required=True)
-    p.add_argument("--grid", default="16x8")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--h-shift", type=float, default=0.0)
-    p.add_argument("--h-reflect", action="store_true")
-    p.add_argument("--expect-equal", action="store_true")
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_compare)
+def _usage() -> str:
+    def spell(options):
+        words = []
+        for flag, (kind, default) in options.items():
+            if kind is not None:
+                flag += " " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                               else kind.__name__.upper())
+            words.append(flag if default is _REQUIRED else f"[{flag}]")
+        return " ".join(words)
 
-    p = sub.add_parser("eaton", help="lens invisibility / circuit checks")
-    p.add_argument("--check", choices=("invisibility", "circuit"),
-                   default="invisibility")
-    p.add_argument("--grid", default="64")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--svg-rays", type=int, default=12)
-    p.add_argument("--out", default="-")
-    p.add_argument("--emit-svg")
-    p.set_defaults(func=_cmd_eaton)
+    lines = [f"usage: lens-scatter [-h] [--version] {spell(_GLOBAL)} COMMAND [OPTION ...]",
+             "", "Options are spelled in full, as --opt VALUE or --opt=VALUE.", ""]
+    for name, (_, summary, options) in _COMMANDS.items():
+        lines += [f"  {name:<10} {summary}", f"  {'':<10} {spell(options)}"]
+    return "\n".join(lines)
 
-    p = sub.add_parser("invariant", help="crossing table of a curve's lift")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--samples", type=int, default=512)
-    p.add_argument("--out", default="-")
-    p.add_argument("--emit-svg")
-    p.set_defaults(func=_cmd_invariant)
 
-    p = sub.add_parser("approx-pl", help="PL straightening separation report")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--stages", type=int, default=5)
-    p.add_argument("--samples", type=int, default=512)
-    p.add_argument("--report", required=True)
-    p.set_defaults(func=_cmd_approx_pl)
-
-    p = sub.add_parser("render", help="SVG of a ray fan or a lift annulus")
-    p.add_argument("--metric")
-    p.add_argument("--curve")
-    p.add_argument("--grid", default="12x2")
-    p.add_argument("--samples", type=int, default=512)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_render)
-    return ap
+def _parse_args(argv) -> SimpleNamespace:
+    """The command, its handler and every option of ``argv``, defaults
+    filled in; malformed arguments raise ``ValueError``."""
+    command, options, values = None, _GLOBAL, {}
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            print(_usage())
+            raise SystemExit(0)
+        if arg == "--version" and command is None:
+            print(f"lens-scatter {__version__}")
+            raise SystemExit(0)
+        if command is None and arg in _COMMANDS:
+            command, options = arg, _COMMANDS[arg][2]
+            continue
+        flag, eq, text = arg.partition("=")
+        if flag not in options:
+            what = "command" if command is None and not arg.startswith("-") else "option"
+            raise ValueError(f"unknown {what} {arg!r}" + (f" for {command}" if command else ""))
+        kind = options[flag][0]
+        if kind is None:
+            if eq:
+                raise ValueError(f"{flag} takes no value, got {arg!r}")
+            values[flag] = True
+            continue
+        if not eq:
+            text = next(args, None)
+            if text is None:
+                raise ValueError(f"{flag} needs a value")
+        if isinstance(kind, tuple):
+            if text not in kind:
+                raise ValueError(f"{flag} must be one of {', '.join(kind)}, got {text!r}")
+            values[flag] = text
+            continue
+        try:
+            values[flag] = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{flag} must be {noun}, got {text!r}") from None
+    if command is None:
+        raise ValueError(f"a command is needed: {', '.join(_COMMANDS)}")
+    func, _, options = _COMMANDS[command]
+    for flag, (_, default) in (*_GLOBAL.items(), *options.items()):
+        if flag not in values:
+            if default is _REQUIRED:
+                raise ValueError(f"{command} needs {flag}")
+            values[flag] = default
+    return SimpleNamespace(command=command, func=func,
+                           **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
 def _check_numbers(args) -> None:
@@ -350,8 +375,8 @@ def _check_numbers(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         _check_numbers(args)
         return args.func(args)
     except (OSError, ValueError, KeyError, RuntimeError, json.JSONDecodeError) as exc:

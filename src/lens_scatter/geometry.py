@@ -431,25 +431,26 @@ class ConformalMetric:
         if self.is_radial:
             ev = self.profile.eval
 
-            def field(x, y):
+            def rhs(s, y):
                 # grad n = n'(r) (x, y) / r, zero at the origin.
-                r = math.hypot(x, y)
+                x, yy = y[0], y[1]
+                r = math.hypot(x, yy)
                 n, dn = ev(r)
+                c = math.cos(y[2])
+                sn = math.sin(y[2])
                 if r > 0.0 and dn != 0.0:
                     g = dn / r
-                    return n, g * x, g * y
-                return n, 0.0, 0.0
+                    return (c, sn, (g * yy * c - g * x * sn) / n, n)
+                return (c, sn, (0.0 * c - 0.0 * sn) / n, n)
         else:
             n_xy, grad = self.field
 
-            def field(x, y):
-                return float(n_xy(x, y)), *grad(x, y)
-
-        def rhs(s, y):
-            n, gx, gy = field(y[0], y[1])
-            c = math.cos(y[2])
-            sn = math.sin(y[2])
-            return (c, sn, (gy * c - gx * sn) / n, n)
+            def rhs(s, y):
+                n = float(n_xy(y[0], y[1]))
+                gx, gy = grad(y[0], y[1])
+                c = math.cos(y[2])
+                sn = math.sin(y[2])
+                return (c, sn, (gy * c - gx * sn) / n, n)
 
         return rhs
 

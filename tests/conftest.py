@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.integrate import quad, solve_ivp
 
 import lens_scatter
@@ -20,6 +21,11 @@ from lens_scatter.geometry import (_RTOL_SCALE, ConformalMetric, GeodesicPath,
                                    chord_impact)
 from lens_scatter.knot import _FramedLoop, random_corpus
 from lens_scatter.scattering import boundary_grid
+
+# Property tests draw the same examples on every run and replay none from a
+# local database, so a run's verdict does not depend on chance or checkout.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(scope="session")

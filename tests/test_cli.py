@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from lens_scatter import geometry
-from lens_scatter.cli import build_parser, main
+from lens_scatter.cli import main
 from lens_scatter.geometry import integrate_geodesic
 
 from conftest import run_python
@@ -355,6 +355,24 @@ class TestRender:
     (["invariant", "--curve", "rose-", "--out", "{tmp}/i.json"], "unknown curve 'rose-'"),
     (["invariant", "--curve", "rose-2.5", "--out", "{tmp}/i.json"], "unknown curve 'rose-2.5'"),
     (["invariant", "--curve", "rose-1", "--out", "{tmp}/i.json"], "rose needs k >= 2"),
+    # Malformed arguments: the same one line and exit 2.
+    (["scatter", "--metric", "eaton", "--arc", "x", "--angle", "1"],
+     "--arc must be a number, got 'x'"),
+    (["trace", "--metric", "vacuum", "--arc", "0", "--angle", "1", "--stride", "2.5"],
+     "--stride must be an integer, got '2.5'"),
+    (["scatter", "--metric", "eaton", "--angle", "1"], "scatter needs --arc"),
+    (["scatter", "--metric", "eaton", "--arc", "0.1", "--angle"], "--angle needs a value"),
+    (["scatter", "--metric", "eaton", "--arc", "0.1", "--angle", "1", "--bogus", "3"],
+     "unknown option '--bogus' for scatter"),
+    (["scatter", "--met", "eaton", "--arc", "0.1", "--angle", "1"],
+     "unknown option '--met' for scatter"),
+    (["scatterr", "--metric", "eaton", "--arc", "0.1", "--angle", "1"],
+     "unknown command 'scatterr'"),
+    ([], "a command is needed: trace, scatter, compare, eaton, invariant, approx-pl, render"),
+    (["eaton", "--grid", "2x2", "--check", "sideways"],
+     "--check must be one of invisibility, circuit, got 'sideways'"),
+    (["compare", "--m1", "vacuum", "--m2", "eaton", "--expect-equal=yes"],
+     "--expect-equal takes no value, got '--expect-equal=yes'"),
 ], ids=["compare-tol-nan", "compare-tol-inf", "compare-tol-zero", "eaton-tol-nan",
         "eaton-tol-negative", "stride-negative", "stride-zero", "stages-zero",
         "svg-rays-zero", "svg-rays-negative", "h-shift-nan", "scatter-arc-inf",
@@ -362,7 +380,10 @@ class TestRender:
         "samples-zero", "grid-zero", "grid-negative", "grid-three-counts",
         "grid-no-angle-count", "grid-no-arc-count", "grid-not-a-number",
         "grid-fraction", "render-no-source", "render-two-sources", "scatter-tangent",
-        "curve-segment", "rose-word", "rose-empty", "rose-fraction", "rose-one"])
+        "curve-segment", "rose-word", "rose-empty", "rose-fraction", "rose-one",
+        "arc-not-a-number", "stride-not-an-integer", "arc-missing", "angle-no-value",
+        "unknown-option", "abbreviated-option", "unknown-command", "no-arguments",
+        "check-unknown", "flag-with-value"])
 def test_bad_numeric_option_is_input_error(tmp_path, capsys, args, message):
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     code = main(args)
@@ -443,9 +464,7 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
-        # main reuses one parser per process; options given to one call
-        # must not leak into the next.
-        assert build_parser() is build_parser()
+        # Options given to one call must not leak into the next.
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["scatter", "--metric", "eaton", "--arc", "0.3", "--angle", "0.9"]
         assert main(args + ["--out", str(a)]) == 0
@@ -462,6 +481,28 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "lens-scatter" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["scatter", "-h"]])
+def test_help_lists_every_command(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("trace", "scatter", "compare", "eaton", "invariant", "approx-pl", "render"):
+        assert f"\n  {command} " in out
+
+
+def test_option_value_after_equals_sign(capsys):
+    # A value may follow "=" or come as the next argument, even one that
+    # starts with "-".
+    spaced = run(["compare", "--m1", "eaton", "--m2", "eaton", "--grid", "4x2",
+                  "--h-shift", "-0.3", "--expect-equal"], capsys)
+    joined = run(["compare", "--m1=eaton", "--m2=eaton", "--grid=4x2", "--h-shift=-0.3",
+                  "--expect-equal"], capsys)
+    assert spaced[0] == 0
+    assert json.loads(spaced[1])["equal"] is True
+    assert joined == spaced
 
 
 # The corners of a square at t = i/4.  Rows may come in any order.
@@ -555,20 +596,22 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
 
 
 # Records, in a fresh interpreter, whether scipy (or for the metric command
-# the geometry side) is loaded after the import and after each command.
+# the geometry side) is loaded after the import and after each command, and
+# whether argparse or gettext is.
 LOADED_PROBE = """
 import contextlib, io, json, sys
-from lens_scatter.cli import build_parser, main
-loaded = {"import": "scipy" in sys.modules}
+from lens_scatter.cli import main
+parser = lambda: "argparse" in sys.modules or "gettext" in sys.modules
+loaded = {"import": ["scipy" in sys.modules, parser()]}
 for argv in (["invariant", "--curve", "lemniscate", "--out", "inv.json",
               "--emit-svg", "inv.svg"],
              ["approx-pl", "--curve", "circle", "--report", "pl.csv"],
              ["render", "--curve", "rose-3", "--out", "rose.svg"]):
     with contextlib.redirect_stdout(io.StringIO()):
-        loaded[argv[0]] = [main(argv), "scipy" in sys.modules]
+        loaded[argv[0]] = [main(argv), "scipy" in sys.modules, parser()]
 with contextlib.redirect_stdout(io.StringIO()):
     rc = main(["scatter", "--metric", "eaton", "--arc", "0.1", "--angle", "1.0"])
-loaded["scatter"] = [rc, "lens_scatter.geometry" in sys.modules]
+loaded["scatter"] = [rc, "lens_scatter.geometry" in sys.modules, parser()]
 print(json.dumps(loaded))
 """
 
@@ -577,8 +620,9 @@ def test_knot_side_commands_load_no_scipy(tmp_path):
     # In a subprocess: the test process has scipy loaded by pytest's
     # warning filter for scipy.integrate.
     loaded = json.loads(run_python(LOADED_PROBE, tmp_path))
-    assert loaded == {"import": False, "invariant": [0, False], "approx-pl": [0, False],
-                      "render": [0, False], "scatter": [0, True]}
+    assert loaded == {"import": [False, False], "invariant": [0, False, False],
+                      "approx-pl": [0, False, False], "render": [0, False, False],
+                      "scatter": [0, True, False]}
 
 
 # Runs the metric commands in a fresh interpreter that cannot import scipy,
