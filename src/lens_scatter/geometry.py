@@ -186,14 +186,14 @@ class _TabulatedRadial:
     """Monotone-cubic (PCHIP) radial profile: one cubic per knot interval.
 
     Inside ``r_max`` derivatives come from the same cubics, so quantities
-    conserved by the interpolated metric are conserved exactly, and ``eval``
-    and ``eval_many`` run the same Horner sums, so they agree bit for bit.
-    Past ``r_max`` it holds ``n`` at its rim value, which keeps it positive,
-    and returns the last cubic's rim slope as ``n'`` on purpose, so ``n'``
-    does not jump at the rim.  That ``n'`` is not the derivative of the held
+    conserved by the interpolated metric are conserved exactly.  Past
+    ``r_max`` it holds ``n`` at its rim value, which keeps it positive, and
+    returns the last cubic's rim slope as ``n'`` on purpose, so ``n'`` does
+    not jump at the rim.  That ``n'`` is not the derivative of the held
     ``n``; it is harmless only because :func:`_knot_cut` ends exit steps
     ``1e-8 R`` past the rim, so no more than the stages of that overshoot
-    see it.
+    see it.  Profiles with equal knots compare and hash equal, so they
+    share one scan table (:func:`_scan_table`).
     """
 
     def __init__(self, radii, values):
@@ -209,23 +209,32 @@ class _TabulatedRadial:
         self.r_min = float(radii[0])
         self.r_max = float(radii[-1])
         with np.errstate(all="ignore"):
-            self._c = _pchip_coefficients(radii, values)
-        if not np.all(np.isfinite(self._c)):
+            c = _pchip_coefficients(radii, values)
+        if not np.all(np.isfinite(c)):
             raise ValueError("profile knots too close or too large: non-finite interpolant")
         # Read-only, as metrics are immutable: ``eval`` reads list copies, so
-        # a write would split it from ``eval_many`` and the quadrature panels.
+        # a write would split it from the quadrature panels and ``_knot_cut``.
         radii.flags.writeable = False
-        self._c.flags.writeable = False
-        # Plain lists for the scalar path, which the integrator calls once
-        # per RHS evaluation: float arithmetic beats numpy scalars there.
+        # Plain lists, as the integrator calls ``eval`` once per RHS
+        # evaluation: float arithmetic beats numpy scalars there.
         self._bx = radii.tolist()
-        self._c0, self._c1, self._c2, self._c3 = self._c.tolist()
+        self._c0, self._c1, self._c2, self._c3 = c.tolist()
         h = self._bx[-1] - self._bx[-2]
         self._rim = (float(values[-1]),
                      (3.0 * self._c0[-1] * h + 2.0 * self._c1[-1]) * h + self._c2[-1])
+        self._knots = (tuple(self._bx), tuple(values.tolist()))
+        self._hash = hash(self._knots)
+
+    def __eq__(self, other):
+        if not isinstance(other, _TabulatedRadial):
+            return NotImplemented
+        return self._knots == other._knots
+
+    def __hash__(self):
+        return self._hash
 
     def eval(self, r: float) -> tuple[float, float]:
-        """Return ``(n, dn/dr)`` at radius ``r`` (scalar)."""
+        """Return ``(n, dn/dr)`` at radius ``r``."""
         if r >= self.r_max:
             return self._rim
         if r < self.r_min:
@@ -237,20 +246,6 @@ class _TabulatedRadial:
         val = ((self._c0[i] * du + self._c1[i]) * du + self._c2[i]) * du + self._c3[i]
         der = (3.0 * self._c0[i] * du + 2.0 * self._c1[i]) * du + self._c2[i]
         return val, der
-
-    def eval_many(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < self.r_min):
-            raise SingularityError("radius below tabulated range")
-        n = np.full_like(r, self._rim[0])
-        dn = np.full_like(r, self._rim[1])
-        inside = r < self.r_max
-        i = np.searchsorted(self.breakpoints, r[inside], side="right") - 1
-        du = r[inside] - self.breakpoints[i]
-        c0, c1, c2, c3 = self._c[:, i]
-        n[inside] = ((c0 * du + c1) * du + c2) * du + c3
-        dn[inside] = (3.0 * c0 * du + 2.0 * c1) * du + c2
-        return n, dn
 
 
 class _CallableRadial:
@@ -268,13 +263,6 @@ class _CallableRadial:
             raise SingularityError(f"radius {r:.3e} below profile domain")
         return float(self.n_of_r(r)), float(self.dn_dr(r))
 
-    def eval_many(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < self.r_min):
-            raise SingularityError("radius below profile domain")
-        return (np.asarray(self.n_of_r(r), dtype=float) * np.ones_like(r),
-                np.asarray(self.dn_dr(r), dtype=float) * np.ones_like(r))
-
 
 # One shared profile, so that equal vacuum metrics compare equal.
 _VACUUM_PROFILE = _CallableRadial(lambda r: 1.0, lambda r: 0.0)
@@ -291,16 +279,15 @@ class EatonProfile:
     or leaves, and the stages of an exit step past the rim see the smooth
     continuation.  Entry chords keep ``EXCLUSION_RADIUS`` from the origin,
     but interior ray perigees dip far below that (roughly the cube of the
-    chord offset), so evaluation is refused only below ``r_min``.  One
-    formula serves points and arrays: the cube root is libm's power, and
-    ``eval_many`` maps ``eval``.
+    chord offset), so evaluation is refused only below ``r_min``.  The
+    cube root is libm's power: ``np.cbrt`` would follow numpy's SIMD level.
     """
 
     r_min = 1e-10
     breakpoints = np.empty(0)
 
     def eval(self, r: float) -> tuple[float, float]:
-        """Return ``(n, dn/dr)`` at radius ``r`` (scalar)."""
+        """Return ``(n, dn/dr)`` at radius ``r``."""
         if r < self.r_min:
             raise SingularityError(
                 f"radius {r:.3e} below the lens index floor ({self.r_min:.3e})")
@@ -310,14 +297,6 @@ class EatonProfile:
         s = u - 1.0 / (3.0 * u)
         n = s * s
         return n, -s * n * (n + 1.0) ** 2 / (3.0 * n + 1.0)
-
-    def eval_many(self, r):
-        """``eval`` at every radius of the array ``r``, so the two agree bit
-        for bit: ``np.cbrt`` would follow numpy's SIMD level."""
-        r = np.asarray(r, dtype=float)
-        values = np.array([self.eval(x) for x in r.ravel().tolist()])
-        values = values.reshape(r.shape + (2,))
-        return values[..., 0], values[..., 1]
 
 
 _EATON_PROFILE = EatonProfile()
@@ -353,8 +332,10 @@ class ConformalMetric:
     """Positive conformal factor on the closed disk.
 
     ``kind`` is one of ``vacuum``, ``eaton``, ``radial-profile`` or
-    ``general``.  Radial metrics carry a ``profile`` object (``eval``,
-    ``eval_many``, ``r_min``, ``breakpoints``); general metrics carry
+    ``general``.  Radial metrics carry a ``profile`` object: ``eval(r)``
+    returns ``(n, dn/dr)`` at the float ``r``, ``r_min`` is the least radius
+    it accepts, and ``breakpoints`` are the knot radii where its cubics
+    join (none for a closed form).  Radial metrics compare by value.  General metrics carry
     ``field``, the pair ``n(x, y)`` and its gradient.  Instances are frozen
     and all evaluation methods are pure, so a metric may be shared freely
     across threads.  ``radius`` must lie in ``[1e-6, 1e6]``.
@@ -382,8 +363,8 @@ class ConformalMetric:
 
     @classmethod
     def from_radial(cls, n_of_r, dn_dr, *, radius=1.0, r_min=0.0, name=None):
-        """Radial metric from ``n(r)`` and ``dn/dr``, both accepting numpy
-        arrays; a positive ``r_min`` puts a pole at the origin."""
+        """Radial metric from ``n(r)`` and ``dn/dr``, both called on floats;
+        a positive ``r_min`` puts a pole at the origin."""
         prof = _CallableRadial(n_of_r, dn_dr, r_min=r_min)
         return cls("radial-profile", radius=radius, profile=prof, name=name)
 
@@ -422,7 +403,8 @@ class ConformalMetric:
         pts = np.asarray(points, dtype=float)
         if self.is_radial:
             r = np.hypot(pts[..., 0], pts[..., 1])
-            return self.profile.eval_many(r)[0]
+            ev = self.profile.eval
+            return np.array([ev(x)[0] for x in r.ravel().tolist()]).reshape(r.shape)
         return np.array([self.field[0](p[0], p[1]) for p in pts.reshape(-1, 2)]).reshape(pts.shape[:-1])
 
     def _make_rhs(self):
@@ -530,7 +512,7 @@ class GeodesicPath:
         if not metric.is_radial:
             raise ValueError("Clairaut invariant requires a radial metric")
         x, y, th = self.points[:, 0], self.points[:, 1], self.directions
-        vals = metric.profile.eval_many(np.hypot(x, y))[0] * (x * np.sin(th) - y * np.cos(th))
+        vals = metric.n_many(self.points) * (x * np.sin(th) - y * np.cos(th))
         return float(vals.min()), float(vals.max())
 
 
@@ -620,11 +602,12 @@ def _scan_radii(floor: float, radius: float, knots) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _scan_table(profile, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """The scan radii of ``profile`` below ``radius`` and ``n r`` on them,
-    read-only.  Profiles are immutable, so every orbit of a metric reads the
-    table built for its first one."""
+    read-only.  Profiles are immutable and tabulated ones equal by their
+    knots, so every orbit of equal metrics reads the table built for the
+    first one."""
     rs = _scan_radii(max(profile.r_min, _SCAN_FLOOR * radius), radius,
                      profile.breakpoints)
-    nr = profile.eval_many(rs)[0] * rs
+    nr = np.array([profile.eval(r)[0] * r for r in rs.tolist()])
     rs.flags.writeable = nr.flags.writeable = False
     return rs, nr
 
@@ -971,7 +954,7 @@ def riemannian_length(metric: ConformalMetric, points) -> float:
     a = pts[:-1]
     d = pts[1:] - a
     seg_len = np.hypot(d[:, 0], d[:, 1])
-    # Quadrature nodes along every segment, evaluated in one vector call.
+    # Quadrature nodes along every segment, evaluated by one ``n_many`` call.
     gauss = _G7_WEIGHTS != 0.0
     u = 0.5 * (_GK_NODES[gauss] + 1.0)
     nodes = a[:, None, :] + u[None, :, None] * d[:, None, :]

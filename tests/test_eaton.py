@@ -1,16 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from lens_scatter import scattering
+from lens_scatter import dop853, scattering
 from lens_scatter.eaton import (NonIntegralWindingError, _exact_dn_dr,
                                 eaton_index, eaton_metric, index_residual,
                                 invisibility_check, loop_winding)
 from lens_scatter.geometry import (ConformalMetric, GeodesicPath, IntegrationOptions,
                                    SingularChordError, SingularityError,
                                    chord_impact, integrate_geodesic)
-from lens_scatter.scattering import BoundaryVector, boundary_grid, scatter
+from lens_scatter.scattering import BoundaryVector, boundary_grid, length_excess, scatter
 
 from test_scattering import _seeded_bumps
 
@@ -65,7 +66,7 @@ class TestProfileTable:
 
     def test_strictly_decreasing_and_real_root_bound(self, eaton):
         prof = eaton.profile
-        n, _ = prof.eval_many(self.RADII)
+        n = np.array([prof.eval(r)[0] for r in self.RADII.tolist()])
         assert np.all(np.diff(n) < 0.0)
         assert np.all(n * self.RADII <= 1.0)
         # The closed form continues past the rim: n(1) = 1, n'(1) = -1, and
@@ -78,8 +79,6 @@ class TestProfileTable:
         assert 2.0 / (math.sqrt(n_out) * (n_out + 1.0)) == pytest.approx(1.5, rel=1e-15)
         with pytest.raises(SingularityError):
             prof.eval(0.99e-10)
-        with pytest.raises(SingularityError):
-            prof.eval_many(np.array([0.5, 0.99e-10]))
 
     def test_closed_form_matches_root_solve(self, eaton):
         for r in self.RADII[::16]:
@@ -96,13 +95,6 @@ class TestProfileTable:
         for r in self.RADII[:-1:16]:
             _, dn = eaton.profile.eval(float(r))
             assert dn == pytest.approx(_exact_dn_dr(eaton_index(float(r))), rel=1e-13)
-
-    def test_scalar_and_vector_evaluation_agree(self, eaton):
-        radii = np.concatenate([self.RADII, [1.0 - 1e-12, 1.0, 1.5]])
-        n, dn = eaton.profile.eval_many(radii)
-        for r, n_v, dn_v in zip(radii, n, dn):
-            n_s, dn_s = eaton.profile.eval(float(r))
-            assert (n_s, dn_s) == (n_v, dn_v)
 
     def test_metric_holds_the_profile_from_construction(self, eaton):
         with pytest.raises(AttributeError):
@@ -242,3 +234,52 @@ class TestInvisibilityAgainstPolylines:
         assert rep.passed
         assert calls == grid[:8]
         assert traces == []
+
+
+def winding_lens(k: int) -> ConformalMetric:
+    """The invisible lens of winding ``k``: ``n = w^(2k)`` with ``w`` the root
+    of ``w^(2k+1) + w^(2k-1) = 2/r``, and ``n'`` by implicit differentiation.
+    Scattering-equivalent to the flat disk, its rays wind ``k`` times round
+    the pole; ``k = 1`` is the lens (``s^3 + s = 2/r``)."""
+    hi_pow, lo_pow = 2 * k + 1, 2 * k - 1
+
+    # n and n' at one radius share one root solve.
+    @functools.lru_cache(maxsize=1)
+    def root(r):
+        # w^hi_pow <= 2/r and w^lo_pow <= 2/r, and the larger term is >= 1/r.
+        lo = min(r ** (-1.0 / hi_pow), r ** (-1.0 / lo_pow))
+        hi = max((2.0 / r) ** (1.0 / hi_pow), (2.0 / r) ** (1.0 / lo_pow))
+        return dop853.brentq(lambda w: w ** hi_pow + w ** lo_pow - 2.0 / r, lo, hi,
+                             xtol=1e-300)
+
+    def n(r):
+        return root(r) ** (2 * k)
+
+    def dn_dr(r):
+        w = root(r)
+        dw_dr = -2.0 / (r * r * (hi_pow * w ** (2 * k) + lo_pow * w ** (2 * k - 2)))
+        return 2 * k * w ** lo_pow * dw_dr
+
+    return ConformalMetric.from_radial(n, dn_dr, r_min=1e-10, name=f"lens-winding-{k}")
+
+
+class TestWindingFamily:
+    """Invisible lenses of winding 2 and 3: a hard-coded ``2 pi`` or a
+    winding off by one cannot show on the lens alone."""
+
+    def test_winding_one_is_the_lens(self, eaton):
+        lens = winding_lens(1)
+        for r in np.geomspace(1e-10, 1.5, 97).tolist():
+            for got, want in zip(lens.profile.eval(r), eaton.profile.eval(r)):
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_invisible_with_winding_k(self, vacuum, k):
+        lens = winding_lens(k)
+        grid = boundary_grid(8, 4)
+        rep = invisibility_check(grid, 1e-4, metric=lens)
+        assert rep.passed
+        assert set(rep.windings) == {-k, k}
+        excess = length_excess(vacuum, lens, grid=grid)
+        assert abs(excess.mean_excess - 2.0 * math.pi * k) < 1e-9
+        assert excess.max_abs_dev < 1e-9

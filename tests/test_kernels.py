@@ -1,8 +1,9 @@
 """The numerical kernels the geometry side carries instead of scipy's and
 numpy's, each checked against the library as the reference: Brent's root
 finder, the PCHIP coefficients, the G7K15 rule and the quadrature it
-drives, the 5-point Gauss-Legendre rule of ``riemannian_length``, the
-periodic cubic spline of sampled curves, and the turning-radius scan grid."""
+drives, the 7-point Gauss rule of the G7K15 table in ``riemannian_length``,
+the periodic cubic spline of sampled curves, and the turning-radius scan
+grid."""
 
 import math
 
