@@ -348,9 +348,11 @@ def _rms(v) -> float:
 
 def _step(rhs, t, h, y, f, rtol, atol):
     """One trial step of length ``h`` from ``(t, y)``, where ``f`` is
-    ``rhs(t, y)``: the new state, its slope, scipy's DOP853 error norm (the
-    5th-order estimate damped by the 3rd-order one) and, as one flat tuple,
-    the stages 0 and 5-12 that the interpolant reads.
+    ``rhs(t, y)``: the new state, scipy's DOP853 error norm (the 5th-order
+    estimate damped by the 3rd-order one) and, as one flat tuple, the
+    stages 0 and 5-11 that the interpolant reads.  Its stage 12 is the new
+    state's slope ``rhs(t + h, y_new)``, which the error norm does not read,
+    so the caller evaluates it only for a step it may keep.
 
     Written out stage by stage and component by component, as Hairer's
     ``dop853.f`` is: ``kj_i`` is component ``i`` of stage ``j``, and each
@@ -469,8 +471,6 @@ def _step(rhs, t, h, y, f, rtol, atol):
     q3 = (E3_0 * k0_3 + E3_5 * k5_3 + E3_6 * k6_3 + E3_7 * k7_3 + E3_8 * k8_3 + E3_9 * k9_3
           + E3_10 * k10_3 + E3_11 * k11_3) / s3
 
-    y_new = (n0, n1, n2, n3)
-    f_new = rhs(t + h, y_new)
     err5 = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
     err3 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
     if err5 == 0.0 and err3 == 0.0:
@@ -479,8 +479,8 @@ def _step(rhs, t, h, y, f, rtol, atol):
         error_norm = abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 4)
     stages = (k0_0, k0_1, k0_2, k0_3, k5_0, k5_1, k5_2, k5_3, k6_0, k6_1, k6_2, k6_3,
               k7_0, k7_1, k7_2, k7_3, k8_0, k8_1, k8_2, k8_3, k9_0, k9_1, k9_2, k9_3,
-              k10_0, k10_1, k10_2, k10_3, k11_0, k11_1, k11_2, k11_3, *f_new)
-    return y_new, f_new, error_norm, stages
+              k10_0, k10_1, k10_2, k10_3, k11_0, k11_1, k11_2, k11_3)
+    return (n0, n1, n2, n3), error_norm, stages
 
 
 class DenseSolution:
@@ -489,9 +489,11 @@ class DenseSolution:
     ``ts`` holds the start of every accepted step and the stopping time,
     ``ys`` the states there: the exact step states, and the last step's
     interpolant at the stop.  ``event`` is the index of the event that
-    stopped the run.  ``nfev`` counts right-hand side calls,
-    including those interpolation adds; ``steps`` and ``rejected`` count
-    accepted and rejected steps.
+    stopped the run.  ``nfev`` counts right-hand side calls: two for the
+    first step size, 12 per accepted trial step, 11 per rejected one (12
+    under a ``cut`` hook, which reads the slope at its end) and 3 per
+    interpolated step.  ``steps`` and ``rejected`` count accepted and
+    rejected steps.
     """
 
     def __init__(self, rhs):
@@ -614,8 +616,11 @@ def solve(rhs, y0, rtol: float, atol: float, events, cut=None) -> DenseSolution:
             t_new = t + h_abs
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, error_norm, stages = _step(rhs, t, h, y, f, rtol, atol)
-            sol.nfev += _STAGES
+            y_new, error_norm, stages = _step(rhs, t, h, y, f, rtol, atol)
+            sol.nfev += _STAGES - 1
+            if cut is not None or error_norm < 1:
+                f_new = rhs(t + h, y_new)
+                sol.nfev += 1
             h_cut = None if cut is None else cut(h, y, y_new, f, f_new)
             if h_cut is not None:
                 if resume is None:
@@ -634,7 +639,7 @@ def solve(rhs, y0, rtol: float, atol: float, events, cut=None) -> DenseSolution:
             sol.rejected += 1
 
         sol.steps += 1
-        sol._steps.append((t, h, y, y_new, array("d", stages)))
+        sol._steps.append((t, h, y, y_new, array("d", (*stages, *f_new))))
         sol.ts.append(t)
         sol.ys.append(y)
         fired = [k for k, g in enumerate(events) if g(t_new, y_new) >= 0.0]

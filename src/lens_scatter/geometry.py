@@ -442,9 +442,11 @@ class TraceStats:
     """How one :func:`integrate_geodesic` call ended and what it cost.
 
     ``termination`` is ``"exited"`` or ``"length_cap"``.  ``rhs_calls``
-    counts right-hand side evaluations, ``steps`` and ``rejected`` the
-    accepted and rejected solver steps; a step cut short at a knot circle
-    of a tabulated profile counts as rejected.  ``refine_rounds`` counts the
+    counts right-hand side evaluations (see ``DenseSolution.nfev``: a
+    rejected step costs one fewer than an accepted one, except on a
+    tabulated profile), ``steps`` and ``rejected`` the accepted and
+    rejected solver steps; a step cut short at a knot circle of a
+    tabulated profile counts as rejected.  ``refine_rounds`` counts the
     rounds that subdivided the samples; ``refine_exhausted`` is set when
     all of them ran, so the last round's samples went unchecked.
     """

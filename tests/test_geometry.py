@@ -220,10 +220,13 @@ class TestAgainstSolveIvp:
             calls.append((s, np.array(state)))
             return tuple(K[len(calls)].tolist())
 
-        y_new, f_new, error_norm, stages = dop853._step(replay, t, h, tuple(y.tolist()),
-                                                        tuple(K[0].tolist()), rtol, atol)
+        y_new, error_norm, stages = dop853._step(replay, t, h, tuple(y.tolist()),
+                                                 tuple(K[0].tolist()), rtol, atol)
+        assert len(calls) == 11
+        # Stage 12, the slope at the new state, is the solver's to evaluate.
+        f_new = replay(t + h, y_new)
         sol = dop853.DenseSolution(replay)
-        sol._steps.append((t, h, tuple(y.tolist()), y_new, array("d", stages)))
+        sol._steps.append((t, h, tuple(y.tolist()), y_new, array("d", (*stages, *f_new))))
         x = 0.37
         got = sol([t + x * h])[:, 0]
         assert len(calls) == 15 and f_new == tuple(K[12].tolist())
@@ -379,9 +382,10 @@ class TestTraceStats:
             stats = integrate_geodesic(metric, entry, IntegrationOptions(max_length=cap)).stats
             assert stats.termination == end
             assert stats.rhs_calls == len(calls)
-            # Two calls pick the first step, each try costs 12 and each
+            # Two calls pick the first step, each accepted try costs 12, each
+            # rejected one 11 (its end slope is never read) and each
             # interpolated step 3 more; the last step is interpolated.
-            extra = stats.rhs_calls - 2 - 12 * (stats.steps + stats.rejected)
+            extra = stats.rhs_calls - 2 - 12 * stats.steps - 11 * stats.rejected
             assert extra >= 3 and extra % 3 == 0
 
     def test_refinement_rounds(self, eaton):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -763,6 +764,47 @@ class TestEmbeddingSeparation:
                     embedding_separation(pts, window)
                 continue
             assert embedding_separation(pts, window) == want, window
+
+    @pytest.mark.parametrize("block,m", [(8, m) for m in (7, 8, 9, 15, 16, 17)]
+                             + [(64, m) for m in (31, 32, 33, 63, 64, 65, 127, 128, 129)]
+                             + [(knot._SEPARATION_BLOCK, m) for m in (1023, 1024, 1025)])
+    def test_block_boundaries_equal_full_matrix_oracle(self, monkeypatch, block, m):
+        # m just below, at and above a multiple of the block, so that blocks
+        # of gaps end early or hold one gap; windows of 0 and 0.1 keep the
+        # gap m / 2, and a pair distance in both of its forms, k / m and
+        # 1 - (m - k) / m, can leave one gap with only one half kept.
+        monkeypatch.setattr(knot, "_SEPARATION_BLOCK", block)
+        rng = np.random.default_rng(block * 10_000 + m)
+        pts = [ProjPoint(*rng.uniform(-0.9, 0.9, 2), rng.uniform(-20.0, 20.0))
+               for _ in range(m)]
+        k = int(rng.integers(1, m // 2))
+        for window in (0.0, 0.1, 0.3, k / m, 1.0 - (m - k) / m):
+            assert (embedding_separation(pts, window)
+                    == embedding_separation_oracle(pts, window)), window
+        if m > 200:
+            return
+        # A repeated point at a gap next to the window's edge, first or last
+        # in its row range, is the nearest pair, so a scan that reads one
+        # row too many or too few shows.
+        for gap in (k - 1, k, k + 1, m - k - 1, m - k, m - k + 1):
+            for i in (0, m - 1, m - gap - 1, m - gap):
+                planted = list(pts)
+                planted[(i + gap) % m] = pts[i % m]
+                for window in (k / m, 1.0 - (m - k) / m):
+                    assert (embedding_separation(planted, window)
+                            == embedding_separation_oracle(planted, window)), (gap, i, window)
+
+    def test_working_set_does_not_grow_with_the_pairs(self):
+        # 2048 samples have ~2.1 million pairs within the window: index
+        # arrays over them took ~100 MB; the blocked scan needs well under 1.
+        pts = projectivize(unit_tangent_lift(lemniscate(), 2048)).proj_points()
+        tracemalloc.start()
+        try:
+            assert embedding_separation(pts, window=2.0 / 512) > 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_straightening_stages_equal_full_matrix_oracle(self):
         pts = projectivize(unit_tangent_lift(lemniscate(), 1024)).proj_points()
