@@ -3,9 +3,10 @@ projectivized tangent lifts of plane curves.
 
 The knot side (``curves``, ``lift``, ``knot``) is imported with the
 package.  The geometry side (``geometry``, ``scattering``, ``eaton``,
-``dop853``) is imported on first access to one of its names.  Both run on
-numpy alone; the geometry side stays lazy because its import (about 20 ms,
-byte-compilation included) would otherwise be paid by every knot-side run.
+``dop853``) is imported on first access to one of its names.  Both need
+numpy, except the solver ``dop853``, which runs on Python floats alone; the
+geometry side stays lazy because its import (about 20 ms, byte-compilation
+included) would otherwise be paid by every knot-side run.
 """
 
 __version__ = "0.1.0"

@@ -3,14 +3,14 @@
 A port of scipy's ``scipy.integrate.DOP853`` solver, run with dense output
 and terminal events as scipy's IVP routine runs it, for one short
 state vector (Hairer, Norsett & Wanner, *Solving Ordinary Differential
-Equations I*, II.5-II.6).  The tableau is copied from
-``scipy/integrate/_ivp/dop853_coefficients.py``; the initial step, the
-error norm, the step-size controller and the event localization are
-scipy's.
+Equations I*, II.5-II.6).  The tableau's nonzero entries are the literals
+of ``scipy/integrate/_ivp/dop853_coefficients.py``, bound to one name
+each; the initial step, the error norm, the step-size controller and the
+event localization are scipy's.
 
 At one ray, scipy's cost is bookkeeping around length-4 arrays.  Here
-everything runs on Python floats, and no numpy or BLAS call runs per step.
-The stage, solution, error-estimate and dense-output sums are written out
+everything runs on Python floats, and the module imports no numpy.  The
+stage, solution, error-estimate and dense-output sums are written out
 stage by stage, as in Hairer's ``dop853.f``, over the nonzero entries of
 the one table below, term after term; a loop over (index, coefficient)
 pairs costs more.  The three extra dense-output stages are computed only
@@ -34,12 +34,11 @@ roots with it too.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_right
 
-import numpy as np
-
-EPS = float(np.finfo(float).eps)
+EPS = sys.float_info.epsilon
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2   # least factor a rejected step shrinks by
@@ -47,226 +46,114 @@ MAX_FACTOR = 10.0  # greatest factor an accepted step grows by
 ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
 
 _STAGES = 12
-_STAGES_EXTENDED = 16
 
-_C = np.array([0.0,
-               0.526001519587677318785587544488e-01,
-               0.789002279381515978178381316732e-01,
-               0.118350341907227396726757197510,
-               0.281649658092772603273242802490,
-               0.333333333333333333333333333333,
-               0.25,
-               0.307692307692307692307692307692,
-               0.651282051282051282051282051282,
-               0.6,
-               0.857142857142857142857142857142,
-               1.0,
-               1.0,
-               0.1,
-               0.2,
-               0.777777777777777777777777777778])
-
-_A = np.zeros((_STAGES_EXTENDED, _STAGES_EXTENDED))
-_A[1, 0] = 5.26001519587677318785587544488e-2
-
-_A[2, 0] = 1.97250569845378994544595329183e-2
-_A[2, 1] = 5.91751709536136983633785987549e-2
-
-_A[3, 0] = 2.95875854768068491816892993775e-2
-_A[3, 2] = 8.87627564304205475450678981324e-2
-
-_A[4, 0] = 2.41365134159266685502369798665e-1
-_A[4, 2] = -8.84549479328286085344864962717e-1
-_A[4, 3] = 9.24834003261792003115737966543e-1
-
-_A[5, 0] = 3.7037037037037037037037037037e-2
-_A[5, 3] = 1.70828608729473871279604482173e-1
-_A[5, 4] = 1.25467687566822425016691814123e-1
-
-_A[6, 0] = 3.7109375e-2
-_A[6, 3] = 1.70252211019544039314978060272e-1
-_A[6, 4] = 6.02165389804559606850219397283e-2
-_A[6, 5] = -1.7578125e-2
-
-_A[7, 0] = 3.70920001185047927108779319836e-2
-_A[7, 3] = 1.70383925712239993810214054705e-1
-_A[7, 4] = 1.07262030446373284651809199168e-1
-_A[7, 5] = -1.53194377486244017527936158236e-2
-_A[7, 6] = 8.27378916381402288758473766002e-3
-
-_A[8, 0] = 6.24110958716075717114429577812e-1
-_A[8, 3] = -3.36089262944694129406857109825
-_A[8, 4] = -8.68219346841726006818189891453e-1
-_A[8, 5] = 2.75920996994467083049415600797e1
-_A[8, 6] = 2.01540675504778934086186788979e1
-_A[8, 7] = -4.34898841810699588477366255144e1
-
-_A[9, 0] = 4.77662536438264365890433908527e-1
-_A[9, 3] = -2.48811461997166764192642586468
-_A[9, 4] = -5.90290826836842996371446475743e-1
-_A[9, 5] = 2.12300514481811942347288949897e1
-_A[9, 6] = 1.52792336328824235832596922938e1
-_A[9, 7] = -3.32882109689848629194453265587e1
-_A[9, 8] = -2.03312017085086261358222928593e-2
-
-_A[10, 0] = -9.3714243008598732571704021658e-1
-_A[10, 3] = 5.18637242884406370830023853209
-_A[10, 4] = 1.09143734899672957818500254654
-_A[10, 5] = -8.14978701074692612513997267357
-_A[10, 6] = -1.85200656599969598641566180701e1
-_A[10, 7] = 2.27394870993505042818970056734e1
-_A[10, 8] = 2.49360555267965238987089396762
-_A[10, 9] = -3.0467644718982195003823669022
-
-_A[11, 0] = 2.27331014751653820792359768449
-_A[11, 3] = -1.05344954667372501984066689879e1
-_A[11, 4] = -2.00087205822486249909675718444
-_A[11, 5] = -1.79589318631187989172765950534e1
-_A[11, 6] = 2.79488845294199600508499808837e1
-_A[11, 7] = -2.85899827713502369474065508674
-_A[11, 8] = -8.87285693353062954433549289258
-_A[11, 9] = 1.23605671757943030647266201528e1
-_A[11, 10] = 6.43392746015763530355970484046e-1
-
-_A[12, 0] = 5.42937341165687622380535766363e-2
-_A[12, 5] = 4.45031289275240888144113950566
-_A[12, 6] = 1.89151789931450038304281599044
-_A[12, 7] = -5.8012039600105847814672114227
-_A[12, 8] = 3.1116436695781989440891606237e-1
-_A[12, 9] = -1.52160949662516078556178806805e-1
-_A[12, 10] = 2.01365400804030348374776537501e-1
-_A[12, 11] = 4.47106157277725905176885569043e-2
-
-_A[13, 0] = 5.61675022830479523392909219681e-2
-_A[13, 6] = 2.53500210216624811088794765333e-1
-_A[13, 7] = -2.46239037470802489917441475441e-1
-_A[13, 8] = -1.24191423263816360469010140626e-1
-_A[13, 9] = 1.5329179827876569731206322685e-1
-_A[13, 10] = 8.20105229563468988491666602057e-3
-_A[13, 11] = 7.56789766054569976138603589584e-3
-_A[13, 12] = -8.298e-3
-
-_A[14, 0] = 3.18346481635021405060768473261e-2
-_A[14, 5] = 2.83009096723667755288322961402e-2
-_A[14, 6] = 5.35419883074385676223797384372e-2
-_A[14, 7] = -5.49237485713909884646569340306e-2
-_A[14, 10] = -1.08347328697249322858509316994e-4
-_A[14, 11] = 3.82571090835658412954920192323e-4
-_A[14, 12] = -3.40465008687404560802977114492e-4
-_A[14, 13] = 1.41312443674632500278074618366e-1
-
-_A[15, 0] = -4.28896301583791923408573538692e-1
-_A[15, 5] = -4.69762141536116384314449447206
-_A[15, 6] = 7.68342119606259904184240953878
-_A[15, 7] = 4.06898981839711007970213554331
-_A[15, 8] = 3.56727187455281109270669543021e-1
-_A[15, 12] = -1.39902416515901462129418009734e-3
-_A[15, 13] = 2.9475147891527723389556272149
-_A[15, 14] = -9.15095847217987001081870187138
+# The tableau's nonzero entries, scipy's literals, named by position:
+# ``C5`` is ``C[5]``, ``A5_3`` is ``A[5, 3]``, ``B7`` is ``B[7]`` (row 12
+# of ``A``), ``E5_7`` is ``E5[7]``.  Stage 0 runs at ``t`` and stage 12 at
+# ``t + h``.  The sums below take them term after term in column order.
+C1, C2, C3, C4, C5, C6, C7, C8, C9, C10, C11 = (
+    0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25,
+    0.307692307692307692307692307692, 0.651282051282051282051282051282,
+    0.6, 0.857142857142857142857142857142,
+    1.0)
+C13, C14, C15 = 0.1, 0.2, 0.777777777777777777777777777778
+A1_0 = 5.26001519587677318785587544488e-2
+A2_0, A2_1 = 1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2
+A3_0, A3_2 = 2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2
+A4_0, A4_2, A4_3 = (
+    2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
+    9.24834003261792003115737966543e-1)
+A5_0, A5_3, A5_4 = (
+    3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
+    1.25467687566822425016691814123e-1)
+A6_0, A6_3, A6_4, A6_5 = (
+    3.7109375e-2, 1.70252211019544039314978060272e-1,
+    6.02165389804559606850219397283e-2, -1.7578125e-2)
+A7_0, A7_3, A7_4, A7_5, A7_6 = (
+    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3)
+A8_0, A8_3, A8_4, A8_5, A8_6, A8_7 = (
+    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1)
+A9_0, A9_3, A9_4, A9_5, A9_6, A9_7, A9_8 = (
+    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2)
+A10_0, A10_3, A10_4, A10_5, A10_6, A10_7, A10_8, A10_9 = (
+    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
+    1.09143734899672957818500254654, -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762, -3.0467644718982195003823669022)
+A11_0, A11_3, A11_4, A11_5, A11_6, A11_7, A11_8, A11_9, A11_10 = (
+    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1)
+B0, B5, B6, B7, B8, B9, B10, B11 = (
+    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2)
+A13_0, A13_6, A13_7, A13_8, A13_9, A13_10, A13_11, A13_12 = (
+    5.61675022830479523392909219681e-2, 2.53500210216624811088794765333e-1,
+    -2.46239037470802489917441475441e-1, -1.24191423263816360469010140626e-1,
+    1.5329179827876569731206322685e-1, 8.20105229563468988491666602057e-3,
+    7.56789766054569976138603589584e-3, -8.298e-3)
+A14_0, A14_5, A14_6, A14_7, A14_10, A14_11, A14_12, A14_13 = (
+    3.18346481635021405060768473261e-2, 2.83009096723667755288322961402e-2,
+    5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2,
+    -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+    -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1)
+A15_0, A15_5, A15_6, A15_7, A15_8, A15_12, A15_13, A15_14 = (
+    -4.28896301583791923408573538692e-1, -4.69762141536116384314449447206,
+    7.68342119606259904184240953878, 4.06898981839711007970213554331,
+    3.56727187455281109270669543021e-1, -1.39902416515901462129418009734e-3,
+    2.9475147891527723389556272149, -9.15095847217987001081870187138)
+# scipy's E3 is B less the third-order weights at stages 0, 8 and 11.
+E3_0, E3_5, E3_6, E3_7 = B0 - 0.244094488188976377952755905512, B5, B6, B7
+E3_8, E3_9, E3_10 = B8 - 0.733846688281611857341361741547, B9, B10
+E3_11 = B11 - 0.220588235294117647058823529412e-1
+E5_0, E5_5, E5_6, E5_7, E5_8, E5_9, E5_10, E5_11 = (
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1)
+# Dense-output coefficients beyond the first three: each row over stages
+# 0 and 5-15.
+_D_ROWS = (
+    (-0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
+     -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+     0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+     0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+     -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1),
+    (0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
+     0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+     -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+     -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+     0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+     -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2),
+    (0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
+     -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+     -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+     -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+     -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+     0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2),
+    (-0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
+     -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
+     0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
+     0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
+     -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
+     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3),
+)
 
 
-_B = _A[_STAGES, :_STAGES]
-
-_E3 = np.zeros(_STAGES + 1)
-_E3[:-1] = _B.copy()
-_E3[0] -= 0.244094488188976377952755905512
-_E3[8] -= 0.733846688281611857341361741547
-_E3[11] -= 0.220588235294117647058823529412e-1
-
-_E5 = np.zeros(_STAGES + 1)
-_E5[0] = 0.1312004499419488073250102996e-1
-_E5[5] = -0.1225156446376204440720569753e+1
-_E5[6] = -0.4957589496572501915214079952
-_E5[7] = 0.1664377182454986536961530415e+1
-_E5[8] = -0.3503288487499736816886487290
-_E5[9] = 0.3341791187130174790297318841
-_E5[10] = 0.8192320648511571246570742613e-1
-_E5[11] = -0.2235530786388629525884427845e-1
-
-# Dense-output coefficients beyond the first three, over all 16 stages.
-_D = np.zeros((4, _STAGES_EXTENDED))
-_D[0, 0] = -0.84289382761090128651353491142e+1
-_D[0, 5] = 0.56671495351937776962531783590
-_D[0, 6] = -0.30689499459498916912797304727e+1
-_D[0, 7] = 0.23846676565120698287728149680e+1
-_D[0, 8] = 0.21170345824450282767155149946e+1
-_D[0, 9] = -0.87139158377797299206789907490
-_D[0, 10] = 0.22404374302607882758541771650e+1
-_D[0, 11] = 0.63157877876946881815570249290
-_D[0, 12] = -0.88990336451333310820698117400e-1
-_D[0, 13] = 0.18148505520854727256656404962e+2
-_D[0, 14] = -0.91946323924783554000451984436e+1
-_D[0, 15] = -0.44360363875948939664310572000e+1
-
-_D[1, 0] = 0.10427508642579134603413151009e+2
-_D[1, 5] = 0.24228349177525818288430175319e+3
-_D[1, 6] = 0.16520045171727028198505394887e+3
-_D[1, 7] = -0.37454675472269020279518312152e+3
-_D[1, 8] = -0.22113666853125306036270938578e+2
-_D[1, 9] = 0.77334326684722638389603898808e+1
-_D[1, 10] = -0.30674084731089398182061213626e+2
-_D[1, 11] = -0.93321305264302278729567221706e+1
-_D[1, 12] = 0.15697238121770843886131091075e+2
-_D[1, 13] = -0.31139403219565177677282850411e+2
-_D[1, 14] = -0.93529243588444783865713862664e+1
-_D[1, 15] = 0.35816841486394083752465898540e+2
-
-_D[2, 0] = 0.19985053242002433820987653617e+2
-_D[2, 5] = -0.38703730874935176555105901742e+3
-_D[2, 6] = -0.18917813819516756882830838328e+3
-_D[2, 7] = 0.52780815920542364900561016686e+3
-_D[2, 8] = -0.11573902539959630126141871134e+2
-_D[2, 9] = 0.68812326946963000169666922661e+1
-_D[2, 10] = -0.10006050966910838403183860980e+1
-_D[2, 11] = 0.77771377980534432092869265740
-_D[2, 12] = -0.27782057523535084065932004339e+1
-_D[2, 13] = -0.60196695231264120758267380846e+2
-_D[2, 14] = 0.84320405506677161018159903784e+2
-_D[2, 15] = 0.11992291136182789328035130030e+2
-
-_D[3, 0] = -0.25693933462703749003312586129e+2
-_D[3, 5] = -0.15418974869023643374053993627e+3
-_D[3, 6] = -0.23152937917604549567536039109e+3
-_D[3, 7] = 0.35763911791061412378285349910e+3
-_D[3, 8] = 0.93405324183624310003907691704e+2
-_D[3, 9] = -0.37458323136451633156875139351e+2
-_D[3, 10] = 0.10409964950896230045147246184e+3
-_D[3, 11] = 0.29840293426660503123344363579e+2
-_D[3, 12] = -0.43533456590011143754432175058e+2
-_D[3, 13] = 0.96324553959188282948394950600e+2
-_D[3, 14] = -0.39177261675615439165231486172e+2
-_D[3, 15] = -0.14972683625798562581422125276e+3
-
-
-def _nonzero(row) -> list:
-    """The nonzero entries of a tableau row as floats, in column order."""
-    return [float(v) for v in row if v != 0.0]
-
-
-# The table's nonzero entries as floats, named by position: ``A5_3`` is
-# ``_A[5, 3]``, ``B7`` is ``_B[7]``, ``E5_7`` is ``_E5[7]``.  The sums
-# below take them term after term in column order.
-C1, C2, C3, C4, C5, C6, C7, C8, C9, C10, C11 = _C[1:_STAGES].tolist()
-C13, C14, C15 = _C[_STAGES + 1:].tolist()
-(A1_0,) = _nonzero(_A[1])
-A2_0, A2_1 = _nonzero(_A[2])
-A3_0, A3_2 = _nonzero(_A[3])
-A4_0, A4_2, A4_3 = _nonzero(_A[4])
-A5_0, A5_3, A5_4 = _nonzero(_A[5])
-A6_0, A6_3, A6_4, A6_5 = _nonzero(_A[6])
-A7_0, A7_3, A7_4, A7_5, A7_6 = _nonzero(_A[7])
-A8_0, A8_3, A8_4, A8_5, A8_6, A8_7 = _nonzero(_A[8])
-A9_0, A9_3, A9_4, A9_5, A9_6, A9_7, A9_8 = _nonzero(_A[9])
-A10_0, A10_3, A10_4, A10_5, A10_6, A10_7, A10_8, A10_9 = _nonzero(_A[10])
-A11_0, A11_3, A11_4, A11_5, A11_6, A11_7, A11_8, A11_9, A11_10 = _nonzero(_A[11])
-B0, B5, B6, B7, B8, B9, B10, B11 = _nonzero(_B)
-E3_0, E3_5, E3_6, E3_7, E3_8, E3_9, E3_10, E3_11 = _nonzero(_E3)
-E5_0, E5_5, E5_6, E5_7, E5_8, E5_9, E5_10, E5_11 = _nonzero(_E5)
-A13_0, A13_6, A13_7, A13_8, A13_9, A13_10, A13_11, A13_12 = _nonzero(_A[13])
-A14_0, A14_5, A14_6, A14_7, A14_10, A14_11, A14_12, A14_13 = _nonzero(_A[14])
-A15_0, A15_5, A15_6, A15_7, A15_8, A15_12, A15_13, A15_14 = _nonzero(_A[15])
-# Each row of _D over stages 0 and 5-15.
-_D_ROWS = tuple(tuple(_nonzero(row)) for row in _D)
 
 
 def _divide(a: float, b: float) -> float:
@@ -554,13 +441,13 @@ class DenseSolution:
             out.append(v + y)
         return out
 
-    def __call__(self, ts) -> np.ndarray:
-        """States at the times ``ts`` as a ``(4, len(ts))`` array."""
+    def __call__(self, ts) -> list:
+        """States at the times ``ts`` as four float lists, one per component."""
         starts = [step[0] for step in self._steps]
         last = len(starts) - 1
         cols = [self._interpolate(min(max(bisect_right(starts, t) - 1, 0), last), t)
                 for t in ts]
-        return np.array(cols, dtype=float).reshape(-1, 4).T
+        return [[col[k] for col in cols] for k in range(4)]
 
 
 def _initial_step(rhs, y, f, rtol, atol) -> float:

@@ -31,10 +31,13 @@ from Clairaut quadrature (:func:`clairaut_orbit`), split at the knots.
 Both run on Python floats and evaluate the index one point at a time, so
 their bits do not depend on the CPU's BLAS kernel or numpy's SIMD level.
 
-The module needs numpy alone.  Its kernels are small ports checked against
-scipy in the tests: roots come from :func:`lens_scatter.dop853.brentq`,
-tabulated profiles from :func:`_pchip_coefficients`, and the orbit
-integrals from the adaptive Gauss-Kronrod rule :func:`_adaptive_gk15`.
+Its kernels are small ports checked against scipy in the tests: roots
+come from :func:`lens_scatter.dop853.brentq`, tabulated profiles from
+:func:`_pchip_coefficients`, and the orbit integrals from the adaptive
+Gauss-Kronrod rule :func:`_adaptive_gk15`.  Each table they read (the
+DOP853 tableau, the G7K15 rule, a profile's knots and cubics, and its scan
+table) is held once, as Python floats; numpy holds the sampled paths and
+polylines.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ EXCLUSION_RADIUS = 1e-3
 # step size shrinks without buying accuracy; 100 eps keeps two decades of
 # headroom above it.
 _RTOL_SCALE = 1e-3
-_RTOL_FLOOR = 100.0 * np.finfo(float).eps
+_RTOL_FLOOR = 100.0 * dop853.EPS
 
 
 @dataclass(frozen=True)
@@ -144,42 +147,55 @@ class IntegrationOptions:
         return self.max_length if self.max_length is not None else 200.0 * radius
 
 
+def _sign(v: float):
+    """``np.sign`` of a float: -1, 0 or 1, and NaN for NaN."""
+    return v if math.isnan(v) else (v > 0.0) - (v < 0.0)
+
+
 def _pchip_end_slope(h0, h1, m0, m1):
     """One-sided three-point slope at an end knot, kept monotone (Moler's
     ``pchiptx``); ``h0``, ``m0`` belong to the end interval."""
     d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
+    if _sign(d) != _sign(m0):
         return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
         return 3.0 * m0
     return d
 
 
-def _pchip_coefficients(x, y) -> np.ndarray:
-    """The ``(4, len(x) - 1)`` cubic coefficients of the monotone PCHIP
-    through ``(x, y)``, highest power first in ``x - x[i]``.
+def _pchip_coefficients(x, y) -> tuple:
+    """The cubic coefficients of the monotone PCHIP through the floats
+    ``(x, y)``: four lists over the ``len(x) - 1`` intervals, highest power
+    first in ``x - x[i]``.
 
     Fritsch-Carlson slopes with Moler's end rule, as scipy's
     ``PchipInterpolator`` computes them (its ``.c``, bit for bit): an
     interior slope is 0 where the neighbouring secants differ in sign or
-    one vanishes, else their weighted harmonic mean.
+    one vanishes, else their weighted harmonic mean.  Where that mean's
+    reciprocal is zero (two infinite secants) the slope is the infinity
+    numpy's division gives.
     """
-    h = x[1:] - x[:-1]
-    m = (y[1:] - y[:-1]) / h
-    d = np.empty_like(y)
+    h = [b - a for a, b in zip(x, x[1:])]
+    m = [(b - a) / hk for a, b, hk in zip(y, y[1:], h)]
     if len(x) == 2:
-        d[:] = m[0]
+        d = [m[0], m[0]]
     else:
-        hl, hr, ml, mr = h[:-1], h[1:], m[:-1], m[1:]
-        mean = (np.sign(ml) == np.sign(mr)) & (ml != 0.0) & (mr != 0.0)
-        w1, w2 = (2.0 * hr + hl)[mean], (hr + 2.0 * hl)[mean]
-        d[1:-1] = 0.0
-        d[1:-1][mean] = 1.0 / ((w1 / ml[mean] + w2 / mr[mean]) / (w1 + w2))
-        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        d = [_pchip_end_slope(h[0], h[1], m[0], m[1])]
+        for hl, hr, ml, mr in zip(h, h[1:], m, m[1:]):
+            if _sign(ml) == _sign(mr) and ml != 0.0 and mr != 0.0:
+                w1, w2 = 2.0 * hr + hl, hr + 2.0 * hl
+                mean = (w1 / ml + w2 / mr) / (w1 + w2)
+                d.append(1.0 / mean if mean != 0.0 else math.copysign(math.inf, mean))
+            else:
+                d.append(0.0)
+        d.append(_pchip_end_slope(h[-1], h[-2], m[-1], m[-2]))
     # Cubic Hermite on each interval, in power form.
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+    c0, c1 = [], []
+    for hk, mk, dl, dr in zip(h, m, d, d[1:]):
+        t = (dl + dr - 2.0 * mk) / hk
+        c0.append(t / hk)
+        c1.append((mk - dl) / hk - t)
+    return c0, c1, d[:-1], y[:-1]
 
 
 class _TabulatedRadial:
@@ -197,32 +213,25 @@ class _TabulatedRadial:
     """
 
     def __init__(self, radii, values):
-        radii = np.array(radii, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if radii.ndim != 1 or radii.shape != values.shape or radii.size < 2:
+        radii = tuple(map(float, radii))
+        values = tuple(map(float, values))
+        if len(radii) != len(values) or len(radii) < 2:
             raise ValueError("profile needs matching 1-d radius/value tables")
-        if np.any(np.diff(radii) <= 0):
+        if any(b - a <= 0.0 for a, b in zip(radii, radii[1:])):
             raise ValueError("profile radii must be strictly increasing")
-        if np.any(values <= 0):
+        if any(v <= 0.0 for v in values):
             raise ValueError("conformal factor must be positive")
-        self.breakpoints = radii
-        self.r_min = float(radii[0])
-        self.r_max = float(radii[-1])
-        with np.errstate(all="ignore"):
-            c = _pchip_coefficients(radii, values)
-        if not np.all(np.isfinite(c)):
+        c = _pchip_coefficients(radii, values)
+        if not all(math.isfinite(v) for row in c for v in row):
             raise ValueError("profile knots too close or too large: non-finite interpolant")
-        # Read-only, as metrics are immutable: ``eval`` reads list copies, so
-        # a write would split it from the quadrature panels and ``_knot_cut``.
-        radii.flags.writeable = False
-        # Plain lists, as the integrator calls ``eval`` once per RHS
-        # evaluation: float arithmetic beats numpy scalars there.
-        self._bx = radii.tolist()
-        self._c0, self._c1, self._c2, self._c3 = c.tolist()
-        h = self._bx[-1] - self._bx[-2]
-        self._rim = (float(values[-1]),
+        self.breakpoints = radii
+        self.r_min = radii[0]
+        self.r_max = radii[-1]
+        self._c0, self._c1, self._c2, self._c3 = c
+        h = radii[-1] - radii[-2]
+        self._rim = (values[-1],
                      (3.0 * self._c0[-1] * h + 2.0 * self._c1[-1]) * h + self._c2[-1])
-        self._knots = (tuple(self._bx), tuple(values.tolist()))
+        self._knots = (radii, values)
         self._hash = hash(self._knots)
 
     def __eq__(self, other):
@@ -241,8 +250,8 @@ class _TabulatedRadial:
             raise SingularityError(
                 f"radius {r:.3e} below tabulated range ({self.r_min:.3e})"
             )
-        i = bisect_right(self._bx, r) - 1
-        du = r - self._bx[i]
+        i = bisect_right(self.breakpoints, r) - 1
+        du = r - self.breakpoints[i]
         val = ((self._c0[i] * du + self._c1[i]) * du + self._c2[i]) * du + self._c3[i]
         der = (3.0 * self._c0[i] * du + 2.0 * self._c1[i]) * du + self._c2[i]
         return val, der
@@ -251,7 +260,7 @@ class _TabulatedRadial:
 class _CallableRadial:
     """Radial profile given by analytic callables ``n(r)`` and ``dn/dr``."""
 
-    breakpoints = np.empty(0)
+    breakpoints = ()
 
     def __init__(self, n_of_r, dn_dr, *, r_min=0.0):
         self.n_of_r = n_of_r
@@ -284,7 +293,7 @@ class EatonProfile:
     """
 
     r_min = 1e-10
-    breakpoints = np.empty(0)
+    breakpoints = ()
 
     def eval(self, r: float) -> tuple[float, float]:
         """Return ``(n, dn/dr)`` at radius ``r``."""
@@ -334,11 +343,12 @@ class ConformalMetric:
     ``kind`` is one of ``vacuum``, ``eaton``, ``radial-profile`` or
     ``general``.  Radial metrics carry a ``profile`` object: ``eval(r)``
     returns ``(n, dn/dr)`` at the float ``r``, ``r_min`` is the least radius
-    it accepts, and ``breakpoints`` are the knot radii where its cubics
-    join (none for a closed form).  Radial metrics compare by value.  General metrics carry
-    ``field``, the pair ``n(x, y)`` and its gradient.  Instances are frozen
-    and all evaluation methods are pure, so a metric may be shared freely
-    across threads.  ``radius`` must lie in ``[1e-6, 1e6]``.
+    it accepts, and ``breakpoints`` is the tuple of knot radii where its
+    cubics join (empty for a closed form).  Radial metrics compare by
+    value.  General metrics carry ``field``, the pair ``n(x, y)`` and its
+    gradient.  Instances are frozen and all evaluation methods are pure,
+    so a metric may be shared freely across threads.  ``radius`` must lie
+    in ``[1e-6, 1e6]``.
     """
 
     kind: str
@@ -579,62 +589,50 @@ _SIMPSON_ZONE = 2e-3
 
 
 @functools.lru_cache(maxsize=8)
-def _log_grid(floor: float, radius: float) -> np.ndarray:
-    """``_SCAN_POINTS`` radii from ``floor`` to ``radius``, evenly spaced in
-    ``log10``, read-only.  The powers are libm's, not ``np.geomspace``'s,
-    which follow numpy's SIMD level; as in ``np.geomspace`` the ends are
-    exactly ``floor`` and ``radius``.  Profiles with one floor and radius
-    share it."""
-    logs = np.linspace(math.log10(floor), math.log10(radius), _SCAN_POINTS).tolist()
-    grid = np.array([10.0 ** y for y in logs])
-    grid[0], grid[-1] = floor, radius
-    grid.flags.writeable = False
-    return grid
+def _scan_table(profile, radius: float) -> tuple[tuple, tuple]:
+    """The scan radii of ``profile`` below ``radius`` and ``n r`` on them.
 
-
-def _scan_radii(floor: float, radius: float, knots) -> np.ndarray:
-    """The sorted log grid from ``floor`` to ``radius`` merged with the knots
-    strictly between them, each radius once: ``np.union1d`` of the two,
-    without the ``numpy.ma`` import that ``np.union1d`` triggers."""
-    rs = np.sort(np.concatenate([_log_grid(floor, radius),
-                                 knots[(knots > floor) & (knots < radius)]]))
-    return rs[np.concatenate([[True], rs[1:] != rs[:-1]])]
-
-
-@functools.lru_cache(maxsize=8)
-def _scan_table(profile, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """The scan radii of ``profile`` below ``radius`` and ``n r`` on them,
-    read-only.  Profiles are immutable and tabulated ones equal by their
+    The radii are ``_SCAN_POINTS`` from ``floor = max(r_min, _SCAN_FLOOR R)``
+    to ``radius``, evenly spaced in ``log10`` as ``np.linspace`` spaces
+    them (``k step + lo``) with the ends exactly ``floor`` and ``radius``,
+    merged with the knots strictly between, each radius once.  The powers
+    are libm's.  Profiles are immutable and tabulated ones equal by their
     knots, so every orbit of equal metrics reads the table built for the
-    first one."""
-    rs = _scan_radii(max(profile.r_min, _SCAN_FLOOR * radius), radius,
-                     profile.breakpoints)
-    nr = np.array([profile.eval(r)[0] * r for r in rs.tolist()])
-    rs.flags.writeable = nr.flags.writeable = False
-    return rs, nr
+    first one.
+    """
+    floor = max(profile.r_min, _SCAN_FLOOR * radius)
+    lo = math.log10(floor)
+    step = (math.log10(radius) - lo) / (_SCAN_POINTS - 1)
+    grid = [10.0 ** (k * step + lo) for k in range(1, _SCAN_POINTS - 1)]
+    rs = tuple(sorted({floor, *grid, radius,
+                       *(b for b in profile.breakpoints if floor < b < radius)}))
+    return rs, tuple(profile.eval(r)[0] * r for r in rs)
 
 
 def _turning_radius(profile, radius: float, p: float) -> float | None:
     """Outermost root of ``n(r) r = p`` below ``radius``, or ``None``.
 
-    The sign of ``n r - p`` is scanned inward over a log grid merged with
-    the profile's breakpoints, and the outermost sign change is closed by
-    ``brentq``.
+    The sign of ``n r - p`` is scanned inward from the rim over the scan
+    table, and the outermost sign change is closed by ``brentq``.
     """
     rs, nr = _scan_table(profile, radius)
-    inside = np.flatnonzero(nr <= p)
-    if inside.size == 0 or inside[-1] == rs.size - 1:
+    i = len(rs) - 1
+    while i >= 0 and not nr[i] <= p:
+        i -= 1
+    if not 0 <= i < len(rs) - 1:
         return None
-    i = inside[-1]
     if nr[i] == p:
-        return float(rs[i])
-    lo, hi = float(rs[i]), float(rs[i + 1])
+        return rs[i]
+    lo, hi = rs[i], rs[i + 1]
     return brentq(lambda r: profile.eval(r)[0] * r - p, lo, hi, xtol=1e-16 * lo)
 
 
-# Gauss-Kronrod G7K15 on [-1, 1] (QUADPACK's qk15): the 15 Kronrod nodes,
-# their weights, and the weights of the 7-point Gauss rule on every other
-# node (zero on the others).  Kronrod is exact to degree 22, Gauss to 13.
+# Gauss-Kronrod G7K15 on [-1, 1] from QUADPACK's qk15 literals: the
+# Kronrod nodes in (0, 1] and 0 (``xgk``), their weights (``wgk``) and the
+# 7-point Gauss weights (``wg``) of the nodes ``xgk[1]``, ``xgk[3]``,
+# ``xgk[5]`` and 0.  ``_GK_X`` and ``_GK_W`` are the 15 nodes in increasing
+# order and their weights, ``_G7_W`` the Gauss weights of the odd ones,
+# ``_GK_X[1::2]``.  Kronrod is exact to degree 22, Gauss to 13.
 _XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
         0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
         0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
@@ -643,28 +641,18 @@ _WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204
         0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
         0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
         0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
-_WG = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
-       0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
-_GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
-_GK_WEIGHTS = np.array(_WGK[:-1] + _WGK[::-1])
-_G7_WEIGHTS = np.array(_WG[:-1] + _WG[::-1])
-# ``riemannian_length``'s Gauss sums contract with this one-column view by
-# ``np.einsum("...j,jk->...k")``, as ``TrigCurve`` sums its series: with
-# rows 16 bytes apart, einsum adds term after term into each output, where
-# ``@`` sums in the order of the CPU's BLAS kernel.
-_G7_GAUSS = np.column_stack([_GK_WEIGHTS, _G7_WEIGHTS])[_G7_WEIGHTS != 0.0][:, 1:]
-# The panel rule's table as Python floats: the nodes and Kronrod weights in
-# ``_GK_NODES`` order, and the Gauss weights of the odd nodes.
-_GK_X = tuple(_GK_NODES.tolist())
-_GK_W = tuple(_GK_WEIGHTS.tolist())
-_G7_W = tuple(_G7_WEIGHTS[1::2].tolist())
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_GK_X = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
+_GK_W = _WGK[:-1] + _WGK[::-1]
+_G7_W = _WG + _WG[-2::-1]
 
 
 def _gk15(integrand, lo: float, hi: float):
     """G7K15 estimates of every integrand over the panel ``[lo, hi]``.
 
     ``integrand(u)`` returns the values of ``m`` integrands at the node
-    ``u``; it is called at the 15 nodes in ``_GK_NODES`` order.  Returns the
+    ``u``; it is called at the 15 nodes in ``_GK_X`` order.  Returns the
     lists of the ``m`` integrals and of their errors, scaled as QUADPACK's
     ``qk15`` scales them.  Every node sum adds term after term in node
     order, so its bits do not depend on the CPU.
@@ -762,7 +750,7 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
     # (n r)' kinks at the knots, where Simpson's rule loses its order, so
     # the rule runs piecewise between the knots in its zone.  The list takes
     # knots up to twice the zone; each node keeps those below its own radius.
-    zone_knots = [(float(b), *profile.eval(float(b))) for b in profile.breakpoints
+    zone_knots = [(b, *profile.eval(b)) for b in profile.breakpoints
                   if r_star < b < r_star * (1.0 + 2.0 * _SIMPSON_ZONE)]
 
     def integrand(u):
@@ -828,7 +816,7 @@ def _knot_cut(metric: ConformalMetric):
     if not metric.is_radial:
         return None
     R = metric.radius
-    knots = sorted(float(b) ** 2 for b in metric.profile.breakpoints if 0.0 < b <= R)
+    knots = sorted(b ** 2 for b in metric.profile.breakpoints if 0.0 < b <= R)
     if not knots:
         return None
     over = _KNOT_OVERSHOOT * R
@@ -957,15 +945,17 @@ def riemannian_length(metric: ConformalMetric, points) -> float:
     d = pts[1:] - a
     seg_len = np.hypot(d[:, 0], d[:, 1])
     # Quadrature nodes along every segment, evaluated by one ``n_many`` call.
-    gauss = _G7_WEIGHTS != 0.0
-    u = 0.5 * (_GK_NODES[gauss] + 1.0)
+    u = np.array([0.5 * (x + 1.0) for x in _GK_X[1::2]])
     nodes = a[:, None, :] + u[None, :, None] * d[:, None, :]
     if metric.singular_at_origin:
         r = np.hypot(nodes[..., 0], nodes[..., 1])
         if np.min(r) < EXCLUSION_RADIUS:
             raise SingularityError("polyline passes through the singular origin")
     n_vals = metric.n_many(nodes.reshape(-1, 2)).reshape(nodes.shape[:2])
-    gauss_sums = np.einsum("...j,jk->...k", n_vals, _G7_GAUSS)[:, 0]
+    # Each segment's terms added in node order, whatever the CPU.
+    gauss_sums = 0.0
+    for col, w in zip(n_vals.T, _G7_W):
+        gauss_sums = gauss_sums + col * w
     return float(np.sum(seg_len * 0.5 * gauss_sums))
 
 

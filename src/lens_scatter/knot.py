@@ -519,44 +519,34 @@ def embedding_separation(samples, window: float) -> float:
     beyond ``window``; a positive value certifies embeddedness at the
     sampling resolution.
 
-    Of ``m`` samples, ``i`` and ``j`` lie ``min(g / m, 1 - g / m)`` apart
-    for ``g = |i - j|``.  The scan pairs ``i`` with ``(i + c) mod m`` for
-    ``c <= m / 2``: rows ``i < m - c`` are the pairs of gap ``c``, the rest
-    those of gap ``m - c``, so each kept unordered pair is measured once
-    (twice at ``c = m / 2``) and no index array is built.  Gaps whose two
-    halves are both kept are read, ``_SEPARATION_BLOCK // m`` at a time,
-    as rows of a sliding window over the doubled samples; the rare gap with
-    one half kept (a window at a rounding boundary) is read alone.
+    Of ``m`` samples, ``i`` and ``(i + c) mod m`` lie ``c / m`` apart for
+    the circular gap ``c <= m / 2``, and their pair is kept when ``c / m >
+    window``: both orders of a pair together, so the value does not depend
+    on the sample the loop starts at.  The kept gaps run up to ``m // 2``
+    and are read, ``_SEPARATION_BLOCK // m`` at a time, as rows of a
+    sliding window over the doubled samples, so each kept unordered pair is
+    measured once (twice at ``c = m / 2``) and no index array is built.
     Time is O(m^2), the working set O(m + _SEPARATION_BLOCK).
     """
     xyl = np.array(samples, dtype=float).reshape(-1, 3)
     m = len(xyl)
-    dist = np.arange(m) / m
-    keep = np.append(np.minimum(dist, 1.0 - dist) > window, False)
-    gap = np.arange(m // 2 + 1)
-    low, high = keep[gap], keep[m - gap]  # rows i < m - c, rows i >= m - c
-    # Both masks, and so their meet, are ranges of gaps, since g / m and
-    # 1 - g / m are monotone in g.  A span is (first gap, end gap, first
-    # row, end row).
-    both = np.flatnonzero(low & high)
-    spans = ([(c, c + 1, 0, m - c) for c in np.flatnonzero(low & ~high).tolist()]
-             + [(c, c + 1, m - c, m) for c in np.flatnonzero(high & ~low).tolist()])
-    if both.size:
-        step = max(1, _SEPARATION_BLOCK // m)
-        end = int(both[-1]) + 1
-        spans += [(c, min(c + step, end), 0, m) for c in range(int(both[0]), end, step)]
-    if not spans:
+    end = m // 2 + 1
+    # c / m grows with c, so the kept gaps are those from the first one on.
+    first = next((c for c in range(end) if c / m > window), None) if m else None
+    if first is None:
         raise ValueError("window excludes every sample pair")
     columns = (xyl[:, 0], xyl[:, 1], xyl[:, 2] % math.pi)
     x, y, angle = columns
     xs, ys, angles = (np.lib.stride_tricks.sliding_window_view(np.concatenate((v, v)), m)
                       for v in columns)
+    step = max(1, _SEPARATION_BLOCK // m)
     best = np.inf
-    for c0, c1, i0, i1 in spans:
-        d0 = np.hypot(x[i0:i1] - xs[c0:c1, i0:i1], y[i0:i1] - ys[c0:c1, i0:i1])
+    for c0 in range(first, end, step):
+        c1 = min(c0 + step, end)
+        d0 = np.hypot(x - xs[c0:c1], y - ys[c0:c1])
         # Line angles lie in [0, pi], so the shorter arc between two of them
         # is min(da, pi - da) with no further reduction mod pi.
-        da = np.abs(angle[i0:i1] - angles[c0:c1, i0:i1])
+        da = np.abs(angle - angles[c0:c1])
         np.maximum(d0, np.minimum(da, math.pi - da, out=da), out=d0)
         best = np.minimum(best, np.min(d0))
     return float(best)

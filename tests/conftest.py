@@ -154,13 +154,14 @@ def pl_crossing_oracle(points) -> list[tuple[float, float]]:
 
 def embedding_separation_oracle(samples, window: float) -> float:
     """Minimum ``d0`` over the full ``m x m`` matrix of sample pairs whose
-    circular parameter distance exceeds ``window``, both orders of each
-    pair included; ``d_v`` reduces the angle difference mod pi first."""
+    circular parameter distance ``c / m`` exceeds ``window``, ``c`` the
+    circular gap ``min(|i - j|, m - |i - j|)``, both orders of each pair
+    included; ``d_v`` reduces the angle difference mod pi first."""
     pts = list(samples)
     m = len(pts)
     idx = np.arange(m)
-    pdist = np.abs(idx[:, None] - idx[None, :]) / m
-    mask = np.minimum(pdist, 1.0 - pdist) > window
+    gap = np.abs(idx[:, None] - idx[None, :])
+    mask = np.minimum(gap, m - gap) / m > window
     if not np.any(mask):
         raise ValueError("window excludes every sample pair")
     base = np.array([[p.x, p.y] for p in pts])

@@ -547,6 +547,10 @@ def test_curve_csv_input(tmp_path, capsys):
                          '"profile": [[0, 1.2], [1e-320, 1.1], [1, 1]]}'),
     ("trace", ".json", '{"kind": "radial-profile", '
                        '"profile": [[0, 1.2], [1e-320, 1.1], [1, 1]]}'),
+    # Two adjacent infinite secants of one sign: their harmonic mean's
+    # reciprocal is zero.
+    ("scatter", ".json", '{"kind": "radial-profile", '
+                         '"profile": [[0, 1.2], [1e-320, 1e300], [2e-320, 1e308], [1, 1]]}'),
     # The radius is checked before the profile is interpolated.
     ("scatter", ".json", '{"kind": "radial-profile", "radius": 5e-324, '
                          '"profile": [[0, 1.2], [5e-324, 1.0]]}'),
@@ -564,7 +568,7 @@ def test_curve_csv_input(tmp_path, capsys):
 ], ids=["list", "string", "flat-knots", "null-knot", "null-radius", "eaton-radius",
         "short-csv-row", "csv-closing-row", "csv-repeated-t", "csv-nonuniform-t",
         "overflowing-index", "overflowing-index-trace", "subnormal-gap",
-        "subnormal-gap-trace", "subnormal-radius", "subnormal-radius-trace",
+        "subnormal-gap-trace", "overflowing-secants", "subnormal-radius", "subnormal-radius-trace",
         "negative-first-knot", "positive-first-knot", "repeated-knot", "zero-index",
         "negative-index"])
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest

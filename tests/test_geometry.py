@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from array import array
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from lens_scatter.geometry import (ConformalMetric, IntegrationOptions,
                                    metric_from_spec, riemannian_length)
 from lens_scatter.scattering import BoundaryVector, _arc_distance, boundary_grid
 
-from conftest import christoffel_turn_rate, solve_ivp_trace
+from conftest import christoffel_turn_rate, run_python, solve_ivp_trace
 from test_scattering import GENTLE_BUMPS, KINKED_PROFILE, _seeded_bumps
 
 BENDING_PROFILE = ConformalMetric.from_radial(
@@ -197,9 +198,46 @@ class TestAgainstSolveIvp:
     def test_tableau_is_scipys(self):
         from scipy.integrate._ivp import dop853_coefficients as ref
 
-        assert np.array_equal(dop853._A, ref.A) and np.array_equal(dop853._C, ref.C)
-        assert np.array_equal(dop853._B, ref.B) and np.array_equal(dop853._D, ref.D)
-        assert np.array_equal(dop853._E3, ref.E3) and np.array_equal(dop853._E5, ref.E5)
+        # The module's names, ``A5_3`` for A[5, 3] and so on, put back into
+        # scipy's arrays; every entry without a name is zero.  Stage 0 runs
+        # at t and stage 12 at t + h; ``B`` is row 12 of ``A``.
+        A, C, D = np.zeros((16, 16)), np.zeros(16), np.zeros((4, 16))
+        E3, E5 = np.zeros(13), np.zeros(13)
+        C[12] = 1.0
+        for name, value in vars(dop853).items():
+            if m := re.fullmatch(r"A(\d+)_(\d+)", name):
+                A[int(m[1]), int(m[2])] = value
+            elif m := re.fullmatch(r"([BCE])(3_|5_)?(\d+)", name):
+                row = {"B": A[12], "C": C, "E3_": E3, "E5_": E5}[m[1] + (m[2] or "")]
+                row[int(m[3])] = value
+        D[:, [0, *range(5, 16)]] = dop853._D_ROWS
+        assert np.array_equal(A, ref.A) and np.array_equal(C, ref.C)
+        assert np.array_equal(A[12, :12], ref.B) and np.array_equal(D, ref.D)
+        assert np.array_equal(E3, ref.E3) and np.array_equal(E5, ref.E5)
+
+    def test_solver_runs_without_numpy(self, tmp_path):
+        # The module has no package-relative import, so it loads from its
+        # file alone, in an interpreter where importing numpy fails.
+        probe = f"""
+import importlib.util, json, math, sys
+sys.modules["numpy"] = None
+spec = importlib.util.spec_from_file_location("dop853", {str(Path(dop853.__file__))!r})
+dop853 = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(dop853)
+theta = math.pi - 0.3  # inward from (1, 0)
+sol = dop853.solve(lambda s, y: (math.cos(y[2]), math.sin(y[2]), 0.0, 1.0),
+                   (1.0, 0.0, theta, 0.0), rtol=1e-10, atol=1e-14,
+                   events=[lambda s, y: -1.0 if s == 0.0 else y[0] ** 2 + y[1] ** 2 - 1.0])
+loaded = sorted(n for n, m in sys.modules.items() if m is not None and n.startswith("numpy"))
+print(json.dumps([sol.event, sol.ts[-1], list(sol.ys[-1]), loaded]))
+"""
+        event, length, state, loaded = json.loads(run_python(probe, tmp_path))
+        # The chord from (1, 0) at 0.3 from the inward normal: 2 cos 0.3 long.
+        chord = 2.0 * math.cos(0.3)
+        want = (1.0 - chord * math.cos(0.3), chord * math.sin(0.3), math.pi - 0.3, chord)
+        assert event == 0 and loaded == []
+        assert abs(length - chord) < 1e-12
+        assert all(abs(g - w) < 1e-12 for g, w in zip(state, want)), state
 
     @pytest.mark.parametrize("seed", range(20))
     def test_step_is_the_tableau_written_out(self, seed):
@@ -208,9 +246,9 @@ class TestAgainstSolveIvp:
         # conditions, sees the arguments the tableau arrays give, and the
         # step's new state, error norm and interpolant are the arrays' too.
         # Each agrees to rounding: a few eps of the magnitude of its terms.
+        from scipy.integrate._ivp.dop853_coefficients import A, B, C, D, E3, E5
+
         rng = np.random.default_rng(seed)
-        A, B, C, D, E3, E5 = (dop853._A, dop853._B, dop853._C, dop853._D, dop853._E3,
-                              dop853._E5)
         K = rng.normal(size=(16, 4))
         y = rng.normal(size=4)
         t, h, rtol, atol = 0.25, 0.4, 1e-7, 1e-11
@@ -228,7 +266,7 @@ class TestAgainstSolveIvp:
         sol = dop853.DenseSolution(replay)
         sol._steps.append((t, h, tuple(y.tolist()), y_new, array("d", (*stages, *f_new))))
         x = 0.37
-        got = sol([t + x * h])[:, 0]
+        got = np.array(sol([t + x * h]))[:, 0]
         assert len(calls) == 15 and f_new == tuple(K[12].tolist())
 
         rows = [(s, A[s, :s]) for s in range(1, 12)] + [(12, B)]
@@ -650,9 +688,9 @@ class TestMetricSpecs:
         knots = ConformalMetric.from_profile_knots([(0.0, 1.2), (1.0, 1.0)])
         with pytest.raises(dataclasses.FrozenInstanceError):
             knots.radius = 2.0
-        # Its knots too: a write would split eval's list copy from the
-        # quadrature panels and _knot_cut, which read the array.
-        with pytest.raises(ValueError, match="read-only"):
+        # Its knots too: eval, the quadrature panels and _knot_cut all read
+        # the one tuple.
+        with pytest.raises(TypeError):
             knots.profile.breakpoints[1] = 0.5
         assert not knots.singular_at_origin
         assert not load_metric("vacuum").singular_at_origin

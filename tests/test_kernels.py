@@ -82,8 +82,8 @@ class TestBrentq:
 
 
 class TestPchip:
-    """``_pchip_coefficients`` is scipy's ``PchipInterpolator(x, y).c``, to
-    the bit."""
+    """``_pchip_coefficients`` of float lists is scipy's
+    ``PchipInterpolator(x, y).c``, to the bit."""
 
     @staticmethod
     def _tables(rng):
@@ -105,7 +105,7 @@ class TestPchip:
         rng = np.random.default_rng(3)
         two_knots = zero_end = steep_end = 0
         for x, y in self._tables(rng):
-            got = geometry._pchip_coefficients(x, y)
+            got = np.array(geometry._pchip_coefficients(x.tolist(), y.tolist()))
             want = PchipInterpolator(x, y).c
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (x, y)
@@ -122,25 +122,26 @@ class TestPchip:
     def test_flat_run_keeps_zero_slopes(self):
         x = np.array([0.0, 0.3, 0.6, 1.0])
         y = np.array([1.2, 1.2, 1.2, 1.0])
-        c = geometry._pchip_coefficients(x, y)
+        c = np.array(geometry._pchip_coefficients(x.tolist(), y.tolist()))
         assert np.array_equal(c, PchipInterpolator(x, y).c)
         assert np.all(c[:, 0] == [0.0, 0.0, 0.0, 1.2])
 
 
 class TestGaussKronrod:
+    NODES = np.array(geometry._GK_X)
+
     def test_gauss_nodes_are_legendre(self):
         nodes, weights = np.polynomial.legendre.leggauss(7)
-        gauss = geometry._G7_WEIGHTS != 0.0
-        np.testing.assert_allclose(geometry._GK_NODES[gauss], nodes, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(geometry._G7_WEIGHTS[gauss], weights, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(self.NODES[1::2], nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(geometry._G7_W, weights, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("degree", range(23))
     def test_kronrod_integrates_monomials_exactly(self, degree):
         exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
-        got = float(np.sum(geometry._GK_WEIGHTS * geometry._GK_NODES ** degree))
+        got = float(np.sum(np.array(geometry._GK_W) * self.NODES ** degree))
         assert got == pytest.approx(exact, rel=0, abs=4e-16)
         if degree <= 13:
-            gauss = float(np.sum(geometry._G7_WEIGHTS * geometry._GK_NODES ** degree))
+            gauss = float(np.sum(np.array(geometry._G7_W) * self.NODES[1::2] ** degree))
             assert gauss == pytest.approx(exact, rel=0, abs=4e-16)
 
     def test_adaptive_rule_meets_its_tolerance(self):
@@ -174,7 +175,7 @@ class TestGaussKronrod:
         f = rng.normal(size=(2, 5, 15)) * 10.0 ** rng.integers(-6, 7, size=(2, 5, 15))
         lo = rng.uniform(0.0, 1.0, 5)
         hi = lo + rng.uniform(0.1, 1.0, 5)
-        wk, wg = geometry._GK_WEIGHTS.tolist(), geometry._G7_WEIGHTS.tolist()
+        wk, wg = geometry._GK_W, geometry._G7_W
         for k in range(5):
             # Panel k's integrands at its nodes, in the order they are asked for.
             rows = iter(f[:, k].T.tolist())
@@ -183,18 +184,16 @@ class TestGaussKronrod:
             for i in range(2):
                 kronrod = in_order(f[i, k], wk)
                 ascent = in_order(np.abs(f[i, k] - 0.5 * kronrod), wk) * h
-                err = abs((kronrod - in_order(f[i, k], wg)) * h)
+                err = abs((kronrod - in_order(f[i, k, 1::2], wg)) * h)
                 assert vals[i] == kronrod * h
                 assert errs[i] == ascent * min(1.0, (200.0 * err / ascent) ** 1.5)
         # riemannian_length's Gauss sums, on three segments.
         metric = next(_seeded_profiles(1))
         points = np.array([[0.1, 0.2], [0.5, -0.3], [-0.2, -0.6], [0.0, 0.7]])
-        gauss = geometry._G7_WEIGHTS != 0.0
         segments = []
         for a, b in zip(points[:-1], points[1:]):
-            nodes = a + 0.5 * (geometry._GK_NODES[gauss] + 1.0)[:, None] * (b - a)
-            segments.append(np.hypot(*(b - a)) * 0.5 * in_order(
-                metric.n_many(nodes), geometry._G7_WEIGHTS[gauss].tolist()))
+            nodes = a + 0.5 * (self.NODES[1::2] + 1.0)[:, None] * (b - a)
+            segments.append(np.hypot(*(b - a)) * 0.5 * in_order(metric.n_many(nodes), wg))
         assert geometry.riemannian_length(metric, points) == np.sum(segments)
 
 
@@ -241,7 +240,7 @@ class TestClairautAgainstQuad:
             [(0.2 * k, 1.0 + sum(steps[k:])) for k in range(6)])
         for metric in [flat_rim, KINKED_PROFILE, *_seeded_profiles(4)]:
             profile = metric.profile
-            for knot in profile.breakpoints[1:-1].tolist():
+            for knot in profile.breakpoints[1:-1]:
                 r_star = knot * (1.0 - gap)
                 impact = profile.eval(r_star)[0] * r_star / profile.eval(1.0)[0]
                 got = clairaut_orbit(metric, impact, opts)
@@ -261,24 +260,40 @@ class TestClairautAgainstQuad:
             assert abs(got[1] - (2.0 * math.pi + 2.0 * math.sin(chi))) < opts.step_tol
 
 
+class _ScanProfile:
+    """What the scan reads of a profile: ``r_min``, ``breakpoints`` and
+    ``eval``.  Hashed by identity, so each one gets its own table."""
+
+    def __init__(self, r_min, breakpoints):
+        self.r_min = r_min
+        self.breakpoints = breakpoints
+
+    def eval(self, r):
+        return 1.0 + r * r, 2.0 * r
+
+
 class TestScanGrid:
     def test_equals_union1d(self):
+        # The reference: libm's powers of 10 over ``np.linspace``'s logs with
+        # exact ends, merged with the knots strictly inside by ``np.union1d``.
         rng = np.random.default_rng(5)
-        floor, radius = 1e-12, 1.0
-        # libm's powers of 10 over evenly spaced logs, with exact ends.
-        logs = np.linspace(math.log10(floor), math.log10(radius), geometry._SCAN_POINTS)
-        grid = np.array([10.0 ** y for y in logs.tolist()])
-        grid[0], grid[-1] = floor, radius
-        for k in range(50):
-            knots = np.sort(rng.uniform(0.0, 1.2, int(rng.integers(0, 8))))
+        for k in range(300):
+            radius = float(rng.choice([1.0, 10.0 ** rng.uniform(-6.0, 6.0)]))
+            r_min = float(rng.choice([0.0, 1e-10, radius * 10.0 ** rng.uniform(-14.0, -1.0)]))
+            floor = max(r_min, geometry._SCAN_FLOOR * radius)
+            logs = np.linspace(math.log10(floor), math.log10(radius), geometry._SCAN_POINTS)
+            grid = np.array([10.0 ** y for y in logs.tolist()])
+            grid[0], grid[-1] = floor, radius
+            knots = np.sort(radius * rng.uniform(0.0, 1.2, int(rng.integers(0, 8))))
             if k % 2:
                 # A knot equal to a grid radius, which must appear once.
                 knots = np.sort(np.append(knots, grid[int(rng.integers(1, len(grid) - 1))]))
             knots = np.concatenate([[0.0], knots, [radius]])
-            inside = knots[(knots > floor) & (knots < radius)]
-            want = np.union1d(grid, inside)
-            got = geometry._scan_radii(floor, radius, knots)
-            assert np.array_equal(got, want)
+            want = np.union1d(grid, knots[(knots > floor) & (knots < radius)])
+            profile = _ScanProfile(r_min, tuple(knots.tolist()))
+            rs, nr = geometry._scan_table(profile, radius)
+            assert np.array_equal(rs, want), (radius, r_min)
+            assert nr == tuple(profile.eval(r)[0] * r for r in want.tolist())
 
 
 class TestPeriodicSpline:

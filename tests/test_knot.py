@@ -772,7 +772,7 @@ class TestEmbeddingSeparation:
         # m just below, at and above a multiple of the block, so that blocks
         # of gaps end early or hold one gap; windows of 0 and 0.1 keep the
         # gap m / 2, and a pair distance in both of its forms, k / m and
-        # 1 - (m - k) / m, can leave one gap with only one half kept.
+        # 1 - (m - k) / m, puts the first kept gap at k or k + 1.
         monkeypatch.setattr(knot, "_SEPARATION_BLOCK", block)
         rng = np.random.default_rng(block * 10_000 + m)
         pts = [ProjPoint(*rng.uniform(-0.9, 0.9, 2), rng.uniform(-20.0, 20.0))
@@ -783,9 +783,10 @@ class TestEmbeddingSeparation:
                     == embedding_separation_oracle(pts, window)), window
         if m > 200:
             return
-        # A repeated point at a gap next to the window's edge, first or last
-        # in its row range, is the nearest pair, so a scan that reads one
-        # row too many or too few shows.
+        # A repeated point at a gap next to the window's edge, at either end
+        # of its row or where the pair wraps past the last sample, is the
+        # nearest pair, so a scan that reads one gap or row too many or too
+        # few shows.
         for gap in (k - 1, k, k + 1, m - k - 1, m - k, m - k + 1):
             for i in (0, m - 1, m - gap - 1, m - gap):
                 planted = list(pts)
@@ -793,6 +794,24 @@ class TestEmbeddingSeparation:
                 for window in (k / m, 1.0 - (m - k) / m):
                     assert (embedding_separation(planted, window)
                             == embedding_separation_oracle(planted, window)), (gap, i, window)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_separation_does_not_depend_on_the_start_sample(self, k):
+        # At a window equal to a pair distance, in either of its forms, a
+        # rule on the linear gap j - i kept some pairs of one circular gap
+        # and not the others: at 1/7 the pair (0, 6) of 7 samples but not
+        # (i, i + 1), at 3/7 the pairs (i, i + 4) but not (i, i + 3).
+        rng = np.random.default_rng(33)
+        pts = [ProjPoint(*rng.uniform(-0.9, 0.9, 2), rng.uniform(-20.0, 20.0))
+               for _ in range(7)]
+        for window in (k / 7, 1.0 - (7 - k) / 7):
+            seps = set()
+            for shift in range(7):
+                try:
+                    seps.add(embedding_separation(pts[shift:] + pts[:shift], window))
+                except ValueError:
+                    seps.add(None)
+            assert len(seps) == 1, (window, seps)
 
     def test_working_set_does_not_grow_with_the_pairs(self):
         # 2048 samples have ~2.1 million pairs within the window: index
