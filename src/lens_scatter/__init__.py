@@ -1,30 +1,27 @@
 """Geodesic scattering on conformal disk metrics and knot invariants of
 projectivized tangent lifts of plane curves.
 
-The knot side (``curves``, ``lift``, ``knot``) is imported with the
-package.  The geometry side (``geometry``, ``scattering``, ``eaton``,
-``dop853``) is imported on first access to one of its names.  Both need
-numpy, except the solver ``dop853``, which runs on Python floats alone; the
-geometry side stays lazy because its import (about 20 ms, byte-compilation
-included) would otherwise be paid by every knot-side run.
+Every public name, and every module that holds them, is imported on first
+access, so a run loads only the modules it uses.  The geometry side
+(``geometry``, ``scattering``, ``eaton``, ``dop853``) runs on Python
+floats and imports no numpy; the knot side (``curves``, ``lift``, ``knot``)
+needs numpy.
 """
 
 __version__ = "0.1.0"
 
-from .curves import (ParametricCurve, TrigCurve, circle, lemniscate,
-                     load_curve_csv, named_curve, rose)
-from .lift import (FLAT_INJECTIVITY_RADIUS, LiftedCurve, MinimalLinearCurve,
-                   PLVertexPath, ProjCurve, ProjPoint, dist_components,
-                   projectivize, triangle_angle_sum, unit_tangent_lift)
-from .knot import (Certificate, Crossing, InvariantTable, PLLoop, TangentLoop,
-                   analyze_loop, certify_nontrivial, choose_refinement_n,
-                   crossing_sign, crossing_type, embedding_separation,
-                   find_crossings, pl_refine, pl_validate, random_corpus,
-                   w_invariant)
-
-# Each lazily resolved name, a geometry-side module or one of its exports,
-# and the module that holds it.
+# Each lazily resolved name, a module or one of its exports, and the module
+# that holds it.
 _LAZY = {name: module for module, names in {
+    "curves": ("ParametricCurve", "TrigCurve", "circle", "lemniscate", "load_curve_csv",
+               "named_curve", "rose"),
+    "lift": ("FLAT_INJECTIVITY_RADIUS", "LiftedCurve", "MinimalLinearCurve", "PLVertexPath",
+             "ProjCurve", "ProjPoint", "dist_components", "projectivize",
+             "triangle_angle_sum", "unit_tangent_lift"),
+    "knot": ("Certificate", "Crossing", "InvariantTable", "PLLoop", "TangentLoop",
+             "analyze_loop", "certify_nontrivial", "choose_refinement_n", "crossing_sign",
+             "crossing_type", "embedding_separation", "find_crossings", "pl_refine",
+             "pl_validate", "random_corpus", "w_invariant"),
     "geometry": ("ConformalMetric", "GeodesicPath", "IntegrationOptions",
                  "SingularChordError", "SingularityError", "integrate_geodesic",
                  "load_metric", "metric_from_spec", "riemannian_length"),
@@ -39,7 +36,9 @@ _LAZY = {name: module for module, names in {
 
 def __getattr__(name):
     # Unknown names raise AttributeError, so that ``from lens_scatter import
-    # svg`` falls back to importing the submodule.
+    # svg`` falls back to importing the submodule.  Resolved names are not
+    # kept in the package's namespace: each access reads the module's
+    # current binding.
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import importlib
@@ -47,4 +46,4 @@ def __getattr__(name):
     return module if name == _LAZY[name] else getattr(module, name)
 
 
-__all__ = sorted([name for name in globals() if not name.startswith("_")] + list(_LAZY))
+__all__ = sorted(_LAZY)

@@ -15,17 +15,9 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
+import lens_scatter as ls
 
-from . import __version__
-from .curves import named_curve
-from .knot import (TangentLoop, analyze_loop, choose_refinement_n,
-                   embedding_separation, refine_stage_samples)
-from .lift import projectivize, unit_tangent_lift
 from .svg import render_annulus, render_rays
-
-# The commands that trace or scatter import the geometry side's names when
-# they run, so the knot-side commands never load it.
 
 SCHEMA_VERSION = 1
 
@@ -42,8 +34,6 @@ def _write_report(args, fields: dict) -> None:
 
 
 def _parse_grid(text: str) -> list:
-    from .scattering import boundary_grid
-
     try:
         counts = [int(v) for v in text.split("x")]
     except ValueError:
@@ -58,15 +48,13 @@ def _parse_grid(text: str) -> list:
         n_angles = max(1, total // n_arcs)
     else:
         raise ValueError(f"--grid must be a count N or AxB, got {text!r}")
-    return boundary_grid(n_arcs, n_angles)
+    return ls.boundary_grid(n_arcs, n_angles)
 
 
 def _parallel_fan(count: int) -> list:
     """Entries of a family of ``count`` parallel rays across the disk."""
-    from .scattering import BoundaryVector
-
     phis = [math.pi * (0.5 + (j + 0.5) / count) for j in range(count)]
-    return [BoundaryVector(phi / (2 * math.pi), math.acos(-math.sin(phi))) for phi in phis]
+    return [ls.BoundaryVector(phi / (2 * math.pi), math.acos(-math.sin(phi))) for phi in phis]
 
 
 def _drop_pole_chords(results, command: str, what: str) -> list:
@@ -84,20 +72,14 @@ def _drop_pole_chords(results, command: str, what: str) -> list:
 
 
 def _cmd_trace(args) -> int:
-    from .eaton import loop_winding
-    from .geometry import (IntegrationOptions, NonIntegralWindingError,
-                           integrate_geodesic, load_metric)
-    from .scattering import BoundaryVector
-
-    metric = load_metric(args.metric)
-    entry = BoundaryVector(args.arc, args.angle)
-    path = integrate_geodesic(metric, entry, IntegrationOptions(step_tol=args.step_tol))
+    metric = ls.load_metric(args.metric)
+    entry = ls.BoundaryVector(args.arc, args.angle)
+    path = ls.integrate_geodesic(metric, entry, ls.IntegrationOptions(step_tol=args.step_tol))
     # Every stride-th sample, and the last one (the exit) wherever it falls.
-    last = len(path.points) - 1
-    keep = [*range(0, last, args.stride), last]
+    samples = path.points[:-1:args.stride] + path.points[-1:]
     try:
-        winding = None if path.trapped else loop_winding(path)
-    except (ValueError, NonIntegralWindingError):
+        winding = None if path.trapped else ls.loop_winding(path)
+    except (ValueError, ls.geometry.NonIntegralWindingError):
         # A path through the origin has no polar-angle lift.
         winding = None
     _write_report(args, {
@@ -108,7 +90,7 @@ def _cmd_trace(args) -> int:
         "exit": None if path.trapped else {"arc": path.exit.arc,
                                            "angle": path.exit.angle},
         "winding": winding,
-        "samples": [[round(x, 9), round(y, 9)] for x, y in path.points[keep]],
+        "samples": [[round(x, 9), round(y, 9)] for x, y in samples],
     })
     if args.emit_svg:
         render_rays([path], args.emit_svg, radius=metric.radius)
@@ -116,12 +98,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_scatter(args) -> int:
-    from .geometry import IntegrationOptions, load_metric
-    from .scattering import BoundaryVector, scatter
-
-    metric = load_metric(args.metric)
-    rec = scatter(metric, BoundaryVector(args.arc, args.angle),
-                  IntegrationOptions(step_tol=args.step_tol))
+    metric = ls.load_metric(args.metric)
+    rec = ls.scatter(metric, ls.BoundaryVector(args.arc, args.angle),
+                     ls.IntegrationOptions(step_tol=args.step_tol))
     _write_report(args, {
         "metric": metric.name,
         "entry": {"arc": rec.entry.arc, "angle": rec.entry.angle},
@@ -134,15 +113,12 @@ def _cmd_scatter(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .geometry import IntegrationOptions, load_metric
-    from .scattering import BoundaryIsometry, compare_scattering
-
-    metric_m = load_metric(args.m1)
-    metric_n = load_metric(args.m2)
-    rep = compare_scattering(metric_m, metric_n,
-                             BoundaryIsometry(args.h_shift, args.h_reflect),
-                             _parse_grid(args.grid), args.tol,
-                             IntegrationOptions(step_tol=args.step_tol))
+    metric_m = ls.load_metric(args.m1)
+    metric_n = ls.load_metric(args.m2)
+    rep = ls.compare_scattering(metric_m, metric_n,
+                                ls.BoundaryIsometry(args.h_shift, args.h_reflect),
+                                _parse_grid(args.grid), args.tol,
+                                ls.IntegrationOptions(step_tol=args.step_tol))
     _write_report(args, {
         "m1": metric_m.name,
         "m2": metric_n.name,
@@ -163,18 +139,15 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_eaton(args) -> int:
-    from .eaton import eaton_metric, invisibility_check
-    from .geometry import IntegrationOptions, integrate_geodesic
-    from .scattering import per_angle
-
-    metric = eaton_metric()
-    opts = IntegrationOptions(step_tol=args.step_tol)
+    metric = ls.eaton_metric()
+    opts = ls.IntegrationOptions(step_tol=args.step_tol)
     # Traced before the report is written: a fan of pole chords leaves none.
-    fan = (_drop_pole_chords(per_angle(metric, _parallel_fan(args.svg_rays),
-                                       lambda v: integrate_geodesic(metric, v, opts)),
+    fan = (_drop_pole_chords(ls.scattering.per_angle(
+                                 metric, _parallel_fan(args.svg_rays),
+                                 lambda v: ls.integrate_geodesic(metric, v, opts)),
                              "eaton", "fan ray")
            if args.emit_svg else [])
-    rep = invisibility_check(_parse_grid(args.grid), args.tol, metric=metric, opts=opts)
+    rep = ls.invisibility_check(_parse_grid(args.grid), args.tol, metric=metric, opts=opts)
     circuits_ok = all(abs(w) == 1 for w in rep.windings)
     passed = rep.passed if args.check == "invisibility" else circuits_ok
     _write_report(args, {
@@ -195,8 +168,8 @@ def _cmd_eaton(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
-    loop = TangentLoop(named_curve(args.curve), args.samples)
-    analysis = analyze_loop(loop)
+    loop = ls.TangentLoop(ls.named_curve(args.curve), args.samples)
+    analysis = ls.analyze_loop(loop)
     cert = analysis.certificate
     _write_report(args, {
         "curve": args.curve,
@@ -213,13 +186,13 @@ def _cmd_invariant(args) -> int:
                         "line_winding": cert.line_winding},
     })
     if args.emit_svg:
-        render_annulus(projectivize(loop.lifted), args.emit_svg)
+        render_annulus(ls.projectivize(loop.lifted), args.emit_svg)
     return 0
 
 
 def _cmd_approx_pl(args) -> int:
-    curve = named_curve(args.curve)
-    proj = projectivize(unit_tangent_lift(curve, args.samples))
+    curve = ls.named_curve(args.curve)
+    proj = ls.projectivize(ls.unit_tangent_lift(curve, args.samples))
     pts = proj.proj_points()
 
     def iso(s, t):
@@ -227,13 +200,14 @@ def _cmd_approx_pl(args) -> int:
 
     # Cap n well below the sampling resolution: beyond it adjacent vertices
     # would collapse onto the same sample and fake zero gaps.
-    n = choose_refinement_n(iso, args.eps, max_n=max(8, args.samples // 4))
-    stages = np.linspace(0.0, 1.0, args.stages)
+    n = ls.choose_refinement_n(iso, args.eps, max_n=max(8, args.samples // 4))
+    # Spaced as np.linspace spaces them: k times the step, the last exactly 1.
+    last = args.stages - 1
+    stages = [k * (1.0 / last) for k in range(last)] + [1.0] if last else [0.0]
     rows = []
     for l in stages:
-        samples = refine_stage_samples(iso, n, float(l), 0.0, m=args.samples // 2)
-        sep = embedding_separation(samples, window=2.0 / n)
-        rows.append((float(l), sep))
+        samples = ls.knot.refine_stage_samples(iso, n, l, 0.0, m=args.samples // 2)
+        rows.append((l, ls.embedding_separation(samples, window=2.0 / n)))
     lines = ["stage,separation"] + [f"{l:.6f},{sep:.9f}" for l, sep in rows]
     Path(args.report).write_text("\n".join(lines) + "\n")
     print(f"approx-pl: n={n}, separations "
@@ -245,16 +219,13 @@ def _cmd_render(args) -> int:
     if (args.metric is None) == (args.curve is None):
         raise ValueError("render needs exactly one of --metric and --curve")
     if args.curve:
-        curve = named_curve(args.curve)
-        render_annulus(projectivize(unit_tangent_lift(curve, args.samples)), args.out)
+        curve = ls.named_curve(args.curve)
+        render_annulus(ls.projectivize(ls.unit_tangent_lift(curve, args.samples)), args.out)
         return 0
-    from .geometry import IntegrationOptions, integrate_geodesic, load_metric
-    from .scattering import per_angle
-
-    metric = load_metric(args.metric)
-    opts = IntegrationOptions(step_tol=args.step_tol)
-    paths = per_angle(metric, _parse_grid(args.grid),
-                      lambda v: integrate_geodesic(metric, v, opts))
+    metric = ls.load_metric(args.metric)
+    opts = ls.IntegrationOptions(step_tol=args.step_tol)
+    paths = ls.scattering.per_angle(metric, _parse_grid(args.grid),
+                                    lambda v: ls.integrate_geodesic(metric, v, opts))
     render_rays(_drop_pole_chords(paths, "render", "grid entry"), args.out,
                 radius=metric.radius)
     return 0
@@ -321,7 +292,7 @@ def _parse_args(argv) -> SimpleNamespace:
             print(_usage())
             raise SystemExit(0)
         if arg == "--version" and command is None:
-            print(f"lens-scatter {__version__}")
+            print(f"lens-scatter {ls.__version__}")
             raise SystemExit(0)
         if command is None and arg in _COMMANDS:
             command, options = arg, _COMMANDS[arg][2]

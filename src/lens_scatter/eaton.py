@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dop853 import brentq
 from .geometry import (ConformalMetric, EatonProfile, GeodesicPath,  # noqa: F401
                        IntegrationOptions, NonIntegralWindingError, eaton_metric,
@@ -84,11 +82,12 @@ def loop_winding(path: GeodesicPath) -> int:
     windings from scattering records instead; this polyline reading is the
     test oracle for them and gives ``trace`` its winding.
     """
-    pts = np.asarray(path.points, dtype=float)
-    sweep = polar_sweep(pts)
-    u = np.linspace(0.0, 1.0, 257)[:, None]
-    chord = pts[-1] * (1.0 - u) + pts[0] * u
-    return _whole_turns((sweep + polar_sweep(chord, math.pi - 1e-9)) / TWO_PI)
+    (x0, y0), (x1, y1) = path.points[0], path.points[-1]
+    # 257 chord samples, from the exit back to the entry.
+    chord = [(x1 * (1.0 - u) + x0 * u, y1 * (1.0 - u) + y0 * u)
+             for u in (k / 256 for k in range(257))]
+    return _whole_turns((polar_sweep(path.points) + polar_sweep(chord, math.pi - 1e-9))
+                        / TWO_PI)
 
 
 @dataclass

@@ -36,20 +36,19 @@ come from :func:`lens_scatter.dop853.brentq`, tabulated profiles from
 :func:`_pchip_coefficients`, and the orbit integrals from the adaptive
 Gauss-Kronrod rule :func:`_adaptive_gk15`.  Each table they read (the
 DOP853 tableau, the G7K15 rule, a profile's knots and cubics, and its scan
-table) is held once, as Python floats; numpy holds the sampled paths and
-polylines.
+table) is held once, as Python floats.  So are the sampled paths and
+polylines: the module imports no numpy.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import dop853
 from .dop853 import brentq
@@ -409,13 +408,13 @@ class ConformalMetric:
         """True when the profile refuses radii below a positive ``r_min``."""
         return self.is_radial and self.profile.r_min > 0.0
 
-    def n_many(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
+    def n_many(self, points) -> list:
+        """The index at each ``(x, y)`` of ``points``, as a list."""
         if self.is_radial:
-            r = np.hypot(pts[..., 0], pts[..., 1])
             ev = self.profile.eval
-            return np.array([ev(x)[0] for x in r.ravel().tolist()]).reshape(r.shape)
-        return np.array([self.field[0](p[0], p[1]) for p in pts.reshape(-1, 2)]).reshape(pts.shape[:-1])
+            return [ev(math.hypot(x, y))[0] for x, y in points]
+        n_xy = self.field[0]
+        return [n_xy(x, y) for x, y in points]
 
     def _make_rhs(self):
         """The integrator's right-hand side ``f(s, (x, y, theta, tau))``,
@@ -473,17 +472,18 @@ class TraceStats:
 class GeodesicPath:
     """Arclength-sampled geodesic with entry/exit data.
 
-    ``lengths`` are the metric length at each sample (non-decreasing);
-    ``directions`` a continuous lift of the direction angle.  ``exit`` is
+    ``points`` is a list of ``(x, y)`` tuples, ``lengths`` a float list of
+    the metric length at each sample (non-decreasing) and ``directions`` a
+    float list, a continuous lift of the direction angle.  ``exit`` is
     ``None`` for trapped geodesics.  Samples are dense enough that
     consecutive direction angles and polar angles differ by well under
     pi/2, so angle unwrapping downstream is safe.  ``stats`` is filled by
     :func:`integrate_geodesic`.
     """
 
-    points: np.ndarray
-    directions: np.ndarray
-    lengths: np.ndarray
+    points: list
+    directions: list
+    lengths: list
     entry: object
     exit: object | None
     stats: TraceStats | None = None
@@ -494,7 +494,7 @@ class GeodesicPath:
 
     @property
     def length(self) -> float:
-        return float(self.lengths[-1]) if not self.trapped else math.inf
+        return self.lengths[-1] if not self.trapped else math.inf
 
     def rotated(self, entry) -> "GeodesicPath":
         """This path turned about the origin to start at ``entry``.
@@ -508,11 +508,11 @@ class GeodesicPath:
         turn = entry.arc - self.entry.arc
         a = TWO_PI * turn
         c, s = math.cos(a), math.sin(a)
-        x, y = self.points[:, 0], self.points[:, 1]
-        points = np.column_stack([x * c - y * s, x * s + y * c])
+        points = [(x * c - y * s, x * s + y * c) for x, y in self.points]
         exit_vec = (None if self.trapped
                     else BoundaryVector(self.exit.arc + turn, self.exit.angle))
-        return GeodesicPath(points, self.directions + a, self.lengths, entry, exit_vec)
+        return GeodesicPath(points, [d + a for d in self.directions], self.lengths,
+                            entry, exit_vec)
 
     def clairaut_range(self, metric: ConformalMetric) -> tuple[float, float]:
         """Least and greatest Clairaut integral ``n(r) r sin(psi)`` over the
@@ -523,29 +523,47 @@ class GeodesicPath:
         """
         if not metric.is_radial:
             raise ValueError("Clairaut invariant requires a radial metric")
-        x, y, th = self.points[:, 0], self.points[:, 1], self.directions
-        vals = metric.n_many(self.points) * (x * np.sin(th) - y * np.cos(th))
-        return float(vals.min()), float(vals.max())
+        vals = [n * (x * math.sin(th) - y * math.cos(th)) for n, (x, y), th
+                in zip(metric.n_many(self.points), self.points, self.directions)]
+        return min(vals), max(vals)
+
+
+def _unwrap(angles) -> list:
+    """``np.unwrap`` of a float list, bit for bit: a step ``d`` with
+    ``|d| >= pi`` is corrected by ``(d + pi) % 2 pi - pi - d`` (``pi`` for
+    ``d > 0`` where that gives ``-pi``), and the corrections are summed left
+    to right."""
+    out = list(angles[:1])
+    correction = 0.0
+    for prev, a in zip(angles, angles[1:]):
+        d = a - prev
+        if abs(d) >= math.pi:
+            wrapped = (d + math.pi) % TWO_PI - math.pi
+            if wrapped == -math.pi and d > 0.0:
+                wrapped = math.pi
+            correction += wrapped - d
+        out.append(a + correction)
+    return out
 
 
 def polar_sweep(points, max_step: float = 0.5 * math.pi) -> float:
     """Signed polar-angle sweep from the first to the last of ``points``.
 
-    The polar angle is lifted continuously along the samples.  Raises
-    ``ValueError`` for a sample at the origin and
+    The polar angle is lifted continuously along the ``(x, y)`` samples.
+    Raises ``ValueError`` for a sample at the origin and
     :class:`NonIntegralWindingError` when consecutive samples subtend more
     than ``max_step``, where the lift cannot be trusted.
     """
-    pts = np.asarray(points, dtype=float)
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    if np.min(r) <= 0.0:
-        raise ValueError("path passes through the origin")
-    polar = np.unwrap(list(map(math.atan2, pts[:, 1].tolist(), pts[:, 0].tolist())))
-    steps = np.abs(np.diff(polar))
-    if steps.size and float(np.max(steps)) > max_step:
+    polar = []
+    for x, y in points:
+        if x == 0.0 and y == 0.0:
+            raise ValueError("path passes through the origin")
+        polar.append(math.atan2(y, x))
+    polar = _unwrap(polar)
+    if any(abs(b - a) > max_step for a, b in zip(polar, polar[1:])):
         raise NonIntegralWindingError(
             "samples too sparse around the origin for a reliable angle lift")
-    return float(polar[-1] - polar[0])
+    return polar[-1] - polar[0]
 
 
 def _entry_xytheta(entry, radius: float) -> tuple[float, float, float]:
@@ -858,23 +876,24 @@ def _refine_samples(sol, max_step=0.45):
     """States at the solver's sample times, subdivided until direction and
     polar angles step slowly.
 
-    Returns the ``(4, m)`` states and the number of subdivision rounds;
-    only the new midpoints are interpolated.  Polar angles come from libm's
-    ``atan2``: numpy's follows its SIMD level, and the samples must not.
+    Returns the states as four float lists (``x``, ``y``, direction angle,
+    length) and the number of subdivision rounds; only the new midpoints
+    are interpolated, and each is placed after the sample it follows.
     """
-    ts = np.array(sol.ts)
-    ys = np.array(sol.ys).T
+    ts = list(sol.ts)
+    cols = [list(col) for col in zip(*sol.ys)]
     for k in range(_REFINE_ROUNDS):
-        polar = np.unwrap(list(map(math.atan2, ys[1].tolist(), ys[0].tolist())))
-        bad = (np.abs(np.diff(ys[2])) > max_step) | (np.abs(np.diff(polar)) > max_step)
-        if not np.any(bad):
-            return ys, k
-        mids = 0.5 * (ts[:-1][bad] + ts[1:][bad])
-        ts = np.concatenate([ts, mids])
-        ys = np.concatenate([ys, sol(mids)], axis=1)
-        order = np.argsort(ts)
-        ts, ys = ts[order], ys[:, order]
-    return ys, _REFINE_ROUNDS
+        polar = _unwrap(list(map(math.atan2, cols[1], cols[0])))
+        bad = [i for i in range(len(ts) - 1)
+               if abs(cols[2][i + 1] - cols[2][i]) > max_step
+               or abs(polar[i + 1] - polar[i]) > max_step]
+        if not bad:
+            return cols, k
+        mids = [0.5 * (ts[i] + ts[i + 1]) for i in bad]
+        for col, new in zip((ts, *cols), (mids, *sol(mids))):
+            for i, v in zip(reversed(bad), reversed(new)):
+                col.insert(i + 1, v)
+    return cols, _REFINE_ROUNDS
 
 
 def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions | None = None) -> GeodesicPath:
@@ -912,51 +931,51 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
                        rtol=_RTOL_SCALE * opts.step_tol, atol=1e-4 * opts.step_tol,
                        events=(boundary_exit, length_cap), cut=_knot_cut(metric))
     exited = sol.event == 0
-    ys, rounds = _refine_samples(sol)
-    points = np.column_stack([ys[0], ys[1]])
+    (xs, ys, directions, taus), rounds = _refine_samples(sol)
+    points = list(zip(xs, ys))
     # Guard against tiny non-monotonicity from dense-output refinement.
-    lengths = np.maximum.accumulate(ys[3])
+    lengths = list(itertools.accumulate(taus, max))
     stats = TraceStats("exited" if exited else "length_cap", sol.nfev, sol.steps,
                        sol.rejected, rounds, rounds == _REFINE_ROUNDS)
 
     if not exited:
-        return GeodesicPath(points, ys[2], lengths, entry, None, stats)
+        return GeodesicPath(points, directions, lengths, entry, None, stats)
 
     # Snap the terminal sample onto the boundary circle for clean arc data.
     xe, ye, the, _ = sol.ys[-1]
     scale = R / math.hypot(xe, ye)
     points[-1] = (xe * scale, ye * scale)
-    exit_vec = boundary_vector_at(points[-1, 0], points[-1, 1], the)
-    return GeodesicPath(points, ys[2], lengths, entry, exit_vec, stats)
+    exit_vec = boundary_vector_at(*points[-1], the)
+    return GeodesicPath(points, directions, lengths, entry, exit_vec, stats)
 
 
 def riemannian_length(metric: ConformalMetric, points) -> float:
     """Metric length of a polyline by the 7-point Gauss rule of the G7K15
     table on every segment.
 
-    Converges at the quadrature order under refinement of the polyline.
-    Raises :class:`SingularityError` if a segment passes through the
-    exclusion zone of a singular metric.
+    ``points`` are the polyline's ``(x, y)`` vertices, at least two.  Each
+    segment's terms are added in node order and the segments' lengths left
+    to right, as they lie, so the bits do not depend on the CPU.  Converges
+    at the quadrature order under refinement of the polyline.  Raises
+    :class:`SingularityError` if a segment passes through the exclusion
+    zone of a singular metric.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
-        raise ValueError("polyline must be an (m, 2) array with m >= 2")
-    a = pts[:-1]
-    d = pts[1:] - a
-    seg_len = np.hypot(d[:, 0], d[:, 1])
-    # Quadrature nodes along every segment, evaluated by one ``n_many`` call.
-    u = np.array([0.5 * (x + 1.0) for x in _GK_X[1::2]])
-    nodes = a[:, None, :] + u[None, :, None] * d[:, None, :]
-    if metric.singular_at_origin:
-        r = np.hypot(nodes[..., 0], nodes[..., 1])
-        if np.min(r) < EXCLUSION_RADIUS:
-            raise SingularityError("polyline passes through the singular origin")
-    n_vals = metric.n_many(nodes.reshape(-1, 2)).reshape(nodes.shape[:2])
-    # Each segment's terms added in node order, whatever the CPU.
-    gauss_sums = 0.0
-    for col, w in zip(n_vals.T, _G7_W):
-        gauss_sums = gauss_sums + col * w
-    return float(np.sum(seg_len * 0.5 * gauss_sums))
+    pts = [(float(x), float(y)) for x, y in points]
+    if len(pts) < 2:
+        raise ValueError("polyline needs at least 2 points")
+    u = [0.5 * (x + 1.0) for x in _GK_X[1::2]]
+    segments = [(ax, ay, bx - ax, by - ay) for (ax, ay), (bx, by) in zip(pts, pts[1:])]
+    nodes = [(ax + t * dx, ay + t * dy) for ax, ay, dx, dy in segments for t in u]
+    if metric.singular_at_origin and min(itertools.starmap(math.hypot, nodes)) < EXCLUSION_RADIUS:
+        raise SingularityError("polyline passes through the singular origin")
+    n_vals = metric.n_many(nodes)
+    total = 0.0
+    for k, (_, _, dx, dy) in enumerate(segments):
+        gauss = 0.0
+        for n, w in zip(n_vals[7 * k:7 * k + 7], _G7_W):
+            gauss = gauss + n * w
+        total += math.hypot(dx, dy) * 0.5 * gauss
+    return total
 
 
 def _spec_number(value, what: str) -> float:

@@ -1,12 +1,14 @@
 """Minimal SVG emission for ray fans and annulus projections of bundle curves.
 
 Presentation only: geometry coordinates are rounded to 1e-6 and nothing
-else about the files is covered by the determinism guarantees.
+else about the files is covered by the determinism guarantees.  Points are
+Python floats and the annulus takes libm's ``hypot``, ``cos`` and ``sin``,
+so the module imports no numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#17becf"]
@@ -34,8 +36,7 @@ def render_rays(paths, out_path, *, radius: float = 1.0) -> None:
     elements = [f'<circle cx="0" cy="0" r="{_fmt(radius)}" fill="none" '
                 f'stroke="#444444" stroke-width="0.008"/>']
     for i, path in enumerate(paths):
-        pts = np.asarray(path.points, dtype=float)
-        elements.append(_polyline(pts, _PALETTE[i % len(_PALETTE)]))
+        elements.append(_polyline(path.points, _PALETTE[i % len(_PALETTE)]))
     with open(out_path, "w") as fh:
         fh.write(_document(elements, 1.12 * radius))
 
@@ -51,13 +52,14 @@ def render_annulus(proj_curve, out_path) -> None:
     inner, outer = 0.55, 1.0
     elements = [f'<circle cx="0" cy="0" r="{_fmt(r)}" fill="none" '
                 f'stroke="#444444" stroke-width="0.008"/>' for r in (inner, outer)]
-    pts = np.asarray(proj_curve.points, dtype=float)
-    lifts = np.asarray(proj_curve.line_lift, dtype=float)
-    base_r = np.hypot(pts[:, 0], pts[:, 1])
-    rmax = max(float(np.max(base_r)), 1e-9)
-    rho = inner + (outer - inner) * (0.15 + 0.7 * base_r / rmax)
-    ang = 2.0 * lifts
-    xy = np.column_stack([rho * np.cos(ang), rho * np.sin(ang)])
-    elements.append(_polyline(np.vstack([xy, xy[:1]]), _PALETTE[0]))
+    pts = proj_curve.proj_points()
+    base_r = [math.hypot(p.x, p.y) for p in pts]
+    rmax = max(max(base_r), 1e-9)
+    xy = []
+    for r, p in zip(base_r, pts):
+        rho = inner + (outer - inner) * (0.15 + 0.7 * r / rmax)
+        ang = 2.0 * p.lift
+        xy.append((rho * math.cos(ang), rho * math.sin(ang)))
+    elements.append(_polyline(xy + xy[:1], _PALETTE[0]))
     with open(out_path, "w") as fh:
         fh.write(_document(elements, 1.12 * outer))

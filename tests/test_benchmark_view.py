@@ -9,8 +9,8 @@ failed benchmark pass.  Keep this list in step with those two files.
 import inspect
 
 import lens_scatter as ls
-# As worker.py does: binds ls.cli and ls.svg.  The geometry side
-# (ls.geometry, ls.scattering, ls.eaton) resolves on first access.
+# As worker.py does: binds ls.cli and ls.svg.  Every other module, and
+# every public name, resolves on first access.
 import lens_scatter.cli  # noqa: F401
 
 # (dotted name on lens_scatter, positional args, keyword names) of each call

@@ -599,49 +599,64 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         assert main(args) == 0, line
 
 
-# Records, in a fresh interpreter, whether scipy (or for the metric command
-# the geometry side) is loaded after the import and after each command, and
-# whether argparse or gettext is.
+# Records, in a fresh interpreter, what is loaded after the import and after
+# each command of ORDER (set by the caller): scipy, argparse or gettext,
+# numpy, the knot side and the geometry side; for a command, its exit code too.
 LOADED_PROBE = """
 import contextlib, io, json, sys
 from lens_scatter.cli import main
-parser = lambda: "argparse" in sys.modules or "gettext" in sys.modules
-loaded = {"import": ["scipy" in sys.modules, parser()]}
-for argv in (["invariant", "--curve", "lemniscate", "--out", "inv.json",
-              "--emit-svg", "inv.svg"],
-             ["approx-pl", "--curve", "circle", "--report", "pl.csv"],
-             ["render", "--curve", "rose-3", "--out", "rose.svg"]):
+COMMANDS = {
+    "invariant": ["invariant", "--curve", "lemniscate", "--out", "inv.json",
+                  "--emit-svg", "inv.svg"],
+    "approx-pl": ["approx-pl", "--curve", "circle", "--report", "pl.csv"],
+    "render": ["render", "--curve", "rose-3", "--out", "rose.svg"],
+    "scatter": ["scatter", "--metric", "eaton", "--arc", "0.1", "--angle", "1.0"],
+}
+def loaded():
+    return ["scipy" in sys.modules, "argparse" in sys.modules or "gettext" in sys.modules,
+            "numpy" in sys.modules, "lens_scatter.knot" in sys.modules,
+            "lens_scatter.geometry" in sys.modules]
+report = {"import": loaded()}
+for name in ORDER:
     with contextlib.redirect_stdout(io.StringIO()):
-        loaded[argv[0]] = [main(argv), "scipy" in sys.modules, parser()]
-with contextlib.redirect_stdout(io.StringIO()):
-    rc = main(["scatter", "--metric", "eaton", "--arc", "0.1", "--angle", "1.0"])
-loaded["scatter"] = [rc, "lens_scatter.geometry" in sys.modules, parser()]
-print(json.dumps(loaded))
+        report[name] = [main(COMMANDS[name]), *loaded()]
+print(json.dumps(report))
 """
 
 
 def test_knot_side_commands_load_no_scipy(tmp_path):
     # In a subprocess: the test process has scipy loaded by pytest's
-    # warning filter for scipy.integrate.
-    loaded = json.loads(run_python(LOADED_PROBE, tmp_path))
-    assert loaded == {"import": [False, False], "invariant": [0, False, False],
-                      "approx-pl": [0, False, False], "render": [0, False, False],
-                      "scatter": [0, True, False]}
+    # warning filter for scipy.integrate.  The knot-side commands load
+    # numpy and the knot side, never scipy or the geometry side.
+    order = ["invariant", "approx-pl", "render", "scatter"]
+    loaded = json.loads(run_python(f"ORDER = {order!r}" + LOADED_PROBE, tmp_path))
+    knot_side = [0, False, False, True, True, False]
+    assert loaded == {"import": [False, False, False, False, False],
+                      "invariant": knot_side, "approx-pl": knot_side, "render": knot_side,
+                      "scatter": [0, False, False, True, True, True]}
 
 
-# Runs the metric commands in a fresh interpreter that cannot import scipy,
-# and records each exit code and whether scipy or numpy.ma got loaded.
-NO_SCIPY_PROBE = """
+def test_exit_data_commands_load_no_numpy(tmp_path):
+    # scatter loads the geometry side alone: neither numpy nor the knot side.
+    order = ["scatter", "invariant"]
+    loaded = json.loads(run_python(f"ORDER = {order!r}" + LOADED_PROBE, tmp_path))
+    assert loaded == {"import": [False, False, False, False, False],
+                      "scatter": [0, False, False, False, False, True],
+                      "invariant": [0, False, False, True, True, True]}
+
+
+# Runs the metric commands in a fresh interpreter where importing the module
+# BLOCKED fails, on vacuum, the lens and the four-knot file KNOTS, and records
+# each exit code and whether scipy, numpy.ma or the knot side got loaded.
+METRIC_COMMANDS_PROBE = """
 import contextlib, io, json, sys
-sys.modules["scipy"] = None  # any scipy import now raises ImportError
+sys.modules[BLOCKED] = None  # importing it now raises ImportError
 from lens_scatter.cli import main
-with open("knots.json", "w") as fh:
-    json.dump({"kind": "radial-profile",
-               "profile": [[0, 1.3], [0.4, 1.22], [0.75, 1.1], [1, 1]]}, fh)
 runs = {}
-for metric in ("vacuum", "eaton", "knots.json"):
+for metric in ("vacuum", "eaton", KNOTS):
     for argv in (["scatter", "--metric", metric, "--arc", "0.1", "--angle", "1.0"],
-                 ["trace", "--metric", metric, "--arc", "0.2", "--angle", "0.7"],
+                 ["trace", "--metric", metric, "--arc", "0.2", "--angle", "0.7",
+                  "--emit-svg", "ray.svg"],
                  ["compare", "--m1", "vacuum", "--m2", metric, "--grid", "4x2"],
                  ["render", "--metric", metric, "--grid", "4x2", "--out", "fan.svg"]):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -650,13 +665,25 @@ with contextlib.redirect_stdout(io.StringIO()):
     runs["eaton"] = main(["eaton", "--grid", "4x2", "--emit-svg", "rays.svg",
                           "--svg-rays", "3"])
 loaded = sorted(name for name, module in sys.modules.items() if module is not None
-                and (name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "ma"]))
+                and (name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "ma"]
+                     or name == "lens_scatter.knot"))
 print(json.dumps({"runs": runs, "loaded": loaded}))
 """
+KNOTS = str(Path(__file__).parent / "data" / "metric-four-knots.json")
+NO_SCIPY_PROBE = f"BLOCKED, KNOTS = 'scipy', {KNOTS!r}" + METRIC_COMMANDS_PROBE
+NO_NUMPY_PROBE = f"BLOCKED, KNOTS = 'numpy', {KNOTS!r}" + METRIC_COMMANDS_PROBE
 
 
-def test_metric_commands_run_without_scipy(tmp_path):
-    result = json.loads(run_python(NO_SCIPY_PROBE, tmp_path))
+def _all_run_and_nothing_loaded(probe, tmp_path):
+    result = json.loads(run_python(probe, tmp_path))
     assert len(result["runs"]) == 13
     assert all(code == 0 for code in result["runs"].values()), result["runs"]
     assert result["loaded"] == []
+
+
+def test_metric_commands_run_without_scipy(tmp_path):
+    _all_run_and_nothing_loaded(NO_SCIPY_PROBE, tmp_path)
+
+
+def test_metric_commands_run_without_numpy(tmp_path):
+    _all_run_and_nothing_loaded(NO_NUMPY_PROBE, tmp_path)

@@ -148,7 +148,7 @@ class TestIntegration:
                                     IntegrationOptions(step_tol=1e-8))
         fine = integrate_geodesic(BENDING_PROFILE, entry,
                                   IntegrationOptions(step_tol=5e-9))
-        move = float(np.hypot(*(coarse.points[-1] - fine.points[-1])))
+        move = float(np.hypot(*(np.asarray(coarse.points[-1]) - fine.points[-1])))
         assert move < 1e-8
         assert abs(coarse.directions[-1] - fine.directions[-1]) < 1e-8
 
@@ -372,7 +372,8 @@ class TestKnotCrossings:
         # The ray's perigee is inside both interior knot circles, and it
         # crosses each on a step end going in and another coming out.
         path = integrate_geodesic(KNOT_PROFILE, BoundaryVector(0.6, 1.5))
-        r = np.hypot(path.points[:, 0], path.points[:, 1])
+        pts = np.asarray(path.points)
+        r = np.hypot(pts[:, 0], pts[:, 1])
         assert r.min() < 0.4
         for knot in (0.4, 0.75):
             near = np.flatnonzero(np.abs(r - knot) < 1e-7)
@@ -446,7 +447,7 @@ class TestRotatedPaths:
         for v, got in zip(grid, paths):
             want = integrate_geodesic(metric, v, opts)
             phi = 2.0 * math.pi * v.arc
-            assert np.hypot(*(got.points[0] - (math.cos(phi), math.sin(phi)))) < 1e-12
+            assert np.hypot(*(np.asarray(got.points[0]) - (math.cos(phi), math.sin(phi)))) < 1e-12
             turn = got.directions[0] - want.directions[0]
             assert abs(math.remainder(turn, 2.0 * math.pi)) < 1e-12
             assert _arc_distance(got.exit.arc, want.exit.arc) < 10 * opts.step_tol

@@ -2,8 +2,8 @@
 numpy's, each checked against the library as the reference: Brent's root
 finder, the PCHIP coefficients, the G7K15 rule and the quadrature it
 drives, the 7-point Gauss rule of the G7K15 table in ``riemannian_length``,
-the periodic cubic spline of sampled curves, and the turning-radius scan
-grid."""
+the periodic cubic spline of sampled curves, the turning-radius scan grid,
+and the angle lift ``np.unwrap``."""
 
 import math
 
@@ -16,7 +16,8 @@ from lens_scatter import geometry
 from lens_scatter.curves import from_samples
 from lens_scatter.dop853 import EPS, brentq
 from lens_scatter.eaton import eaton_metric
-from lens_scatter.geometry import ConformalMetric, IntegrationOptions, clairaut_orbit
+from lens_scatter.geometry import (ConformalMetric, IntegrationOptions, clairaut_orbit,
+                                   polar_sweep)
 from lens_scatter.scattering import boundary_grid
 
 from conftest import quad_clairaut_orbit
@@ -187,14 +188,18 @@ class TestGaussKronrod:
                 err = abs((kronrod - in_order(f[i, k, 1::2], wg)) * h)
                 assert vals[i] == kronrod * h
                 assert errs[i] == ascent * min(1.0, (200.0 * err / ascent) ** 1.5)
-        # riemannian_length's Gauss sums, on three segments.
+        # riemannian_length's Gauss sums, on three segments and on 63, and
+        # the segments added left to right, as they lie (on the 63, np.sum's
+        # pairwise order gives other bits).
         metric = next(_seeded_profiles(1))
-        points = np.array([[0.1, 0.2], [0.5, -0.3], [-0.2, -0.6], [0.0, 0.7]])
-        segments = []
-        for a, b in zip(points[:-1], points[1:]):
-            nodes = a + 0.5 * (self.NODES[1::2] + 1.0)[:, None] * (b - a)
-            segments.append(np.hypot(*(b - a)) * 0.5 * in_order(metric.n_many(nodes), wg))
-        assert geometry.riemannian_length(metric, points) == np.sum(segments)
+        for points in (np.array([[0.1, 0.2], [0.5, -0.3], [-0.2, -0.6], [0.0, 0.7]]),
+                       rng.uniform(-0.6, 0.6, size=(64, 2))):
+            total = 0.0
+            for a, b in zip(points[:-1], points[1:]):
+                nodes = a + 0.5 * (self.NODES[1::2] + 1.0)[:, None] * (b - a)
+                total += math.hypot(*(b - a)) * 0.5 * in_order(metric.n_many(nodes), wg)
+            assert geometry.riemannian_length(metric, points) == total
+            assert geometry.riemannian_length(metric, [tuple(p) for p in points.tolist()]) == total
 
 
 def _seeded_profiles(count):
@@ -294,6 +299,40 @@ class TestScanGrid:
             rs, nr = geometry._scan_table(profile, radius)
             assert np.array_equal(rs, want), (radius, r_min)
             assert nr == tuple(profile.eval(r)[0] * r for r in want.tolist())
+
+
+class TestUnwrap:
+    """The float angle lift that ``_refine_samples`` and ``polar_sweep``
+    share is ``np.unwrap``, bit for bit."""
+
+    PI_UP, PI_DOWN = math.nextafter(math.pi, 4.0), math.nextafter(math.pi, 3.0)
+    # Steps on the rule's edges: exactly +-pi, pi +- 1 ulp, multiples of 2 pi.
+    EDGES = (math.pi, -math.pi, PI_UP, -PI_UP, PI_DOWN, -PI_DOWN,
+             2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi, -6.0 * math.pi)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_np_unwrap(self, seed):
+        # Angles as atan2 gives them, wider ones with many corrections to
+        # sum, and each edge step taken from 0.0, where it is exact.
+        rng = np.random.default_rng(seed)
+        chunks = [[float(a)] for a in rng.uniform(-math.pi, math.pi, 60)]
+        chunks += [[float(a)] for a in rng.uniform(-20.0, 20.0, 60)]
+        chunks += [[0.0, step] for step in self.EDGES]
+        angles = [a for k in rng.permutation(len(chunks)) for a in chunks[k]]
+        assert set(self.EDGES) <= set(np.diff(angles).tolist())
+        got = geometry._unwrap(angles)
+        assert [a.hex() for a in got] == [a.hex() for a in np.unwrap(angles).tolist()]
+
+    def test_polar_sweep_reads_arrays_and_tuples_alike(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            phi = np.cumsum(rng.uniform(-1.2, 1.5, 200))
+            r = rng.uniform(0.01, 1.0, 200)
+            pts = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+            polar = np.unwrap(list(map(math.atan2, pts[:, 1].tolist(), pts[:, 0].tolist())))
+            want = float(polar[-1] - polar[0])
+            assert polar_sweep(pts).hex() == want.hex()
+            assert polar_sweep([tuple(p) for p in pts.tolist()]).hex() == want.hex()
 
 
 class TestPeriodicSpline:

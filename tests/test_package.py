@@ -1,4 +1,4 @@
-"""The package's public names, resolved eagerly or on first access."""
+"""The package's public names, each resolved on first access."""
 
 import json
 
@@ -8,7 +8,7 @@ import lens_scatter as ls
 
 from conftest import run_python
 
-# The public names, pinned: resolving the geometry side lazily must not drop one.
+# The public names, pinned: resolving them lazily must not drop one.
 PUBLIC = [
     "BoundaryIsometry", "BoundaryVector", "Certificate", "CompareReport",
     "ConformalMetric", "Crossing", "EatonProfile", "FLAT_INJECTIVITY_RADIUS",
@@ -42,6 +42,20 @@ def test_every_name_resolves_to_its_module_binding():
         else:
             home = [m for m in MODULES if getattr(getattr(ls, m), name, None) is value]
             assert home, name
+
+
+def test_resolved_names_are_not_kept_on_the_package():
+    # Each access reads the module's current binding, so a wrapper set on
+    # the module and later removed (as perfbench's tracer does) is not left
+    # bound on the package.
+    original = ls.scatter
+    ls.scattering.scatter = wrapper = lambda *args: original(*args)
+    try:
+        assert ls.scatter is wrapper
+    finally:
+        ls.scattering.scatter = original
+    assert ls.scatter is original
+    assert "scatter" not in vars(ls) and "analyze_loop" not in vars(ls)
 
 
 def test_unknown_name_raises_attribute_error():

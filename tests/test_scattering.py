@@ -568,7 +568,7 @@ class TestFirstVariation:
         b = np.unwrap([r.exit.arc for r in recs], period=1.0)
         R = metric.radius
         y = R * np.column_stack([np.cos(2.0 * math.pi * b), np.sin(2.0 * math.pi * b)])
-        f = 2.0 * math.pi * R * metric.n_many(y) * np.cos([r.exit.angle for r in recs])
+        f = 2.0 * math.pi * R * np.asarray(metric.n_many(y)) * np.cos([r.exit.angle for r in recs])
 
         def trapezoid(step):
             # Cumulative trapezoid in b over every step-th entry.
