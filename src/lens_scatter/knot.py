@@ -25,8 +25,8 @@ import numpy as np
 
 from .curves import ParametricCurve, TrigCurve
 from .lift import (FLAT_INJECTIVITY_RADIUS, MinimalLinearCurve, NonIntegralClassError,
-                   PLVertexPath, ProjPoint, _circ_dist, _edge_ends, _edge_gaps,
-                   _whole_number, dist_components, unit_tangent_lift)
+                   PLVertexPath, ProjPoint, _check_edges, _circ_dist, _contractible, _edge_ends,
+                   _edge_gaps, _vertex_array, _whole_number, dist_components, unit_tangent_lift)
 
 TWO_PI = 2.0 * math.pi
 
@@ -204,7 +204,7 @@ def _polyline_hits(pts: np.ndarray, eps: float):
     in which ``_dedup`` keeps the first of near-equal hits.
     """
     m = len(pts)
-    nxt = np.roll(pts, -1, axis=0)
+    nxt = np.concatenate((pts[1:], pts[:1]))
     pad = 1e-6 * float(np.max(np.hypot(*(nxt - pts).T)))
     lo = np.minimum(pts, nxt) - pad
     hi = np.maximum(pts, nxt) + pad
@@ -230,29 +230,34 @@ def _polish_crossing(loop, l: float, lp: float):
     """Newton-refine base_point(l) == base_point(l'), then check transversality.
 
     Returns ``l``, ``l'`` mod 1 and the base point at ``l`` it converged on.
+    Each evaluation is read once into Python floats, whose arithmetic gives
+    the bits numpy's scalars would.
     """
-    p = loop.base_point(l)
-    f = p - loop.base_point(lp)
+    l, lp = float(l), float(lp)
+    x, y = loop.base_point(l).tolist()
+    x2, y2 = loop.base_point(lp).tolist()
+    fx, fy = x - x2, y - y2
     for _ in range(30):
-        if math.hypot(f[0], f[1]) < 1e-13:
+        if math.hypot(fx, fy) < 1e-13:
             break
-        v1 = loop.base_velocity(l)
-        v2 = loop.base_velocity(lp)
-        det = -v1[0] * v2[1] + v1[1] * v2[0]
+        a1, b1 = loop.base_velocity(l).tolist()
+        a2, b2 = loop.base_velocity(lp).tolist()
+        det = -a1 * b2 + b1 * a2
         if abs(det) < 1e-14:
             raise SelfTangencyError("parallel branches at a coincident point")
-        l -= (-f[0] * v2[1] + f[1] * v2[0]) / det
-        lp -= (v1[0] * f[1] - v1[1] * f[0]) / det
-        p = loop.base_point(l)
-        f = p - loop.base_point(lp)
-    if math.hypot(f[0], f[1]) > _CROSSING_TOL:
+        l -= (-fx * b2 + fy * a2) / det
+        lp -= (a1 * fy - b1 * fx) / det
+        x, y = loop.base_point(l).tolist()
+        x2, y2 = loop.base_point(lp).tolist()
+        fx, fy = x - x2, y - y2
+    if math.hypot(fx, fy) > _CROSSING_TOL:
         raise DegenerateCrossingError("crossing refinement did not converge")
-    v1 = loop.base_velocity(l)
-    v2 = loop.base_velocity(lp)
-    s = abs(v1[0] * v2[1] - v1[1] * v2[0]) / (math.hypot(*v1) * math.hypot(*v2))
+    a1, b1 = loop.base_velocity(l).tolist()
+    a2, b2 = loop.base_velocity(lp).tolist()
+    s = abs(a1 * b2 - b1 * a2) / (math.hypot(a1, b1) * math.hypot(a2, b2))
     if s < _ANGULAR_TOL:
         raise SelfTangencyError("branches meet tangentially")
-    return l % 1.0, lp % 1.0, p
+    return l % 1.0, lp % 1.0, (x, y)
 
 
 def _dedup(raw, merge_tol: float):
@@ -303,7 +308,7 @@ def _pl_crossings(loop: PLLoop) -> list[Crossing]:
     # Negative eps keeps hits strictly interior: a vertex sitting on an edge
     # is a singular configuration, not a crossing.
     i, j, t, u = _polyline_hits(base, -1e-9)
-    d = np.roll(base, -1, axis=0) - base
+    d = np.concatenate((base[1:], base[:1])) - base
     h = np.hypot(d[:, 0], d[:, 1])
     if np.any(np.abs(d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]) / (h[i] * h[j]) < _ANGULAR_TOL):
         raise SelfTangencyError("PL edges cross tangentially")
@@ -411,30 +416,34 @@ def pl_validate(vertices, n: int, eps: float) -> PLMembership:
         raise ValueError("need n >= 4 vertices")
     if not (0.0 < eps < min(FLAT_INJECTIVITY_RADIUS, 0.5 * math.pi)):
         raise ValueError("eps must lie in (0, min(inj, pi/2))")
-    xyl = np.array(vertices, dtype=float)
+    xyl = _vertex_array(vertices)
     if len(xyl) != n:
         raise ValueError(f"expected {n} vertices, got {len(xyl)}")
-    d0, k = _gaps_d0(xyl, eps)
+    d_h, steps = _edge_gaps(xyl)
+    d0, k = _first_wide_gap(xyl, d_h, steps, eps)
     if k is not None:
         return PLMembership(False, 2,
                             f"gap d0={float(d0[k]):.4f} at vertex {k} reaches eps={eps}")
-    path = PLVertexPath(xyl)
-    if not path.contractible:
-        return PLMembership(False, 1,
-                            f"total rotation {path.total_rotation:.4f} rad is nonzero")
+    # Every gap is below eps < pi/2, so only a fiber step within 1e-12 of
+    # pi/2 can still leave an edge without a minimal linear curve.
+    _check_edges(xyl, d_h, steps)
+    # Summed in order, as PLVertexPath.total_rotation is.
+    total = float(np.cumsum(steps)[-1])
+    if not _contractible(total):
+        return PLMembership(False, 1, f"total rotation {total:.4f} rad is nonzero")
     return PLMembership(True, None, "member")
 
 
-def _gaps_d0(xyl, limit: float):
-    """``d0`` of each edge ``k -> k + 1`` of the closed vertex array ``xyl``
-    and the first ``k`` whose ``d0`` reaches ``limit`` (None if none does).
+def _first_wide_gap(xyl, d_h, steps, limit: float):
+    """``d0`` of each edge ``k -> k + 1`` of the closed vertex array ``xyl``,
+    from its :func:`~lens_scatter.lift._edge_gaps`, and the first ``k``
+    whose ``d0`` reaches ``limit`` (None if none does).
 
     As :func:`dist_components` run over the edges up to that ``k`` would,
     this raises :class:`~lens_scatter.lift.TransportUndefinedError` when the
     ends of edge ``k`` are an injectivity radius apart.  With ``limit`` at
     that radius every edge is checked, since ``d_v`` never exceeds pi/2.
     """
-    d_h, steps = _edge_gaps(xyl)
     d0 = np.maximum(d_h, np.abs(steps))
     wide = np.flatnonzero(d0 >= limit)
     if not wide.size:
@@ -503,7 +512,8 @@ def choose_refinement_n(G, eps: float, *, max_n: int = 4096) -> int:
         for s, key in zip(ss, samples):
             verts = tuple(G(s, k / n) for k in range(n))
             if verts not in largest_gap:
-                d0, _ = _gaps_d0(np.array(verts), FLAT_INJECTIVITY_RADIUS)
+                xyl = _vertex_array(verts)
+                d0, _ = _first_wide_gap(xyl, *_edge_gaps(xyl), FLAT_INJECTIVITY_RADIUS)
                 largest_gap[verts] = float(np.max(d0))
             if largest_gap[verts] >= min(0.25 * eps, 0.5 * seps[key]):
                 ok = False
@@ -528,7 +538,7 @@ def embedding_separation(samples, window: float) -> float:
     measured once (twice at ``c = m / 2``) and no index array is built.
     Time is O(m^2), the working set O(m + _SEPARATION_BLOCK).
     """
-    xyl = np.array(samples, dtype=float).reshape(-1, 3)
+    xyl = _vertex_array(samples, "samples")
     m = len(xyl)
     end = m // 2 + 1
     # c / m grows with c, so the kept gaps are those from the first one on.
@@ -567,6 +577,7 @@ def random_corpus(count: int = 20, *, seed: int = 42) -> list[TrigCurve]:
     than 5e-3: all of these would make crossing data ill-conditioned.
     """
     rng = np.random.default_rng(seed)
+    grid, fine_grid = (np.linspace(0.0, 1.0, k, endpoint=False) for k in (512, 1024))
     out: list[TrigCurve] = []
     attempts = 0
     while len(out) < count:
@@ -575,12 +586,12 @@ def random_corpus(count: int = 20, *, seed: int = 42) -> list[TrigCurve]:
             raise RuntimeError("corpus rejection rate unexpectedly high")
         coeffs = perturbation_deltas(rng, (4, 4), 1.0)
         curve = TrigCurve(coeffs, name=f"corpus-{len(out)}")
-        pts = curve.point(np.linspace(0.0, 1.0, 512, endpoint=False))
+        pts = curve.point(grid)
         rmax = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
         if rmax < 1e-3:
             continue
         curve = TrigCurve(coeffs * (0.85 / rmax), name=f"corpus-{len(out)}")
-        v = curve.velocity(np.linspace(0.0, 1.0, 1024, endpoint=False))
+        v = curve.velocity(fine_grid)
         speed = np.hypot(v[:, 0], v[:, 1])
         if np.min(speed) < 0.15 * np.mean(speed):
             continue

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -80,12 +81,19 @@ class DistComponents:
     d0: float
 
 
-def dist_components(p: ProjPoint, q: ProjPoint) -> DistComponents:
-    """Horizontal, vertical, and max distance between bundle points."""
+def _base_distance(p: ProjPoint, q: ProjPoint) -> float:
+    """``d_h`` of ``p`` and ``q``; raises :class:`TransportUndefinedError`
+    when it reaches the injectivity radius."""
     d_h = math.hypot(q.x - p.x, q.y - p.y)
     if d_h >= FLAT_INJECTIVITY_RADIUS:
         raise TransportUndefinedError(f"base distance {d_h:.3f} reaches the "
                                       f"injectivity radius {FLAT_INJECTIVITY_RADIUS}")
+    return d_h
+
+
+def dist_components(p: ProjPoint, q: ProjPoint) -> DistComponents:
+    """Horizontal, vertical, and max distance between bundle points."""
+    d_h = _base_distance(p, q)
     d_v = _circ_dist(p.line_angle, q.line_angle, math.pi)
     return DistComponents(d_h, d_v, max(d_h, d_v))
 
@@ -108,6 +116,29 @@ def _fiber_steps(angle_from, angle_to):
     return np.where(a > 0.5 * math.pi, np.sign(x) * (a - math.pi), x)
 
 
+def _vertex_array(vertices, what: str = "vertices") -> np.ndarray:
+    """``vertices`` as a new ``(n, 3)`` float array, the same bits as
+    ``np.array(vertices, dtype=float)``.
+
+    A list or tuple of :class:`ProjPoint` is read in one pass over its
+    items.  Raises ``ValueError`` unless the items are finite
+    ``(x, y, lift)`` triples.
+    """
+    try:
+        if isinstance(vertices, (list, tuple)) and all(type(v) is ProjPoint for v in vertices):
+            n = len(vertices)
+            xyl = np.fromiter(chain.from_iterable(vertices), float, 3 * n).reshape(n, 3)
+        else:
+            xyl = np.array(vertices, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be (x, y, lift) triples") from exc
+    if xyl.ndim != 2 or xyl.shape[1] != 3:
+        raise ValueError(f"{what} must be (x, y, lift) triples")
+    if not np.isfinite(xyl).all():
+        raise ValueError(f"{what} must be finite")
+    return xyl
+
+
 def _edge_gaps(xyl):
     """Base distance ``d_h`` and fiber step of each edge ``k -> k + 1`` of the
     closed vertex array ``xyl``, bit for bit as :func:`dist_components` and
@@ -116,10 +147,20 @@ def _edge_gaps(xyl):
     ``d_h`` comes from ``math.hypot``, which ``np.hypot`` differs from in
     the last bit on some inputs.
     """
-    d = np.roll(xyl, -1, axis=0) - xyl
+    closed = np.concatenate((xyl, xyl[:1]))
+    d = closed[1:] - xyl
     d_h = np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())))
-    angle = xyl[:, 2] % math.pi
-    return d_h, _fiber_steps(angle, np.roll(angle, -1))
+    angle = closed[:, 2] % math.pi
+    return d_h, _fiber_steps(angle[:-1], angle[1:])
+
+
+def _check_edges(xyl, d_h, deltas) -> None:
+    """Raise what :class:`MinimalLinearCurve` raises on the first edge of
+    the closed vertex array ``xyl`` that admits no minimal linear curve,
+    given the edges' :func:`_edge_gaps`."""
+    bad = (d_h >= FLAT_INJECTIVITY_RADIUS) | (np.abs(np.abs(deltas) - 0.5 * math.pi) < 1e-12)
+    if bad.any():
+        MinimalLinearCurve(*_edge_ends(xyl, int(np.argmax(bad))))
 
 
 class MinimalLinearCurve:
@@ -131,12 +172,14 @@ class MinimalLinearCurve:
     """
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
-        if abs(dist_components(p, q).d_v - 0.5 * math.pi) < 1e-12:
+        _base_distance(p, q)
+        # Line angles lie in [0, pi], so |fiber_step| is d_v to the bit.
+        self.delta = fiber_step(p, q)
+        if abs(abs(self.delta) - 0.5 * math.pi) < 1e-12:
             raise AmbiguousFiberArcError(
                 "perpendicular lines: both rotation arcs have length pi/2")
         self.p = p
         self.q = q
-        self.delta = fiber_step(p, q)
 
     def point_at(self, t: float) -> ProjPoint:
         return ProjPoint(self.p.x + t * (self.q.x - self.p.x),
@@ -199,8 +242,9 @@ class ProjCurve:
                              "line rotation in half-turns")
 
     def proj_points(self) -> list[ProjPoint]:
-        return list(map(ProjPoint, self.points[:, 0].tolist(), self.points[:, 1].tolist(),
-                        self.line_lift.tolist()))
+        rows = zip(self.points[:, 0].tolist(), self.points[:, 1].tolist(),
+                   self.line_lift.tolist())
+        return list(map(tuple.__new__, repeat(ProjPoint), rows))
 
 
 def projectivize(lifted: LiftedCurve) -> ProjCurve:
@@ -222,24 +266,18 @@ class PLVertexPath:
     """
 
     def __init__(self, vertices):
-        self.xyl = np.array(vertices, dtype=float)
+        self.xyl = _vertex_array(vertices)
         if len(self.xyl) < 3:
             raise ValueError("need at least 3 vertices")
-        if self.xyl.shape[1:] != (3,):
-            raise ValueError("vertices must be (x, y, lift) triples")
         self.xyl.flags.writeable = False
         d_h, self.deltas = _edge_gaps(self.xyl)
-        bad = ((d_h >= FLAT_INJECTIVITY_RADIUS)
-               | (np.abs(np.abs(self.deltas) - 0.5 * math.pi) < 1e-12))
-        if bad.any():
-            # The scalar constructor raises the error of the first bad edge.
-            MinimalLinearCurve(*_edge_ends(self.xyl, int(np.argmax(bad))))
+        _check_edges(self.xyl, d_h, self.deltas)
         # _turned[k] is the rotation over the first k edges, summed in order.
         self._turned = np.cumsum(np.concatenate(([0.0], self.deltas)))
 
     @property
     def vertices(self) -> list[ProjPoint]:
-        return list(map(ProjPoint._make, self.xyl.tolist()))
+        return list(map(tuple.__new__, repeat(ProjPoint), self.xyl.tolist()))
 
     @property
     def n(self) -> int:
@@ -251,9 +289,7 @@ class PLVertexPath:
 
     @property
     def contractible(self) -> bool:
-        # pi_1 of the solid-torus line bundle is generated by the fiber;
-        # the class is the total rotation in units of pi.
-        return abs(self.total_rotation) < 1e-9
+        return _contractible(self.total_rotation)
 
     def lift_at_vertex(self, k: int) -> float:
         return float(self.xyl[0, 2] + self._turned[k])
@@ -267,6 +303,12 @@ class PLVertexPath:
         # The lift is continuous around the whole loop.
         return ProjPoint(p.x + frac * (q.x - p.x), p.y + frac * (q.y - p.y),
                          self.lift_at_vertex(k) + frac * float(self.deltas[k]))
+
+
+def _contractible(total_rotation: float) -> bool:
+    # pi_1 of the solid-torus line bundle is generated by the fiber;
+    # the class is the total rotation in units of pi.
+    return abs(total_rotation) < 1e-9
 
 
 def _edge_ends(xyl, k: int) -> tuple[ProjPoint, ProjPoint]:

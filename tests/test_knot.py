@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import interp1d
 
-from lens_scatter import knot
+from lens_scatter import knot, lift
 from lens_scatter.curves import (ParametricCurve, TrigCurve, circle, lemniscate,
                                  rose)
 from lens_scatter.knot import (Certificate, Crossing, InvariantTable, PLLoop,
@@ -19,8 +19,9 @@ from lens_scatter.knot import (Certificate, Crossing, InvariantTable, PLLoop,
                                first_return_crossing, perturbation_deltas,
                                pl_refine, pl_snapshot,
                                pl_validate, refine_stage_samples, w_invariant)
-from lens_scatter.lift import (MinimalLinearCurve, PLVertexPath, ProjPoint,
-                               dist_components, projectivize, unit_tangent_lift)
+from lens_scatter.lift import (AmbiguousFiberArcError, MinimalLinearCurve, PLVertexPath,
+                               ProjPoint, TransportUndefinedError, dist_components,
+                               projectivize, unit_tangent_lift)
 
 from conftest import (CallableFramedLoop, brute_force_crossing_count,
                       embedding_separation_oracle, pl_crossing_oracle)
@@ -525,6 +526,99 @@ class TestPLValidate:
         with pytest.raises(ValueError):
             pl_validate(vs, 8, 2.0)
 
+    @staticmethod
+    def two_pass(vs, eps):
+        """The scalar reference: scan the gaps pair by pair, then build the
+        path and read its total rotation."""
+        n = len(vs)
+        for k in range(n):
+            d0 = dist_components(vs[k], vs[(k + 1) % n]).d0
+            if d0 >= eps:
+                return False, 2, f"gap d0={d0:.4f} at vertex {k} reaches eps={eps}"
+        path = PLVertexPath(vs)
+        if not path.contractible:
+            return False, 1, f"total rotation {path.total_rotation:.4f} rad is nonzero"
+        return True, None, "member"
+
+    @staticmethod
+    def seeded_ring(seed, n=32):
+        """A ring at seeded angles with lifts jittered by up to 0.2 about 0.7;
+        at seeds 1, 4, 7, ... the lift also turns through pi, so the loop is
+        not contractible."""
+        rng = np.random.default_rng(seed)
+        angles = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+        radius = rng.uniform(0.1, 0.6)
+        lifts = 0.7 + rng.uniform(-0.2, 0.2, n) + (seed % 3 == 1) * math.pi * np.arange(n) / n
+        return [ProjPoint(radius * math.cos(t), radius * math.sin(t), z)
+                for t, z in zip(angles.tolist(), lifts.tolist())]
+
+    def test_verdicts_equal_the_two_pass_scan(self):
+        seen = set()
+        for seed in range(40):
+            vs = self.seeded_ring(seed)
+            for eps in (0.05, 0.15, 0.3, 0.6, 1.2, 1.5):
+                want = self.two_pass(vs, eps)
+                rep = pl_validate(vs, len(vs), eps)
+                assert (rep.member, rep.failed_condition, rep.detail) == want, (seed, eps)
+                seen.add(want[1])
+        assert seen == {None, 1, 2}
+
+    def test_first_wide_edge_too_long_raises_transport_undefined(self):
+        vs = [ProjPoint(0.2 * math.cos(2 * math.pi * k / 8),
+                        0.2 * math.sin(2 * math.pi * k / 8), 0.3) for k in range(8)]
+        vs[3], vs[4] = ProjPoint(-0.95, 0.95, 0.3), ProjPoint(0.95, -0.95, 0.3)
+        with pytest.raises(TransportUndefinedError) as want:
+            dist_components(vs[3], vs[4])
+        with pytest.raises(TransportUndefinedError) as got:
+            pl_validate(vs, 8, 1.5)
+        assert str(got.value) == str(want.value)
+
+    def test_step_next_to_a_right_angle_raises_as_the_path_does(self):
+        # eps may sit within 1e-12 of pi/2, and a fiber step just below it
+        # passes the gap check yet has no minimal linear curve.
+        step = 0.5 * math.pi - 2e-13
+        vs = [ProjPoint(0.0, 0.0, 0.0), ProjPoint(0.01, 0.0, step),
+              ProjPoint(0.01, 0.01, step), ProjPoint(0.0, 0.01, 0.0)]
+        with pytest.raises(AmbiguousFiberArcError):
+            PLVertexPath(vs)
+        with pytest.raises(AmbiguousFiberArcError):
+            pl_validate(vs, 4, 0.5 * math.pi - 1e-13)
+
+    def test_edge_gaps_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(xyl):
+            calls.append(len(xyl))
+            return edge_gaps(xyl)
+
+        # PLVertexPath reads the name in lift, pl_validate in knot.
+        edge_gaps = knot._edge_gaps
+        for module in (knot, lift):
+            monkeypatch.setattr(module, "_edge_gaps", counting)
+        verdicts = set()
+        for seed in (0, 1):
+            vs = self.seeded_ring(seed)
+            for eps in (0.05, 1.5):
+                calls.clear()
+                verdicts.add(pl_validate(vs, len(vs), eps).failed_condition)
+                assert calls == [len(vs)]
+        assert verdicts == {None, 1, 2}
+
+    @pytest.mark.parametrize("vertices,message", [
+        ([(0.0, 0.0)] * 8, "vertices must be \\(x, y, lift\\) triples"),
+        ([(0.0, 0.0, 0.0, 0.0)] * 8, "vertices must be \\(x, y, lift\\) triples"),
+        ([ProjPoint(0.1 * k, 0.0, 0.3) for k in range(7)] + [(0.0, 0.0)],
+         "vertices must be \\(x, y, lift\\) triples"),
+        ([ProjPoint(0.1 * k, 0.0, math.nan if k == 5 else 0.3) for k in range(8)],
+         "vertices must be finite"),
+        ([ProjPoint(0.1 * k, math.inf if k == 2 else 0.0, 0.3) for k in range(8)],
+         "vertices must be finite"),
+    ])
+    def test_bad_vertices_raise_a_plain_value_error(self, vertices, message):
+        with pytest.raises(ValueError, match=f"^{message}$") as exc:
+            pl_validate(vertices, 8, 0.3)
+        assert type(exc.value) is ValueError
+
 
 class TestReidemeisterAccounting:
     def test_kink_adds_one_trivial_crossing(self):
@@ -728,6 +822,19 @@ class TestEmbeddingSeparation:
                for t in np.linspace(0, 1, 128, endpoint=False)]
         pts[64] = pts[0]  # same bundle point at distant parameters
         assert embedding_separation(pts, window=0.05) < 1e-12
+
+    @pytest.mark.parametrize("samples,message", [
+        ([(0, 0)] * 6, "samples must be \\(x, y, lift\\) triples"),
+        ([(0.0, 0.0, 0.0, 0.0)] * 6, "samples must be \\(x, y, lift\\) triples"),
+        (np.zeros(12), "samples must be \\(x, y, lift\\) triples"),
+        ([ProjPoint(0.1 * k, 0.0, math.nan if k == 3 else 0.0) for k in range(6)],
+         "samples must be finite"),
+    ])
+    def test_bad_samples_raise_a_plain_value_error(self, samples, message):
+        # A flat reshape read [(0, 0)] * 6 as four triples and gave 0.0.
+        with pytest.raises(ValueError, match=f"^{message}$") as exc:
+            embedding_separation(samples, window=0.1)
+        assert type(exc.value) is ValueError
 
     def test_window_must_leave_pairs(self):
         pts = [ProjPoint(0.0, 0.0, 0.0), ProjPoint(0.1, 0.0, 0.0)]

@@ -10,7 +10,7 @@ from lens_scatter.knot import TangentLoop
 from lens_scatter.lift import (AmbiguousFiberArcError, LiftedCurve,
                                MinimalLinearCurve, PLVertexPath, ProjPoint,
                                TransportUndefinedError, _circ_dist, _edge_gaps,
-                               _fiber_steps, dist_components, fiber_step,
+                               _fiber_steps, _vertex_array, dist_components, fiber_step,
                                projectivize, triangle_angle_sum,
                                unit_tangent_lift)
 
@@ -288,6 +288,72 @@ class TestArrayGaps:
         assert p.base.tolist() == [0.25, -0.5]
         with pytest.raises(AttributeError):
             p.x = 1.0
+
+
+class TestVertexArray:
+    @staticmethod
+    def rows(seed, n=64):
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(-20.0, 20.0, (n, 3))
+        rows[:len(SPECIAL_LIFTS), 2] = SPECIAL_LIFTS
+        return rows
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_bits_as_np_array(self, seed):
+        rows = self.rows(seed)
+        points = [ProjPoint(*r) for r in rows.tolist()]
+        # numpy scalars and ints inside the points, as callers build them.
+        points[1] = ProjPoint(np.float64(rows[1, 0]), rows[1, 1].item(), 3)
+        inputs = {"points": points, "point tuple": tuple(points),
+                  "plain tuples": [tuple(r) for r in rows.tolist()],
+                  "mixed": points[:5] + [tuple(r) for r in rows[5:].tolist()],
+                  "array": rows, "one point": points[:1], "empty": []}
+        for name, vertices in inputs.items():
+            got = _vertex_array(vertices)
+            want = np.array(vertices, dtype=float).reshape(-1, 3)
+            assert got.shape == want.shape and got.dtype == float, name
+            assert_same_bits(got, want)
+        assert _vertex_array(rows) is not rows
+
+    @pytest.mark.parametrize("vertices,message", [
+        ([(0.0, 0.0)] * 6, "triples"),
+        ([(0.0, 0.0, 0.0, 0.0)] * 4, "triples"),
+        ([(0.0, 0.0, 0.0), (0.0, 0.0)], "triples"),
+        (np.zeros((2, 3, 1)), "triples"),
+        ([(0.0, 0.0, "lift")] * 4, "triples"),
+        ([ProjPoint(0.0, 0.0, (1.0, 2.0))] * 4, "triples"),
+        ([ProjPoint(0.0, 0.0, math.nan)] * 4, "finite"),
+        ([(math.inf, 0.0, 0.0)] * 4, "finite"),
+        (np.full((4, 3), -math.inf), "finite"),
+    ])
+    def test_bad_vertices_raise_a_plain_value_error(self, vertices, message):
+        with pytest.raises(ValueError, match=f"^vertices must be .*{message}") as exc:
+            _vertex_array(vertices)
+        assert type(exc.value) is ValueError
+        with pytest.raises(ValueError, match=message):
+            PLVertexPath(vertices)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_proj_points_keep_their_values(self, seed):
+        proj = projectivize(unit_tangent_lift(lemniscate(), 64 + seed))
+        want = [ProjPoint(float(p[0]), float(p[1]), float(a))
+                for p, a in zip(proj.points, proj.line_lift)]
+        got = proj.proj_points()
+        assert all(type(p) is ProjPoint for p in got)
+        assert_same_bits(got, want)
+        assert [p.lift for p in got] == [w.lift for w in want]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_path_vertices_keep_their_values(self, seed):
+        rows = self.rows(seed)
+        rows[:, :2] = 0.1 * np.cos(rows[:, :2])
+        rows[:, 2] = 0.3
+        path = PLVertexPath(rows)
+        got = path.vertices
+        assert all(type(v) is ProjPoint for v in got)
+        assert got == [ProjPoint(*r) for r in rows.tolist()]
+        assert_same_bits(got, rows)
+        assert all(type(c) is float for v in got for c in v)
 
 
 class TestTriangleAngles:
