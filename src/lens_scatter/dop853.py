@@ -23,8 +23,12 @@ samples followed the CPU's BLAS kernel.  scipy's ``np.dot`` rounds in
 another order, so the steps are not scipy's: samples agree with
 ``solve_ivp``'s within the tolerance, not to the bit.
 
-A caller whose right-hand side has known kinks may cut steps short at
-them (``solve``'s ``cut``).
+The right-hand side ``rhs(x, y, theta)`` gives the slopes of the state
+``(x, y, theta, tau)`` from its first three components: it reads no time,
+and ``tau`` is a quadrature.  So each stage passes ``rhs`` its
+``(x, y, theta)`` alone, and ``tau``'s slopes enter only the new state,
+the error norm and the interpolant.  A caller whose right-hand side has
+known kinks may cut steps short at them (``solve``'s ``cut``).
 
 The event roots come from :func:`brentq`, a port of scipy's Brent solver
 that returns its roots to the bit; the rest of the geometry side finds its
@@ -48,17 +52,9 @@ ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
 _STAGES = 12
 
 # The tableau's nonzero entries, scipy's literals, named by position:
-# ``C5`` is ``C[5]``, ``A5_3`` is ``A[5, 3]``, ``B7`` is ``B[7]`` (row 12
-# of ``A``), ``E5_7`` is ``E5[7]``.  Stage 0 runs at ``t`` and stage 12 at
-# ``t + h``.  The sums below take them term after term in column order.
-C1, C2, C3, C4, C5, C6, C7, C8, C9, C10, C11 = (
-    0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
-    0.118350341907227396726757197510, 0.281649658092772603273242802490,
-    0.333333333333333333333333333333, 0.25,
-    0.307692307692307692307692307692, 0.651282051282051282051282051282,
-    0.6, 0.857142857142857142857142857142,
-    1.0)
-C13, C14, C15 = 0.1, 0.2, 0.777777777777777777777777777778
+# ``A5_3`` is ``A[5, 3]``, ``B7`` is ``B[7]`` (row 12 of ``A``), ``E5_7`` is
+# ``E5[7]``; the nodes ``C`` go unused.  The sums below take them term after
+# term in column order.
 A1_0 = 5.26001519587677318785587544488e-2
 A2_0, A2_1 = 1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2
 A3_0, A3_2 = 2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2
@@ -233,13 +229,14 @@ def _rms(v) -> float:
     return math.sqrt(a * a + b * b + c * c + d * d) / 2.0
 
 
-def _step(rhs, t, h, y, f, rtol, atol):
-    """One trial step of length ``h`` from ``(t, y)``, where ``f`` is
-    ``rhs(t, y)``: the new state, scipy's DOP853 error norm (the 5th-order
+def _step(rhs, h, y, f, rtol, atol):
+    """One trial step of length ``h`` from the state ``y``, where ``f`` is
+    its slope: the new state, scipy's DOP853 error norm (the 5th-order
     estimate damped by the 3rd-order one) and, as one flat tuple, the
-    stages 0 and 5-11 that the interpolant reads.  Its stage 12 is the new
-    state's slope ``rhs(t + h, y_new)``, which the error norm does not read,
-    so the caller evaluates it only for a step it may keep.
+    stages 0 and 5-11 that the interpolant reads.  Each stage passes
+    ``rhs`` its ``(x, y, theta)`` alone; ``tau`` is a quadrature.  Its stage
+    12 is the new state's slope, which the error norm does not read, so the
+    caller evaluates it only for a step it may keep.
 
     Written out stage by stage and component by component, as Hairer's
     ``dop853.f`` is: ``kj_i`` is component ``i`` of stage ``j``, and each
@@ -247,88 +244,73 @@ def _step(rhs, t, h, y, f, rtol, atol):
     """
     y0, y1, y2, y3 = y
     k0_0, k0_1, k0_2, k0_3 = f
-    k1_0, k1_1, k1_2, k1_3 = rhs(t + C1 * h, (
+    k1_0, k1_1, k1_2, k1_3 = rhs(
         y0 + (A1_0 * k0_0) * h,
         y1 + (A1_0 * k0_1) * h,
         y2 + (A1_0 * k0_2) * h,
-        y3 + (A1_0 * k0_3) * h,
-    ))
-    k2_0, k2_1, k2_2, k2_3 = rhs(t + C2 * h, (
+    )
+    k2_0, k2_1, k2_2, k2_3 = rhs(
         y0 + (A2_0 * k0_0 + A2_1 * k1_0) * h,
         y1 + (A2_0 * k0_1 + A2_1 * k1_1) * h,
         y2 + (A2_0 * k0_2 + A2_1 * k1_2) * h,
-        y3 + (A2_0 * k0_3 + A2_1 * k1_3) * h,
-    ))
-    k3_0, k3_1, k3_2, k3_3 = rhs(t + C3 * h, (
+    )
+    k3_0, k3_1, k3_2, k3_3 = rhs(
         y0 + (A3_0 * k0_0 + A3_2 * k2_0) * h,
         y1 + (A3_0 * k0_1 + A3_2 * k2_1) * h,
         y2 + (A3_0 * k0_2 + A3_2 * k2_2) * h,
-        y3 + (A3_0 * k0_3 + A3_2 * k2_3) * h,
-    ))
-    k4_0, k4_1, k4_2, k4_3 = rhs(t + C4 * h, (
+    )
+    k4_0, k4_1, k4_2, k4_3 = rhs(
         y0 + (A4_0 * k0_0 + A4_2 * k2_0 + A4_3 * k3_0) * h,
         y1 + (A4_0 * k0_1 + A4_2 * k2_1 + A4_3 * k3_1) * h,
         y2 + (A4_0 * k0_2 + A4_2 * k2_2 + A4_3 * k3_2) * h,
-        y3 + (A4_0 * k0_3 + A4_2 * k2_3 + A4_3 * k3_3) * h,
-    ))
-    k5_0, k5_1, k5_2, k5_3 = rhs(t + C5 * h, (
+    )
+    k5_0, k5_1, k5_2, k5_3 = rhs(
         y0 + (A5_0 * k0_0 + A5_3 * k3_0 + A5_4 * k4_0) * h,
         y1 + (A5_0 * k0_1 + A5_3 * k3_1 + A5_4 * k4_1) * h,
         y2 + (A5_0 * k0_2 + A5_3 * k3_2 + A5_4 * k4_2) * h,
-        y3 + (A5_0 * k0_3 + A5_3 * k3_3 + A5_4 * k4_3) * h,
-    ))
-    k6_0, k6_1, k6_2, k6_3 = rhs(t + C6 * h, (
+    )
+    k6_0, k6_1, k6_2, k6_3 = rhs(
         y0 + (A6_0 * k0_0 + A6_3 * k3_0 + A6_4 * k4_0 + A6_5 * k5_0) * h,
         y1 + (A6_0 * k0_1 + A6_3 * k3_1 + A6_4 * k4_1 + A6_5 * k5_1) * h,
         y2 + (A6_0 * k0_2 + A6_3 * k3_2 + A6_4 * k4_2 + A6_5 * k5_2) * h,
-        y3 + (A6_0 * k0_3 + A6_3 * k3_3 + A6_4 * k4_3 + A6_5 * k5_3) * h,
-    ))
-    k7_0, k7_1, k7_2, k7_3 = rhs(t + C7 * h, (
+    )
+    k7_0, k7_1, k7_2, k7_3 = rhs(
         y0 + (A7_0 * k0_0 + A7_3 * k3_0 + A7_4 * k4_0 + A7_5 * k5_0 + A7_6 * k6_0) * h,
         y1 + (A7_0 * k0_1 + A7_3 * k3_1 + A7_4 * k4_1 + A7_5 * k5_1 + A7_6 * k6_1) * h,
         y2 + (A7_0 * k0_2 + A7_3 * k3_2 + A7_4 * k4_2 + A7_5 * k5_2 + A7_6 * k6_2) * h,
-        y3 + (A7_0 * k0_3 + A7_3 * k3_3 + A7_4 * k4_3 + A7_5 * k5_3 + A7_6 * k6_3) * h,
-    ))
-    k8_0, k8_1, k8_2, k8_3 = rhs(t + C8 * h, (
+    )
+    k8_0, k8_1, k8_2, k8_3 = rhs(
         y0 + (A8_0 * k0_0 + A8_3 * k3_0 + A8_4 * k4_0 + A8_5 * k5_0 + A8_6 * k6_0
              + A8_7 * k7_0) * h,
         y1 + (A8_0 * k0_1 + A8_3 * k3_1 + A8_4 * k4_1 + A8_5 * k5_1 + A8_6 * k6_1
              + A8_7 * k7_1) * h,
         y2 + (A8_0 * k0_2 + A8_3 * k3_2 + A8_4 * k4_2 + A8_5 * k5_2 + A8_6 * k6_2
              + A8_7 * k7_2) * h,
-        y3 + (A8_0 * k0_3 + A8_3 * k3_3 + A8_4 * k4_3 + A8_5 * k5_3 + A8_6 * k6_3
-             + A8_7 * k7_3) * h,
-    ))
-    k9_0, k9_1, k9_2, k9_3 = rhs(t + C9 * h, (
+    )
+    k9_0, k9_1, k9_2, k9_3 = rhs(
         y0 + (A9_0 * k0_0 + A9_3 * k3_0 + A9_4 * k4_0 + A9_5 * k5_0 + A9_6 * k6_0 + A9_7 * k7_0
              + A9_8 * k8_0) * h,
         y1 + (A9_0 * k0_1 + A9_3 * k3_1 + A9_4 * k4_1 + A9_5 * k5_1 + A9_6 * k6_1 + A9_7 * k7_1
              + A9_8 * k8_1) * h,
         y2 + (A9_0 * k0_2 + A9_3 * k3_2 + A9_4 * k4_2 + A9_5 * k5_2 + A9_6 * k6_2 + A9_7 * k7_2
              + A9_8 * k8_2) * h,
-        y3 + (A9_0 * k0_3 + A9_3 * k3_3 + A9_4 * k4_3 + A9_5 * k5_3 + A9_6 * k6_3 + A9_7 * k7_3
-             + A9_8 * k8_3) * h,
-    ))
-    k10_0, k10_1, k10_2, k10_3 = rhs(t + C10 * h, (
+    )
+    k10_0, k10_1, k10_2, k10_3 = rhs(
         y0 + (A10_0 * k0_0 + A10_3 * k3_0 + A10_4 * k4_0 + A10_5 * k5_0 + A10_6 * k6_0
              + A10_7 * k7_0 + A10_8 * k8_0 + A10_9 * k9_0) * h,
         y1 + (A10_0 * k0_1 + A10_3 * k3_1 + A10_4 * k4_1 + A10_5 * k5_1 + A10_6 * k6_1
              + A10_7 * k7_1 + A10_8 * k8_1 + A10_9 * k9_1) * h,
         y2 + (A10_0 * k0_2 + A10_3 * k3_2 + A10_4 * k4_2 + A10_5 * k5_2 + A10_6 * k6_2
              + A10_7 * k7_2 + A10_8 * k8_2 + A10_9 * k9_2) * h,
-        y3 + (A10_0 * k0_3 + A10_3 * k3_3 + A10_4 * k4_3 + A10_5 * k5_3 + A10_6 * k6_3
-             + A10_7 * k7_3 + A10_8 * k8_3 + A10_9 * k9_3) * h,
-    ))
-    k11_0, k11_1, k11_2, k11_3 = rhs(t + C11 * h, (
+    )
+    k11_0, k11_1, k11_2, k11_3 = rhs(
         y0 + (A11_0 * k0_0 + A11_3 * k3_0 + A11_4 * k4_0 + A11_5 * k5_0 + A11_6 * k6_0
              + A11_7 * k7_0 + A11_8 * k8_0 + A11_9 * k9_0 + A11_10 * k10_0) * h,
         y1 + (A11_0 * k0_1 + A11_3 * k3_1 + A11_4 * k4_1 + A11_5 * k5_1 + A11_6 * k6_1
              + A11_7 * k7_1 + A11_8 * k8_1 + A11_9 * k9_1 + A11_10 * k10_1) * h,
         y2 + (A11_0 * k0_2 + A11_3 * k3_2 + A11_4 * k4_2 + A11_5 * k5_2 + A11_6 * k6_2
              + A11_7 * k7_2 + A11_8 * k8_2 + A11_9 * k9_2 + A11_10 * k10_2) * h,
-        y3 + (A11_0 * k0_3 + A11_3 * k3_3 + A11_4 * k4_3 + A11_5 * k5_3 + A11_6 * k6_3
-             + A11_7 * k7_3 + A11_8 * k8_3 + A11_9 * k9_3 + A11_10 * k10_3) * h,
-    ))
+    )
     n0 = y0 + h * (B0 * k0_0 + B5 * k5_0 + B6 * k6_0 + B7 * k7_0 + B8 * k8_0 + B9 * k9_0
                   + B10 * k10_0 + B11 * k11_0)
     n1 = y1 + h * (B0 * k0_1 + B5 * k5_1 + B6 * k6_1 + B7 * k7_1 + B8 * k8_1 + B9 * k9_1
@@ -379,8 +361,8 @@ class DenseSolution:
     stopped the run.  ``nfev`` counts right-hand side calls: two for the
     first step size, 12 per accepted trial step, 11 per rejected one (12
     under a ``cut`` hook, which reads the slope at its end) and 3 per
-    interpolated step.  ``steps`` and ``rejected`` count accepted and
-    rejected steps.
+    interpolated step; each passes ``rhs`` a stage's ``(x, y, theta)``
+    alone.  ``steps`` and ``rejected`` count accepted and rejected steps.
     """
 
     def __init__(self, rhs):
@@ -401,21 +383,18 @@ class DenseSolution:
             t, h, y, y_new, K = self._steps[i]
             k0, k5, k6, k7, k8, k9, k10, k11, k12 = (K[j:j + 4] for j in range(0, 36, 4))
             rhs = self._rhs
-            k13 = rhs(t + C13 * h, [v + (A13_0 * p0 + A13_6 * p6 + A13_7 * p7 + A13_8 * p8
-                                         + A13_9 * p9 + A13_10 * p10 + A13_11 * p11
-                                         + A13_12 * p12) * h
-                                    for v, p0, p6, p7, p8, p9, p10, p11, p12
-                                    in zip(y, k0, k6, k7, k8, k9, k10, k11, k12)])
-            k14 = rhs(t + C14 * h, [v + (A14_0 * p0 + A14_5 * p5 + A14_6 * p6 + A14_7 * p7
-                                         + A14_10 * p10 + A14_11 * p11 + A14_12 * p12
-                                         + A14_13 * p13) * h
-                                    for v, p0, p5, p6, p7, p10, p11, p12, p13
-                                    in zip(y, k0, k5, k6, k7, k10, k11, k12, k13)])
-            k15 = rhs(t + C15 * h, [v + (A15_0 * p0 + A15_5 * p5 + A15_6 * p6 + A15_7 * p7
-                                         + A15_8 * p8 + A15_12 * p12 + A15_13 * p13
-                                         + A15_14 * p14) * h
-                                    for v, p0, p5, p6, p7, p8, p12, p13, p14
-                                    in zip(y, k0, k5, k6, k7, k8, k12, k13, k14)])
+            k13 = rhs(*[v + (A13_0 * p0 + A13_6 * p6 + A13_7 * p7 + A13_8 * p8 + A13_9 * p9
+                             + A13_10 * p10 + A13_11 * p11 + A13_12 * p12) * h
+                        for v, p0, p6, p7, p8, p9, p10, p11, p12
+                        in zip(y[:3], k0, k6, k7, k8, k9, k10, k11, k12)])
+            k14 = rhs(*[v + (A14_0 * p0 + A14_5 * p5 + A14_6 * p6 + A14_7 * p7 + A14_10 * p10
+                             + A14_11 * p11 + A14_12 * p12 + A14_13 * p13) * h
+                        for v, p0, p5, p6, p7, p10, p11, p12, p13
+                        in zip(y[:3], k0, k5, k6, k7, k10, k11, k12, k13)])
+            k15 = rhs(*[v + (A15_0 * p0 + A15_5 * p5 + A15_6 * p6 + A15_7 * p7 + A15_8 * p8
+                             + A15_12 * p12 + A15_13 * p13 + A15_14 * p14) * h
+                        for v, p0, p5, p6, p7, p8, p12, p13, p14
+                        in zip(y[:3], k0, k5, k6, k7, k8, k12, k13, k14)])
             self.nfev += 3
             stages = (k0, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15)
             f3, f4, f5, f6 = (
@@ -459,7 +438,7 @@ def _initial_step(rhs, y, f, rtol, atol) -> float:
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if not h0 > 0.0:
         raise RuntimeError(f"geodesic integration failed: initial step size {h0} is not positive")
-    f1 = rhs(h0, [v + h0 * p for v, p in zip(y, f)])
+    f1 = rhs(*[v + h0 * p for v, p in zip(y[:3], f)])
     d2 = _rms([(q - p) / s for q, p, s in zip(f1, f, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -469,13 +448,16 @@ def _initial_step(rhs, y, f, rtol, atol) -> float:
 
 
 def solve(rhs, y0, rtol: float, atol: float, events, cut=None) -> DenseSolution:
-    """Integrate ``y' = rhs(t, y)`` from ``t = 0`` until an event fires.
+    """Integrate the state ``(x, y, theta, tau)`` from ``t = 0`` until an
+    event fires.
 
-    ``y0`` has four components; ``rhs`` takes a float sequence and returns
-    four floats.  Every event ``g(t, y)`` is terminal and negative at the
-    start; the run stops at the earliest root of the events that are
-    non-negative at the end of a step, found by ``brentq`` on that step's
-    interpolant with ``xtol = rtol = 4 eps``, as scipy's IVP routine finds it.
+    ``y0`` has four components.  ``rhs(x, y, theta)`` returns the four
+    slopes as floats; it reads no time, and ``tau`` is a quadrature, so no
+    slope reads it (see the module docstring).  Every event ``g(t, y)`` is
+    terminal and negative at the start; the run stops at the earliest root
+    of the events that are non-negative at the end of a step, found by
+    ``brentq`` on that step's interpolant with ``xtol = rtol = 4 eps``, as
+    scipy's IVP routine finds it.
     Raises ``RuntimeError`` when the step size falls below its floor.
 
     ``cut(h, y, y_new, f, f_new)``, if given, sees every trial step before
@@ -488,7 +470,7 @@ def solve(rhs, y0, rtol: float, atol: float, events, cut=None) -> DenseSolution:
     sol = DenseSolution(rhs)
     t = 0.0
     y = tuple(float(v) for v in y0)
-    f = rhs(t, y)
+    f = rhs(*y[:3])
     h_abs = _initial_step(rhs, y, f, rtol, atol)
     sol.nfev = 2
     while True:
@@ -503,10 +485,10 @@ def solve(rhs, y0, rtol: float, atol: float, events, cut=None) -> DenseSolution:
             t_new = t + h_abs
             h = t_new - t
             h_abs = abs(h)
-            y_new, error_norm, stages = _step(rhs, t, h, y, f, rtol, atol)
+            y_new, error_norm, stages = _step(rhs, h, y, f, rtol, atol)
             sol.nfev += _STAGES - 1
             if cut is not None or error_norm < 1:
-                f_new = rhs(t + h, y_new)
+                f_new = rhs(*y_new[:3])
                 sol.nfev += 1
             h_cut = None if cut is None else cut(h, y, y_new, f, f_new)
             if h_cut is not None:

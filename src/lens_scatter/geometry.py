@@ -17,7 +17,8 @@ then reads
 Dividing the angular rate by ``n`` gives the rate per unit *metric*
 arclength, which for a radial index and a tangential direction reduces to
 ``-(dn/dr)/n^2``.  Parametrizing by ``s`` rather than ``tau`` keeps the
-system well scaled where ``n`` blows up.
+system well scaled where ``n`` blows up.  No rate reads ``s`` or ``tau``,
+a quadrature of ``n``, so the right-hand side takes ``(x, y, theta)``.
 
 The system is integrated by :mod:`lens_scatter.dop853`, the DOP853 method
 with scipy's step control.  Samples are the solver's step ends, subdivided
@@ -417,30 +418,30 @@ class ConformalMetric:
         return [n_xy(x, y) for x, y in points]
 
     def _make_rhs(self):
-        """The integrator's right-hand side ``f(s, (x, y, theta, tau))``,
-        per unit Euclidean arclength (see the module docstring)."""
+        """The integrator's right-hand side ``f(x, y, theta)``: the rates
+        ``(dx, dy, dtheta, dtau)`` per unit Euclidean arclength (see the
+        module docstring)."""
         if self.is_radial:
             ev = self.profile.eval
 
-            def rhs(s, y):
+            def rhs(x, y, theta):
                 # grad n = n'(r) (x, y) / r, zero at the origin.
-                x, yy = y[0], y[1]
-                r = math.hypot(x, yy)
+                r = math.hypot(x, y)
                 n, dn = ev(r)
-                c = math.cos(y[2])
-                sn = math.sin(y[2])
+                c = math.cos(theta)
+                sn = math.sin(theta)
                 if r > 0.0 and dn != 0.0:
                     g = dn / r
-                    return (c, sn, (g * yy * c - g * x * sn) / n, n)
+                    return (c, sn, (g * y * c - g * x * sn) / n, n)
                 return (c, sn, (0.0 * c - 0.0 * sn) / n, n)
         else:
             n_xy, grad = self.field
 
-            def rhs(s, y):
-                n = float(n_xy(y[0], y[1]))
-                gx, gy = grad(y[0], y[1])
-                c = math.cos(y[2])
-                sn = math.sin(y[2])
+            def rhs(x, y, theta):
+                n = float(n_xy(x, y))
+                gx, gy = grad(x, y)
+                c = math.cos(theta)
+                sn = math.sin(theta)
                 return (c, sn, (gy * c - gx * sn) / n, n)
 
         return rhs

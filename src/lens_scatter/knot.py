@@ -201,11 +201,14 @@ def _polyline_hits(pts: np.ndarray, eps: float):
     padded by 1e-6 of the longest segment, since a hit within the ``eps``
     window may lie just past a segment's end.  Returns index arrays
     ``i < j`` and parameters ``t``, ``u`` in ``(i, j)`` order, the order
-    in which ``_dedup`` keeps the first of near-equal hits.
+    in which ``_dedup`` keeps the first of near-equal hits, then every
+    segment's vector ``d`` and length ``h``.
     """
     m = len(pts)
     nxt = np.concatenate((pts[1:], pts[:1]))
-    pad = 1e-6 * float(np.max(np.hypot(*(nxt - pts).T)))
+    d = nxt - pts
+    h = np.hypot(d[:, 0], d[:, 1])
+    pad = 1e-6 * float(np.max(h))
     lo = np.minimum(pts, nxt) - pad
     hi = np.maximum(pts, nxt) + pad
     by_left = np.argsort(lo[:, 0], kind="stable")
@@ -223,7 +226,7 @@ def _polyline_hits(pts: np.ndarray, eps: float):
     hit, t, u = _segment_hits(pts[i], nxt[i], pts[j], nxt[j], eps)
     i, j, t, u = i[hit], j[hit], t[hit], u[hit]
     order = np.lexsort((j, i))
-    return i[order], j[order], t[order], u[order]
+    return i[order], j[order], t[order], u[order], d, h
 
 
 def _polish_crossing(loop, l: float, lp: float):
@@ -297,7 +300,7 @@ def find_crossings(loop) -> list[Crossing]:
         return _pl_crossings(loop)
     pts = loop.sample_points()
     m = len(pts)
-    i, j, t, u = _polyline_hits(pts, 1e-9)
+    i, j, t, u, _, _ = _polyline_hits(pts, 1e-9)
     raw = [_polish_crossing(loop, l, lp) for l, lp in zip((i + t) / m, (j + u) / m)]
     return _dedup(raw, merge_tol=max(2.0 / m, 1e-5))
 
@@ -307,9 +310,7 @@ def _pl_crossings(loop: PLLoop) -> list[Crossing]:
     n = len(base)
     # Negative eps keeps hits strictly interior: a vertex sitting on an edge
     # is a singular configuration, not a crossing.
-    i, j, t, u = _polyline_hits(base, -1e-9)
-    d = np.concatenate((base[1:], base[:1])) - base
-    h = np.hypot(d[:, 0], d[:, 1])
+    i, j, t, u, d, h = _polyline_hits(base, -1e-9)
     if np.any(np.abs(d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]) / (h[i] * h[j]) < _ANGULAR_TOL):
         raise SelfTangencyError("PL edges cross tangentially")
     raw = [(l, lp, loop.base_point(l)) for l, lp in zip((i + t) / n, (j + u) / n)]

@@ -226,7 +226,12 @@ def compare_scattering(metric_m: ConformalMetric, metric_n: ConformalMetric,
             excesses.append(rec_n.tau - rec_m.tau)
     mean = spread = None
     if excesses:
-        mean = sum(excesses) / len(excesses)
+        # Left to right: from Python 3.12 the builtin sum of floats is
+        # compensated, so its bits would follow the interpreter.
+        total = 0.0
+        for e in excesses:
+            total += e
+        mean = total / len(excesses)
         spread = max(abs(e - mean) for e in excesses)
     equal = trapped == 0 and bool(excesses) and max_angle < tol and max_arc < tol
     return CompareReport(equal, max_angle, max_arc, trapped, len(grid), tol,

@@ -209,9 +209,10 @@ def _solve_ivp_refine(dense, ts, max_step=0.45, rounds=10):
 def solve_ivp_trace(metric: ConformalMetric, entry, opts: IntegrationOptions | None = None):
     """``integrate_geodesic`` as it was written on scipy's ``solve_ivp``
     (DOP853, dense output, terminal events): the oracle for the in-repo
-    port of that integrator.  Returns the path and ``solve_ivp``'s dense
-    solution, the ``(4,)`` state at any Euclidean arclength ``s`` of the
-    run."""
+    port of that integrator.  ``solve_ivp`` calls the metric's
+    ``rhs(x, y, theta)`` through an ``f(s, state)`` wrapper.  Returns the
+    path and ``solve_ivp``'s dense solution, the ``(4,)`` state at any
+    Euclidean arclength ``s`` of the run."""
     opts = opts or IntegrationOptions()
     R = metric.radius
     chord_impact(metric, entry)
@@ -238,7 +239,8 @@ def solve_ivp_trace(metric: ConformalMetric, entry, opts: IntegrationOptions | N
 
     # Metric length grows at rate n > 0, so the length cap always ends an
     # unbounded span.
-    sol = solve_ivp(rhs, (0.0, math.inf), (x0, y0, theta0, 0.0), method="DOP853",
+    sol = solve_ivp(lambda s, y: rhs(y[0], y[1], y[2]), (0.0, math.inf),
+                    (x0, y0, theta0, 0.0), method="DOP853",
                     rtol=_RTOL_SCALE * opts.step_tol, atol=1e-4 * opts.step_tol,
                     events=(boundary_exit, length_cap), dense_output=True)
     if not sol.success:

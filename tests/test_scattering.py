@@ -12,7 +12,7 @@ from lens_scatter.geometry import (ConformalMetric, IntegrationOptions,
                                    SingularChordError, clairaut_orbit,
                                    integrate_geodesic, metric_from_spec, polar_sweep)
 from lens_scatter.scattering import (BoundaryIsometry, BoundaryVector,
-                                     _arc_distance, boundary_grid,
+                                     ScatteringRecord, _arc_distance, boundary_grid,
                                      compare_scattering, length_excess,
                                      phi_map, scatter)
 
@@ -173,6 +173,24 @@ class TestCompare:
         assert rep.excluded == 2
         assert not rep.equal
         assert rep.mean_excess is None and rep.max_abs_dev is None
+
+    def test_mean_excess_sums_left_to_right(self, monkeypatch):
+        # Excesses whose left-to-right sum, 0, differs from their exact
+        # one, 2, which the compensated builtin sum of Python 3.12 and
+        # later returns: the mean must not follow the interpreter.
+        taus = {0.1: 1.0, 0.3: 1e100, 0.5: 1.0, 0.7: -1e100}
+        metric_m, metric_n = object(), object()
+
+        def fake_grid(metric, entries, opts=None):
+            return [ScatteringRecord(v, v, taus[v.arc] if metric is metric_n else 0.0)
+                    for v in entries]
+
+        monkeypatch.setattr(scattering, "scatter_grid", fake_grid)
+        grid = [BoundaryVector(arc, 1.0) for arc in taus]
+        rep = compare_scattering(metric_m, metric_n, grid=grid)
+        assert rep.excesses == list(taus.values())
+        assert math.fsum(rep.excesses) == 2.0
+        assert rep.mean_excess == 0.0
 
     def test_each_angle_scattered_once_per_metric(self, vacuum, eaton, monkeypatch):
         # Radial exit data depend on the entry angle only: each metric
