@@ -57,18 +57,32 @@ def _parallel_fan(count: int) -> list:
     return [ls.BoundaryVector(phi / (2 * math.pi), math.acos(-math.sin(phi))) for phi in phis]
 
 
-def _drop_pole_chords(results, command: str, what: str) -> list:
-    """``results`` without its ``None``s, the pole chords of a singular
-    metric, which are numbered on standard error."""
-    kept = [r for r in results if r is not None]
+def _traced_fan(metric, entries, opts, command: str, what: str) -> list:
+    """The paths traced from ``entries`` in one ``per_angle`` pass, less the
+    pole chords of a singular metric, which are numbered on stderr."""
+    paths = ls.scattering.per_angle(metric, entries,
+                                    lambda v: ls.integrate_geodesic(metric, v, opts))
+    kept = [p for p in paths if p is not None]
     if not kept:
         raise ValueError(f"every {what} passes through the exclusion zone")
-    skipped = [f"#{k}" for k, r in enumerate(results, 1) if r is None]
+    skipped = [f"#{k}" for k, p in enumerate(paths, 1) if p is None]
     if skipped:
         noun = "entry" if len(skipped) == 1 else "entries"
-        print(f"{command}: skipped {len(skipped)} {noun} of {len(results)} whose chord "
+        print(f"{command}: skipped {len(skipped)} {noun} of {len(paths)} whose chord "
               f"passes through the exclusion zone: {', '.join(skipped)}", file=sys.stderr)
     return kept
+
+
+def _exit_fields(metric, entry, exit, tau) -> dict:
+    """The ``metric``, ``entry``, ``trapped``, ``tau`` and ``exit`` fields of
+    one ray's report; a trapped ray (``exit`` is ``None``) has no ``tau``."""
+    return {
+        "metric": metric.name,
+        "entry": {"arc": entry.arc, "angle": entry.angle},
+        "trapped": exit is None,
+        "tau": None if exit is None else tau,
+        "exit": None if exit is None else {"arc": exit.arc, "angle": exit.angle},
+    }
 
 
 def _cmd_trace(args) -> int:
@@ -83,12 +97,7 @@ def _cmd_trace(args) -> int:
         # A path through the origin has no polar-angle lift.
         winding = None
     _write_report(args, {
-        "metric": metric.name,
-        "entry": {"arc": entry.arc, "angle": entry.angle},
-        "trapped": path.trapped,
-        "tau": None if path.trapped else path.length,
-        "exit": None if path.trapped else {"arc": path.exit.arc,
-                                           "angle": path.exit.angle},
+        **_exit_fields(metric, entry, path.exit, path.length),
         "winding": winding,
         "samples": [[round(x, 9), round(y, 9)] for x, y in samples],
     })
@@ -101,14 +110,7 @@ def _cmd_scatter(args) -> int:
     metric = ls.load_metric(args.metric)
     rec = ls.scatter(metric, ls.BoundaryVector(args.arc, args.angle),
                      ls.IntegrationOptions(step_tol=args.step_tol))
-    _write_report(args, {
-        "metric": metric.name,
-        "entry": {"arc": rec.entry.arc, "angle": rec.entry.angle},
-        "trapped": rec.trapped,
-        "exit": None if rec.trapped else {"arc": rec.exit.arc,
-                                          "angle": rec.exit.angle},
-        "tau": None if rec.trapped else rec.tau,
-    })
+    _write_report(args, _exit_fields(metric, rec.entry, rec.exit, rec.tau))
     return 0
 
 
@@ -142,10 +144,7 @@ def _cmd_eaton(args) -> int:
     metric = ls.eaton_metric()
     opts = ls.IntegrationOptions(step_tol=args.step_tol)
     # Traced before the report is written: a fan of pole chords leaves none.
-    fan = (_drop_pole_chords(ls.scattering.per_angle(
-                                 metric, _parallel_fan(args.svg_rays),
-                                 lambda v: ls.integrate_geodesic(metric, v, opts)),
-                             "eaton", "fan ray")
+    fan = (_traced_fan(metric, _parallel_fan(args.svg_rays), opts, "eaton", "fan ray")
            if args.emit_svg else [])
     rep = ls.invisibility_check(_parse_grid(args.grid), args.tol, metric=metric, opts=opts)
     circuits_ok = all(abs(w) == 1 for w in rep.windings)
@@ -224,10 +223,8 @@ def _cmd_render(args) -> int:
         return 0
     metric = ls.load_metric(args.metric)
     opts = ls.IntegrationOptions(step_tol=args.step_tol)
-    paths = ls.scattering.per_angle(metric, _parse_grid(args.grid),
-                                    lambda v: ls.integrate_geodesic(metric, v, opts))
-    render_rays(_drop_pole_chords(paths, "render", "grid entry"), args.out,
-                radius=metric.radius)
+    render_rays(_traced_fan(metric, _parse_grid(args.grid), opts, "render", "grid entry"),
+                args.out, radius=metric.radius)
     return 0
 
 

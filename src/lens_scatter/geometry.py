@@ -582,13 +582,15 @@ def chord_impact(metric: ConformalMetric, entry) -> float:
     """Distance ``R |cos(angle)|`` from the origin to the straight entry chord.
 
     Validates the entry first: raises ``ValueError`` unless the angle lies
-    strictly inside ``(0, pi)``, and :class:`SingularChordError` when the
-    chord of a singular metric passes within ``EXCLUSION_RADIUS`` of the
-    origin.
+    in ``[1e-7, pi - 1e-7]`` (nearer tangent, exit data go quietly wrong),
+    and :class:`SingularChordError` when the chord of a singular metric
+    passes within ``EXCLUSION_RADIUS`` of the origin.
     """
     chi = float(entry.angle)
     if not (0.0 < chi < math.pi):
         raise ValueError("entry vector must point strictly inward")
+    if not 1e-7 <= chi <= math.pi - 1e-7:
+        raise ValueError(f"entry angle {chi!r} lies within 1e-7 of tangent to the boundary")
     impact = metric.radius * abs(math.cos(chi))
     if metric.singular_at_origin and impact < EXCLUSION_RADIUS:
         raise SingularChordError(
@@ -902,7 +904,7 @@ def integrate_geodesic(metric: ConformalMetric, entry, opts: IntegrationOptions 
 
     ``entry`` is any object with ``arc`` (fraction of perimeter) and
     ``angle`` (radians from the oriented boundary tangent) attributes; the
-    angle must lie strictly inside ``(0, pi)``.  The boundary exit event is
+    angle must lie in ``[1e-7, pi - 1e-7]``.  The boundary exit event is
     localized by bracketed root finding on the signed radial excess of the
     dense solution, well below ``opts.step_tol``.  Returns a trapped path
     (``exit is None``) once the metric length exceeds ``opts.max_length``.

@@ -7,10 +7,11 @@ import pytest
 
 from lens_scatter import geometry
 from lens_scatter.cli import main
-from lens_scatter.geometry import integrate_geodesic
+from lens_scatter.geometry import IntegrationOptions, integrate_geodesic
+from lens_scatter.scattering import _arc_distance
 
 from conftest import run_python
-from pins import PINS, mismatches
+from pins import DATA, PINS, mismatches
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -392,6 +393,48 @@ def test_bad_numeric_option_is_input_error(tmp_path, capsys, args, message):
     assert captured.out == ""
     assert captured.err == f"lens-scatter: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["scatter", "trace"])
+@pytest.mark.parametrize("metric", ["vacuum", "eaton"])
+@pytest.mark.parametrize("angle", [1e-12, 1e-9, 2e-8, math.pi - 1e-12, math.pi - 1e-9,
+                                   math.pi - 2e-8])
+def test_near_tangent_entry_is_input_error(tmp_path, capsys, command, metric, angle):
+    code = main([command, "--metric", metric, "--arc", "0.1", "--angle", repr(angle),
+                 "--out", str(tmp_path / "r.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"lens-scatter: entry angle {angle!r} lies within 1e-7 "
+                            f"of tangent to the boundary\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+class TestTraceAgreesWithScatter:
+    """``trace`` and ``scatter`` report one entry's exit fields alike: the
+    same ``metric``, ``entry`` and ``trapped``, and the traced exit and
+    ``tau`` within 10 step_tol of the quadrature's."""
+
+    @pytest.mark.parametrize("entry", [("0.1", "1.0"), ("0.35", "2.2"), ("0.8", "0.3")])
+    @pytest.mark.parametrize("metric", ["vacuum", "eaton", "four-knots"])
+    def test_exit_fields_agree(self, capsys, metric, entry):
+        if metric == "four-knots":
+            metric = str(DATA / "metric-four-knots.json")
+        arc, angle = entry
+        reports = []
+        for command in ("trace", "scatter"):
+            code, out = run([command, "--metric", metric, "--arc", arc, "--angle", angle],
+                            capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        trace, scatter = reports
+        for key in ("metric", "entry", "trapped"):
+            assert trace[key] == scatter[key]
+        bound = 10.0 * IntegrationOptions().step_tol
+        assert 2.0 * math.pi * _arc_distance(trace["exit"]["arc"],
+                                             scatter["exit"]["arc"]) < bound
+        assert abs(trace["exit"]["angle"] - scatter["exit"]["angle"]) < bound
+        assert abs(trace["tau"] - scatter["tau"]) < bound
 
 
 class TestTraceCommand:

@@ -16,7 +16,8 @@ from lens_scatter.geometry import (TWO_PI, ConformalMetric, IntegrationOptions,
                                    SingularChordError, SingularityError,
                                    integrate_geodesic, load_metric,
                                    metric_from_spec, riemannian_length)
-from lens_scatter.scattering import BoundaryVector, _arc_distance, boundary_grid
+from lens_scatter.scattering import (BoundaryIsometry, BoundaryVector, _arc_distance,
+                                     boundary_grid, compare_scattering)
 
 from conftest import christoffel_turn_rate, run_python, solve_ivp_trace
 from test_scattering import GENTLE_BUMPS, KINKED_PROFILE, _seeded_bumps
@@ -508,6 +509,44 @@ def _mobius_pullback(a: complex) -> ConformalMetric:
     return ConformalMetric.general(n, grad, name=f"mobius-{a}")
 
 
+def _pulled_back(metric: ConformalMetric, a: complex) -> ConformalMetric:
+    """A ``general`` metric pulled back by ``phi_a``: index ``n(phi_a(z))
+    |phi_a'(z)|``, with gradient ``|phi_a'| conj(phi_a') grad n(phi_a(z)) +
+    n(phi_a(z)) grad |phi_a'|`` and ``phi_a'(z) = (1 - |a|^2) / (1 - conj(a)
+    z)^2``; :func:`_mobius_pullback` supplies ``|phi_a'|`` and its gradient."""
+    n, grad = metric.field
+    scale, scale_grad = _mobius_pullback(a).field
+    c = 1.0 - abs(a) ** 2
+
+    def image(x, y):
+        # phi_a(z) and phi_a'(z).
+        z = complex(x, y)
+        q = 1.0 - a.conjugate() * z
+        return (z - a) / q, c / (q * q)
+
+    def m(x, y):
+        w, _ = image(x, y)
+        return n(w.real, w.imag) * scale(x, y)
+
+    def m_grad(x, y):
+        w, dw = image(x, y)
+        gx, gy = grad(w.real, w.imag)
+        g = scale(x, y) * dw.conjugate() * complex(gx, gy)
+        nw = n(w.real, w.imag)
+        sx, sy = scale_grad(x, y)
+        return g.real + nw * sx, g.imag + nw * sy
+
+    return ConformalMetric.general(m, m_grad, name=f"{metric.name}-mobius-{a}")
+
+
+def _mobius_arc(a: complex, arc: float) -> float:
+    """The arc of ``phi_a(z)`` for the rim point ``z`` at ``arc``;
+    ``phi_-a`` is the inverse of ``phi_a``."""
+    z = complex(math.cos(TWO_PI * arc), math.sin(TWO_PI * arc))
+    w = (z - a) / (1.0 - a.conjugate() * z)
+    return math.atan2(w.imag, w.real) / TWO_PI
+
+
 class TestMobiusPullbacks:
     """A flat pullback's geodesics are the automorphism's preimages of
     chords: the exit is ``phi_a^-1`` of the chord's exit from
@@ -520,12 +559,7 @@ class TestMobiusPullbacks:
         opts = IntegrationOptions()
         worst = [0.0, 0.0, 0.0]
         for entry in boundary_grid(16, 8):
-            z = complex(math.cos(TWO_PI * entry.arc), math.sin(TWO_PI * entry.arc))
-            w = (z - a) / (1.0 - a.conjugate() * z)
-            w_arc = math.atan2(w.imag, w.real) / TWO_PI + entry.angle / math.pi
-            w_exit = complex(math.cos(TWO_PI * w_arc), math.sin(TWO_PI * w_arc))
-            z_exit = (w_exit + a) / (1.0 + a.conjugate() * w_exit)
-            want_arc = math.atan2(z_exit.imag, z_exit.real) / TWO_PI
+            want_arc = _mobius_arc(-a, _mobius_arc(a, entry.arc) + entry.angle / math.pi)
             path = integrate_geodesic(metric, entry, opts)
             misses = (TWO_PI * _arc_distance(path.exit.arc, want_arc),
                       abs(path.exit.angle - entry.angle),
@@ -534,6 +568,48 @@ class TestMobiusPullbacks:
         # Measured: at most 4.6e-10 (arc, radians), 2.3e-10 (angle) and
         # 2.9e-10 (length) at step_tol 1e-7.
         assert max(worst) < 0.01 * opts.step_tol, worst
+
+
+class TestMobiusGauge:
+    """Pulled back by ``phi_a``, a metric scatters as before with its rim
+    relabelled by ``phi_a``: the exit is ``phi_a^-1`` of the original exit
+    from ``phi_a(entry)``, with the same exit angle and the same length.
+    ``phi_a`` on the rim is no isometry of the circle, so the relabelled
+    data differ from the original under every shift and reflection."""
+
+    @pytest.mark.parametrize("a", [0.3, 0.35 + 0.2j])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_pulled_back_bumps_keep_their_data(self, seed, a):
+        bumps = _seeded_bumps(seed)
+        metric = _pulled_back(bumps, a)
+        opts = IntegrationOptions()
+        worst = [0.0, 0.0, 0.0]
+        for entry in boundary_grid(8, 4):
+            want = integrate_geodesic(
+                bumps, BoundaryVector(_mobius_arc(a, entry.arc), entry.angle), opts)
+            path = integrate_geodesic(metric, entry, opts)
+            misses = (TWO_PI * _arc_distance(path.exit.arc, _mobius_arc(-a, want.exit.arc)),
+                      abs(path.exit.angle - want.exit.angle),
+                      abs(path.length - want.length))
+            worst = [max(m, w) for m, w in zip(misses, worst)]
+        # Measured: at most 0.040 step_tol (the exit arc, seed 11, a =
+        # 0.35+0.2i) at step_tol 1e-7.
+        assert max(worst) < 0.1 * opts.step_tol, worst
+
+    @pytest.mark.parametrize("a", [0.3, 0.2 + 0.4j, 0.6])
+    def test_flat_pullback_is_not_the_vacuum_up_to_isometry(self, a):
+        # Over 64 shifts, with and without reflection, the smallest
+        # max_arc_dev on this grid is 0.19 at a = 0.3, 0.28 at 0.2+0.4i
+        # (shift 3/64) and 0.36 at 0.6 (shift 4/64).
+        vacuum = ConformalMetric.vacuum()
+        metric = _mobius_pullback(a)
+        for shift in (0.0, 3 / 64, 4 / 64, 0.5):
+            for reflect in (False, True):
+                rep = compare_scattering(vacuum, metric, BoundaryIsometry(shift, reflect),
+                                         boundary_grid(8, 4))
+                assert (rep.trapped_count, rep.excluded) == (0, 0)
+                assert not rep.equal
+                assert rep.max_arc_dev > 0.15
 
 
 class TestRotatedPaths:

@@ -417,7 +417,7 @@ class TestClairautFastPath:
         assert abs(path.length - (2.0 * math.pi + 2.0 * math.sin(chi))) < bound
         assert _arc_distance(path.exit.arc, 0.1 + chi / math.pi) < bound
 
-    @pytest.mark.parametrize("chi", [1e-6, 3e-6, 3e-5, 3e-4])
+    @pytest.mark.parametrize("chi", [1e-7, 5e-7, 1e-6, 3e-6, 3e-5, 3e-4])
     def test_near_grazing_lens_quadrature_within_step_tol(self, eaton, chi, monkeypatch):
         # Below chi ~ 5e-6 the whole orbit lies within _SIMPSON_ZONE of r*,
         # so every node takes n r - p from Simpson's rule on (n r)'.  That
@@ -430,6 +430,29 @@ class TestClairautFastPath:
         step_tol = IntegrationOptions().step_tol
         assert abs(rec.tau - (2.0 * math.pi + 2.0 * math.sin(chi))) < step_tol
         assert _arc_distance(rec.exit.arc, 0.1 + chi / math.pi) < step_tol
+
+    @pytest.mark.parametrize("chi", [1e-7, 5e-7, 1e-6])
+    def test_near_grazing_mirrored_lens_entry_within_step_tol(self, eaton, chi):
+        # Entered at pi - chi, the ray circles the other way: its exit lies
+        # chi / pi before the entry, at the same length.
+        rec = scatter(eaton, BoundaryVector(0.1, math.pi - chi))
+        step_tol = IntegrationOptions().step_tol
+        assert abs(rec.tau - (2.0 * math.pi + 2.0 * math.sin(chi))) < step_tol
+        assert _arc_distance(rec.exit.arc, 0.1 - chi / math.pi) < step_tol
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["chi", "pi-chi"])
+    @pytest.mark.parametrize("chi", [1e-12, 1e-9, 2e-8])
+    def test_near_tangent_entry_is_rejected(self, eaton, chi, mirrored):
+        # Below 1e-7, cos(chi) carries too few bits for the quadrature and
+        # the traced fallback cannot hug the rim: at chi = 1e-12 scatter and
+        # trace both missed the lens's tau by 5.8.  Every metric refuses
+        # such an entry.
+        entry = BoundaryVector(0.1, math.pi - chi if mirrored else chi)
+        for metric in (eaton, ConformalMetric.vacuum(), BENDING_PROFILE):
+            for compute in (scatter, integrate_geodesic):
+                with pytest.raises(ValueError, match="within 1e-7 of tangent") as err:
+                    compute(metric, entry)
+                assert type(err.value) is ValueError
 
     def test_general_metric_falls_back_to_ode(self, monkeypatch):
         tracer = _CountingTracer()
