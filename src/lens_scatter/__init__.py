@@ -16,8 +16,8 @@ _LAZY = {name: module for module, names in {
     "curves": ("ParametricCurve", "TrigCurve", "circle", "lemniscate", "load_curve_csv",
                "named_curve", "rose"),
     "lift": ("FLAT_INJECTIVITY_RADIUS", "LiftedCurve", "MinimalLinearCurve", "PLVertexPath",
-             "ProjCurve", "ProjPoint", "dist_components", "projectivize",
-             "triangle_angle_sum", "unit_tangent_lift"),
+             "ProjPoint", "dist_components", "projectivize", "triangle_angle_sum",
+             "unit_tangent_lift"),
     "knot": ("Certificate", "Crossing", "InvariantTable", "PLLoop", "TangentLoop",
              "analyze_loop", "certify_nontrivial", "choose_refinement_n", "crossing_sign",
              "crossing_type", "embedding_separation", "find_crossings", "pl_refine",

@@ -185,14 +185,13 @@ def _cmd_invariant(args) -> int:
                         "line_winding": cert.line_winding},
     })
     if args.emit_svg:
-        render_annulus(ls.projectivize(loop.lifted), args.emit_svg)
+        render_annulus(loop.lifted, args.emit_svg)
     return 0
 
 
 def _cmd_approx_pl(args) -> int:
     curve = ls.named_curve(args.curve)
-    proj = ls.projectivize(ls.unit_tangent_lift(curve, args.samples))
-    pts = proj.proj_points()
+    pts = ls.unit_tangent_lift(curve, args.samples).proj_points()
 
     def iso(s, t):
         return pts[int(round((t % 1.0) * len(pts))) % len(pts)]
@@ -219,7 +218,7 @@ def _cmd_render(args) -> int:
         raise ValueError("render needs exactly one of --metric and --curve")
     if args.curve:
         curve = ls.named_curve(args.curve)
-        render_annulus(ls.projectivize(ls.unit_tangent_lift(curve, args.samples)), args.out)
+        render_annulus(ls.unit_tangent_lift(curve, args.samples), args.out)
         return 0
     metric = ls.load_metric(args.metric)
     opts = ls.IntegrationOptions(step_tol=args.step_tol)

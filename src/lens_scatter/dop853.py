@@ -359,10 +359,10 @@ class DenseSolution:
     ``ys`` the states there: the exact step states, and the last step's
     interpolant at the stop.  ``event`` is the index of the event that
     stopped the run.  ``nfev`` counts right-hand side calls: two for the
-    first step size, 12 per accepted trial step, 11 per rejected one (12
-    under a ``cut`` hook, which reads the slope at its end) and 3 per
-    interpolated step; each passes ``rhs`` a stage's ``(x, y, theta)``
-    alone.  ``steps`` and ``rejected`` count accepted and rejected steps.
+    first step size, 12 per accepted trial step, 11 per rejected one (its
+    end slope is never read) and 3 per interpolated step; each passes
+    ``rhs`` a stage's ``(x, y, theta)`` alone.  ``steps`` and ``rejected``
+    count accepted and rejected steps.
     """
 
     def __init__(self, rhs):
@@ -460,7 +460,7 @@ def solve(rhs, y0, rtol: float, atol: float, events, cut=None) -> DenseSolution:
     scipy's IVP routine finds it.
     Raises ``RuntimeError`` when the step size falls below its floor.
 
-    ``cut(h, y, y_new, f, f_new)``, if given, sees every trial step before
+    ``cut(h, y, y_new)``, if given, sees every trial step before
     its error norm is used, which means nothing on a step across a point
     where ``rhs`` is not smooth.  It returns ``None``, or a shorter step that
     ends just past the first such point; the step is then redone at that
@@ -487,15 +487,14 @@ def solve(rhs, y0, rtol: float, atol: float, events, cut=None) -> DenseSolution:
             h_abs = abs(h)
             y_new, error_norm, stages = _step(rhs, h, y, f, rtol, atol)
             sol.nfev += _STAGES - 1
-            if cut is not None or error_norm < 1:
-                f_new = rhs(*y_new[:3])
-                sol.nfev += 1
-            h_cut = None if cut is None else cut(h, y, y_new, f, f_new)
+            h_cut = None if cut is None else cut(h, y, y_new)
             if h_cut is not None:
                 if resume is None:
                     resume = h_abs
                 h_abs = h_cut
             elif error_norm < 1:
+                f_new = rhs(*y_new[:3])
+                sol.nfev += 1
                 factor = (MAX_FACTOR if error_norm == 0
                           else min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
                 if rejected:

@@ -95,7 +95,9 @@ class BoundaryVector:
     def __post_init__(self):
         if not math.isfinite(self.arc):
             raise ValueError(f"boundary arc must be finite, got {self.arc}")
-        object.__setattr__(self, "arc", self.arc % 1.0)
+        # A tiny negative arc rounds to 1.0 mod 1; it is the point at 0.
+        arc = self.arc % 1.0
+        object.__setattr__(self, "arc", 0.0 if arc == 1.0 else arc)
         if not (0.0 <= self.angle <= math.pi):
             raise ValueError("tangent angle must lie in [0, pi]")
 
@@ -109,7 +111,7 @@ def boundary_vector_at(x: float, y: float, theta: float) -> BoundaryVector:
     tx, ty = -math.sin(phi), math.cos(phi)
     dot = math.cos(theta) * tx + math.sin(theta) * ty
     chi = math.acos(max(-1.0, min(1.0, dot)))
-    return BoundaryVector((phi / TWO_PI) % 1.0, chi)
+    return BoundaryVector(phi / TWO_PI, chi)
 
 
 @dataclass(frozen=True)
@@ -453,12 +455,12 @@ class TraceStats:
 
     ``termination`` is ``"exited"`` or ``"length_cap"``.  ``rhs_calls``
     counts right-hand side evaluations (see ``DenseSolution.nfev``: a
-    rejected step costs one fewer than an accepted one, except on a
-    tabulated profile), ``steps`` and ``rejected`` the accepted and
-    rejected solver steps; a step cut short at a knot circle of a
-    tabulated profile counts as rejected.  ``refine_rounds`` counts the
-    rounds that subdivided the samples; ``refine_exhausted`` is set when
-    all of them ran, so the last round's samples went unchecked.
+    rejected step costs one fewer than an accepted one), ``steps`` and
+    ``rejected`` the accepted and rejected solver steps; a step cut short
+    at a knot circle of a tabulated profile counts as rejected.
+    ``refine_rounds`` counts the rounds that subdivided the samples;
+    ``refine_exhausted`` is set when all of them ran, so the last round's
+    samples went unchecked.
     """
 
     termination: str
@@ -832,7 +834,9 @@ def _knot_cut(metric: ConformalMetric):
     just past the first circle they cross, so an exit step ends just past
     the rim.  Along the step ``q = x^2 + y^2`` is taken as the cubic
     Hermite of its end values and slopes, which is exact for a straight
-    step and finds the circles a step dips across and back out of.
+    step and finds the circles a step dips across and back out of.  The end
+    slopes of ``(x, y)`` are ``(cos theta, sin theta)``, which is what the
+    right-hand side gives for them.
     """
     if not metric.is_radial:
         return None
@@ -842,10 +846,10 @@ def _knot_cut(metric: ConformalMetric):
         return None
     over = _KNOT_OVERSHOOT * R
 
-    def cut(h, y, y_new, f, f_new):
+    def cut(h, y, y_new):
         q0 = y[0] * y[0] + y[1] * y[1]
-        m0 = 2.0 * h * (y[0] * f[0] + y[1] * f[1])
-        m1 = 2.0 * h * (y_new[0] * f_new[0] + y_new[1] * f_new[1])
+        m0 = 2.0 * h * (y[0] * math.cos(y[2]) + y[1] * math.sin(y[2]))
+        m1 = 2.0 * h * (y_new[0] * math.cos(y_new[2]) + y_new[1] * math.sin(y_new[2]))
         d = y_new[0] * y_new[0] + y_new[1] * y_new[1] - q0
         c2 = 3.0 * d - 2.0 * m0 - m1
         c3 = m0 + m1 - 2.0 * d

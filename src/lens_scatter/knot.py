@@ -14,6 +14,10 @@ closing the ``[l, l']`` arc with the shorter fiber arc between the two
 frame vectors, measured as total line rotation in units of pi (an even
 integer on the disk, 0 being the trivial class).  The table ``g -> W_g``
 counts crossings of each nonzero type with signs.
+
+A framed loop hands out single values as Python floats: ``base_point`` and
+``base_velocity`` give ``(x, y)`` tuples, ``frame_angle`` a float.  Sample
+sets, such as a loop's ``sample_points``, are numpy arrays.
 """
 
 from __future__ import annotations
@@ -61,30 +65,29 @@ class TangentLoop(_FramedLoop):
     """Framed loop whose frame is the unit tangent of its own base curve.
 
     The crossing search runs on the lift's sample points, and each
-    velocity is evaluated once per parameter, then shared (read-only) by
-    crossing polishing, signs and types.
+    velocity is evaluated once per parameter and cached as an ``(x, y)``
+    tuple, shared by crossing polishing, signs and types.
     """
 
     def __init__(self, curve: ParametricCurve, samples: int = 512):
         self.curve = curve
         self.lifted = unit_tangent_lift(curve, samples)
         self.period_shift = self.lifted.total_turn
-        self._velocities: dict[float, np.ndarray] = {}
+        self._velocities: dict[float, tuple[float, float]] = {}
 
     def sample_points(self) -> np.ndarray:
         return self.lifted.points
 
-    def base_point(self, l: float) -> np.ndarray:
-        return self.curve.point(l % 1.0)
+    def base_point(self, l: float) -> tuple[float, float]:
+        return tuple(self.curve.point(l % 1.0).tolist())
 
-    def _velocity(self, lw: float) -> np.ndarray:
+    def _velocity(self, lw: float) -> tuple[float, float]:
         v = self._velocities.get(lw)
         if v is None:
-            v = self._velocities[lw] = self.curve.velocity(lw)
-            v.flags.writeable = False
+            v = self._velocities[lw] = tuple(self.curve.velocity(lw).tolist())
         return v
 
-    def base_velocity(self, l: float) -> np.ndarray:
+    def base_velocity(self, l: float) -> tuple[float, float]:
         return self._velocity(l % 1.0)
 
     def frame_angle(self, l: float) -> float:
@@ -94,7 +97,7 @@ class TangentLoop(_FramedLoop):
         theta = self.lifted.theta
         i = min(int(round(lw * len(theta))), len(theta) - 1)
         v = self._velocity(lw)
-        return theta[i] + math.remainder(math.atan2(v[1], v[0]) - theta[i], TWO_PI)
+        return float(theta[i] + math.remainder(math.atan2(v[1], v[0]) - theta[i], TWO_PI))
 
 
 class PLLoop(_FramedLoop):
@@ -104,14 +107,14 @@ class PLLoop(_FramedLoop):
         self.path = path
         self.period_shift = path.total_rotation
 
-    def base_point(self, l: float) -> np.ndarray:
-        return self.path.point_at(l).base
+    def base_point(self, l: float) -> tuple[float, float]:
+        x, y, _ = self.path.point_at(l)
+        return x, y
 
-    def base_velocity(self, l: float) -> np.ndarray:
+    def base_velocity(self, l: float) -> tuple[float, float]:
         n = self.path.n
-        k = min(int((l % 1.0) * n), n - 1)
-        xy = self.path.xyl[:, :2]
-        return xy[(k + 1) % n] - xy[k]
+        p, q = _edge_ends(self.path.xyl, min(int((l % 1.0) * n), n - 1))
+        return q.x - p.x, q.y - p.y
 
     def frame_angle(self, l: float) -> float:
         return self.path.point_at(l).lift
@@ -233,30 +236,27 @@ def _polish_crossing(loop, l: float, lp: float):
     """Newton-refine base_point(l) == base_point(l'), then check transversality.
 
     Returns ``l``, ``l'`` mod 1 and the base point at ``l`` it converged on.
-    Each evaluation is read once into Python floats, whose arithmetic gives
-    the bits numpy's scalars would.
     """
-    l, lp = float(l), float(lp)
-    x, y = loop.base_point(l).tolist()
-    x2, y2 = loop.base_point(lp).tolist()
+    x, y = loop.base_point(l)
+    x2, y2 = loop.base_point(lp)
     fx, fy = x - x2, y - y2
     for _ in range(30):
         if math.hypot(fx, fy) < 1e-13:
             break
-        a1, b1 = loop.base_velocity(l).tolist()
-        a2, b2 = loop.base_velocity(lp).tolist()
+        a1, b1 = loop.base_velocity(l)
+        a2, b2 = loop.base_velocity(lp)
         det = -a1 * b2 + b1 * a2
         if abs(det) < 1e-14:
             raise SelfTangencyError("parallel branches at a coincident point")
         l -= (-fx * b2 + fy * a2) / det
         lp -= (a1 * fy - b1 * fx) / det
-        x, y = loop.base_point(l).tolist()
-        x2, y2 = loop.base_point(lp).tolist()
+        x, y = loop.base_point(l)
+        x2, y2 = loop.base_point(lp)
         fx, fy = x - x2, y - y2
     if math.hypot(fx, fy) > _CROSSING_TOL:
         raise DegenerateCrossingError("crossing refinement did not converge")
-    a1, b1 = loop.base_velocity(l).tolist()
-    a2, b2 = loop.base_velocity(lp).tolist()
+    a1, b1 = loop.base_velocity(l)
+    a2, b2 = loop.base_velocity(lp)
     s = abs(a1 * b2 - b1 * a2) / (math.hypot(a1, b1) * math.hypot(a2, b2))
     if s < _ANGULAR_TOL:
         raise SelfTangencyError("branches meet tangentially")
@@ -274,7 +274,7 @@ def _dedup(raw, merge_tol: float):
             if (near(c.l, lo) and near(c.l_prime, hi)) or (near(c.l, hi) and near(c.l_prime, lo)):
                 break
         else:
-            out.append(Crossing(float(lo), float(hi), (float(pt[0]), float(pt[1]))))
+            out.append(Crossing(lo, hi, pt))
     out.sort(key=lambda c: (c.l, c.l_prime))
     return out
 
@@ -301,7 +301,8 @@ def find_crossings(loop) -> list[Crossing]:
     pts = loop.sample_points()
     m = len(pts)
     i, j, t, u, _, _ = _polyline_hits(pts, 1e-9)
-    raw = [_polish_crossing(loop, l, lp) for l, lp in zip((i + t) / m, (j + u) / m)]
+    raw = [_polish_crossing(loop, l, lp)
+           for l, lp in zip(((i + t) / m).tolist(), ((j + u) / m).tolist())]
     return _dedup(raw, merge_tol=max(2.0 / m, 1e-5))
 
 
@@ -313,7 +314,8 @@ def _pl_crossings(loop: PLLoop) -> list[Crossing]:
     i, j, t, u, d, h = _polyline_hits(base, -1e-9)
     if np.any(np.abs(d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]) / (h[i] * h[j]) < _ANGULAR_TOL):
         raise SelfTangencyError("PL edges cross tangentially")
-    raw = [(l, lp, loop.base_point(l)) for l, lp in zip((i + t) / n, (j + u) / n)]
+    raw = [(l, lp, loop.base_point(l))
+           for l, lp in zip(((i + t) / n).tolist(), ((j + u) / n).tolist())]
     return _dedup(raw, merge_tol=1e-7)
 
 
@@ -339,15 +341,15 @@ def crossing_type(crossing: Crossing, loop) -> int:
     fiber arc gives a loop whose total line rotation is an even multiple of
     pi; the type is that multiple's absolute value.  For loops whose frame
     closes up (zero period shift, the domain of the signed-count table) the
-    complementary arc ``[l', l + 1]`` lands in the same class.  Raises
-    :class:`NonIntegralClassError` when the rotation is more than 0.05
-    half-turns from a whole number.
+    complementary arc ``[l', l + 1]`` lands in the same class.  The
+    rotation is ``d - remainder(d, 2 pi)`` for the frame gap ``d``, a whole
+    number of turns up to rounding.
     """
     loop = as_framed_loop(loop)
     chi_l = loop.frame_angle(crossing.l)
     chi_lp = loop.frame_angle(crossing.l_prime)
     total = (chi_lp - chi_l) - math.remainder(chi_lp - chi_l, TWO_PI)
-    return abs(_whole_number(total / math.pi, 0.05, "smoothed rotation in half-turns"))
+    return abs(round(total / math.pi))
 
 
 def first_return_crossing(crossings) -> Crossing:

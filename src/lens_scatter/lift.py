@@ -11,6 +11,9 @@ is trivial, and the product (Sasakian) metric on base x fiber makes a
 Distances between bundle points: ``d_h`` is the base distance, ``d_v`` the
 angle between the lines after (trivial) transport, in ``[0, pi/2]``, and
 ``d0 = max(d_h, d_v)``.
+
+A single point or vector travels as Python floats (a :class:`ProjPoint`,
+an ``(x, y)`` tuple); a set of samples or vertices is a numpy array.
 """
 
 from __future__ import annotations
@@ -68,10 +71,6 @@ class ProjPoint(NamedTuple):
     @property
     def line_angle(self) -> float:
         return self.lift % math.pi
-
-    @property
-    def base(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,10 @@ class LiftedCurve:
     """Closed curve in the unit tangent bundle: base samples at the ``m``
     parameters ``i / m`` plus a continuous direction-angle lift there.
     ``total_turn`` is the lift increment over one full
-    period (2 pi times the turning number)."""
+    period (2 pi times the turning number).
+
+    Read mod pi, the same lift is the curve's projectivization in the line
+    bundle: ``line_winding`` and ``proj_points`` are that reading."""
 
     def __init__(self, points, theta, *, total_turn):
         self.points = np.asarray(points, dtype=float)
@@ -201,6 +203,14 @@ class LiftedCurve:
     @property
     def turning_number(self) -> int:
         return _whole_number(self.total_turn / TWO_PI, 1e-6, "total rotation in turns")
+
+    @property
+    def line_winding(self) -> int:
+        return _whole_number(self.total_turn / math.pi, 1e-6, "line rotation in half-turns")
+
+    def proj_points(self) -> list[ProjPoint]:
+        rows = zip(self.points[:, 0].tolist(), self.points[:, 1].tolist(), self.theta.tolist())
+        return list(map(tuple.__new__, repeat(ProjPoint), rows))
 
 
 def unit_tangent_lift(curve, samples: int = 512) -> LiftedCurve:
@@ -228,33 +238,15 @@ def unit_tangent_lift(curve, samples: int = 512) -> LiftedCurve:
     return LiftedCurve(pts, theta_ext[:-1], total_turn=theta_ext[-1] - theta_ext[0])
 
 
-class ProjCurve:
-    """Projectivized lift: same continuous lift, read as a line angle mod pi."""
-
-    def __init__(self, lifted: LiftedCurve):
-        self.lifted = lifted
-        self.points = lifted.points
-        self.line_lift = lifted.theta
-
-    @property
-    def line_winding(self) -> int:
-        return _whole_number(self.lifted.total_turn / math.pi, 1e-6,
-                             "line rotation in half-turns")
-
-    def proj_points(self) -> list[ProjPoint]:
-        rows = zip(self.points[:, 0].tolist(), self.points[:, 1].tolist(),
-                   self.line_lift.tolist())
-        return list(map(tuple.__new__, repeat(ProjPoint), rows))
-
-
-def projectivize(lifted: LiftedCurve) -> ProjCurve:
+def projectivize(lifted: LiftedCurve) -> LiftedCurve:
     """Quotient a tangent-bundle curve by the opposite-vector identification.
 
-    A closed curve whose direction winds ``w`` times becomes a closed curve
-    in the line bundle winding ``2 w`` times along the fiber (the fiber
-    halves from 2 pi to pi).
+    The line-bundle reading is the same lift read mod pi, so ``lifted`` is
+    returned as it is.  A closed curve whose direction winds ``w`` times
+    becomes a closed curve in the line bundle winding ``2 w`` times along
+    the fiber (the fiber halves from 2 pi to pi).
     """
-    return ProjCurve(lifted)
+    return lifted
 
 
 class PLVertexPath:
@@ -295,7 +287,7 @@ class PLVertexPath:
         return float(self.xyl[0, 2] + self._turned[k])
 
     def point_at(self, u: float) -> ProjPoint:
-        u = u % 1.0
+        u = float(u) % 1.0
         scaled = u * self.n
         k = min(int(scaled), self.n - 1)
         frac = scaled - k
@@ -316,15 +308,14 @@ def _edge_ends(xyl, k: int) -> tuple[ProjPoint, ProjPoint]:
     return ProjPoint(*xyl[k].tolist()), ProjPoint(*xyl[(k + 1) % len(xyl)].tolist())
 
 
-def _flat_embedding(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> np.ndarray:
+def _flat_embedding(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> tuple[tuple, ...]:
     """Consistent (x, y, lift) coordinates for a small bundle triangle."""
-    cp = 0.0
     cq = fiber_step(p, q)
     cr = fiber_step(p, r)
     # The three pairwise short arcs must agree as one flat configuration.
     if abs(math.remainder(cr - cq, math.pi) - fiber_step(q, r)) > 1e-9:
         raise AmbiguousFiberArcError("fiber arcs of the triple wrap inconsistently")
-    return np.array([[p.x, p.y, cp], [q.x, q.y, cq], [r.x, r.y, cr]])
+    return (p.x, p.y, 0.0), (q.x, q.y, cq), (r.x, r.y, cr)
 
 
 def triangle_angle_sum(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> float:
@@ -337,8 +328,8 @@ def triangle_angle_sum(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> float:
     verts = _flat_embedding(p, q, r)
     total = 0.0
     for i in range(3):
-        a = (verts[(i + 1) % 3] - verts[i]).tolist()
-        b = (verts[(i + 2) % 3] - verts[i]).tolist()
+        a = [u - v for u, v in zip(verts[(i + 1) % 3], verts[i])]
+        b = [u - v for u, v in zip(verts[(i + 2) % 3], verts[i])]
         # Correctly rounded sums, not BLAS ones: the same bits on every CPU.
         na = math.sqrt(math.fsum(x * x for x in a))
         nb = math.sqrt(math.fsum(x * x for x in b))

@@ -41,8 +41,9 @@ def render_rays(paths, out_path, *, radius: float = 1.0) -> None:
         fh.write(_document(elements, 1.12 * radius))
 
 
-def render_annulus(proj_curve, out_path) -> None:
-    """Project a bundle curve into an annulus for illustration.
+def render_annulus(lifted, out_path) -> None:
+    """Project a sampled lift, read mod pi as a bundle curve, into an
+    annulus for illustration.
 
     The fiber coordinate runs around the annulus (a line angle of pi maps
     to a full turn) while the base radius interpolates between the inner
@@ -52,7 +53,7 @@ def render_annulus(proj_curve, out_path) -> None:
     inner, outer = 0.55, 1.0
     elements = [f'<circle cx="0" cy="0" r="{_fmt(r)}" fill="none" '
                 f'stroke="#444444" stroke-width="0.008"/>' for r in (inner, outer)]
-    pts = proj_curve.proj_points()
+    pts = lifted.proj_points()
     base_r = [math.hypot(p.x, p.y) for p in pts]
     rmax = max(max(base_r), 1e-9)
     xy = []

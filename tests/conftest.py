@@ -82,11 +82,13 @@ class CallableFramedLoop(_FramedLoop):
         ts = np.linspace(0.0, 1.0, self.samples, endpoint=False)
         return np.array([self._point(t) for t in ts.tolist()])
 
-    def base_point(self, l: float) -> np.ndarray:
-        return np.asarray(self._point(l % 1.0), dtype=float)
+    def base_point(self, l: float) -> tuple[float, float]:
+        x, y = self._point(l % 1.0)
+        return float(x), float(y)
 
-    def base_velocity(self, l: float) -> np.ndarray:
-        return np.asarray(self._velocity(l % 1.0), dtype=float)
+    def base_velocity(self, l: float) -> tuple[float, float]:
+        x, y = self._velocity(l % 1.0)
+        return float(x), float(y)
 
     def frame_angle(self, l: float) -> float:
         return float(self._chi(l % 1.0))

@@ -45,7 +45,7 @@ RESOLVED = [
     ("lift.projectivize", 1, ()),
     ("lift.unit_tangent_lift", 2, ()),
     ("lift.dist_components", None, ()),
-    ("lift.ProjCurve.proj_points", 1, ()),
+    ("lift.LiftedCurve.proj_points", 1, ()),
 ]
 
 

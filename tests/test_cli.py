@@ -59,6 +59,14 @@ class TestScatterCommand:
         assert rep["exit"]["arc"] == pytest.approx(0.25, abs=1e-9)
         assert rep["tau"] == pytest.approx(math.sqrt(2), abs=1e-9)
 
+    def test_exit_just_below_arc_zero_reports_zero(self, capsys):
+        # The chord's exit arc comes out a hair below 0, which mod 1 rounds
+        # to 1.0; the report names the point as 0.
+        code, out = run(["scatter", "--metric", "vacuum", "--arc", "0.0015749999999975371",
+                         "--angle", "3.1366446451603895"], capsys)
+        assert code == 0
+        assert json.loads(out)["exit"]["arc"] == 0.0
+
     def test_metric_file(self, tmp_path, capsys):
         spec = {"kind": "radial-profile", "radius": 1.0,
                 "profile": [[0.0, 1.2], [0.5, 1.1], [1.0, 1.0]]}

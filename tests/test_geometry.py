@@ -408,7 +408,7 @@ class TestProfileRim:
 
 
 class TestTraceStats:
-    def test_rhs_calls_count_field_evaluations(self):
+    def test_rhs_calls_count_field_evaluations(self, monkeypatch):
         n, grad = GENTLE_BUMPS.field
         calls = []
 
@@ -416,18 +416,37 @@ class TestTraceStats:
             calls.append((x, y))
             return grad(x, y)
 
-        metric = ConformalMetric.general(n, counted)
-        for entry, cap, end in [(BoundaryVector(0.1, 1.0), None, "exited"),
-                                (BoundaryVector(0.4, 1.2), 0.6, "length_cap")]:
-            calls.clear()
-            stats = integrate_geodesic(metric, entry, IntegrationOptions(max_length=cap)).stats
-            assert stats.termination == end
-            assert stats.rhs_calls == len(calls)
-            # Two calls pick the first step, each accepted try costs 12, each
-            # rejected one 11 (its end slope is never read) and each
-            # interpolated step 3 more; the last step is interpolated.
-            extra = stats.rhs_calls - 2 - 12 * stats.steps - 11 * stats.rejected
-            assert extra >= 3 and extra % 3 == 0
+        def check(metric, cases):
+            for entry, cap, end in cases:
+                calls.clear()
+                stats = integrate_geodesic(metric, entry, IntegrationOptions(max_length=cap)).stats
+                assert stats.termination == end
+                assert stats.rhs_calls == len(calls)
+                # Two calls pick the first step, each accepted try costs 12,
+                # each rejected one 11 (its end slope is never read) and each
+                # interpolated step 3 more; the last step is interpolated.
+                extra = stats.rhs_calls - 2 - 12 * stats.steps - 11 * stats.rejected
+                assert extra >= 3 and extra % 3 == 0
+
+        check(ConformalMetric.general(n, counted),
+              [(BoundaryVector(0.1, 1.0), None, "exited"),
+               (BoundaryVector(0.4, 1.2), 0.6, "length_cap")])
+        # On a tabulated profile the knot cutter rejects steps too, and reads
+        # no slopes of its own.
+        make_rhs = ConformalMetric._make_rhs
+
+        def counted_rhs(metric):
+            rhs = make_rhs(metric)
+
+            def f(x, y, theta):
+                calls.append((x, y))
+                return rhs(x, y, theta)
+
+            return f
+
+        monkeypatch.setattr(ConformalMetric, "_make_rhs", counted_rhs)
+        check(KNOT_PROFILE, [(BoundaryVector(0.6, 1.5), None, "exited"),
+                             (BoundaryVector(0.3, 1.0), 0.9, "length_cap")])
 
     def test_refinement_rounds(self, eaton):
         # Rays round the pole turn faster than the solver's steps resolve.

@@ -236,6 +236,29 @@ class TestCrossingSearch:
             find_crossings(self.crossed_edges(1e-8))
 
 
+class TestFloatContract:
+    """A framed loop hands out single values as Python floats, and its
+    crossings carry them too."""
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_loops_and_crossings_give_python_floats(self, corpus, index):
+        tangent = TangentLoop(corpus[index])
+        pl = PLLoop(PLVertexPath(unit_tangent_lift(corpus[index], 512).proj_points()[::4]))
+        assert pl.path.n == 128
+        params = [0.0, 0.37, 1.25, -0.6, np.float64(0.81), *np.linspace(0.0, 1.0, 7)]
+        for loop in (tangent, pl):
+            for l in params:
+                x, y = loop.base_point(l)
+                vx, vy = loop.base_velocity(l)
+                assert all(type(v) is float for v in (x, y, vx, vy, loop.frame_angle(l)))
+            crossings = analyze_loop(loop).crossings
+            assert crossings
+            for c in crossings:
+                assert all(type(v) is float for v in (c.l, c.l_prime, *c.point))
+                assert type(c.point) is tuple and len(c.point) == 2
+                assert type(c.sign) is int and type(c.ctype) is int
+
+
 class TestCrossingSign:
     def test_tangent_lift_always_positive(self):
         loop = TangentLoop(lemniscate())
@@ -291,19 +314,6 @@ class TestCrossingType:
             samples=128)
         synthetic = Crossing(0.05, 0.95, (0.0, 0.0))
         assert crossing_type(synthetic, loop) == 2
-
-    def test_half_integral_rotation_raises(self):
-        # The smoothed rotation is a whole number of turns in exact
-        # arithmetic; a frame gap of 1.3e16 rad, where the float spacing is
-        # 2, rounds it to exactly 0.5 half-turns off the integers.
-        loop = CallableFramedLoop(
-            lambda t: (0.1 * math.cos(2 * math.pi * t), 0.1 * math.sin(2 * math.pi * t)),
-            lambda t: (-math.sin(2 * math.pi * t), math.cos(2 * math.pi * t)),
-            lambda t: 2.6e16 * t,
-            samples=128)
-        synthetic = Crossing(0.0, 0.5, (0.0, 0.0))
-        with pytest.raises(RuntimeError, match="not integral"):
-            crossing_type(synthetic, loop)
 
     def test_non_integral_frame_shift_raises(self):
         loop = CallableFramedLoop(

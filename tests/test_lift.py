@@ -285,7 +285,6 @@ class TestArrayGaps:
         p = ProjPoint(0.25, -0.5, -1e-20)
         assert p == ProjPoint(0.25, -0.5, -1e-20) and hash(p) == hash((0.25, -0.5, -1e-20))
         assert p.line_angle == math.pi
-        assert p.base.tolist() == [0.25, -0.5]
         with pytest.raises(AttributeError):
             p.x = 1.0
 
@@ -337,7 +336,7 @@ class TestVertexArray:
     def test_proj_points_keep_their_values(self, seed):
         proj = projectivize(unit_tangent_lift(lemniscate(), 64 + seed))
         want = [ProjPoint(float(p[0]), float(p[1]), float(a))
-                for p, a in zip(proj.points, proj.line_lift)]
+                for p, a in zip(proj.points, proj.theta)]
         got = proj.proj_points()
         assert all(type(p) is ProjPoint for p in got)
         assert_same_bits(got, want)

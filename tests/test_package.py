@@ -13,8 +13,8 @@ PUBLIC = [
     "BoundaryIsometry", "BoundaryVector", "Certificate", "CompareReport",
     "ConformalMetric", "Crossing", "EatonProfile", "FLAT_INJECTIVITY_RADIUS",
     "GeodesicPath", "IntegrationOptions", "InvariantTable", "LiftedCurve",
-    "MinimalLinearCurve", "PLLoop", "PLVertexPath", "ParametricCurve", "ProjCurve",
-    "ProjPoint", "ScatteringRecord", "SingularChordError", "SingularityError",
+    "MinimalLinearCurve", "PLLoop", "PLVertexPath", "ParametricCurve", "ProjPoint",
+    "ScatteringRecord", "SingularChordError", "SingularityError",
     "TangentLoop", "TrigCurve", "analyze_loop", "boundary_grid",
     "certify_nontrivial", "choose_refinement_n", "circle", "compare_scattering",
     "crossing_sign", "crossing_type", "curves", "dist_components", "dop853",
@@ -30,7 +30,7 @@ MODULES = {"curves", "dop853", "eaton", "geometry", "knot", "lift", "scattering"
 
 
 def test_all_is_unchanged():
-    assert len(PUBLIC) == 64
+    assert len(PUBLIC) == 63
     assert ls.__all__ == PUBLIC
 
 

@@ -54,6 +54,11 @@ class TestClassify:
         with pytest.raises(ValueError, match="boundary arc must be finite"):
             BoundaryVector(arc, 1.0)
 
+    def test_arc_just_below_zero_folds_to_zero(self):
+        # -1e-17 % 1.0 rounds to 1.0, which is the same boundary point as 0.
+        assert BoundaryVector(-1e-17, 1.0).arc == 0.0
+        assert BoundaryVector(1.0, 1.0).arc == 0.0
+
 
 class TestScatter:
     def test_vacuum_diameter(self, vacuum):
