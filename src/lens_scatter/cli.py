@@ -346,7 +346,7 @@ def main(argv=None) -> int:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         _check_numbers(args)
         return args.func(args)
-    except (OSError, ValueError, KeyError, RuntimeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"lens-scatter: {exc}", file=sys.stderr)
         return 2
 

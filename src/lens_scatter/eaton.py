@@ -63,7 +63,19 @@ def _exact_dn_dr(n: float) -> float:
     return -(n ** 1.5) * (n + 1.0) ** 2 / (3.0 * n + 1.0)
 
 
-def _whole_turns(turns: float) -> int:
+def _chord_back(phi0: float, phi1: float) -> float:
+    """Polar sweep of the straight chord from polar angle ``phi1`` back to
+    ``phi0``.  Within 1e-9 rad of a half turn the chord runs through the
+    origin, and :class:`NonIntegralWindingError` is raised."""
+    back = -math.remainder(phi1 - phi0, TWO_PI)
+    if math.pi - abs(back) < 1e-9:
+        raise NonIntegralWindingError("the closing chord passes through the origin")
+    return back
+
+
+def _closed_winding(sweep: float, phi0: float, phi1: float) -> int:
+    """Whole turns of a sweep from ``phi0`` to ``phi1`` closed by the chord back."""
+    turns = (sweep + _chord_back(phi0, phi1)) / TWO_PI
     winding = round(turns)
     if abs(turns - winding) >= 0.1:
         raise NonIntegralWindingError(f"winding {turns:.3f} is not integral")
@@ -73,21 +85,16 @@ def _whole_turns(turns: float) -> int:
 def loop_winding(path: GeodesicPath) -> int:
     """Whole turns of a traced path around the origin.
 
-    The continuous polar-angle lift of the path is closed by the straight
-    chord back to the start (sampled and lifted the same way), so any
-    straight path scores 0 and a full interior circuit scores +-1.  Raises
-    :class:`NonIntegralWindingError` when the lift is unreliable (samples
-    subtending more than a quarter turn) or the closed sweep strays from an
-    integer by 0.1 turns.  :func:`invisibility_check` gets its
+    The path's :func:`polar_sweep` is closed by the straight chord back to
+    the start, so any straight path scores 0 and a full interior circuit
+    scores +-1.  Raises :class:`NonIntegralWindingError` when a sample step
+    or the chord back is too wide to lift, or the closed sweep strays from
+    an integer by 0.1 turns.  :func:`invisibility_check` gets its
     windings from scattering records instead; this polyline reading is the
     test oracle for them and gives ``trace`` its winding.
     """
     (x0, y0), (x1, y1) = path.points[0], path.points[-1]
-    # 257 chord samples, from the exit back to the entry.
-    chord = [(x1 * (1.0 - u) + x0 * u, y1 * (1.0 - u) + y0 * u)
-             for u in (k / 256 for k in range(257))]
-    return _whole_turns((polar_sweep(path.points) + polar_sweep(chord, math.pi - 1e-9))
-                        / TWO_PI)
+    return _closed_winding(polar_sweep(path.points), math.atan2(y0, x0), math.atan2(y1, x1))
 
 
 @dataclass
@@ -136,8 +143,9 @@ def invisibility_check(entries, tol: float = 1e-4, *,
       from the vacuum exit;
     - the winding of the path closed by the chord back to the entry is
       ``(sweep + chord_back) / 2 pi``, where the chord sweeps
-      ``chord_back = -remainder(phi1 - phi0, 2 pi)``.  It must be within
-      0.1 of an integer, or :class:`NonIntegralWindingError` is raised.
+      ``chord_back = -remainder(phi1 - phi0, 2 pi)`` (at least 1e-9 from
+      ``+-pi``).  It must be within 0.1 of an integer, or
+      :class:`NonIntegralWindingError` is raised.
 
     Entries whose chord passes through the exclusion zone are skipped and
     counted in ``excluded``; a ``ValueError`` is raised when no entry is
@@ -161,8 +169,7 @@ def invisibility_check(entries, tol: float = 1e-4, *,
         phi1 = TWO_PI * rec.exit.arc
         direction_dev = abs(math.remainder(phi1 - rec.exit.angle - (phi0 + chi), TWO_PI))
         exit_dev = 2.0 * R * abs(math.sin(0.5 * (phi1 - (phi0 + 2.0 * chi))))
-        chord_back = -math.remainder(phi1 - phi0, TWO_PI)
-        winding = _whole_turns((rec.sweep + chord_back) / TWO_PI)
+        winding = _closed_winding(rec.sweep, phi0, phi1)
         records.append(InvisibilityRecord(rec.entry.arc, chi, direction_dev, exit_dev, winding))
     if not records:
         raise ValueError("every grid entry passes through the exclusion zone")

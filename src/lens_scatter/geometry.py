@@ -480,8 +480,8 @@ class GeodesicPath:
     float list, a continuous lift of the direction angle.  ``exit`` is
     ``None`` for trapped geodesics.  Samples are dense enough that
     consecutive direction angles and polar angles differ by well under
-    pi/2, so angle unwrapping downstream is safe.  ``stats`` is filled by
-    :func:`integrate_geodesic`.
+    pi/2, so the wrapped polar steps of :func:`polar_sweep` are the lift's
+    steps.  ``stats`` is filled by :func:`integrate_geodesic`.
     """
 
     points: list
@@ -531,42 +531,31 @@ class GeodesicPath:
         return min(vals), max(vals)
 
 
-def _unwrap(angles) -> list:
-    """``np.unwrap`` of a float list, bit for bit: a step ``d`` with
-    ``|d| >= pi`` is corrected by ``(d + pi) % 2 pi - pi - d`` (``pi`` for
-    ``d > 0`` where that gives ``-pi``), and the corrections are summed left
-    to right."""
-    out = list(angles[:1])
-    correction = 0.0
-    for prev, a in zip(angles, angles[1:]):
-        d = a - prev
-        if abs(d) >= math.pi:
-            wrapped = (d + math.pi) % TWO_PI - math.pi
-            if wrapped == -math.pi and d > 0.0:
-                wrapped = math.pi
-            correction += wrapped - d
-        out.append(a + correction)
-    return out
+def _wrapped_steps(angles) -> list:
+    """Steps between consecutive ``angles``, each wrapped into ``[-pi, pi]``
+    by ``remainder(b - a, 2 pi)``: the continuous lift's steps when the
+    true ones are below a half turn."""
+    return [math.remainder(b - a, TWO_PI) for a, b in zip(angles, angles[1:])]
 
 
-def polar_sweep(points, max_step: float = 0.5 * math.pi) -> float:
+def polar_sweep(points) -> float:
     """Signed polar-angle sweep from the first to the last of ``points``.
 
-    The polar angle is lifted continuously along the ``(x, y)`` samples.
-    Raises ``ValueError`` for a sample at the origin and
-    :class:`NonIntegralWindingError` when consecutive samples subtend more
-    than ``max_step``, where the lift cannot be trusted.
+    The wrapped steps between the ``atan2`` polar angles of consecutive
+    ``(x, y)`` samples are added left to right (the builtin ``sum`` is
+    compensated from Python 3.12).  Raises ``ValueError`` for a sample at
+    the origin and :class:`NonIntegralWindingError` when a step exceeds a
+    quarter turn, where the lift cannot be trusted.
     """
-    polar = []
-    for x, y in points:
-        if x == 0.0 and y == 0.0:
-            raise ValueError("path passes through the origin")
-        polar.append(math.atan2(y, x))
-    polar = _unwrap(polar)
-    if any(abs(b - a) > max_step for a, b in zip(polar, polar[1:])):
-        raise NonIntegralWindingError(
-            "samples too sparse around the origin for a reliable angle lift")
-    return polar[-1] - polar[0]
+    if any(x == 0.0 and y == 0.0 for x, y in points):
+        raise ValueError("path passes through the origin")
+    sweep = 0.0
+    for d in _wrapped_steps([math.atan2(y, x) for x, y in points]):
+        if abs(d) > 0.5 * math.pi:
+            raise NonIntegralWindingError(
+                "samples too sparse around the origin for a reliable angle lift")
+        sweep += d
+    return sweep
 
 
 def _entry_xytheta(entry, radius: float) -> tuple[float, float, float]:
@@ -815,6 +804,8 @@ def clairaut_orbit(metric: ConformalMetric, impact: float,
 
 
 _REFINE_ROUNDS = 10
+# Largest direction or polar step, in radians, that refinement leaves.
+_REFINE_STEP = 0.45
 
 # How far past a knot circle a cut step may run.  Across a kink a step's
 # error grows with the square of the length straddled, so 1e-8 R leaves it
@@ -879,7 +870,7 @@ def _knot_cut(metric: ConformalMetric):
     return cut
 
 
-def _refine_samples(sol, max_step=0.45):
+def _refine_samples(sol):
     """States at the solver's sample times, subdivided until direction and
     polar angles step slowly.
 
@@ -890,10 +881,10 @@ def _refine_samples(sol, max_step=0.45):
     ts = list(sol.ts)
     cols = [list(col) for col in zip(*sol.ys)]
     for k in range(_REFINE_ROUNDS):
-        polar = _unwrap(list(map(math.atan2, cols[1], cols[0])))
+        polar_steps = _wrapped_steps(list(map(math.atan2, cols[1], cols[0])))
         bad = [i for i in range(len(ts) - 1)
-               if abs(cols[2][i + 1] - cols[2][i]) > max_step
-               or abs(polar[i + 1] - polar[i]) > max_step]
+               if abs(cols[2][i + 1] - cols[2][i]) > _REFINE_STEP
+               or abs(polar_steps[i]) > _REFINE_STEP]
         if not bad:
             return cols, k
         mids = [0.5 * (ts[i] + ts[i + 1]) for i in bad]

@@ -31,8 +31,9 @@ class BoundaryIsometry:
     """Isometry of the boundary circle: arc shift plus optional reflection.
 
     Acts as ``arc -> shift + arc`` (orientation preserving) or
-    ``arc -> shift - arc`` (orientation reversing).  For a circle these are
-    all the isometries there are.
+    ``arc -> shift - arc`` (orientation reversing).  These are all the
+    isometries of a rim of constant index; where the index varies, the
+    rim's isometries keep its arclength ``n(R, phi) R dphi`` instead.
     """
 
     shift: float = 0.0

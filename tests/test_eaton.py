@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lens_scatter import dop853, scattering
-from lens_scatter.eaton import (NonIntegralWindingError, _exact_dn_dr,
+from lens_scatter.eaton import (NonIntegralWindingError, _chord_back, _exact_dn_dr,
                                 eaton_index, eaton_metric, index_residual,
                                 invisibility_check, loop_winding)
 from lens_scatter.geometry import (ConformalMetric, GeodesicPath, IntegrationOptions,
@@ -139,6 +139,39 @@ class TestLoopWinding:
             loop_winding(path)
 
 
+def sampled_chord_sweep(p0, p1) -> float:
+    """Oracle: ``np.unwrap``'s polar sweep over 257 samples of the straight
+    chord from ``p1`` back to ``p0``."""
+    u = np.linspace(0.0, 1.0, 257)
+    x, y = p1[0] * (1.0 - u) + p0[0] * u, p1[1] * (1.0 - u) + p0[1] * u
+    polar = np.unwrap(np.arctan2(y, x))
+    return float(polar[-1] - polar[0])
+
+
+class TestChordBack:
+    def test_matches_the_sampled_chord(self):
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(400):
+            r, a = rng.uniform(0.05, 1.0, 2), rng.uniform(-math.pi, math.pi, 2)
+            xs, ys = (r * np.cos(a)).tolist(), (r * np.sin(a)).tolist()
+            p0, p1 = (xs[0], ys[0]), (xs[1], ys[1])
+            # Distance from the origin to the segment p1 -> p0.
+            d = np.subtract(p0, p1)
+            t = min(max(-np.dot(p1, d) / np.dot(d, d), 0.0), 1.0)
+            if np.hypot(*(np.add(p1, t * d))) < 1e-3:
+                continue
+            back = _chord_back(math.atan2(p0[1], p0[0]), math.atan2(p1[1], p1[0]))
+            assert abs(back - sampled_chord_sweep(p0, p1)) < 1e-12
+            checked += 1
+        assert checked > 390
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 1.0, -2.5, math.pi / 2])
+    def test_antipodal_pair_raises(self, a):
+        with pytest.raises(NonIntegralWindingError):
+            _chord_back(a, math.atan2(-math.sin(a), -math.cos(a)))
+
+
 class TestInvisibility:
     def test_single_offset_chord_parallel(self, eaton):
         # Chord from arc 0 to arc 0.4: one step (0.1 of the perimeter) away
@@ -163,6 +196,17 @@ class TestInvisibility:
         with pytest.raises(ValueError,
                            match="every grid entry passes through the exclusion zone"):
             invisibility_check(boundary_grid(2, 1), metric=eaton)
+
+    def test_trapped_entry_raises(self, eaton):
+        with pytest.raises(RuntimeError, match="was trapped"):
+            invisibility_check(boundary_grid(4, 2), metric=eaton,
+                               opts=IntegrationOptions(max_length=0.5))
+
+    def test_diameter_without_sweep_raises(self, vacuum):
+        # The entries are normal, so quadrature declines them, and the
+        # traced diameter runs through the origin: it has no sweep.
+        with pytest.raises(NonIntegralWindingError, match="too close to the origin"):
+            invisibility_check(boundary_grid(2, 1), metric=vacuum)
 
     def test_vacuum_control_case(self, vacuum):
         rep = invisibility_check(boundary_grid(4, 4), 1e-4, metric=vacuum)

@@ -3,7 +3,7 @@ numpy's, each checked against the library as the reference: Brent's root
 finder, the PCHIP coefficients, the G7K15 rule and the quadrature it
 drives, the 7-point Gauss rule of the G7K15 table in ``riemannian_length``,
 the periodic cubic spline of sampled curves, the turning-radius scan grid,
-and the angle lift ``np.unwrap``."""
+and the wrapped polar steps that stand in for ``np.unwrap``."""
 
 import math
 
@@ -302,36 +302,54 @@ class TestScanGrid:
 
 
 class TestUnwrap:
-    """The float angle lift that ``_refine_samples`` and ``polar_sweep``
-    share is ``np.unwrap``, bit for bit."""
+    """The one polar-angle rule of ``_refine_samples`` and ``polar_sweep``:
+    steps wrapped by ``remainder(b - a, 2 pi)``, against ``np.unwrap``."""
 
     PI_UP, PI_DOWN = math.nextafter(math.pi, 4.0), math.nextafter(math.pi, 3.0)
-    # Steps on the rule's edges: exactly +-pi, pi +- 1 ulp, multiples of 2 pi.
+    # Steps on the wrap's edges: exactly +-pi, pi +- 1 ulp, multiples of 2 pi.
     EDGES = (math.pi, -math.pi, PI_UP, -PI_UP, PI_DOWN, -PI_DOWN,
              2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi, -6.0 * math.pi)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_equals_np_unwrap(self, seed):
-        # Angles as atan2 gives them, wider ones with many corrections to
-        # sum, and each edge step taken from 0.0, where it is exact.
+        # Angles as atan2 gives them, wider ones many turns apart, and each
+        # edge step taken from 0.0, where it is exact.  Each wrapped step is
+        # the difference less whole turns, and np.unwrap's step to 1e-12;
+        # a half turn either way lifts a step of pi +- 1 ulp.
         rng = np.random.default_rng(seed)
         chunks = [[float(a)] for a in rng.uniform(-math.pi, math.pi, 60)]
         chunks += [[float(a)] for a in rng.uniform(-20.0, 20.0, 60)]
         chunks += [[0.0, step] for step in self.EDGES]
         angles = [a for k in rng.permutation(len(chunks)) for a in chunks[k]]
-        assert set(self.EDGES) <= set(np.diff(angles).tolist())
-        got = geometry._unwrap(angles)
-        assert [a.hex() for a in got] == [a.hex() for a in np.unwrap(angles).tolist()]
+        diffs = [b - a for a, b in zip(angles, angles[1:])]
+        assert set(self.EDGES) <= set(diffs)
+        steps = geometry._wrapped_steps(angles)
+        assert len(steps) == len(diffs)
+        for d, step, want in zip(diffs, steps, np.diff(np.unwrap(angles)).tolist()):
+            assert -math.pi <= step <= math.pi
+            turns = (d - step) / (2.0 * math.pi)
+            assert abs(turns - round(turns)) < 1e-12, (d, step)
+            if abs(abs(want) - math.pi) < 1e-12:
+                assert abs(abs(step) - math.pi) < 1e-12, (d, step, want)
+            else:
+                assert abs(step - want) < 1e-12, (d, step, want)
 
-    def test_polar_sweep_reads_arrays_and_tuples_alike(self):
+    @staticmethod
+    def _random_paths():
         rng = np.random.default_rng(2)
         for _ in range(20):
             phi = np.cumsum(rng.uniform(-1.2, 1.5, 200))
             r = rng.uniform(0.01, 1.0, 200)
-            pts = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
-            polar = np.unwrap(list(map(math.atan2, pts[:, 1].tolist(), pts[:, 0].tolist())))
-            want = float(polar[-1] - polar[0])
-            assert polar_sweep(pts).hex() == want.hex()
+            yield np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+
+    def test_polar_sweep_matches_np_unwrap(self):
+        for pts in self._random_paths():
+            polar = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
+            assert abs(polar_sweep(pts) - float(polar[-1] - polar[0])) < 1e-12
+
+    def test_polar_sweep_reads_arrays_and_tuples_alike(self):
+        for pts in self._random_paths():
+            want = polar_sweep(pts)
             assert polar_sweep([tuple(p) for p in pts.tolist()]).hex() == want.hex()
 
 

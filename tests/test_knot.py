@@ -17,8 +17,8 @@ from lens_scatter.knot import (Certificate, Crossing, InvariantTable, PLLoop,
                                crossing_sign, crossing_type,
                                embedding_separation, find_crossings,
                                first_return_crossing, perturbation_deltas,
-                               pl_refine, pl_snapshot,
-                               pl_validate, refine_stage_samples, w_invariant)
+                               pl_refine, pl_snapshot, pl_validate,
+                               random_corpus, refine_stage_samples, w_invariant)
 from lens_scatter.lift import (AmbiguousFiberArcError, MinimalLinearCurve, PLVertexPath,
                                ProjPoint, TransportUndefinedError, dist_components,
                                projectivize, unit_tangent_lift)
@@ -444,6 +444,15 @@ class TestCorpusProperties:
             for _ in range(5):
                 pert = curve.perturbed(perturbation_deltas(rng, curve.coeffs.shape, 2e-3))
                 assert w_invariant(pert) == base
+
+    def test_crossing_parameters_stay_apart(self):
+        # At seed 23 the first candidate that passes every other filter has
+        # two crossing parameters 4.75e-3 apart; the corpus must skip it.
+        curve, = random_corpus(1, seed=23)
+        crossings = analyze_loop(TangentLoop(curve)).crossings
+        params = sorted([c.l for c in crossings] + [c.l_prime for c in crossings])
+        assert params
+        assert min(knot._circ_dist(a, b, 1.0) for a, b in zip(params, params[1:] + params[:1])) >= 5e-3
 
     def test_perturbation_weights_are_correctly_rounded(self):
         # With unit normals the deltas are the weights.  numpy's SIMD

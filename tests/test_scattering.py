@@ -79,6 +79,17 @@ class TestScatter:
         assert rec.exit.angle == pytest.approx(math.pi / 4, abs=1e-4)
         assert rec.tau > math.sqrt(2.0)
 
+    def test_traced_trapped_ray(self):
+        # A general metric is traced, and a length cap below the chord's
+        # traps the ray.
+        metric = ConformalMetric.general(lambda x, y: 1.0 + 0.1 * x,
+                                         lambda x, y: (0.1, 0.0))
+        rec = scatter(metric, BoundaryVector(0.1, 1.0), IntegrationOptions(max_length=0.5))
+        assert rec.trapped
+        assert rec.exit is None
+        assert rec.tau == math.inf
+        assert rec.sweep is None
+
     def test_rejects_non_inward_entry(self, vacuum):
         with pytest.raises(ValueError):
             scatter(vacuum, BoundaryVector(0.0, 0.0))
